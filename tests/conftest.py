@@ -32,3 +32,19 @@ def velocity_line_ensemble(values, n_modes=1) -> Ensemble:
         vel[0] = v
         points.append(PhasePoint(np.zeros(n_modes), vel))
     return Ensemble(tuple(points), label="line")
+
+
+# The 8-mode damped wave system used by the end-to-end tests: the shipped
+# system's coefficients at a size where a pipeline run takes a fraction of a
+# second.
+SMALL_WAVE_SYSTEM = {
+    "mode_count": 8,
+    "k": 1.0,
+    "p": 2.0,
+    "l": 2.0,
+    "f_coeffs": [0.0, -1.0, 0.0, 1.0],
+    "kernel": [{"weight": 0.1, "coeffs": [1.0]}],
+    "h_coeffs": [4.0],
+    "dt": 0.0625,
+    "collocation_points": 24,
+}

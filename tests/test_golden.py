@@ -1,0 +1,135 @@
+"""Golden outputs: each pipeline kind reproduces recorded sha256 digests.
+
+The digests pin every output file except the manifests that carry
+``duration_s`` (the run's own ``manifest.json`` and each sweep row's).  A
+change that alters numerics on purpose must re-record them and say so.
+"""
+
+import hashlib
+import os
+from dataclasses import replace
+
+import pytest
+
+from attractorlab.dynamics import wave_config_from_dict
+from attractorlab.experiments import ExperimentConfig, load_experiment_config, run_experiment
+
+from conftest import SMALL_WAVE_SYSTEM
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def output_hashes(output_dir) -> dict:
+    """sha256 per output file, leaving out the timing-bearing manifests."""
+    out = {}
+    for root, _dirs, names in os.walk(output_dir):
+        for name in names:
+            full = os.path.join(root, name)
+            rel = os.path.relpath(full, output_dir).replace(os.sep, "/")
+            parts = rel.split("/")
+            if parts[-1] == "manifest.json" and (
+                len(parts) == 1 or (len(parts) == 2 and parts[0].startswith("l_"))
+            ):
+                continue
+            with open(full, "rb") as fh:
+                out[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(out.items()))
+
+
+def shipped_oracle(out, **overrides):
+    cfg = load_experiment_config(os.path.join(CONFIG_DIR, "oracle_decay.yaml"))
+    return replace(cfg, output_dir=str(out), **overrides)
+
+
+def small_wave(out, kind, **overrides):
+    return ExperimentConfig(
+        kind=kind, system=wave_config_from_dict(SMALL_WAVE_SYSTEM), output_dir=str(out),
+        seed=7, ensemble_count=12, ensemble_radius=4.0, fresh_count=8, **overrides,
+    )
+
+
+CASES = {
+    "oracle_decay": lambda out: shipped_oracle(out),
+    "quasistability_oracle": lambda out: shipped_oracle(out, kind="quasistability"),
+    "quasistability_wave": lambda out: small_wave(out, "quasistability"),
+    "wave_attractor": lambda out: small_wave(out, "wave_attractor"),
+    "criteria_suite": lambda out: small_wave(out, "criteria_suite"),
+    "sweep_l": lambda out: small_wave(out, "sweep_l", l_values=(1.0, 2.0)),
+}
+
+GOLDEN = {
+    "criteria_suite": {
+        "contractive_check.csv":
+            "599c9a03ccc2d7f3fd8d23ff4446898181c4dfd4390b219fe41c395d42b02273",
+        "hausdorff_criterion.csv":
+            "374143dffbd5e4c52db71d3898555b671f2be4a57a899dfdeb4de71315ea7ad3",
+        "tail_trace.csv":
+            "d90eda2ffce6ac2f2cf80151bfe586e015f134d4aa25b23b542db69800ccb968",
+        "trace_alpha.csv":
+            "04aadd0ab6d62f75e73e8fdbc3a8bbec2a4be853031379344caa30e2be0ff98a",
+    },
+    "oracle_decay": {
+        "trace_alpha.csv":
+            "eb3744ada7e9fda3345fc48c9e189935a4c58a0a24014cf4a09752982e4a57a3",
+        "trace_semidist.csv":
+            "851a75ef19dc4ab1f0eb38d7d0c808cecb69833f5b84b4ddfeadf62d0bcb0cbb",
+    },
+    "quasistability_oracle": {
+        "quasistability.csv":
+            "28928d14aed0ceea96e5c2117b89dbd307123172b7e777af88e9e59015f2b00d",
+    },
+    "quasistability_wave": {
+        "quasistability.csv":
+            "85458504583bf5db191a9e82a9274a785792f9b791a87917df5a5c8634db46f6",
+    },
+    "sweep_l": {
+        "l_0_1/attractor/manifest.json":
+            "ae9422c6d9ea85731575e2415733ac7b154faae2ea949f0c25ab3895e0f7eb33",
+        "l_0_1/attractor/net.csv":
+            "c85fa7e222438d500112c0f75ad9445aff50272ca4b17f657de9f9ae8cfa40d8",
+        "l_0_1/attractor/orbits.csv":
+            "3a4458115a26f9d044b0cb61c26a93539ec760224b8ccae6407e84a99c6ce73c",
+        "l_0_1/attractor/proxy.csv":
+            "66d0f7c14b015d571f56528f9b1f379aab84d362c383278047875f3d18378418",
+        "l_0_1/certificate.csv":
+            "d1c4f2194650e548ccc24e82d64867fcec526268e5400d32e8ca569726cc7657",
+        "l_0_1/trace_alpha.csv":
+            "5eb2376dc51157f0a6b19cceb6e5dd859cffa6fb7734e014f020d57d0a790405",
+        "l_1_2/attractor/manifest.json":
+            "8c06310389381c08b75360cc1e9cc2c65ab1650e7ea6ea085acba380781989e6",
+        "l_1_2/attractor/net.csv":
+            "49a06f6185113311f12ab1fd46a7c8b89fe12797efd3c48db6bb5503bdab73e9",
+        "l_1_2/attractor/orbits.csv":
+            "26de582c62b199238b28deb6fb45eb96ae31c92c5e4cc52ae7274ddc970986ff",
+        "l_1_2/attractor/proxy.csv":
+            "3e4a6303e9b4c445653cc9c76e5ac11344fec6f7cf57807129cf61bc2489092f",
+        "l_1_2/certificate.csv":
+            "a25942a5da521bb99cbfef48aff8505d932b6ad58bd2cddfd3b4c69a96dd23c5",
+        "l_1_2/trace_alpha.csv":
+            "aca35bd9c4c8c35cd88c52afb19c19028f76ab0f1a018aaddc619482de602b40",
+        "sweep.csv":
+            "3ffd560b06b6dc139abc609924a1bc865b6f0c0eee02f60269b7403aa5062210",
+    },
+    "wave_attractor": {
+        "attractor/manifest.json":
+            "8c06310389381c08b75360cc1e9cc2c65ab1650e7ea6ea085acba380781989e6",
+        "attractor/net.csv":
+            "49a06f6185113311f12ab1fd46a7c8b89fe12797efd3c48db6bb5503bdab73e9",
+        "attractor/orbits.csv":
+            "26de582c62b199238b28deb6fb45eb96ae31c92c5e4cc52ae7274ddc970986ff",
+        "attractor/proxy.csv":
+            "3e4a6303e9b4c445653cc9c76e5ac11344fec6f7cf57807129cf61bc2489092f",
+        "certificate.csv":
+            "a25942a5da521bb99cbfef48aff8505d932b6ad58bd2cddfd3b4c69a96dd23c5",
+        "trace_alpha.csv":
+            "aca35bd9c4c8c35cd88c52afb19c19028f76ab0f1a018aaddc619482de602b40",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    cfg = CASES[case](tmp_path / case)
+    manifest = run_experiment(cfg)
+    assert manifest.status == "ok"
+    assert output_hashes(cfg.output_dir) == GOLDEN[case]
