@@ -11,7 +11,7 @@ from .phase import (  # noqa: E402
     phase_norm,
     ensemble_radius,
 )
-from .decay import DecayLaw, decay_eval
+from .decay import DecayLaw
 from .covering import (
     CoverReport,
     DecayTrace,
@@ -24,12 +24,8 @@ from .dynamics import (
     NonDissipativeError,
     WaveSystemConfig,
     LinearModalConfig,
-    TrajectoryRecord,
     wave_rhs,
-    evolve,
     linear_modal_evolve,
-    flow,
-    flow_samples,
     lyapunov,
     absorbing_radius,
     load_wave_config,
@@ -38,7 +34,6 @@ from .dynamics import (
 from .attracting import (
     AttractingSetApprox,
     AttractionCertificate,
-    NetEntry,
     build_net,
     build_attracting_set,
     perturbed_net,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,18 +26,17 @@ import numpy as np
 
 from .covering import semidist_arrays
 from .decay import DecayLaw
-from .dynamics import flow, flow_samples
-from .phase import Ensemble, MetricSpec, PhasePoint
+from .phase import Ensemble, MetricSpec
 
 __all__ = [
     "DegenerateRadiusError",
     "ContinuityBudgetError",
-    "NetEntry",
     "AttractingSetApprox",
     "AttractionCertificate",
     "build_net",
     "build_attracting_set",
     "perturbed_net",
+    "verification_grid",
     "verify_attraction",
     "save_attracting_set",
     "load_attracting_set",
@@ -55,20 +55,20 @@ class ContinuityBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class NetEntry:
-    birth_time: int
-    seed: PhasePoint
-    evolved: PhasePoint
-
-
-@dataclass(frozen=True, eq=False)
 class AttractingSetApprox:
     """Finite net points, their sampled forward orbits, and a long-time proxy
-    of the omega-limit set; the computable attracting-set surrogate."""
+    of the omega-limit set; the computable attracting-set surrogate.
 
-    net_entries: tuple
-    orbit_samples: tuple
-    orbit_index: tuple  # (entry position, orbit time) per orbit sample
+    Net entry e was selected at integer time ``birth_times[e]`` from the
+    absorbed state ``net_seeds[e]``, whose image then is ``net_states[e]``.
+    ``orbit_states[e, k]`` is that image advanced by ``orbit_times[k]``.
+    """
+
+    birth_times: np.ndarray  # (E,) int
+    net_seeds: np.ndarray  # (E, 2N)
+    net_states: np.ndarray  # (E, 2N)
+    orbit_states: np.ndarray  # (E, K, 2N), entry-major
+    orbit_times: np.ndarray  # (K,)
     attractor_proxy: Ensemble
     law_used: DecayLaw
     m_range: tuple
@@ -77,9 +77,10 @@ class AttractingSetApprox:
 
     def target_matrix(self) -> np.ndarray:
         """Raw (Q, 2N) coefficients of orbit samples plus proxy points."""
-        rows = [p.as_array() for p in self.orbit_samples]
-        rows += [p.as_array() for p in self.attractor_proxy.points]
-        return np.stack(rows)
+        width = self.orbit_states.shape[-1]
+        return np.concatenate(
+            [self.orbit_states.reshape(-1, width), self.attractor_proxy.as_matrix()]
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +98,6 @@ class AttractionCertificate:
                 writer.writerow(
                     [repr(float(t)), repr(float(m)), repr(float(b)), int(m <= b)]
                 )
-
-
-def _embed(states: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    n = spec.mode_count
-    return spec.embed(states[:, :n], states[:, n:])
 
 
 def _cover_indices(embedded: np.ndarray, radius: float) -> list[int]:
@@ -124,6 +119,9 @@ def build_net(
     """Evolve the absorbed sample to integer time m and select a finite net
     whose balls of radius ``law.eval(m)`` cover all evolved points.
 
+    Returns (seeds, evolved): the selected absorbed states and their time-m
+    images, each an (E, 2N) array.
+
     The caller is responsible for the absorbed ensemble actually sitting
     inside the empirical absorbing ball and for m being past the burn-in.
     """
@@ -135,15 +133,13 @@ def build_net(
         raise DegenerateRadiusError(
             f"law.eval({m}) = {radius:g} is below the distance floor {RADIUS_FLOOR:g}"
         )
-    evolved = flow(cfg, absorbed.as_matrix(), float(m))
-    embedded = _embed(evolved, spec)
+    states = absorbed.as_matrix()
+    evolved = cfg.sample(states, [float(m)])[0]
+    embedded = spec.embed(evolved)
     chosen = _cover_indices(embedded, radius)
     gap = semidist_arrays(embedded, embedded[chosen])
     assert gap <= radius + 1e-12, "net construction failed to cover its own sample"
-    return tuple(
-        NetEntry(m, absorbed.points[i], PhasePoint.from_array(evolved[i]))
-        for i in chosen
-    )
+    return states[chosen], evolved[chosen]
 
 
 def perturbed_net(
@@ -161,6 +157,7 @@ def perturbed_net(
     seed moves its time-m image by less than ``eps * law.eval(m)``; the
     resulting cover radius is then measured and certified to stay within
     ``(1 + eps) * law.eval(m)``.  ``rounder = 0`` disables quantization.
+    Returns (quantized seeds, their time-m images) as in ``build_net``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -175,14 +172,14 @@ def perturbed_net(
             f"law.eval({m}) = {radius:g} is below the distance floor {RADIUS_FLOOR:g}"
         )
     states = absorbed.as_matrix()
-    evolved = flow(cfg, states, float(m))
-    embedded = _embed(evolved, spec)
+    evolved = cfg.sample(states, [float(m)])[0]
+    embedded = spec.embed(evolved)
 
     step = float(rounder)
     while True:
         quantized = np.round(states / step) * step
-        evolved_q = flow(cfg, quantized, float(m))
-        shift = np.linalg.norm(_embed(evolved_q, spec) - embedded, axis=1)
+        evolved_q = cfg.sample(quantized, [float(m)])[0]
+        shift = np.linalg.norm(spec.embed(evolved_q) - embedded, axis=1)
         if np.max(shift) < eps * radius:
             break
         step *= 0.5
@@ -193,16 +190,13 @@ def perturbed_net(
             )
 
     chosen = _cover_indices(embedded, radius)
-    measured = semidist_arrays(embedded, _embed(evolved_q, spec)[chosen])
+    measured = semidist_arrays(embedded, spec.embed(evolved_q)[chosen])
     if measured > (1.0 + eps) * radius + 1e-12:
         raise ContinuityBudgetError(
             f"perturbed cover radius {measured:g} exceeds "
             f"(1+eps) * law.eval(m) = {(1 + eps) * radius:g}"
         )
-    return tuple(
-        NetEntry(m, PhasePoint.from_array(quantized[i]), PhasePoint.from_array(evolved_q[i]))
-        for i in chosen
-    )
+    return quantized[chosen], evolved_q[chosen]
 
 
 def build_attracting_set(
@@ -224,37 +218,47 @@ def build_attracting_set(
     if orbit_sample_every <= 0:
         raise ValueError("orbit_sample_every must be positive")
 
-    entries = []
+    births, seeds, nets = [], [], []
     for m in range(m_min, m_max + 1):
-        entries.extend(build_net(absorbed, m, law, spec, cfg))
-    entries = tuple(entries)
+        seed, net = build_net(absorbed, m, law, spec, cfg)
+        births += [m] * len(seed)
+        seeds.append(seed)
+        nets.append(net)
+    net_states = np.concatenate(nets)
 
     orbit_times = list(np.arange(0.0, t_orbit + 1e-12, orbit_sample_every))
     if abs(orbit_times[-1] - t_orbit) > 1e-9 * max(1.0, t_orbit):
         orbit_times.append(t_orbit)
-    net_states = np.stack([e.evolved.as_array() for e in entries])
-    orbit_blocks = flow_samples(cfg, net_states, orbit_times)  # (K, E, 2N)
+    orbit_blocks = cfg.sample(net_states, orbit_times)  # (K, E, 2N)
 
-    samples = []
-    index = []
-    for e_pos in range(len(entries)):
-        for k_pos, tau in enumerate(orbit_times):
-            samples.append(PhasePoint.from_array(orbit_blocks[k_pos, e_pos]))
-            index.append((e_pos, float(tau)))
-
-    proxy_states = flow(cfg, absorbed.as_matrix(), 2.0 * t_orbit)
+    proxy_states = cfg.sample(absorbed.as_matrix(), [2.0 * t_orbit])[0]
     proxy = Ensemble.from_matrix(proxy_states, label="attractor_proxy")
 
     return AttractingSetApprox(
-        net_entries=entries,
-        orbit_samples=tuple(samples),
-        orbit_index=tuple(index),
+        birth_times=np.array(births),
+        net_seeds=np.concatenate(seeds),
+        net_states=net_states,
+        orbit_states=np.ascontiguousarray(orbit_blocks.swapaxes(0, 1)),
+        orbit_times=np.array(orbit_times, dtype=float),
         attractor_proxy=proxy,
         law_used=law,
         m_range=(m_min, m_max),
         t_orbit=float(t_orbit),
         orbit_sample_every=float(orbit_sample_every),
     )
+
+
+def verification_grid(aset: AttractingSetApprox, t_star: float) -> np.ndarray:
+    """Orbit-cadence check times on the covered window [t_star + 1 + m_min,
+    t_orbit], starting at the first cadence multiple inside it."""
+    step = aset.orbit_sample_every
+    t_lo = math.ceil((t_star + 1.0 + aset.m_range[0]) / step - 1e-9) * step
+    if t_lo > aset.t_orbit:
+        raise ValueError(
+            f"verification window is empty: entering time {t_star:g} pushes the "
+            f"first check past t_orbit = {aset.t_orbit:g}"
+        )
+    return np.arange(t_lo, aset.t_orbit + 1e-9, step)
 
 
 def verify_attraction(
@@ -275,11 +279,9 @@ def verify_attraction(
         raise ValueError(
             f"t_grid outside orbit coverage [{lo:g}, {aset.t_orbit:g}]"
         )
-    target = _embed(aset.target_matrix(), spec)
-    evolved = flow_samples(cfg, fresh.as_matrix(), t_grid)
-    measured = np.array(
-        [semidist_arrays(_embed(evolved[i], spec), target) for i in range(t_grid.size)]
-    )
+    target = spec.embed(aset.target_matrix())
+    evolved = cfg.sample(fresh.as_matrix(), t_grid)
+    measured = np.array([semidist_arrays(spec.embed(block), target) for block in evolved])
     bounds = np.array([aset.law_used.eval(t - t_star - 1.0) for t in t_grid])
     satisfied = float(np.mean(measured <= bounds * (1 + 1e-12)))
     return AttractionCertificate(t_grid, measured, bounds, satisfied)
@@ -295,6 +297,10 @@ def _coeff_header(prefix_a: str, prefix_b: str, n: int) -> list[str]:
     ]
 
 
+def _reprs(row) -> list[str]:
+    return [repr(float(c)) for c in row]
+
+
 def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None = None):
     """Write net.csv, orbits.csv, proxy.csv and manifest.json to a directory."""
     os.makedirs(directory, exist_ok=True)
@@ -305,25 +311,21 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
         writer.writerow(
             ["m"] + _coeff_header("seed_a", "seed_b", n) + _coeff_header("a", "b", n)
         )
-        for e in aset.net_entries:
-            row = [e.birth_time]
-            row += [repr(float(c)) for c in e.seed.as_array()]
-            row += [repr(float(c)) for c in e.evolved.as_array()]
-            writer.writerow(row)
+        for m, seed, state in zip(aset.birth_times, aset.net_seeds, aset.net_states):
+            writer.writerow([int(m)] + _reprs(seed) + _reprs(state))
 
     with open(os.path.join(directory, "orbits.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entry", "t"] + _coeff_header("a", "b", n))
-        for (e_pos, tau), point in zip(aset.orbit_index, aset.orbit_samples):
-            writer.writerow(
-                [e_pos, repr(float(tau))] + [repr(float(c)) for c in point.as_array()]
-            )
+        for e_pos, orbit in enumerate(aset.orbit_states):
+            for tau, state in zip(aset.orbit_times, orbit):
+                writer.writerow([e_pos, repr(float(tau))] + _reprs(state))
 
     with open(os.path.join(directory, "proxy.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_coeff_header("a", "b", n))
-        for p in aset.attractor_proxy.points:
-            writer.writerow([repr(float(c)) for c in p.as_array()])
+        for state in aset.attractor_proxy.as_matrix():
+            writer.writerow(_reprs(state))
 
     manifest = {
         "law": {
@@ -336,8 +338,8 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
         "t_orbit": aset.t_orbit,
         "orbit_sample_every": aset.orbit_sample_every,
         "mode_count": n,
-        "net_size": len(aset.net_entries),
-        "orbit_sample_count": len(aset.orbit_samples),
+        "net_size": len(aset.birth_times),
+        "orbit_sample_count": aset.orbit_states.shape[0] * aset.orbit_states.shape[1],
     }
     if extra:
         manifest.update(extra)
@@ -350,40 +352,30 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         manifest = json.load(fh)
     law = DecayLaw(**manifest["law"])
 
-    def read_rows(name):
+    def read_matrix(name) -> np.ndarray:
         with open(os.path.join(directory, name), newline="") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))[1:]
+        return np.array([[float(v) for v in row] for row in rows])
 
-    net_rows = read_rows("net.csv")[1:]
-    entries = []
-    for row in net_rows:
-        vals = np.array([float(v) for v in row[1:]])
-        half = vals.size // 2
-        entries.append(
-            NetEntry(
-                int(row[0]),
-                PhasePoint.from_array(vals[:half]),
-                PhasePoint.from_array(vals[half:]),
-            )
-        )
-
-    orbit_rows = read_rows("orbits.csv")[1:]
-    samples, index = [], []
-    for row in orbit_rows:
-        index.append((int(row[0]), float(row[1])))
-        samples.append(PhasePoint.from_array(np.array([float(v) for v in row[2:]])))
-
-    proxy_rows = read_rows("proxy.csv")[1:]
-    proxy = Ensemble.from_matrix(
-        np.array([[float(v) for v in row] for row in proxy_rows]),
-        label="attractor_proxy",
-    )
+    net = read_matrix("net.csv")
+    width = (net.shape[1] - 1) // 2
+    orbits = read_matrix("orbits.csv")
+    entries = orbits[:, 0].astype(int)
+    orbit_times = orbits[entries == 0, 1]
+    count, steps = net.shape[0], orbit_times.size
+    if not (
+        np.array_equal(entries, np.repeat(np.arange(count), steps))
+        and np.array_equal(orbits[:, 1], np.tile(orbit_times, count))
+    ):
+        raise ValueError("orbits.csv must list every net entry on one shared time grid")
 
     return AttractingSetApprox(
-        net_entries=tuple(entries),
-        orbit_samples=tuple(samples),
-        orbit_index=tuple(index),
-        attractor_proxy=proxy,
+        birth_times=net[:, 0].astype(int),
+        net_seeds=net[:, 1 : 1 + width],
+        net_states=net[:, 1 + width :],
+        orbit_states=orbits[:, 2:].reshape(count, steps, -1),
+        orbit_times=orbit_times,
+        attractor_proxy=Ensemble.from_matrix(read_matrix("proxy.csv"), label="attractor_proxy"),
         law_used=law,
         m_range=tuple(manifest["m_range"]),
         t_orbit=float(manifest["t_orbit"]),

@@ -1,8 +1,10 @@
 """Batch front door: run experiments, sweep damping values, fit traces and
 verify persisted attracting sets from the command line.
 
-Exit codes: 0 success, 1 config error, 2 numerical blow-up, 3 unsatisfied
-acceptance thresholds under --strict.
+Exit codes: 0 success; 1 config error, missing input file, or a system
+that is not dissipative (no absorbing ball found); 2 numerical blow-up;
+3 unsatisfied acceptance thresholds under --strict.  Every failure prints one
+line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .attracting import load_attracting_set, verify_attraction
+from .attracting import load_attracting_set, verification_grid, verify_attraction
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
-from .dynamics import BlowUpError, entering_times
+from .dynamics import BlowUpError, NonDissipativeError
 from .experiments import (
     load_experiment_config,
     run_experiment,
@@ -109,19 +111,15 @@ def _cmd_verify(args) -> int:
     cfg = load_experiment_config(args.config)
     aset = load_attracting_set(args.attractor_dir)
     with open(f"{args.attractor_dir}/manifest.json") as fh:
-        stored = json.load(fh)
-    radius = stored.get("absorbing_radius")
-    if radius is None:
-        raise ValueError("attractor manifest lacks absorbing_radius; cannot derive t_star")
+        t_star = json.load(fh).get("t_star")
+    if t_star is None:
+        raise ValueError("attractor manifest lacks t_star")
     spec = cfg.metric
+    # replay the run's draws: the probe sample first, then the fresh one
     rng = np.random.default_rng(cfg.seed)
     sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
     fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec, "fresh")
-    horizon = stored.get("burn_in", cfg.burn_in) + stored.get("window", cfg.window)
-    t_star = max(entering_times(cfg.system, fresh.as_matrix(), radius, horizon))
-    step = aset.orbit_sample_every
-    t_lo = math.ceil((t_star + 1.0 + aset.m_range[0]) / step - 1e-9) * step
-    t_grid = np.arange(t_lo, aset.t_orbit + 1e-9, step)
+    t_grid = verification_grid(aset, t_star)
     certificate = verify_attraction(aset, fresh, t_star, t_grid, cfg.system, spec)
     print(f"t_star = {t_star:.6g}")
     print(f"checked_times = {len(certificate.times)}")
@@ -174,7 +172,7 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ValueError, KeyError, OSError, yaml.YAMLError) as exc:
+    except (ValueError, KeyError, OSError, yaml.YAMLError, NonDissipativeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

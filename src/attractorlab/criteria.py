@@ -19,8 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .covering import DecayTrace, alpha_proxy, semidist_arrays
 from .decay import DecayLaw
-from .dynamics import flow, flow_samples
-from .phase import Ensemble, MetricSpec, PhasePoint
+from .phase import Ensemble, MetricSpec
 
 __all__ = [
     "RateFit",
@@ -192,13 +191,11 @@ def check_hausdorff_criterion(
         raise ValueError("t_grid must be nonempty and strictly increasing")
     m_clusters = len(candidate)
     cand = candidate.embed(spec)
-    evolved = flow_samples(cfg, absorbed.as_matrix(), t_grid)
-    n = spec.mode_count
+    evolved = cfg.sample(absorbed.as_matrix(), t_grid)
     semidists, alphas = [], []
     for block in evolved:
-        semidists.append(semidist_arrays(spec.embed(block[:, :n], block[:, n:]), cand))
-        ens = Ensemble.from_matrix(block)
-        alphas.append(alpha_proxy(ens, m_clusters, spec).max_diameter)
+        semidists.append(semidist_arrays(spec.embed(block), cand))
+        alphas.append(alpha_proxy(Ensemble.from_matrix(block), m_clusters, spec).max_diameter)
     semidists = np.array(semidists)
     alphas = np.array(alphas)
     bounds = np.array([law.eval(t) for t in t_grid])
@@ -228,7 +225,7 @@ def tail_projection_decay(
     if not (0 < n_low_modes < n):
         raise ValueError("n_low_modes must satisfy 0 < n_low_modes < mode_count")
     t_grid = np.asarray(t_grid, dtype=float)
-    evolved = flow_samples(cfg, absorbed.as_matrix(), t_grid)
+    evolved = cfg.sample(absorbed.as_matrix(), t_grid)
     lam_tail = spec.mode_eigenvalues[n_low_modes:]
     a_tail = evolved[..., n_low_modes:n]
     b_tail = evolved[..., n + n_low_modes :]
@@ -267,51 +264,38 @@ class ContractiveCheckReport:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def _unique_points(pairs):
-    points: list[PhasePoint] = []
-    keys: list[bytes] = []
-    index = []
-    for y1, y2 in pairs:
-        pair_idx = []
-        for y in (y1, y2):
-            key = y.as_array().tobytes()
-            try:
-                pos = keys.index(key)
-            except ValueError:
-                pos = len(points)
-                keys.append(key)
-                points.append(y)
-            pair_idx.append(pos)
-        index.append(tuple(pair_idx))
-    return points, index
-
-
 def contractive_inequality_check(
-    pairs, t_grid, law: DecayLaw, m_clusters: int, cfg, spec: MetricSpec
+    points: Ensemble, pairs, t_grid, law: DecayLaw, m_clusters: int, cfg, spec: MetricSpec
 ) -> ContractiveCheckReport:
-    """Pairwise residuals max(0, d(S(t)y1, S(t)y2) - law.eval(t)) as the
-    empirical stand-in for the contractive correction term, plus the
-    conclusion-side check alpha <= 3 * law.eval(t) on the evolved points.
+    """Pairwise residuals max(0, d(S(t)y1, S(t)y2) - law.eval(t)) over the
+    index ``pairs`` (i, j) into ``points``, as the empirical stand-in for the
+    contractive correction term, plus the conclusion-side check
+    alpha <= 3 * law.eval(t) on the evolved points.
 
-    The full residual matrix over the distinct points feeds the repeated
-    tail-infimum diagnostic; with finite data that diagnostic is evidence,
-    not certification.
+    The full residual matrix over ``points`` feeds the repeated tail-infimum
+    diagnostic; with finite data that diagnostic is evidence, not
+    certification.
     """
-    if not pairs:
+    pair_index = np.asarray(pairs, dtype=int)
+    if pair_index.size == 0:
         raise ValueError("need at least one pair")
+    if (
+        pair_index.ndim != 2
+        or pair_index.shape[1] != 2
+        or pair_index.min() < 0
+        or pair_index.max() >= len(points)
+    ):
+        raise ValueError(f"pairs must be (i, j) index pairs into the {len(points)} points")
     t_grid = np.asarray(t_grid, dtype=float)
-    points, pair_index = _unique_points(pairs)
-    ens = Ensemble(tuple(points), label="pair_points")
-    evolved = flow_samples(cfg, ens.as_matrix(), t_grid)
-    n = spec.mode_count
+    evolved = cfg.sample(points.as_matrix(), t_grid)
 
     res_max, res_mean, alphas, bounds3, diags = [], [], [], [], []
     for k, t in enumerate(t_grid):
-        emb = spec.embed(evolved[k][:, :n], evolved[k][:, n:])
+        emb = spec.embed(evolved[k])
         dist = cdist(emb, emb)
         phi = law.eval(float(t))
         residual_matrix = np.maximum(0.0, dist - phi)
-        pair_res = np.array([residual_matrix[i, j] for i, j in pair_index])
+        pair_res = residual_matrix[pair_index[:, 0], pair_index[:, 1]]
         res_max.append(float(pair_res.max()))
         res_mean.append(float(pair_res.mean()))
         alphas.append(alpha_proxy(Ensemble.from_matrix(evolved[k]), m_clusters, spec).max_diameter)
@@ -330,7 +314,7 @@ def contractive_inequality_check(
         alpha_bounds=bounds3,
         conclusion_fraction=float(np.mean(alphas <= bounds3 * (1 + 1e-12))),
         liminf_diagnostics=np.array(diags),
-        pair_count=len(pairs),
+        pair_count=len(pair_index),
     )
 
 
@@ -397,18 +381,12 @@ def quasistability_estimate(
     states = absorbed.as_matrix()
     count = states.shape[0]
 
-    if hasattr(cfg, "dt"):
-        stride = max(1, int(round(period / (trajectory_samples * cfg.dt))))
-        marks = np.arange(0, int(round(period / cfg.dt)) + 1, stride) * cfg.dt
-        times = marks if abs(marks[-1] - period) < 1e-12 else np.append(marks, period)
-    else:
-        times = np.linspace(0.0, period, trajectory_samples + 1)
-    traj = flow_samples(cfg, states, times)  # (K, P, 2N)
+    times = cfg.sample_grid(period, trajectory_samples)
+    traj = cfg.sample(states, times)  # (K, P, 2N)
 
-    emb0 = spec.embed(states[:, :n], states[:, n:])
+    emb0 = spec.embed(states)
     d0 = cdist(emb0, emb0)
-    end = traj[-1]
-    emb_t = spec.embed(end[:, :n], end[:, n:])
+    emb_t = spec.embed(traj[-1])
     d_end = cdist(emb_t, emb_t)
 
     rho_low = cdist(states[:, :low_mode_threshold], states[:, :low_mode_threshold])
@@ -433,7 +411,7 @@ def quasistability_estimate(
     per_period = []
     y = states
     for _ in range(int(n_periods)):
-        y = flow(cfg, y, period)
+        y = cfg.sample(y, [period])[0]
         alpha_n = alpha_proxy(Ensemble.from_matrix(y), m_clusters, spec).max_diameter
         per_period.append(alpha_n / base_alpha if base_alpha > 0 else 0.0)
 

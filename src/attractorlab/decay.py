@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["DecayLaw", "decay_eval", "DECAY_KINDS"]
+__all__ = ["DecayLaw", "DECAY_KINDS"]
 
 DECAY_KINDS = ("exponential", "polynomial", "log_polynomial")
 
@@ -59,11 +59,3 @@ class DecayLaw:
         if self.kind == "polynomial":
             return self.shift + ratio ** (1.0 / self.rate)
         return self.shift + math.exp(ratio ** (1.0 / self.rate))
-
-    def with_shift(self, shift: float) -> "DecayLaw":
-        return DecayLaw(self.kind, self.amplitude, self.rate, shift)
-
-
-def decay_eval(law: DecayLaw, t: float) -> float:
-    """Functional form of ``DecayLaw.eval``."""
-    return law.eval(t)

@@ -19,6 +19,17 @@ identity exact, so dissipation checks are meaningful at solver accuracy.
 
 Integration is fixed-step classical Runge-Kutta; all state arrays may carry
 leading batch dimensions, so whole ensembles evolve in one pass.
+
+Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
+``LinearModalConfig`` (the closed-form oracle) provide the same three
+members, so no caller needs to know which engine it runs:
+
+* ``eigenvalues`` -- the (N,) Dirichlet eigenvalues that define the metric;
+* ``sample(states, times)`` -- a (..., 2N) state array advanced to each of
+  ``times``, shape ``(len(times),) + states.shape``;
+* ``sample_grid(horizon, count)`` -- about ``count`` sample times on
+  [0, horizon] that ``sample`` accepts: a dt-aligned stride grid ending at the
+  horizon for the wave engine, ``count + 1`` equispaced times for the oracle.
 """
 
 from __future__ import annotations
@@ -36,14 +47,10 @@ __all__ = [
     "NonDissipativeError",
     "WaveSystemConfig",
     "LinearModalConfig",
-    "TrajectoryRecord",
     "wave_rhs",
-    "evolve",
     "evolve_states",
     "linear_modal_evolve",
     "modal_propagator",
-    "flow",
-    "flow_samples",
     "lyapunov",
     "absorbing_radius",
     "wave_config_from_dict",
@@ -174,6 +181,19 @@ class WaveSystemConfig:
         j = np.arange(1, self.mode_count + 1, dtype=float)
         return j**2
 
+    def sample(self, states, times) -> np.ndarray:
+        """RK4 samples of a (..., 2N) state array at dt-multiple times."""
+        return evolve_states(states, self, times)
+
+    def sample_grid(self, horizon: float, count: int) -> np.ndarray:
+        """Every stride-th step time on [0, horizon], stride chosen for about
+        ``count`` samples, with the horizon itself always included."""
+        stride = max(1, int(round(horizon / (count * self.dt))))
+        times = np.arange(0, _steps_for(self, horizon, "horizon") + 1, stride) * self.dt
+        if times[-1] < horizon - 1e-12:
+            times = np.append(times, horizon)
+        return times
+
     def _tables(self):
         """Precomputed arrays for the right-hand side (cached per config)."""
         cached = self.__dict__.get("_tables_cache")
@@ -227,6 +247,15 @@ class LinearModalConfig:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.mode_eigenvalues
+
+    def sample(self, states, times) -> np.ndarray:
+        """Exact samples of a (..., 2N) state array at any times >= 0."""
+        times = np.asarray(times, dtype=float)
+        return np.stack([modal_evolve_states(states, self, t) for t in times])
+
+    def sample_grid(self, horizon: float, count: int) -> np.ndarray:
+        """``count + 1`` equispaced times on [0, horizon]."""
+        return np.linspace(0.0, horizon, count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,68 +339,6 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """A sampled trajectory with per-sample energy diagnostics."""
-
-    config: WaveSystemConfig
-    initial: PhasePoint
-    samples: tuple
-    energy_samples: tuple
-
-    def to_csv(self, path):
-        import csv
-
-        n = self.initial.mode_count
-        header = (
-            ["t"]
-            + [f"a_{j}" for j in range(1, n + 1)]
-            + [f"b_{j}" for j in range(1, n + 1)]
-            + ["E", "L"]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for (t, point), (_, e_val, l_val) in zip(self.samples, self.energy_samples):
-                row = [repr(float(t))]
-                row += [repr(float(c)) for c in point.as_array()]
-                row += [repr(float(e_val)), repr(float(l_val))]
-                writer.writerow(row)
-
-
-def evolve(
-    initial: PhasePoint,
-    cfg: WaveSystemConfig,
-    horizon: float,
-    sample_every: float,
-) -> TrajectoryRecord:
-    """Fixed-step RK4 trajectory from ``initial`` over [0, horizon].
-
-    ``sample_every`` must be a positive multiple of dt; samples land on that
-    cadence, always including t = 0 and the horizon itself.
-    """
-    if initial.mode_count != cfg.mode_count:
-        raise ValueError("initial state and config disagree on mode count")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if sample_every <= 0:
-        raise ValueError("sample_every must be positive")
-    _steps_for(cfg, sample_every, "sample_every")
-    _steps_for(cfg, horizon, "horizon")
-    times = list(np.arange(0.0, horizon + 1e-12, sample_every))
-    if not times or abs(times[-1] - horizon) > 1e-9 * max(1.0, horizon):
-        times.append(horizon)
-    states = evolve_states(initial.as_array(), cfg, times)
-    samples = []
-    energies = []
-    for t, row in zip(times, states):
-        point = PhasePoint.from_array(row)
-        e_val, l_val = lyapunov(point, cfg)
-        samples.append((float(t), point))
-        energies.append((float(t), e_val, l_val))
-    return TrajectoryRecord(cfg, initial, tuple(samples), tuple(energies))
-
-
 # ---------------------------------------------------------------------------
 # closed-form linear modal oracle
 
@@ -440,29 +407,6 @@ def linear_modal_evolve(initial: PhasePoint, cfg: LinearModalConfig, t: float) -
     return PhasePoint.from_array(modal_evolve_states(initial.as_array(), cfg, t))
 
 
-# ---------------------------------------------------------------------------
-# unified front door for either engine
-
-
-def flow(cfg, states: np.ndarray, t: float) -> np.ndarray:
-    """Advance a (batched) state array by time t under either engine."""
-    if isinstance(cfg, LinearModalConfig):
-        return modal_evolve_states(states, cfg, t)
-    return evolve_states(states, cfg, [t])[0]
-
-
-def flow_samples(cfg, states: np.ndarray, times) -> np.ndarray:
-    """Sample a (batched) state array at many times; shape (len(times), ...)."""
-    times = np.asarray(times, dtype=float)
-    if isinstance(cfg, LinearModalConfig):
-        return np.stack([modal_evolve_states(states, cfg, t) for t in times])
-    return evolve_states(states, cfg, times)
-
-
-def config_eigenvalues(cfg) -> np.ndarray:
-    return cfg.eigenvalues
-
-
 def states_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Energy norms of a (..., 2N) state array."""
     states = np.asarray(states, dtype=float)
@@ -495,6 +439,25 @@ def lyapunov(state: PhasePoint, cfg: WaveSystemConfig):
     return float(e_val), float(l_val)
 
 
+def _sampled_norms(cfg, states, horizon: float, sample_count: int):
+    """Engine sample grid on [0, horizon] and the (T, P) energy norms on it."""
+    times = cfg.sample_grid(horizon, sample_count)
+    samples = cfg.sample(np.atleast_2d(states), times)
+    return times, states_norms(samples, cfg.eigenvalues)
+
+
+def _settle_times(times, norms, radius: float) -> list:
+    """First sample time per column of ``norms`` from which the running future
+    max stays inside ``radius``."""
+    future_max = np.maximum.accumulate(norms[::-1], axis=0)[::-1]
+    settled = future_max <= radius + 1e-12  # once true, true to the end
+    if not np.all(settled[-1]):
+        raise NonDissipativeError(
+            f"a point never settles inside radius {radius:g} by t = {times[-1]:g}"
+        )
+    return [float(t) for t in times[np.argmax(settled, axis=0)]]
+
+
 def absorbing_radius(
     cfg,
     probe: Ensemble,
@@ -511,21 +474,9 @@ def absorbing_radius(
     """
     if burn_in <= 0 or window <= 0:
         raise ValueError("burn_in and window must be positive")
-    horizon = burn_in + window
-    lam = config_eigenvalues(cfg)
-    if isinstance(cfg, LinearModalConfig):
-        times = np.linspace(0.0, horizon, sample_count + 1)
-    else:
-        stride = max(1, int(round(horizon / (sample_count * cfg.dt))))
-        times = np.arange(0, _steps_for(cfg, horizon, "burn_in + window") + 1, stride)
-        times = times * cfg.dt
-        if times[-1] < horizon - 1e-12:
-            times = np.append(times, horizon)
-    samples = flow_samples(cfg, probe.as_matrix(), times)
-    norms = states_norms(samples, lam)  # (T, P)
+    times, norms = _sampled_norms(cfg, probe.as_matrix(), burn_in + window, sample_count)
 
-    in_window = times >= burn_in - 1e-12
-    windowed = norms[in_window]
+    windowed = norms[times >= burn_in - 1e-12]
     half = windowed.shape[0] // 2
     if half >= 1:
         first, second = np.max(windowed[:half]), np.max(windowed[half:])
@@ -535,16 +486,7 @@ def absorbing_radius(
                 "increase burn_in or check the damping"
             )
     radius = 1.1 * float(np.max(windowed))
-
-    # entering time: first sample from which the running future max stays inside
-    future_max = np.maximum.accumulate(norms[::-1], axis=0)[::-1]
-    t_enter = []
-    for p in range(norms.shape[1]):
-        inside = np.flatnonzero(future_max[:, p] <= radius + 1e-12)
-        if inside.size == 0:
-            raise NonDissipativeError("a probe point never settles inside the radius")
-        t_enter.append(float(times[inside[0]]))
-    return radius, t_enter
+    return radius, _settle_times(times, norms, radius)
 
 
 def entering_times(cfg, states: np.ndarray, radius: float, horizon: float, sample_count: int = 200):
@@ -552,24 +494,8 @@ def entering_times(cfg, states: np.ndarray, radius: float, horizon: float, sampl
 
     Raises NonDissipativeError for any point still outside at the horizon.
     """
-    if isinstance(cfg, LinearModalConfig):
-        times = np.linspace(0.0, horizon, sample_count + 1)
-    else:
-        stride = max(1, int(round(horizon / (sample_count * cfg.dt))))
-        times = np.arange(0, _steps_for(cfg, horizon, "horizon") + 1, stride) * cfg.dt
-        if times[-1] < horizon - 1e-12:
-            times = np.append(times, horizon)
-    norms = states_norms(flow_samples(cfg, np.atleast_2d(states), times), config_eigenvalues(cfg))
-    future_max = np.maximum.accumulate(norms[::-1], axis=0)[::-1]
-    out = []
-    for p in range(norms.shape[1]):
-        inside = np.flatnonzero(future_max[:, p] <= radius + 1e-12)
-        if inside.size == 0:
-            raise NonDissipativeError(
-                f"a point never settles inside radius {radius:g} by t = {horizon:g}"
-            )
-        out.append(float(times[inside[0]]))
-    return out
+    times, norms = _sampled_norms(cfg, states, horizon, sample_count)
+    return _settle_times(times, norms, radius)
 
 
 def modal_slow_rate(damping: float, lam) -> float:

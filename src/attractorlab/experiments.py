@@ -25,7 +25,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .attracting import build_attracting_set, save_attracting_set, verify_attraction
+from .attracting import (
+    build_attracting_set,
+    save_attracting_set,
+    verification_grid,
+    verify_attraction,
+)
 from .covering import DecayTrace, decay_trace
 from .decay import DecayLaw
 from .criteria import (
@@ -42,8 +47,6 @@ from .dynamics import (
     WaveSystemConfig,
     absorbing_radius,
     entering_times,
-    flow,
-    flow_samples,
     modal_slow_rate,
     wave_config_from_dict,
     _num,
@@ -110,9 +113,7 @@ class ExperimentConfig:
 
     @property
     def metric(self) -> MetricSpec:
-        if isinstance(self.system, LinearModalConfig):
-            return MetricSpec(self.system.mode_eigenvalues)
-        return MetricSpec.dirichlet_1d(self.system.mode_count)
+        return MetricSpec(self.system.eigenvalues)
 
 
 @dataclass
@@ -248,7 +249,7 @@ def _inventory(output_dir) -> dict:
 
 
 def _snapshots(system, states, t_grid):
-    blocks = flow_samples(system, states, t_grid)
+    blocks = system.sample(states, t_grid)
     return [(float(t), Ensemble.from_matrix(blocks[i])) for i, t in enumerate(t_grid)]
 
 
@@ -307,7 +308,9 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     snap = cfg.orbit_sample_every
     absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
     absorbed_states = (
-        flow(system, probe.as_matrix(), absorb_time) if absorb_time > 0 else probe.as_matrix()
+        system.sample(probe.as_matrix(), [absorb_time])[0]
+        if absorb_time > 0
+        else probe.as_matrix()
     )
     absorbed = Ensemble.from_matrix(absorbed_states, label="absorbed")
 
@@ -334,14 +337,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     t_star = max(
         entering_times(system, fresh.as_matrix(), radius, cfg.burn_in + cfg.window)
     )
-    step = cfg.orbit_sample_every
-    t_lo = math.ceil((t_star + 1.0 + cfg.m_range[0]) / step - 1e-9) * step
-    if t_lo > cfg.t_orbit:
-        raise ValueError(
-            f"verification window is empty: entering time {t_star:g} pushes the "
-            f"first check past t_orbit = {cfg.t_orbit:g}"
-        )
-    t_grid_verify = np.arange(t_lo, cfg.t_orbit + 1e-9, step)
+    t_grid_verify = verification_grid(aset, t_star)
     certificate = verify_attraction(aset, fresh, t_star, t_grid_verify, system, spec)
 
     save_attracting_set(
@@ -358,8 +354,8 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         "absorbing_radius": radius,
         "absorb_time": absorb_time,
         "t_star": t_star,
-        "net_size": float(len(aset.net_entries)),
-        "orbit_sample_count": float(len(aset.orbit_samples)),
+        "net_size": float(len(aset.birth_times)),
+        "orbit_sample_count": float(aset.orbit_states.shape[0] * aset.orbit_states.shape[1]),
         "degenerate_trace": float(degenerate),
     }
     if fit is not None:
@@ -369,20 +365,6 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         headline["rate_energy"] = bounds.rate_energy
         headline["rate_contraction"] = bounds.rate_contraction
     return headline, []
-
-
-def _with_damping(system: WaveSystemConfig, damping: float) -> WaveSystemConfig:
-    return WaveSystemConfig(
-        mode_count=system.mode_count,
-        k=system.k,
-        p=system.p,
-        l=float(damping),
-        f_coeffs=system.f_coeffs,
-        kernel=system.kernel,
-        h_coeffs=system.h_coeffs,
-        dt=system.dt,
-        collocation_points=system.collocation_points,
-    )
 
 
 def sweep_parameter(base: ExperimentConfig, values) -> list:
@@ -400,7 +382,7 @@ def sweep_parameter(base: ExperimentConfig, values) -> list:
         sub = replace(
             base,
             kind="wave_attractor",
-            system=_with_damping(base.system, val),
+            system=replace(base.system, l=val),
             output_dir=sub_dir,
             l_values=(),
         )
@@ -455,17 +437,28 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     return headline, rows
 
 
-def _pipeline_quasistability(cfg: ExperimentConfig, out):
-    system, spec = cfg.system, cfg.metric
+def _absorbed_probe(cfg: ExperimentConfig, spec: MetricSpec) -> Ensemble:
+    """The seeded probe sample, evolved over burn_in + window on the wave
+    engine; the linear oracle's sample is used as drawn."""
     rng = np.random.default_rng(cfg.seed)
     probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    if isinstance(system, WaveSystemConfig):
-        absorbed = Ensemble.from_matrix(
-            flow(system, probe.as_matrix(), cfg.burn_in + cfg.window), label="absorbed"
-        )
+    if not isinstance(cfg.system, WaveSystemConfig):
+        return probe
+    states = cfg.system.sample(probe.as_matrix(), [cfg.burn_in + cfg.window])[0]
+    return Ensemble.from_matrix(states, label="absorbed")
+
+
+def _pipeline_quasistability(cfg: ExperimentConfig, out):
+    system, spec = cfg.system, cfg.metric
+    absorbed = _absorbed_probe(cfg, spec)
+    if cfg.quasi_period:
+        period = cfg.quasi_period
+    elif system.l > 0:
+        period = 3.0 / float(system.l)
     else:
-        absorbed = probe
-    period = cfg.quasi_period if cfg.quasi_period else 3.0 / float(system.l)
+        raise ValueError(
+            "quasistability with linear damping l = 0 needs pipeline.quasi_period"
+        )
     report = quasistability_estimate(
         absorbed,
         period,
@@ -498,14 +491,7 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
 
 def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    rng = np.random.default_rng(cfg.seed)
-    probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    if isinstance(system, WaveSystemConfig):
-        absorbed = Ensemble.from_matrix(
-            flow(system, probe.as_matrix(), cfg.burn_in + cfg.window), label="absorbed"
-        )
-    else:
-        absorbed = probe
+    absorbed = _absorbed_probe(cfg, spec)
 
     snapshots = _snapshots(system, absorbed.as_matrix(), cfg.t_grid)
     alpha = decay_trace(snapshots, cfg.m_clusters, spec)
@@ -513,7 +499,7 @@ def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     law = fit_envelope_law(alpha, cfg.fit_floor)
 
     candidate = Ensemble.from_matrix(
-        flow(system, absorbed.as_matrix(), 2.0 * cfg.t_orbit), label="candidate"
+        system.sample(absorbed.as_matrix(), [2.0 * cfg.t_orbit])[0], label="candidate"
     )
     grid = cfg.t_grid[cfg.t_grid > 0]
     hausdorff = check_hausdorff_criterion(candidate, absorbed, grid, law, system, spec)
@@ -522,10 +508,10 @@ def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     tail = tail_projection_decay(absorbed, cfg.low_mode_threshold, cfg.t_grid, system, spec)
     tail.to_csv(out("tail_trace.csv"))
 
-    pts = absorbed.points
-    pairs = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    count = len(absorbed)
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     contractive = contractive_inequality_check(
-        pairs, grid, law, cfg.m_clusters, system, spec
+        absorbed, pairs, grid, law, cfg.m_clusters, system, spec
     )
     contractive.to_csv(out("contractive_check.csv"))
 

@@ -9,6 +9,12 @@ energy norm
 which is plain Euclidean distance after rescaling positions by sqrt(lam_j);
 ``MetricSpec.embed`` performs that rescaling so downstream geometry
 (clustering, Hausdorff semidistances) can run on flat arrays.
+
+States are stored as flat arrays [positions, velocities] of length 2N.  An
+``Ensemble`` is a thin wrapper over one validated (P, 2N) float array, one row
+per state, so the engines and the geometry work on it without conversion.
+``PhasePoint`` is the single-state type of the per-state functions
+(``phase_distance``, ``wave_rhs``, ``lyapunov``, ``linear_modal_evolve``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ class MetricSpec:
     """
 
     mode_eigenvalues: np.ndarray
-    spatial_dim: int = 1
 
     def __post_init__(self):
         lam = _as_finite_vector(self.mode_eigenvalues, "mode_eigenvalues")
@@ -54,38 +59,28 @@ class MetricSpec:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
-        if self.spatial_dim not in (1, 2):
-            raise ValueError("spatial_dim must be 1 or 2")
         object.__setattr__(self, "mode_eigenvalues", lam)
 
     @classmethod
     def dirichlet_1d(cls, n_modes: int) -> "MetricSpec":
         """Eigenvalues j^2 for j = 1..n_modes on the interval (0, pi)."""
         j = np.arange(1, int(n_modes) + 1, dtype=float)
-        return cls(j**2, spatial_dim=1)
-
-    @classmethod
-    def dirichlet_2d(cls, n_per_axis: int) -> "MetricSpec":
-        """Sorted eigenvalues j^2 + k^2 on the square (0, pi)^2."""
-        j = np.arange(1, int(n_per_axis) + 1, dtype=float)
-        lam = np.sort((j[:, None] ** 2 + j[None, :] ** 2).ravel())
-        return cls(lam, spatial_dim=2)
+        return cls(j**2)
 
     @property
     def mode_count(self) -> int:
         return self.mode_eigenvalues.size
 
-    def embed(self, positions, velocities) -> np.ndarray:
-        """Map (..., N) position/velocity coefficients to flat (..., 2N) coordinates
-        in which the energy metric is Euclidean."""
-        a = np.asarray(positions, dtype=float)
-        b = np.asarray(velocities, dtype=float)
-        if a.shape != b.shape or a.shape[-1] != self.mode_count:
+    def embed(self, states) -> np.ndarray:
+        """Map (..., 2N) states [positions, velocities] to flat (..., 2N)
+        coordinates in which the energy metric is Euclidean."""
+        y = np.asarray(states, dtype=float)
+        n = self.mode_count
+        if y.ndim == 0 or y.shape[-1] != 2 * n:
             raise ValueError(
-                f"coefficient shape {a.shape}/{b.shape} does not match "
-                f"{self.mode_count} metric eigenvalues"
+                f"state shape {y.shape} does not match {n} metric eigenvalues"
             )
-        return np.concatenate([a * np.sqrt(self.mode_eigenvalues), b], axis=-1)
+        return np.concatenate([y[..., :n] * np.sqrt(self.mode_eigenvalues), y[..., n:]], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,46 +125,46 @@ class PhasePoint:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite labeled collection of states standing in for a bounded set."""
+    """Finite labeled collection of states standing in for a bounded set.
 
-    points: tuple
+    ``states`` is a read-only (P, 2N) array, one row [positions, velocities]
+    per state; it must be nonempty, of even width and finite.
+    """
+
+    states: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
-            raise ValueError("ensemble must be nonempty")
-        n = pts[0].mode_count
-        for p in pts:
-            if not isinstance(p, PhasePoint):
-                raise ValueError("ensemble entries must be PhasePoint instances")
-            if p.mode_count != n:
-                raise ValueError("all ensemble points must share one mode count")
-        object.__setattr__(self, "points", pts)
+        y = np.array(self.states, dtype=float)
+        if y.ndim != 2 or y.shape[0] == 0:
+            raise ValueError(
+                f"expected a nonempty (P, 2N) matrix of stacked states, got shape {y.shape}"
+            )
+        if y.shape[1] == 0 or y.shape[1] % 2 != 0:
+            raise ValueError(f"state width must be a positive even number, got {y.shape[1]}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("ensemble states contain non-finite entries")
+        y.setflags(write=False)
+        object.__setattr__(self, "states", y)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.states.shape[0]
 
     @property
     def mode_count(self) -> int:
-        return self.points[0].mode_count
+        return self.states.shape[1] // 2
 
     def as_matrix(self) -> np.ndarray:
         """(P, 2N) raw coefficients, one row [positions, velocities] per point."""
-        return np.stack([p.as_array() for p in self.points])
+        return self.states
 
     def embed(self, spec: MetricSpec) -> np.ndarray:
         """(P, 2N) flat coordinates in which phase_distance is Euclidean."""
-        m = self.as_matrix()
-        n = self.mode_count
-        return spec.embed(m[:, :n], m[:, n:])
+        return spec.embed(self.states)
 
     @classmethod
     def from_matrix(cls, rows, label: str = "") -> "Ensemble":
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2:
-            raise ValueError("expected a (P, 2N) matrix of stacked states")
-        return cls(tuple(PhasePoint.from_array(r) for r in rows), label=label)
+        return cls(rows, label=label)
 
 
 def _check_compatible(a: PhasePoint, b: PhasePoint, spec: MetricSpec):

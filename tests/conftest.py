@@ -19,19 +19,17 @@ def random_point(rng, spec, scale=1.0) -> PhasePoint:
 
 def random_ensemble(rng, spec, count, scale=1.0, label="test") -> Ensemble:
     return Ensemble(
-        tuple(random_point(rng, spec, scale) for _ in range(count)), label=label
+        np.stack([random_point(rng, spec, scale).as_array() for _ in range(count)]),
+        label=label,
     )
 
 
 def velocity_line_ensemble(values, n_modes=1) -> Ensemble:
     """Scalar values embedded as mode-1 velocities: pairwise phase distances
     equal the scalar differences."""
-    points = []
-    for v in values:
-        vel = np.zeros(n_modes)
-        vel[0] = v
-        points.append(PhasePoint(np.zeros(n_modes), vel))
-    return Ensemble(tuple(points), label="line")
+    states = np.zeros((len(values), 2 * n_modes))
+    states[:, n_modes] = values
+    return Ensemble(states, label="line")
 
 
 # The 8-mode damped wave system used by the end-to-end tests: the shipped

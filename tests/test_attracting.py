@@ -17,7 +17,6 @@ from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import (
     LinearModalConfig,
     WaveSystemConfig,
-    flow,
     modal_evolve_states,
     modal_propagator,
 )
@@ -59,17 +58,17 @@ class TestBuildNet:
     def test_collapsed_ensemble_single_entry(self, modal_setup):
         spec, cfg = modal_setup
         p = PhasePoint(np.array([0.1, 0.2]), np.array([0.0, -0.1]))
-        absorbed = Ensemble((p, p, p))
-        entries = build_net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
-        assert len(entries) == 1
-        assert entries[0].birth_time == 1
+        absorbed = Ensemble(np.stack([p.as_array()] * 3))
+        seeds, evolved = build_net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
+        assert len(seeds) == len(evolved) == 1
+        assert np.array_equal(seeds[0], p.as_array())
 
     def test_large_radius_single_entry(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 8)
         law = DecayLaw("exponential", 1e3, 0.01)
-        entries = build_net(absorbed, 2, law, spec, cfg)
-        assert len(entries) == 1
+        seeds, _evolved = build_net(absorbed, 2, law, spec, cfg)
+        assert len(seeds) == 1
 
     def test_line_cover_matches_interval_oracle(self, modal_setup):
         spec, cfg = modal_setup
@@ -79,10 +78,10 @@ class TestBuildNet:
         seeds = modal_preimage(cfg, targets, float(m))
         absorbed = Ensemble.from_matrix(seeds)
         law = DecayLaw("exponential", np.exp(0.5 * m), 0.5)  # law.eval(m) == 1
-        entries = build_net(absorbed, m, law, spec, cfg)
-        evolved_line = np.array([e.evolved.velocity_coeffs[0] for e in entries])
+        _seeds, evolved = build_net(absorbed, m, law, spec, cfg)
+        evolved_line = evolved[:, 2]
         optimal = min_interval_cover_count(targets[:, 2], 1.0)
-        assert optimal <= len(entries) <= 2 * optimal
+        assert optimal <= len(evolved) <= 2 * optimal
         # every target point is within the radius of a selected center
         gaps = np.min(
             np.abs(targets[:, 2][:, None] - evolved_line[None, :]), axis=1
@@ -101,12 +100,10 @@ class TestBuildNet:
         absorbed = random_ensemble(rng, spec, 12)
         law = DecayLaw("exponential", 0.5, 0.3)
         m = 2
-        entries = build_net(absorbed, m, law, spec, cfg)
-        evolved = flow(cfg, absorbed.as_matrix(), float(m))
-        n = spec.mode_count
-        emb = spec.embed(evolved[:, :n], evolved[:, n:])
-        centers = np.stack([e.evolved.as_array() for e in entries])
-        emb_c = spec.embed(centers[:, :n], centers[:, n:])
+        _seeds, centers = build_net(absorbed, m, law, spec, cfg)
+        evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
+        emb = spec.embed(evolved)
+        emb_c = spec.embed(centers)
         assert semidist_arrays(emb, emb_c) <= law.eval(m) + 1e-12
 
 
@@ -115,32 +112,32 @@ class TestPerturbedNet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 6)
         law = DecayLaw("exponential", 1.0, 0.4)
-        plain = build_net(absorbed, 1, law, spec, cfg)
-        quant = perturbed_net(absorbed, 1, law, eps=0.1, rounder=0.0, cfg=cfg, spec=spec)
-        assert len(plain) == len(quant)
-        for a, b in zip(plain, quant):
-            assert np.array_equal(a.seed.as_array(), b.seed.as_array())
+        plain_seeds, _ = build_net(absorbed, 1, law, spec, cfg)
+        quant_seeds, _ = perturbed_net(absorbed, 1, law, eps=0.1, rounder=0.0, cfg=cfg, spec=spec)
+        assert len(plain_seeds) == len(quant_seeds)
+        for a, b in zip(plain_seeds, quant_seeds):
+            assert np.array_equal(a, b)
 
     def test_huge_eps_accepts_coarse_grid(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 6)
         law = DecayLaw("exponential", 1.0, 0.4)
-        entries = perturbed_net(absorbed, 1, law, eps=1e6, rounder=0.5, cfg=cfg, spec=spec)
-        for e in entries:
-            snapped = np.round(e.seed.as_array() / 0.5) * 0.5
-            assert np.array_equal(e.seed.as_array(), snapped)
+        seeds, _ = perturbed_net(absorbed, 1, law, eps=1e6, rounder=0.5, cfg=cfg, spec=spec)
+        for seed in seeds:
+            snapped = np.round(seed / 0.5) * 0.5
+            assert np.array_equal(seed, snapped)
 
     def test_certified_cover_radius(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 10)
         law = DecayLaw("exponential", 1.0, 0.4)
         m, eps = 1, 0.1
-        entries = perturbed_net(absorbed, m, law, eps=eps, rounder=0.25, cfg=cfg, spec=spec)
-        evolved = flow(cfg, absorbed.as_matrix(), float(m))
-        n = spec.mode_count
-        emb = spec.embed(evolved[:, :n], evolved[:, n:])
-        centers = np.stack([e.evolved.as_array() for e in entries])
-        emb_c = spec.embed(centers[:, :n], centers[:, n:])
+        _seeds, centers = perturbed_net(
+            absorbed, m, law, eps=eps, rounder=0.25, cfg=cfg, spec=spec
+        )
+        evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
+        emb = spec.embed(evolved)
+        emb_c = spec.embed(centers)
         assert semidist_arrays(emb, emb_c) <= (1 + eps) * law.eval(m) + 1e-12
 
     def test_budget_error_when_eps_unreachable(self, rng, modal_setup):
@@ -159,18 +156,8 @@ class TestBuildAttractingSet:
         aset = build_attracting_set(absorbed, (1, 2), law, 12.0, 0.5, cfg, spec)
         assert ensemble_radius(aset.attractor_proxy, spec) < 1e-6
         # orbit samples decay along each orbit
-        n = spec.mode_count
-        for e_pos in range(len(aset.net_entries)):
-            taus = [t for (p, t) in aset.orbit_index if p == e_pos]
-            pts = [
-                aset.orbit_samples[i]
-                for i, (p, _) in enumerate(aset.orbit_index)
-                if p == e_pos
-            ]
-            norms = [
-                np.linalg.norm(spec.embed(q.position_coeffs, q.velocity_coeffs))
-                for q in pts
-            ]
+        for orbit in aset.orbit_states:
+            norms = np.linalg.norm(spec.embed(orbit), axis=1)
             assert norms[-1] <= norms[0] + 1e-12
 
     def test_m_range_single(self, rng, modal_setup):
@@ -178,20 +165,18 @@ class TestBuildAttractingSet:
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = build_attracting_set(absorbed, (1, 1), law, 4.0, 0.5, cfg, spec)
-        assert all(e.birth_time == 1 for e in aset.net_entries)
+        assert np.all(aset.birth_times == 1)
 
     def test_orbit_replay_modal(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = build_attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
-        by_entry = {}
-        for (e_pos, tau), point in zip(aset.orbit_index, aset.orbit_samples):
-            by_entry.setdefault(e_pos, []).append((tau, point))
-        for chain in by_entry.values():
-            for (t0, p0), (t1, p1) in zip(chain, chain[1:]):
-                stepped = modal_evolve_states(p0.as_array(), cfg, t1 - t0)
-                assert np.max(np.abs(stepped - p1.as_array())) <= 1e-12
+        taus = aset.orbit_times
+        for chain in aset.orbit_states:
+            for t0, t1, p0, p1 in zip(taus, taus[1:], chain, chain[1:]):
+                stepped = modal_evolve_states(p0, cfg, t1 - t0)
+                assert np.max(np.abs(stepped - p1)) <= 1e-12
 
     def test_orbit_replay_wave(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
@@ -201,25 +186,19 @@ class TestBuildAttractingSet:
         absorbed = random_ensemble(rng, spec, 4)
         law = DecayLaw("exponential", 5.0, 0.3)
         aset = build_attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
-        chain = [
-            (tau, aset.orbit_samples[i])
-            for i, (e_pos, tau) in enumerate(aset.orbit_index)
-            if e_pos == 0
-        ]
-        for (t0, p0), (t1, p1) in zip(chain, chain[1:]):
-            stepped = flow(cfg, p0.as_array(), t1 - t0)
-            assert np.max(np.abs(stepped - p1.as_array())) <= 1e-8
+        taus, chain = aset.orbit_times, aset.orbit_states[0]
+        for t0, t1, p0, p1 in zip(taus, taus[1:], chain, chain[1:]):
+            stepped = cfg.sample(p0, [t1 - t0])[0]
+            assert np.max(np.abs(stepped - p1)) <= 1e-8
 
     def test_first_orbit_sample_is_net_point(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = build_attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
-        for (e_pos, tau), point in zip(aset.orbit_index, aset.orbit_samples):
-            if tau == 0.0:
-                assert np.array_equal(
-                    point.as_array(), aset.net_entries[e_pos].evolved.as_array()
-                )
+        assert aset.orbit_times[0] == 0.0
+        for orbit, net_state in zip(aset.orbit_states, aset.net_states):
+            assert np.array_equal(orbit[0], net_state)
 
     def test_horizon_must_reach_m_max(self, rng, modal_setup):
         spec, cfg = modal_setup
@@ -314,10 +293,21 @@ class TestPersistence:
         assert back.law_used == law
         assert back.m_range == aset.m_range
         assert back.t_orbit == aset.t_orbit
-        assert len(back.net_entries) == len(aset.net_entries)
-        for a, b in zip(aset.net_entries, back.net_entries):
-            assert a.birth_time == b.birth_time
-            assert np.array_equal(a.seed.as_array(), b.seed.as_array())
-            assert np.array_equal(a.evolved.as_array(), b.evolved.as_array())
+        assert len(back.birth_times) == len(aset.birth_times)
+        assert np.array_equal(back.birth_times, aset.birth_times)
+        assert np.array_equal(back.net_seeds, aset.net_seeds)
+        assert np.array_equal(back.net_states, aset.net_states)
         assert np.array_equal(aset.target_matrix(), back.target_matrix())
-        assert back.orbit_index == aset.orbit_index
+        assert np.array_equal(back.orbit_times, aset.orbit_times)
+        assert back.orbit_states.shape == aset.orbit_states.shape
+
+    def test_load_rejects_ragged_orbits(self, rng, modal_setup, tmp_path):
+        spec, cfg = modal_setup
+        absorbed = random_ensemble(rng, spec, 5)
+        law = DecayLaw("exponential", 1.2, 0.35)
+        aset = build_attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        save_attracting_set(aset, tmp_path / "aset")
+        orbits = tmp_path / "aset" / "orbits.csv"
+        orbits.write_text("".join(orbits.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ValueError, match="time grid"):
+            load_attracting_set(tmp_path / "aset")

@@ -1,0 +1,124 @@
+"""End-to-end tests of the command line: every subcommand and exit code."""
+
+import contextlib
+import io
+
+import pytest
+import yaml
+
+from attractorlab.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
+
+from conftest import SMALL_WAVE_SYSTEM
+
+
+def write_config(directory, system=None, kind="wave_attractor", pipeline=None,
+                 thresholds=None, **sections):
+    """A YAML run config for the 8-mode wave system, written to ``directory``."""
+    raw = {
+        "kind": kind,
+        "output_dir": str(directory / "out"),
+        "seed": 7,
+        "ensemble": {"count": 12, "radius": 4.0, "fresh_count": 8},
+        "system": {"type": "wave", **(system or SMALL_WAVE_SYSTEM)},
+        "pipeline": pipeline or {},
+        "thresholds": thresholds or {"satisfied_fraction": 0.95},
+        **sections,
+    }
+    path = directory / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def run_cli(*argv):
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def printed(text: str) -> dict:
+    """The ``key = value`` lines of CLI output, values as printed."""
+    return dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("run")
+    config = write_config(directory)
+    code, out, err = run_cli("run", config)
+    assert code == EXIT_OK, err
+    return config, directory / "out", out
+
+
+def test_run_exits_0_and_prints_the_headline(finished_run):
+    _config, out_dir, out = finished_run
+    assert {"satisfied_fraction", "t_star", "absorb_time"} <= set(printed(out))
+    assert float(printed(out)["absorb_time"]) > 0.0
+    assert (out_dir / "attractor" / "net.csv").exists()
+
+
+def test_verify_reproduces_the_run_headline(finished_run):
+    config, out_dir, run_out = finished_run
+    code, out, err = run_cli("verify", out_dir / "attractor", config)
+    assert code == EXIT_OK, err
+    run_lines, verify_lines = printed(run_out), printed(out)
+    assert verify_lines["t_star"] == run_lines["t_star"]
+    assert verify_lines["satisfied_fraction"] == run_lines["satisfied_fraction"]
+
+
+def test_fit_exits_0_on_the_alpha_trace(finished_run):
+    _config, out_dir, _out = finished_run
+    code, out, err = run_cli("fit", out_dir / "trace_alpha.csv")
+    assert code == EXIT_OK, err
+    assert float(printed(out)["rate"]) > 0.0
+
+
+def test_sweep_exits_0_for_each_value(tmp_path):
+    code, out, err = run_cli("sweep", write_config(tmp_path), "--values", "1,2")
+    assert code == EXIT_OK, err
+    assert "l = 1:" in out and "l = 2:" in out and "FAILED" not in out
+
+
+def test_unknown_config_key_exits_1(tmp_path):
+    code, _out, err = run_cli("run", write_config(tmp_path, bogus={"x": 1}))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "bogus" in err
+
+
+def test_missing_attractor_directory_exits_1(finished_run, tmp_path):
+    config, _out_dir, _out = finished_run
+    code, _out, err = run_cli("verify", tmp_path / "nowhere", config)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:")
+
+
+def test_non_dissipative_system_exits_1(tmp_path):
+    system = {"mode_count": 4, "l": 0.0, "kernel": [{"weight": 0.5, "coeffs": [1.0]}],
+              "dt": 0.125}
+    code, _out, err = run_cli("run", write_config(tmp_path, system=system))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_undamped_quasistability_needs_a_period(tmp_path):
+    system = dict(SMALL_WAVE_SYSTEM, l=0.0)
+    config = write_config(tmp_path, system=system, kind="quasistability")
+    code, _out, err = run_cli("run", config)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "quasi_period" in err
+
+
+def test_blow_up_exits_2(tmp_path):
+    system = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
+    config = write_config(tmp_path, system=system, pipeline={"burn_in": 44.0})
+    code, _out, err = run_cli("run", config)
+    assert code == EXIT_BLOWUP
+    assert err.startswith("numerical blow-up")
+
+
+def test_unmet_threshold_exits_3_under_strict(tmp_path):
+    config = write_config(tmp_path, thresholds={"satisfied_fraction": 1.5})
+    code, _out, err = run_cli("run", config, "--strict")
+    assert code == EXIT_THRESHOLD
+    assert "threshold failed: satisfied_fraction" in err

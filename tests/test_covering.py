@@ -53,10 +53,10 @@ class TestHausdorffSemidist:
 
     def test_farthest_point(self):
         spec = MetricSpec.dirichlet_1d(1)
-        origin = PhasePoint.zero(1)
-        far = PhasePoint(np.array([0.0]), np.array([2.0]))
-        a = Ensemble((far, origin))
-        b = Ensemble((origin,))
+        origin = PhasePoint.zero(1).as_array()
+        far = PhasePoint(np.array([0.0]), np.array([2.0])).as_array()
+        a = Ensemble(np.stack([far, origin]))
+        b = Ensemble(origin[None, :])
         assert hausdorff_semidist(a, b, spec) == 2.0
         assert hausdorff_semidist(b, a, spec) == 0.0
 
@@ -172,8 +172,9 @@ class TestAlphaProxy:
             base = alpha_proxy(e, 3, spec, method).max_diameter
             big = alpha_proxy(scaled, 3, spec, method).max_diameter
             assert big == pytest.approx(3.5 * base, rel=1e-12)
-        assert hausdorff_semidist(scaled, Ensemble((PhasePoint.zero(3),)), spec) == (
-            pytest.approx(3.5 * hausdorff_semidist(e, Ensemble((PhasePoint.zero(3),)), spec))
+        origin = Ensemble(np.zeros((1, 6)))
+        assert hausdorff_semidist(scaled, origin, spec) == (
+            pytest.approx(3.5 * hausdorff_semidist(e, origin, spec))
         )
 
 
@@ -184,7 +185,7 @@ class TestCoverAlgebra:
         spec = MetricSpec.dirichlet_1d(2)
         for _ in range(10):
             big = random_ensemble(rng, spec, 8)
-            small = Ensemble(big.points[:5])
+            small = Ensemble(big.as_matrix()[:5])
             for m in (1, 2, 3):
                 inner = alpha_proxy(small, m, spec, "exact").max_diameter
                 outer = alpha_proxy(big, m, spec, "exact").max_diameter
@@ -198,7 +199,7 @@ class TestCoverAlgebra:
             m_a = m_b = 2
             v_a = alpha_proxy(a, m_a, spec, "exact").max_diameter
             v_b = alpha_proxy(b, m_b, spec, "exact").max_diameter
-            union = Ensemble(a.points + b.points)
+            union = Ensemble(np.vstack([a.as_matrix(), b.as_matrix()]))
             v_u = alpha_proxy(union, m_a + m_b, spec, "exact").max_diameter
             assert v_u <= max(v_a, v_b) + 1e-15
 
@@ -210,9 +211,7 @@ class TestCoverAlgebra:
             m_a = m_b = 2
             v_a = alpha_proxy(a, m_a, spec, "exact").max_diameter
             v_b = alpha_proxy(b, m_b, spec, "exact").max_diameter
-            rows = [
-                pa.as_array() + pb.as_array() for pa in a.points for pb in b.points
-            ]
+            rows = [pa + pb for pa in a.as_matrix() for pb in b.as_matrix()]
             summed = Ensemble.from_matrix(np.stack(rows))
             v_s = alpha_proxy(summed, m_a * m_b, spec, "exact").max_diameter
             assert v_s <= v_a + v_b + 1e-12
@@ -253,7 +252,7 @@ class TestDecayTrace:
 
     def test_single_point_snapshots_are_zero(self):
         spec = MetricSpec.dirichlet_1d(1)
-        e = Ensemble((PhasePoint(np.array([0.3]), np.array([0.1])),))
+        e = Ensemble(np.array([[0.3, 0.1]]))
         trace = decay_trace([(0.0, e), (1.0, e)], 2, spec)
         assert np.all(trace.values == 0.0)
 

@@ -124,9 +124,8 @@ class TestHausdorffCriterion:
     def test_equilibrium_always_satisfied(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = WaveSystemConfig(mode_count=2, k=1.0, l=1.0, f_coeffs=(0.0, 1.0), dt=0.125)
-        zero = PhasePoint.zero(2)
-        absorbed = Ensemble((zero, zero))
-        candidate = Ensemble((zero,))
+        absorbed = Ensemble(np.zeros((2, 4)))
+        candidate = Ensemble(np.zeros((1, 4)))
         law = DecayLaw("exponential", 1.0, 0.5)
         report = check_hausdorff_criterion(
             candidate, absorbed, [0.5, 1.0, 1.5], law, cfg, spec
@@ -141,7 +140,7 @@ class TestHausdorffCriterion:
         radius = ensemble_radius(absorbed, spec)
         # energy-multiplier bound: |S(t)x| <= sqrt(3) e^{-t/2} |x| for l = 2
         law = DecayLaw("exponential", math.sqrt(3.0) * radius * 1.001, 0.5)
-        candidate = Ensemble((PhasePoint.zero(3),))
+        candidate = Ensemble(np.zeros((1, 6)))
         grid = np.arange(0.5, 8.5, 0.5)
         report = check_hausdorff_criterion(candidate, absorbed, grid, law, cfg, spec)
         assert report.satisfied_fraction == 1.0
@@ -153,7 +152,7 @@ class TestHausdorffCriterion:
         absorbed = random_ensemble(rng, spec, 8, scale=1.2)
         radius = ensemble_radius(absorbed, spec)
         law = DecayLaw("exponential", 0.01 * math.sqrt(3.0) * radius, 0.5)
-        candidate = Ensemble((PhasePoint.zero(3),))
+        candidate = Ensemble(np.zeros((1, 6)))
         grid = np.arange(0.5, 6.5, 0.5)
         report = check_hausdorff_criterion(candidate, absorbed, grid, law, cfg, spec)
         assert report.satisfied_fraction <= 0.25
@@ -164,7 +163,7 @@ class TestTailProjection:
         spec, cfg = modal_pair
         state = PhasePoint(np.array([1.0, 0.5, 0.0]), np.array([0.2, -0.1, 0.0]))
         trace = tail_projection_decay(
-            Ensemble((state,)), 2, np.arange(0.0, 3.0, 0.5), cfg, spec
+            Ensemble(state.as_array()[None, :]), 2, np.arange(0.0, 3.0, 0.5), cfg, spec
         )
         assert np.all(trace.values == 0.0)
         assert trace.quantity == "tail_norm"
@@ -173,7 +172,7 @@ class TestTailProjection:
         spec, cfg = modal_pair
         state = PhasePoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
         grid = np.array([0.5, 1.0, 2.0, 4.0])
-        trace = tail_projection_decay(Ensemble((state,)), 2, grid, cfg, spec)
+        trace = tail_projection_decay(Ensemble(state.as_array()[None, :]), 2, grid, cfg, spec)
         lam_top = spec.mode_eigenvalues[-1]
         single = LinearModalConfig(cfg.damping, np.array([lam_top]))
         for t, value in zip(grid, trace.values):
@@ -204,23 +203,29 @@ class TestContractiveCheck:
     def test_identical_pair_zero_residual(self, rng, modal_pair):
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 3)
-        p = e.points[0]
         law = DecayLaw("exponential", 1.0, 0.5)
         report = contractive_inequality_check(
-            [(p, p)], [1.0, 2.0], law, 1, cfg, spec
+            Ensemble(e.as_matrix()[:1]), [(0, 0)], [1.0, 2.0], law, 1, cfg, spec
         )
         assert np.all(report.pair_residual_max == 0.0)
+
+    def test_pair_indices_validated(self, rng, modal_pair):
+        spec, cfg = modal_pair
+        e = random_ensemble(rng, spec, 3)
+        law = DecayLaw("exponential", 1.0, 0.5)
+        for pairs in ([], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
+            with pytest.raises(ValueError):
+                contractive_inequality_check(e, pairs, [1.0], law, 1, cfg, spec)
 
     def test_linear_oracle_envelope_gives_zero_residuals(self, rng, modal_pair):
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 6, scale=1.0)
-        pts = e.points
-        pairs = [(pts[i], pts[j]) for i in range(6) for j in range(i + 1, 6)]
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         emb = e.embed(spec)
         diam = float(np.max(cdist(emb, emb)))
         law = DecayLaw("exponential", math.sqrt(3.0) * diam * 1.001, 0.5)
         grid = np.arange(0.5, 6.5, 0.5)
-        report = contractive_inequality_check(pairs, grid, law, 3, cfg, spec)
+        report = contractive_inequality_check(e, pairs, grid, law, 3, cfg, spec)
         assert np.all(report.pair_residual_max <= 1e-12)
         assert report.conclusion_fraction == 1.0
         assert report.pair_count == len(pairs)
@@ -228,13 +233,12 @@ class TestContractiveCheck:
     def test_vanishing_law_residuals_are_raw_distances(self, rng, modal_pair):
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 4)
-        pts = e.points
-        pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
+        pairs = [(0, 1), (2, 3)]
         law = DecayLaw("exponential", 1e-300, 1.0)
         t = 1.5
-        report = contractive_inequality_check(pairs, [t], law, 2, cfg, spec)
+        report = contractive_inequality_check(e, pairs, [t], law, 2, cfg, spec)
         evolved = modal_evolve_states(e.as_matrix(), cfg, t)
-        emb = spec.embed(evolved[:, :3], evolved[:, 3:])
+        emb = spec.embed(evolved)
         raw = max(
             np.linalg.norm(emb[0] - emb[1]), np.linalg.norm(emb[2] - emb[3])
         )
@@ -274,7 +278,7 @@ class TestQuasiStability:
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         base = random_ensemble(rng, spec, 5)
-        with_dup = Ensemble(base.points + (base.points[0],))
+        with_dup = Ensemble(np.vstack([base.as_matrix(), base.as_matrix()[:1]]))
         report = quasistability_estimate(
             with_dup, 3.0, 0, 2, closeness=1e6, cfg=cfg, spec=spec
         )

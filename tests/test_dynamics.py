@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from attractorlab.attracting import build_attracting_set, save_attracting_set
+from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import (
     BlowUpError,
     LinearModalConfig,
@@ -8,10 +10,7 @@ from attractorlab.dynamics import (
     WaveSystemConfig,
     absorbing_radius,
     entering_times,
-    evolve,
     evolve_states,
-    flow,
-    flow_samples,
     linear_modal_evolve,
     lyapunov,
     modal_evolve_states,
@@ -110,11 +109,9 @@ class TestEvolve:
         cfg = linear_wave_config(2, 1.0, 0.1)
         spec = MetricSpec.dirichlet_1d(2)
         p0 = random_point(rng, spec)
-        rec = evolve(p0, cfg, 0.0, 0.1)
-        assert len(rec.samples) == 1
-        t, p = rec.samples[0]
-        assert t == 0.0
-        assert np.array_equal(p.as_array(), p0.as_array())
+        samples = evolve_states(p0.as_array(), cfg, [0.0])
+        assert samples.shape == (1, 4)
+        assert np.array_equal(samples[0], p0.as_array())
 
     def test_semigroup_composition(self, rng):
         cfg = WaveSystemConfig(
@@ -150,9 +147,11 @@ class TestEvolve:
         spec = MetricSpec.dirichlet_1d(2)
         p0 = random_point(rng, spec)
         with pytest.raises(ValueError, match="multiple of dt"):
-            evolve(p0, cfg, 1.0, 0.15)
+            evolve_states(p0.as_array(), cfg, [0.0, 0.15, 0.3])
         with pytest.raises(ValueError, match="multiple of dt"):
-            evolve(p0, cfg, 1.05, 0.1)
+            evolve_states(p0.as_array(), cfg, [1.05])
+        with pytest.raises(ValueError, match="multiple of dt"):
+            cfg.sample_grid(1.05, 10)
         with pytest.raises(ValueError, match="cap"):
             evolve_states(p0.as_array(), cfg, [1e7])
 
@@ -274,10 +273,11 @@ class TestDissipation:
             f_coeffs=(0.0, -1.0, 0.0, 1.0), dt=1 / 32, collocation_points=48,
         )
         spec = MetricSpec.dirichlet_1d(16)
+        times = np.arange(0.0, 10.0 + 1e-12, 0.25)
         for _ in range(3):
             p0 = random_point(rng, spec)
-            rec = evolve(p0, cfg, 10.0, 0.25)
-            l_vals = np.array([lv for _, _, lv in rec.energy_samples])
+            states = evolve_states(p0.as_array(), cfg, times)
+            l_vals = np.array([lyapunov(PhasePoint.from_array(y), cfg)[1] for y in states])
             tol = 1e-8 * (1.0 + abs(l_vals[0]))
             assert np.all(np.diff(l_vals) <= tol)
 
@@ -291,7 +291,7 @@ class TestDissipation:
         scale = radius / np.max(states_norms(states, spec.mode_eigenvalues))
         states = states * scale  # exactly on the ball boundary
         norms = states_norms(
-            flow_samples(cfg, states, np.linspace(0.0, 10.0, 101)),
+            cfg.sample(states, np.linspace(0.0, 10.0, 101)),
             spec.mode_eigenvalues,
         )
         assert np.all(norms <= radius * (1 + 1e-3))
@@ -306,9 +306,9 @@ class TestDissipation:
         spec = MetricSpec.dirichlet_1d(8)
         probe = random_ensemble(rng, spec, 8, scale=0.7)
         radius, t_enter = absorbing_radius(cfg, probe, burn_in=4.0, window=2.0)
-        absorbed = flow(cfg, probe.as_matrix(), 6.0)
+        absorbed = cfg.sample(probe.as_matrix(), [6.0])[0]
         times = np.arange(0.0, 8.0 + 1e-9, 0.25)
-        norms = states_norms(flow_samples(cfg, absorbed, times), spec.mode_eigenvalues)
+        norms = states_norms(cfg.sample(absorbed, times), spec.mode_eigenvalues)
         assert np.all(norms <= radius * (1 + 1e-3))
 
 
@@ -316,7 +316,7 @@ class TestAbsorbingRadius:
     def test_linear_decay_probe(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        probe = Ensemble((PhasePoint(np.array([0.0, 0.0]), np.array([5.0, 0.0])),))
+        probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0]]))
         radius, t_enter = absorbing_radius(cfg, probe, burn_in=8.0, window=2.0)
         # norms have decayed by roughly exp(-4) on the window
         assert radius < 0.3
@@ -324,7 +324,7 @@ class TestAbsorbingRadius:
 
     def test_equilibrium_probe_enters_at_zero(self):
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=1.0, dt=0.125)
-        probe = Ensemble((PhasePoint.zero(2), PhasePoint.zero(2)))
+        probe = Ensemble(np.zeros((2, 4)))
         radius, t_enter = absorbing_radius(cfg, probe, burn_in=2.0, window=1.0)
         assert radius == 0.0
         assert t_enter == [0.0, 0.0]
@@ -334,13 +334,14 @@ class TestAbsorbingRadius:
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         near = PhasePoint(np.zeros(2), np.array([0.5, 0.0]))
         far = PhasePoint(np.zeros(2), np.array([5.0, 0.0]))
-        _, t_enter = absorbing_radius(cfg, Ensemble((far, near)), 8.0, 2.0)
+        probe = Ensemble(np.stack([far.as_array(), near.as_array()]))
+        _, t_enter = absorbing_radius(cfg, probe, 8.0, 2.0)
         assert t_enter[0] >= t_enter[1]
 
     def test_growth_detected(self):
         g1 = (1.0, 0.0)
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=0.0, kernel=((0.5, g1),), dt=0.25)
-        probe = Ensemble((PhasePoint(np.zeros(2), np.array([1.0, 0.0])),))
+        probe = Ensemble(np.array([[0.0, 0.0, 1.0, 0.0]]))
         with pytest.raises(NonDissipativeError):
             absorbing_radius(cfg, probe, burn_in=4.0, window=8.0)
 
@@ -354,13 +355,40 @@ class TestAbsorbingRadius:
             entering_times(cfg, states, radius=1e-12, horizon=0.5)
 
 
+class TestEngineInterface:
+    def test_wave_grid_is_dt_aligned_and_ends_at_horizon(self):
+        cfg = linear_wave_config(2, 1.0, 0.1)
+        times = cfg.sample_grid(1.0, 3)
+        assert np.allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-12)
+        assert np.array_equal(cfg.sample_grid(1.0, 200), np.arange(11) * 0.1)
+
+    def test_modal_grid_is_equispaced(self):
+        cfg = LinearModalConfig(1.0, np.array([1.0, 4.0]))
+        assert np.array_equal(cfg.sample_grid(2.0, 4), np.linspace(0.0, 2.0, 5))
+
+    @pytest.mark.parametrize("engine", ["wave", "modal"])
+    def test_sample_shape_and_time_zero(self, engine, rng):
+        spec = MetricSpec.dirichlet_1d(2)
+        if engine == "wave":
+            cfg = linear_wave_config(2, 1.0, 0.1)
+        else:
+            cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
+        states = random_ensemble(rng, spec, 3).as_matrix()
+        out = cfg.sample(states, [0.0, 0.5, 1.0])
+        assert out.shape == (3, 3, 4)
+        assert np.array_equal(out[0], states)
+        assert np.array_equal(cfg.eigenvalues, spec.mode_eigenvalues)
+
+
 class TestTrajectoryCsv:
     def test_header_and_shape(self, rng, tmp_path):
+        # the sampled trajectories the package writes are the net orbits
         cfg = linear_wave_config(2, 1.0, 0.1)
         spec = MetricSpec.dirichlet_1d(2)
-        rec = evolve(random_point(rng, spec), cfg, 1.0, 0.5)
-        path = tmp_path / "traj.csv"
-        rec.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,a_1,a_2,b_1,b_2,E,L"
-        assert len(lines) == 1 + len(rec.samples)
+        absorbed = random_ensemble(rng, spec, 3)
+        law = DecayLaw("exponential", 1e3, 0.5)
+        aset = build_attracting_set(absorbed, (1, 1), law, 1.0, 0.5, cfg, spec)
+        save_attracting_set(aset, tmp_path)
+        lines = (tmp_path / "orbits.csv").read_text().splitlines()
+        assert lines[0] == "entry,t,a_1,a_2,b_1,b_2"
+        assert len(lines) == 1 + aset.orbit_states.shape[0] * aset.orbit_states.shape[1]

@@ -1,0 +1,64 @@
+"""Import surface: exported names resolve, and removed names stay removed."""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+import attractorlab
+from attractorlab.decay import DecayLaw
+from attractorlab.phase import Ensemble, MetricSpec
+
+MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
+
+REMOVED = {
+    "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord"),
+    "attracting": ("NetEntry", "_embed"),
+    "decay": ("decay_eval",),
+    "criteria": ("_unique_points",),
+    "experiments": ("_with_damping",),
+}
+
+
+def package_imports():
+    """(module, name) for every ``from .module import name`` in the package init."""
+    with open(os.path.join(os.path.dirname(attractorlab.__file__), "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"attractorlab.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_imports_resolve():
+    imports = package_imports()
+    assert len(imports) > 40
+    for module, name in imports:
+        assert getattr(attractorlab, name) is getattr(
+            importlib.import_module(f"attractorlab.{module}"), name
+        )
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(f"attractorlab.{module}")
+    for name in REMOVED[module]:
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+        assert not hasattr(attractorlab, name)
+
+
+def test_removed_members_are_gone():
+    assert not hasattr(MetricSpec, "dirichlet_2d")
+    assert not hasattr(MetricSpec.dirichlet_1d(2), "spatial_dim")
+    assert not hasattr(DecayLaw, "with_shift")
+    assert not hasattr(Ensemble, "points")

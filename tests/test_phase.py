@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attractorlab.decay import DecayLaw, decay_eval
+from attractorlab.decay import DecayLaw
 from attractorlab.phase import (
     Ensemble,
     MetricSpec,
@@ -21,11 +21,6 @@ class TestMetricSpec:
         spec = MetricSpec.dirichlet_1d(4)
         assert np.array_equal(spec.mode_eigenvalues, [1.0, 4.0, 9.0, 16.0])
         assert spec.mode_eigenvalues[0] == 1.0
-
-    def test_dirichlet_2d_sorted(self):
-        spec = MetricSpec.dirichlet_2d(3)
-        assert spec.mode_eigenvalues[0] == 2.0  # 1^2 + 1^2
-        assert np.all(np.diff(spec.mode_eigenvalues) >= 0)
 
     def test_rejects_nonpositive_and_decreasing(self):
         with pytest.raises(ValueError):
@@ -115,49 +110,71 @@ class TestEnsemble:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             Ensemble(())
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros((0, 4)))
 
     def test_mixed_mode_counts_rejected(self):
+        # ragged rows, and rows of odd width, describe no common mode count
         with pytest.raises(ValueError):
-            Ensemble((PhasePoint.zero(2), PhasePoint.zero(3)))
+            Ensemble([PhasePoint.zero(2).as_array(), PhasePoint.zero(3).as_array()])
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros((2, 5)))
+
+    def test_rejects_nonfinite_and_flat_input(self):
+        with pytest.raises(ValueError):
+            Ensemble(np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros(4))
+
+    def test_states_are_a_read_only_copy(self):
+        rows = np.zeros((2, 4))
+        e = Ensemble.from_matrix(rows, label="x")
+        rows[0, 0] = 1.0
+        assert e.as_matrix()[0, 0] == 0.0
+        assert not e.as_matrix().flags.writeable
+        assert (len(e), e.mode_count, e.label) == (2, 2, "x")
 
     def test_radius_origin(self):
         spec = MetricSpec.dirichlet_1d(2)
-        assert ensemble_radius(Ensemble((PhasePoint.zero(2),)), spec) == 0.0
+        assert ensemble_radius(Ensemble(np.zeros((1, 4))), spec) == 0.0
 
     def test_radius_is_max(self):
         spec = MetricSpec.dirichlet_1d(1)
-        e = Ensemble(
-            (
-                PhasePoint(np.array([0.0]), np.array([1.0])),
-                PhasePoint(np.array([0.0]), np.array([3.0])),
-            )
-        )
+        e = Ensemble(np.array([[0.0, 1.0], [0.0, 3.0]]))
         assert ensemble_radius(e, spec) == 3.0
 
     def test_radius_matches_brute_force(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
         e = random_ensemble(rng, spec, 5)
-        brute = max(phase_norm(p, spec) for p in e.points)
+        brute = max(phase_norm(PhasePoint.from_array(y), spec) for y in e.as_matrix())
         assert ensemble_radius(e, spec) == pytest.approx(brute, rel=1e-14)
+
+    def test_embed_matches_phase_distance(self, rng):
+        spec = MetricSpec.dirichlet_1d(3)
+        a, b = random_point(rng, spec), random_point(rng, spec)
+        gap = spec.embed(a.as_array()) - spec.embed(b.as_array())
+        assert np.linalg.norm(gap) == pytest.approx(phase_distance(a, b, spec), rel=1e-14)
+        with pytest.raises(ValueError):
+            spec.embed(np.zeros(5))
 
 
 class TestDecayLaw:
     def test_exponential_values(self):
         law = DecayLaw("exponential", 1.0, 0.5)
-        assert decay_eval(law, 0.0) == 1.0
-        assert decay_eval(law, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert law.eval(0.0) == 1.0
+        assert law.eval(2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_polynomial_value(self):
         law = DecayLaw("polynomial", 2.0, 1.0)
-        assert decay_eval(law, 4.0) == pytest.approx(0.5, rel=1e-15)
+        assert law.eval(4.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_log_polynomial_domain(self):
         law = DecayLaw("log_polynomial", 1.0, 2.0)
-        assert decay_eval(law, math.e + 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert law.eval(math.e + 0.0) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ValueError):
-            decay_eval(law, 1.0)
+            law.eval(1.0)
         with pytest.raises(ValueError):
-            decay_eval(law, 0.5)
+            law.eval(0.5)
 
     def test_polynomial_domain(self):
         law = DecayLaw("polynomial", 1.0, 1.0, shift=2.0)
