@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 
 from .phase import (  # noqa: E402
     MetricSpec,
-    PhasePoint,
     Ensemble,
     phase_distance,
-    phase_norm,
     ensemble_radius,
 )
 from .decay import DecayLaw
@@ -25,10 +23,8 @@ from .dynamics import (
     WaveSystemConfig,
     LinearModalConfig,
     wave_rhs,
-    linear_modal_evolve,
     lyapunov,
     absorbing_radius,
-    load_wave_config,
     wave_config_from_dict,
 )
 from .attracting import (
@@ -59,7 +55,6 @@ from .experiments import (
     ExperimentConfig,
     RunManifest,
     run_experiment,
-    sweep_parameter,
     sample_phase_ball,
     load_experiment_config,
 )

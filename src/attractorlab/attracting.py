@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import semidist_arrays
+from .covering import farthest_point_traversal, semidist_arrays, write_csv
 from .decay import DecayLaw
 from .phase import Ensemble, MetricSpec
 
@@ -91,26 +91,23 @@ class AttractionCertificate:
     satisfied_fraction: float
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "measured_semidist", "bound", "satisfied"])
-            for t, m, b in zip(self.times, self.measured_semidist, self.bound_values):
-                writer.writerow(
-                    [repr(float(t)), repr(float(m)), repr(float(b)), int(m <= b)]
-                )
+        write_csv(
+            path,
+            ["t", "measured_semidist", "bound", "satisfied"],
+            (
+                [t, m, b, int(m <= b)]
+                for t, m, b in zip(self.times, self.measured_semidist, self.bound_values)
+            ),
+        )
 
 
 def _cover_indices(embedded: np.ndarray, radius: float) -> list[int]:
-    """Greedy farthest-point selection until every point is within radius of a
-    chosen center.  Starts from the point of largest norm, ties to lowest index."""
-    first = int(np.argmax(np.linalg.norm(embedded, axis=1)))
-    chosen = [first]
-    dist = np.linalg.norm(embedded - embedded[first], axis=1)
-    while np.max(dist) > radius:
-        far = int(np.argmax(dist))
-        chosen.append(far)
-        dist = np.minimum(dist, np.linalg.norm(embedded - embedded[far], axis=1))
-    return chosen
+    """Farthest-point centers until every point is within radius of one."""
+    chosen = []
+    for center, dist in farthest_point_traversal(embedded):
+        chosen.append(center)
+        if np.max(dist) <= radius:
+            return chosen
 
 
 def build_net(
@@ -297,35 +294,30 @@ def _coeff_header(prefix_a: str, prefix_b: str, n: int) -> list[str]:
     ]
 
 
-def _reprs(row) -> list[str]:
-    return [repr(float(c)) for c in row]
-
-
 def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None = None):
     """Write net.csv, orbits.csv, proxy.csv and manifest.json to a directory."""
     os.makedirs(directory, exist_ok=True)
     n = aset.attractor_proxy.mode_count
 
-    with open(os.path.join(directory, "net.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["m"] + _coeff_header("seed_a", "seed_b", n) + _coeff_header("a", "b", n)
-        )
-        for m, seed, state in zip(aset.birth_times, aset.net_seeds, aset.net_states):
-            writer.writerow([int(m)] + _reprs(seed) + _reprs(state))
-
-    with open(os.path.join(directory, "orbits.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entry", "t"] + _coeff_header("a", "b", n))
-        for e_pos, orbit in enumerate(aset.orbit_states):
-            for tau, state in zip(aset.orbit_times, orbit):
-                writer.writerow([e_pos, repr(float(tau))] + _reprs(state))
-
-    with open(os.path.join(directory, "proxy.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_coeff_header("a", "b", n))
-        for state in aset.attractor_proxy.as_matrix():
-            writer.writerow(_reprs(state))
+    write_csv(
+        os.path.join(directory, "net.csv"),
+        ["m"] + _coeff_header("seed_a", "seed_b", n) + _coeff_header("a", "b", n),
+        (
+            [int(m), *seed, *state]
+            for m, seed, state in zip(aset.birth_times, aset.net_seeds, aset.net_states)
+        ),
+    )
+    write_csv(
+        os.path.join(directory, "orbits.csv"),
+        ["entry", "t"] + _coeff_header("a", "b", n),
+        (
+            [e_pos, tau, *state]
+            for e_pos, orbit in enumerate(aset.orbit_states)
+            for tau, state in zip(aset.orbit_times, orbit)
+        ),
+    )
+    proxy = aset.attractor_proxy.as_matrix()
+    write_csv(os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n), proxy)
 
     manifest = {
         "law": {

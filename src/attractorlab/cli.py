@@ -1,10 +1,14 @@
 """Batch front door: run experiments, sweep damping values, fit traces and
 verify persisted attracting sets from the command line.
 
-Exit codes: 0 success; 1 config error, missing input file, or a system
-that is not dissipative (no absorbing ball found); 2 numerical blow-up;
-3 unsatisfied acceptance thresholds under --strict.  Every failure prints one
-line to stderr, never a traceback.
+``sweep`` is ``run`` on the config with kind ``sweep_l`` and the given
+damping values: it writes the same outputs, manifest included, and checks
+the same thresholds under --strict.
+
+Exit codes: 0 success; 1 config error, missing input file, a system that
+is not dissipative (no absorbing ball found) or a failed sweep row; 2
+numerical blow-up; 3 unsatisfied acceptance thresholds under --strict.  Every
+failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ from .attracting import load_attracting_set, verification_grid, verify_attractio
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
 from .dynamics import BlowUpError, NonDissipativeError
-from .experiments import (
-    load_experiment_config,
-    run_experiment,
-    sample_phase_ball,
-    sweep_parameter,
-)
+from .experiments import load_experiment_config, run_experiment, sample_phase_ball
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +71,8 @@ def _cmd_sweep(args) -> int:
         values = cfg.l_values
     if not values:
         raise ValueError("no damping values: pass --values or set grids.l_values")
-    rows = sweep_parameter(replace(cfg, kind="sweep_l"), values)
+    manifest = run_experiment(replace(cfg, kind="sweep_l", l_values=values))
+    rows = manifest.table
     for row in rows:
         if row["status"] == "ok":
             print(
@@ -85,15 +85,8 @@ def _cmd_sweep(args) -> int:
             print(f"l = {row['l']:g}: FAILED ({row['error']})")
     if any(row["status"] != "ok" for row in rows):
         return EXIT_CONFIG
-    if args.strict and "satisfied_fraction" in cfg.thresholds:
-        worst = min(row["satisfied_fraction"] for row in rows)
-        if worst < cfg.thresholds["satisfied_fraction"]:
-            print(
-                f"threshold failed: min satisfied_fraction {worst:g} < "
-                f"{cfg.thresholds['satisfied_fraction']:g}",
-                file=sys.stderr,
-            )
-            return EXIT_THRESHOLD
+    if args.strict:
+        return _check_thresholds(manifest.headline, cfg.thresholds)
     return EXIT_OK
 
 

@@ -13,6 +13,8 @@ maximum cluster diameter over covers by ``m`` clusters.  Two methods:
 
 All geometry runs on flat coordinate arrays produced by ``MetricSpec.embed``,
 where the energy metric is Euclidean.
+
+``write_csv`` is the one writer of every output table in the package.
 """
 
 from __future__ import annotations
@@ -31,10 +33,23 @@ __all__ = [
     "hausdorff_semidist",
     "alpha_proxy",
     "decay_trace",
+    "write_csv",
     "EXACT_POINT_CAP",
 ]
 
 EXACT_POINT_CAP = 12
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows; every float goes through repr, the shortest
+    round-trip form, so identical runs give byte-identical files."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
 
 
 @dataclass(frozen=True)
@@ -72,11 +87,8 @@ class DecayTrace:
         object.__setattr__(self, "values", v)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value", "quantity", "m_clusters"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v)), self.quantity, self.m_clusters])
+        rows = ([t, v, self.quantity, self.m_clusters] for t, v in zip(self.times, self.values))
+        write_csv(path, ["t", "value", "quantity", "m_clusters"], rows)
 
     @classmethod
     def from_csv(cls, path) -> "DecayTrace":
@@ -107,25 +119,34 @@ def semidist_arrays(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.min(cdist(a, b), axis=1)))
 
 
-def greedy_kcenter(points: np.ndarray, m: int):
-    """Farthest-point traversal: deterministic centers, assignment and radius.
+def farthest_point_traversal(points: np.ndarray):
+    """Farthest-point (Gonzalez) order of the rows of ``points``.
 
-    The first center is the point of largest norm; ties break to the lowest
-    index.  Returns (center_indices, assignment, radius).
+    Yields (center, dist) for each new center, where ``dist`` holds every
+    point's distance to the centers chosen so far.  The first center is the
+    point of largest norm, each next one the point farthest from all chosen;
+    ties break to the lowest index.  The caller decides when to stop.
     """
+    center = int(np.argmax(np.linalg.norm(points, axis=1)))
+    dist = np.linalg.norm(points - points[center], axis=1)
+    while True:
+        yield center, dist
+        center = int(np.argmax(dist))
+        dist = np.minimum(dist, np.linalg.norm(points - points[center], axis=1))
+
+
+def greedy_kcenter(points: np.ndarray, m: int):
+    """The first ``m`` farthest-point centers (fewer once all distances are
+    zero), the nearest-center assignment and the covering radius, returned
+    as (center_indices, assignment, radius)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
     if m < 1:
         raise ValueError("cluster budget must be >= 1")
-    first = int(np.argmax(np.linalg.norm(points, axis=1)))
-    centers = [first]
-    dist = np.linalg.norm(points - points[first], axis=1)
-    while len(centers) < min(m, n):
-        far = int(np.argmax(dist))
-        if dist[far] == 0.0:
+    centers = []
+    for center, dist in farthest_point_traversal(points):
+        centers.append(center)
+        if len(centers) >= min(m, points.shape[0]) or np.max(dist) == 0.0:
             break
-        centers.append(far)
-        dist = np.minimum(dist, np.linalg.norm(points - points[far], axis=1))
     to_centers = cdist(points, points[centers])
     assignment = np.argmin(to_centers, axis=1)
     radius = float(np.max(np.min(to_centers, axis=1)))

@@ -10,15 +10,15 @@ cannot certify the underlying hypotheses, only fail to falsify them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .covering import DecayTrace, alpha_proxy, semidist_arrays
+from .covering import DecayTrace, alpha_proxy, semidist_arrays, write_csv
 from .decay import DecayLaw
+from .dynamics import states_norms
 from .phase import Ensemble, MetricSpec
 
 __all__ = [
@@ -168,16 +168,14 @@ class HausdorffCriterionReport:
     m_clusters: int
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "semidist", "bound", "implied_alpha_bound", "alpha_value"]
-            )
-            for row in zip(
+        write_csv(
+            path,
+            ["t", "semidist", "bound", "implied_alpha_bound", "alpha_value"],
+            zip(
                 self.times, self.semidist, self.bounds,
                 self.implied_alpha_bounds, self.alpha_values,
-            ):
-                writer.writerow([repr(float(v)) for v in row])
+            ),
+        )
 
 
 def check_hausdorff_criterion(
@@ -226,12 +224,10 @@ def tail_projection_decay(
         raise ValueError("n_low_modes must satisfy 0 < n_low_modes < mode_count")
     t_grid = np.asarray(t_grid, dtype=float)
     evolved = cfg.sample(absorbed.as_matrix(), t_grid)
-    lam_tail = spec.mode_eigenvalues[n_low_modes:]
-    a_tail = evolved[..., n_low_modes:n]
-    b_tail = evolved[..., n + n_low_modes :]
-    norms = np.sqrt(
-        np.sum(lam_tail * a_tail * a_tail, axis=-1) + np.sum(b_tail * b_tail, axis=-1)
+    tail = np.concatenate(
+        [evolved[..., n_low_modes:n], evolved[..., n + n_low_modes :]], axis=-1
     )
+    norms = states_norms(tail, spec.mode_eigenvalues[n_low_modes:])
     return DecayTrace(t_grid, np.max(norms, axis=-1), "tail_norm")
 
 
@@ -251,17 +247,15 @@ class ContractiveCheckReport:
     pair_count: int
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "residual_max", "residual_mean", "alpha_value",
-                 "alpha_bound", "liminf_diag"]
-            )
-            for row in zip(
+        write_csv(
+            path,
+            ["t", "residual_max", "residual_mean", "alpha_value",
+             "alpha_bound", "liminf_diag"],
+            zip(
                 self.times, self.pair_residual_max, self.pair_residual_mean,
                 self.alpha_values, self.alpha_bounds, self.liminf_diagnostics,
-            ):
-                writer.writerow([repr(float(v)) for v in row])
+            ),
+        )
 
 
 def contractive_inequality_check(

@@ -30,6 +30,9 @@ members, so no caller needs to know which engine it runs:
 * ``sample_grid(horizon, count)`` -- about ``count`` sample times on
   [0, horizon] that ``sample`` accepts: a dt-aligned stride grid ending at the
   horizon for the wave engine, ``count + 1`` equispaced times for the oracle.
+
+Both engines reject sample times that are negative or decreasing: neither
+runs backward in time.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import yaml
 
-from .phase import Ensemble, PhasePoint
+from .phase import Ensemble
 
 __all__ = [
     "BlowUpError",
@@ -49,12 +51,10 @@ __all__ = [
     "LinearModalConfig",
     "wave_rhs",
     "evolve_states",
-    "linear_modal_evolve",
     "modal_propagator",
     "lyapunov",
     "absorbing_radius",
     "wave_config_from_dict",
-    "load_wave_config",
 ]
 
 MAX_STEPS = 5_000_000
@@ -249,8 +249,9 @@ class LinearModalConfig:
         return self.mode_eigenvalues
 
     def sample(self, states, times) -> np.ndarray:
-        """Exact samples of a (..., 2N) state array at any times >= 0."""
-        times = np.asarray(times, dtype=float)
+        """Exact samples of a (..., 2N) state array at nonnegative,
+        nondecreasing times."""
+        times = _sample_times(times)
         return np.stack([modal_evolve_states(states, self, t) for t in times])
 
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
@@ -262,7 +263,8 @@ class LinearModalConfig:
 # wave system right-hand side and RK4 integration
 
 
-def _rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
+def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
+    """Time derivative of a (..., 2N) state array."""
     n = cfg.mode_count
     tab = cfg._tables()
     a, b = y[..., :n], y[..., n:]
@@ -279,23 +281,11 @@ def _rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     return np.concatenate([b, db], axis=-1)
 
 
-def wave_rhs(state: PhasePoint, cfg: WaveSystemConfig) -> PhasePoint:
-    """Time derivative of a state, returned in state shape."""
-    if state.mode_count != cfg.mode_count:
-        raise ValueError(
-            f"state has {state.mode_count} modes, config expects {cfg.mode_count}"
-        )
-    dy = _rhs(state.as_array(), cfg)
-    if not np.all(np.isfinite(dy)):
-        raise BlowUpError(0.0)
-    return PhasePoint.from_array(dy)
-
-
 def _rk4_step(y: np.ndarray, cfg: WaveSystemConfig, dt: float) -> np.ndarray:
-    k1 = _rhs(y, cfg)
-    k2 = _rhs(y + 0.5 * dt * k1, cfg)
-    k3 = _rhs(y + 0.5 * dt * k2, cfg)
-    k4 = _rhs(y + dt * k3, cfg)
+    k1 = wave_rhs(y, cfg)
+    k2 = wave_rhs(y + 0.5 * dt * k1, cfg)
+    k3 = wave_rhs(y + 0.5 * dt * k2, cfg)
+    k4 = wave_rhs(y + dt * k3, cfg)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -306,17 +296,23 @@ def _steps_for(cfg: WaveSystemConfig, t: float, what: str) -> int:
     return k
 
 
+def _sample_times(times) -> np.ndarray:
+    """Sample times as a float array; nonempty, nonnegative, nondecreasing."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("need at least one sample time")
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("sample times must be nonnegative and nondecreasing")
+    return times
+
+
 def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     """Integrate a (possibly batched) state array, sampling at the given times.
 
     Times must be nonnegative, nondecreasing multiples of dt.  Returns an
     array of shape (len(times),) + y0.shape.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("need at least one sample time")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("sample times must be nonnegative and nondecreasing")
+    times = _sample_times(times)
     marks = [_steps_for(cfg, t, "sample time") for t in times]
     if marks[-1] > MAX_STEPS:
         raise ValueError(
@@ -397,16 +393,6 @@ def modal_evolve_states(y: np.ndarray, cfg: LinearModalConfig, t: float) -> np.n
     return np.concatenate([m11 * a + m12 * b, m21 * a + m22 * b], axis=-1)
 
 
-def linear_modal_evolve(initial: PhasePoint, cfg: LinearModalConfig, t: float) -> PhasePoint:
-    """Exact modal solution at time t >= 0; satisfies the semigroup property
-    to roundoff."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if initial.mode_count != cfg.mode_count:
-        raise ValueError("initial state and config disagree on mode count")
-    return PhasePoint.from_array(modal_evolve_states(initial.as_array(), cfg, t))
-
-
 def states_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Energy norms of a (..., 2N) state array."""
     states = np.asarray(states, dtype=float)
@@ -419,24 +405,27 @@ def states_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
 # energy diagnostics and absorbing-ball identification
 
 
-def lyapunov(state: PhasePoint, cfg: WaveSystemConfig):
-    """Quadratic energy E and full Lyapunov functional L of a state.
+def lyapunov(states, cfg: WaveSystemConfig):
+    """Quadratic energy E and full Lyapunov functional L of a (..., 2N) state
+    array, each of shape (...).
 
     E = (||u_t||^2 + ||grad u||^2) / 2;  L adds the collocation quadrature of
     the potential F(u) (F' = f, F(0) = 0) and subtracts the forcing term
     (h, u).  With h = 0 and no kernel, L is nonincreasing along trajectories.
     """
-    if state.mode_count != cfg.mode_count:
-        raise ValueError("state and config disagree on mode count")
+    y = np.asarray(states, dtype=float)
+    n = cfg.mode_count
+    if y.ndim == 0 or y.shape[-1] != 2 * n:
+        raise ValueError(f"state shape {y.shape} does not match {n} config modes")
     tab = cfg._tables()
-    a, b = state.position_coeffs, state.velocity_coeffs
-    e_val = 0.5 * (np.dot(b, b) + np.dot(tab["lam"] * a, a))
-    l_val = e_val - float(np.dot(tab["h"], a))
+    a, b = y[..., :n], y[..., n:]
+    e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(tab["lam"] * a * a, axis=-1))
+    l_val = e_val - a @ tab["h"]
     if tab["F"] is not None:
         u_vals = a @ tab["synth"].T
         f_pot = np.polynomial.polynomial.polyval(u_vals, tab["F"], tensor=False)
-        l_val += tab["weight"] * float(np.sum(f_pot))
-    return float(e_val), float(l_val)
+        l_val = l_val + tab["weight"] * np.sum(f_pot, axis=-1)
+    return e_val, l_val
 
 
 def _sampled_norms(cfg, states, horizon: float, sample_count: int):
@@ -571,8 +560,3 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
         collocation_points=int(_num(raw.get("collocation_points", 0), "collocation_points")),
     )
 
-
-def load_wave_config(path) -> WaveSystemConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    return wave_config_from_dict(raw)

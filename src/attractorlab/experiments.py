@@ -13,7 +13,6 @@ uniform on (0, 1); this is uniform in the energy-metric ball.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -31,7 +30,7 @@ from .attracting import (
     verification_grid,
     verify_attraction,
 )
-from .covering import DecayTrace, decay_trace
+from .covering import DecayTrace, decay_trace, write_csv
 from .decay import DecayLaw
 from .criteria import (
     check_hausdorff_criterion,
@@ -51,14 +50,13 @@ from .dynamics import (
     wave_config_from_dict,
     _num,
 )
-from .phase import Ensemble, MetricSpec
+from .phase import Ensemble, MetricSpec, ensemble_radius
 
 __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "sample_phase_ball",
     "run_experiment",
-    "sweep_parameter",
     "load_experiment_config",
 ]
 
@@ -217,17 +215,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_csv(path, header, rows):
-    """All floats go through repr so identical runs are byte-identical."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -254,9 +241,7 @@ def _snapshots(system, states, t_grid):
 
 
 def _semidist_to_origin_trace(spec, snapshots) -> DecayTrace:
-    values = [
-        float(np.max(np.linalg.norm(ens.embed(spec), axis=1))) for _, ens in snapshots
-    ]
+    values = [ensemble_radius(ens, spec) for _, ens in snapshots]
     return DecayTrace(
         np.array([t for t, _ in snapshots]), np.array(values), "semidist"
     )
@@ -367,72 +352,46 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     return headline, []
 
 
-def sweep_parameter(base: ExperimentConfig, values) -> list:
-    """One wave_attractor run per damping value; emits sweep.csv in the base
-    output directory.  Per-value failures are recorded in their row and the
-    sweep continues."""
-    values = [float(v) for v in values]
-    if len(values) < 1:
-        raise ValueError("need at least one damping value")
-    if not isinstance(base.system, WaveSystemConfig):
+def _pipeline_sweep_l(cfg: ExperimentConfig, out):
+    """One wave_attractor run per damping value in ``l_values``, each in its
+    own ``l_<i>_<value>`` directory, and sweep.csv over them.  A failed value
+    is recorded in its row and the sweep continues; the headline's
+    ``satisfied_fraction`` is the worst over the rows that ran."""
+    values = [float(v) for v in cfg.l_values]
+    if not values:
+        raise ValueError("sweep_l needs a nonempty l_values grid")
+    if not isinstance(cfg.system, WaveSystemConfig):
         raise ValueError("sweep_l runs on the wave system")
+    measured = ["beta_hat", "rate_energy", "rate_contraction"]
+    columns = ["l", *measured, "satisfied_fraction", "status", "error"]
     rows = []
     for i, val in enumerate(values):
-        sub_dir = os.path.join(base.output_dir, f"l_{i}_{val:g}")
         sub = replace(
-            base,
+            cfg,
             kind="wave_attractor",
-            system=replace(base.system, l=val),
-            output_dir=sub_dir,
+            system=replace(cfg.system, l=val),
+            output_dir=out(f"l_{i}_{val:g}"),
             l_values=(),
         )
-        row = {"l": val}
+        row = {"l": val, **dict.fromkeys(measured + ["satisfied_fraction"], float("nan"))}
         try:
-            manifest = run_experiment(sub)
-            head = manifest.headline
+            head = run_experiment(sub).headline
             row.update(
-                beta_hat=head.get("beta_hat", float("nan")),
-                rate_energy=head.get("rate_energy", float("nan")),
-                rate_contraction=head.get("rate_contraction", float("nan")),
-                satisfied_fraction=head["satisfied_fraction"],
-                status="ok",
-                error="",
+                {key: head.get(key, float("nan")) for key in measured},
+                satisfied_fraction=head["satisfied_fraction"], status="ok", error="",
             )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-            row.update(
-                beta_hat=float("nan"),
-                rate_energy=float("nan"),
-                rate_contraction=float("nan"),
-                satisfied_fraction=float("nan"),
-                status="failed",
-                error=str(exc),
-            )
+            row.update(status="failed", error=str(exc))
         rows.append(row)
-    os.makedirs(base.output_dir, exist_ok=True)
-    write_csv(
-        os.path.join(base.output_dir, "sweep.csv"),
-        ["l", "beta_hat", "rate_energy", "rate_contraction", "satisfied_fraction",
-         "status", "error"],
-        [
-            [r["l"], r["beta_hat"], r["rate_energy"], r["rate_contraction"],
-             r["satisfied_fraction"], r["status"], r["error"]]
-            for r in rows
-        ],
-    )
-    return rows
+    write_csv(out("sweep.csv"), columns, ([r[c] for c in columns] for r in rows))
 
-
-def _pipeline_sweep_l(cfg: ExperimentConfig, out):
-    if not cfg.l_values:
-        raise ValueError("sweep_l needs a nonempty l_values grid")
-    rows = sweep_parameter(cfg, cfg.l_values)
     ok = [r for r in rows if r["status"] == "ok"]
     headline = {
         "rows_total": float(len(rows)),
         "rows_ok": float(len(ok)),
     }
     if ok:
-        headline["min_satisfied_fraction"] = min(r["satisfied_fraction"] for r in ok)
+        headline["satisfied_fraction"] = min(r["satisfied_fraction"] for r in ok)
         headline["max_beta_hat"] = max(r["beta_hat"] for r in ok)
     return headline, rows
 

@@ -13,8 +13,8 @@ which is plain Euclidean distance after rescaling positions by sqrt(lam_j);
 States are stored as flat arrays [positions, velocities] of length 2N.  An
 ``Ensemble`` is a thin wrapper over one validated (P, 2N) float array, one row
 per state, so the engines and the geometry work on it without conversion.
-``PhasePoint`` is the single-state type of the per-state functions
-(``phase_distance``, ``wave_rhs``, ``lyapunov``, ``linear_modal_evolve``).
+Every state is a row of such an array; ``phase_distance`` takes two (2N,)
+rows and is the reference that ``MetricSpec.embed`` is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "MetricSpec",
-    "PhasePoint",
     "Ensemble",
     "phase_distance",
     "ensemble_radius",
@@ -84,46 +83,6 @@ class MetricSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """One Galerkin state (u, u_t) as two N-vectors of eigen-coefficients."""
-
-    position_coeffs: np.ndarray
-    velocity_coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = _as_finite_vector(self.position_coeffs, "position_coeffs")
-        b = _as_finite_vector(self.velocity_coeffs, "velocity_coeffs")
-        if a.size != b.size:
-            raise ValueError(
-                f"position/velocity lengths differ: {a.size} vs {b.size}"
-            )
-        if a.size == 0:
-            raise ValueError("state needs at least one mode")
-        object.__setattr__(self, "position_coeffs", a)
-        object.__setattr__(self, "velocity_coeffs", b)
-
-    @property
-    def mode_count(self) -> int:
-        return self.position_coeffs.size
-
-    def as_array(self) -> np.ndarray:
-        """Raw coefficients concatenated as [positions, velocities]."""
-        return np.concatenate([self.position_coeffs, self.velocity_coeffs])
-
-    @classmethod
-    def from_array(cls, y) -> "PhasePoint":
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size % 2 != 0:
-            raise ValueError(f"expected flat [pos, vel] array, got shape {y.shape}")
-        n = y.size // 2
-        return cls(y[:n].copy(), y[n:].copy())
-
-    @classmethod
-    def zero(cls, n_modes: int) -> "PhasePoint":
-        return cls(np.zeros(n_modes), np.zeros(n_modes))
-
-
-@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Finite labeled collection of states standing in for a bounded set.
 
@@ -167,25 +126,19 @@ class Ensemble:
         return cls(rows, label=label)
 
 
-def _check_compatible(a: PhasePoint, b: PhasePoint, spec: MetricSpec):
-    if a.mode_count != b.mode_count or a.mode_count != spec.mode_count:
+def phase_distance(a, b, spec: MetricSpec) -> float:
+    """Energy-metric distance sqrt(sum lam_j (da_j)^2 + sum (db_j)^2) between
+    two (2N,) states [positions, velocities]."""
+    a = _as_finite_vector(a, "a")
+    b = _as_finite_vector(b, "b")
+    n = spec.mode_count
+    if a.size != 2 * n or b.size != 2 * n:
         raise ValueError(
-            f"mode counts disagree: points have {a.mode_count}/{b.mode_count}, "
-            f"metric has {spec.mode_count}"
+            f"state lengths {a.size}/{b.size} do not match {n} metric eigenvalues"
         )
-
-
-def phase_distance(a: PhasePoint, b: PhasePoint, spec: MetricSpec) -> float:
-    """Energy-metric distance sqrt(sum lam_j (da_j)^2 + sum (db_j)^2)."""
-    _check_compatible(a, b, spec)
-    da = a.position_coeffs - b.position_coeffs
-    db = a.velocity_coeffs - b.velocity_coeffs
+    da = a[:n] - b[:n]
+    db = a[n:] - b[n:]
     return float(np.sqrt(np.dot(spec.mode_eigenvalues * da, da) + np.dot(db, db)))
-
-
-def phase_norm(p: PhasePoint, spec: MetricSpec) -> float:
-    """Distance to the origin state."""
-    return phase_distance(p, PhasePoint.zero(p.mode_count), spec)
 
 
 def ensemble_radius(e: Ensemble, spec: MetricSpec) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attractorlab.phase import Ensemble, MetricSpec, PhasePoint
+from attractorlab.phase import Ensemble
 
 
 @pytest.fixture
@@ -9,18 +9,16 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_point(rng, spec, scale=1.0) -> PhasePoint:
+def random_point(rng, spec, scale=1.0) -> np.ndarray:
+    """A (2N,) state [positions, velocities]: positions drawn first."""
     n = spec.mode_count
-    return PhasePoint(
-        scale * rng.standard_normal(n) / np.sqrt(spec.mode_eigenvalues),
-        scale * rng.standard_normal(n),
-    )
+    positions = scale * rng.standard_normal(n) / np.sqrt(spec.mode_eigenvalues)
+    return np.concatenate([positions, scale * rng.standard_normal(n)])
 
 
 def random_ensemble(rng, spec, count, scale=1.0, label="test") -> Ensemble:
     return Ensemble(
-        np.stack([random_point(rng, spec, scale).as_array() for _ in range(count)]),
-        label=label,
+        np.stack([random_point(rng, spec, scale) for _ in range(count)]), label=label
     )
 
 

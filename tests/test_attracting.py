@@ -20,7 +20,7 @@ from attractorlab.dynamics import (
     modal_evolve_states,
     modal_propagator,
 )
-from attractorlab.phase import Ensemble, MetricSpec, PhasePoint, ensemble_radius
+from attractorlab.phase import Ensemble, MetricSpec, ensemble_radius
 
 from conftest import random_ensemble
 
@@ -57,11 +57,11 @@ def modal_setup():
 class TestBuildNet:
     def test_collapsed_ensemble_single_entry(self, modal_setup):
         spec, cfg = modal_setup
-        p = PhasePoint(np.array([0.1, 0.2]), np.array([0.0, -0.1]))
-        absorbed = Ensemble(np.stack([p.as_array()] * 3))
+        p = np.array([0.1, 0.2, 0.0, -0.1])
+        absorbed = Ensemble(np.stack([p] * 3))
         seeds, evolved = build_net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
         assert len(seeds) == len(evolved) == 1
-        assert np.array_equal(seeds[0], p.as_array())
+        assert np.array_equal(seeds[0], p)
 
     def test_large_radius_single_entry(self, rng, modal_setup):
         spec, cfg = modal_setup

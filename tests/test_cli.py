@@ -122,3 +122,38 @@ def test_unmet_threshold_exits_3_under_strict(tmp_path):
     code, _out, err = run_cli("run", config, "--strict")
     assert code == EXIT_THRESHOLD
     assert "threshold failed: satisfied_fraction" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("required,expected", [(1.0, EXIT_OK), (1.5, EXIT_THRESHOLD)])
+def test_strict_sweep_checks_the_worst_row(tmp_path, command, required, expected):
+    # both commands run the sweep_l pipeline; every row here is fully satisfied
+    config = write_config(tmp_path, kind="sweep_l", grids={"l_values": [1.0, 2.0]},
+                          thresholds={"satisfied_fraction": required})
+    code, out, err = run_cli(command, config, "--strict")
+    assert code == expected, err
+    assert (tmp_path / "out" / "manifest.json").exists()
+    if expected == EXIT_THRESHOLD:
+        assert err == "threshold failed: satisfied_fraction = 1.0 < required 1.5\n"
+
+
+def test_failed_sweep_row_exits_1(tmp_path):
+    system = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
+    config = write_config(tmp_path, system=system, pipeline={"burn_in": 44.0})
+    code, out, _err = run_cli("sweep", config, "--values", "0")
+    assert code == EXIT_CONFIG
+    assert "l = 0: FAILED" in out
+
+
+def test_oracle_run_backward_in_time_exits_1(tmp_path):
+    raw = {
+        "kind": "oracle_decay",
+        "output_dir": str(tmp_path / "out"),
+        "system": {"type": "linear", "l": 1.0, "mode_count": 4},
+        "grids": {"t_grid": {"start": -2.0, "stop": 4.0, "step": 0.5}},
+    }
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    code, _out, err = run_cli("run", config)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "nonnegative" in err

@@ -15,7 +15,7 @@ from attractorlab.covering import (
     pairwise_distances,
     semidist_arrays,
 )
-from attractorlab.phase import Ensemble, MetricSpec, PhasePoint
+from attractorlab.phase import Ensemble, MetricSpec
 
 from conftest import random_ensemble, velocity_line_ensemble
 
@@ -53,8 +53,8 @@ class TestHausdorffSemidist:
 
     def test_farthest_point(self):
         spec = MetricSpec.dirichlet_1d(1)
-        origin = PhasePoint.zero(1).as_array()
-        far = PhasePoint(np.array([0.0]), np.array([2.0])).as_array()
+        origin = np.zeros(2)
+        far = np.array([0.0, 2.0])
         a = Ensemble(np.stack([far, origin]))
         b = Ensemble(origin[None, :])
         assert hausdorff_semidist(a, b, spec) == 2.0

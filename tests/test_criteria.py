@@ -19,7 +19,7 @@ from attractorlab.criteria import (
     tail_projection_decay,
 )
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, modal_evolve_states
-from attractorlab.phase import Ensemble, MetricSpec, PhasePoint, ensemble_radius
+from attractorlab.phase import Ensemble, MetricSpec, ensemble_radius
 
 from conftest import random_ensemble
 
@@ -161,18 +161,18 @@ class TestHausdorffCriterion:
 class TestTailProjection:
     def test_low_mode_data_keeps_zero_tail(self, modal_pair):
         spec, cfg = modal_pair
-        state = PhasePoint(np.array([1.0, 0.5, 0.0]), np.array([0.2, -0.1, 0.0]))
+        state = np.array([1.0, 0.5, 0.0, 0.2, -0.1, 0.0])
         trace = tail_projection_decay(
-            Ensemble(state.as_array()[None, :]), 2, np.arange(0.0, 3.0, 0.5), cfg, spec
+            Ensemble(state[None, :]), 2, np.arange(0.0, 3.0, 0.5), cfg, spec
         )
         assert np.all(trace.values == 0.0)
         assert trace.quantity == "tail_norm"
 
     def test_tail_follows_top_mode_closed_form(self, modal_pair):
         spec, cfg = modal_pair
-        state = PhasePoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        state = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         grid = np.array([0.5, 1.0, 2.0, 4.0])
-        trace = tail_projection_decay(Ensemble(state.as_array()[None, :]), 2, grid, cfg, spec)
+        trace = tail_projection_decay(Ensemble(state[None, :]), 2, grid, cfg, spec)
         lam_top = spec.mode_eigenvalues[-1]
         single = LinearModalConfig(cfg.damping, np.array([lam_top]))
         for t, value in zip(grid, trace.values):

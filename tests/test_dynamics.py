@@ -11,7 +11,6 @@ from attractorlab.dynamics import (
     absorbing_radius,
     entering_times,
     evolve_states,
-    linear_modal_evolve,
     lyapunov,
     modal_evolve_states,
     modal_propagator,
@@ -20,7 +19,7 @@ from attractorlab.dynamics import (
     wave_rhs,
     states_norms,
 )
-from attractorlab.phase import Ensemble, MetricSpec, PhasePoint
+from attractorlab.phase import Ensemble, MetricSpec
 
 from conftest import random_ensemble, random_point
 
@@ -77,31 +76,38 @@ class TestWaveConfig:
 class TestWaveRhs:
     def test_zero_state_is_equilibrium(self):
         cfg = WaveSystemConfig(mode_count=3, k=1.0, l=1.0, f_coeffs=(0.0, -1.0, 0.0, 1.0), dt=0.1)
-        dy = wave_rhs(PhasePoint.zero(3), cfg)
-        assert np.all(dy.as_array() == 0.0)
+        dy = wave_rhs(np.zeros(6), cfg)
+        assert np.all(dy == 0.0)
 
     def test_single_mode_damped_oscillator(self):
         cfg = linear_wave_config(1, 0.7, 0.25)
-        state = PhasePoint(np.array([2.0]), np.array([-1.0]))
-        dy = wave_rhs(state, cfg)
-        assert dy.position_coeffs[0] == -1.0
-        assert dy.velocity_coeffs[0] == pytest.approx(-1.0 * 2.0 - 0.7 * (-1.0), rel=1e-15)
+        dy = wave_rhs(np.array([2.0, -1.0]), cfg)
+        assert dy[0] == -1.0
+        assert dy[1] == pytest.approx(-1.0 * 2.0 - 0.7 * (-1.0), rel=1e-15)
 
     def test_rank_one_kernel_projection(self):
         g1 = (1.0, 0.0, 0.0)
         cfg = WaveSystemConfig(mode_count=3, k=0.0, l=0.0, kernel=((1.0, g1),), dt=0.1)
-        state = PhasePoint(np.zeros(3), np.array([3.0, 5.0, 0.0]))
+        state = np.array([0.0, 0.0, 0.0, 3.0, 5.0, 0.0])
         base = WaveSystemConfig(mode_count=3, k=0.0, l=0.0, dt=0.1)
-        with_kernel = wave_rhs(state, cfg).velocity_coeffs
-        without = wave_rhs(state, base).velocity_coeffs
+        with_kernel = wave_rhs(state, cfg)[3:]
+        without = wave_rhs(state, base)[3:]
         assert np.allclose(with_kernel - without, [3.0, 0.0, 0.0], atol=1e-15)
 
     def test_nonlinear_damping_factor(self):
         cfg = WaveSystemConfig(mode_count=2, k=2.0, p=2.0, l=0.0, dt=0.2)
-        state = PhasePoint(np.zeros(2), np.array([3.0, 4.0]))
+        state = np.array([0.0, 0.0, 3.0, 4.0])
         dy = wave_rhs(state, cfg)
         # ||u_t||^2 = 25, so the damping term is -2 * 25 * b
-        assert np.allclose(dy.velocity_coeffs, -50.0 * state.velocity_coeffs)
+        assert np.allclose(dy[2:], -50.0 * state[2:])
+
+    def test_batched_rows_match_single_rows(self, rng):
+        cfg = WaveSystemConfig(mode_count=4, k=1.0, l=0.5, f_coeffs=(0.0, -1.0, 0.0, 1.0),
+                               kernel=((0.2, (1.0, 0.0, 0.0, 0.0)),), dt=0.1)
+        states = random_ensemble(rng, MetricSpec.dirichlet_1d(4), 3).as_matrix()
+        batched = wave_rhs(states, cfg)
+        for row, y in zip(batched, states):
+            assert np.allclose(row, wave_rhs(y, cfg), rtol=1e-14, atol=1e-14)
 
 
 class TestEvolve:
@@ -109,9 +115,9 @@ class TestEvolve:
         cfg = linear_wave_config(2, 1.0, 0.1)
         spec = MetricSpec.dirichlet_1d(2)
         p0 = random_point(rng, spec)
-        samples = evolve_states(p0.as_array(), cfg, [0.0])
+        samples = evolve_states(p0, cfg, [0.0])
         assert samples.shape == (1, 4)
-        assert np.array_equal(samples[0], p0.as_array())
+        assert np.array_equal(samples[0], p0)
 
     def test_semigroup_composition(self, rng):
         cfg = WaveSystemConfig(
@@ -119,7 +125,7 @@ class TestEvolve:
         )
         spec = MetricSpec.dirichlet_1d(4)
         for _ in range(5):
-            y0 = random_point(rng, spec).as_array()
+            y0 = random_point(rng, spec)
             direct = evolve_states(y0, cfg, [2.0])[0]
             composed = evolve_states(evolve_states(y0, cfg, [1.0])[0], cfg, [1.0])[0]
             denom = max(1.0, float(np.linalg.norm(direct)))
@@ -147,13 +153,13 @@ class TestEvolve:
         spec = MetricSpec.dirichlet_1d(2)
         p0 = random_point(rng, spec)
         with pytest.raises(ValueError, match="multiple of dt"):
-            evolve_states(p0.as_array(), cfg, [0.0, 0.15, 0.3])
+            evolve_states(p0, cfg, [0.0, 0.15, 0.3])
         with pytest.raises(ValueError, match="multiple of dt"):
-            evolve_states(p0.as_array(), cfg, [1.05])
+            evolve_states(p0, cfg, [1.05])
         with pytest.raises(ValueError, match="multiple of dt"):
             cfg.sample_grid(1.05, 10)
         with pytest.raises(ValueError, match="cap"):
-            evolve_states(p0.as_array(), cfg, [1e7])
+            evolve_states(p0, cfg, [1e7])
 
     def test_rk4_order_against_oracle(self, rng):
         lam = np.arange(1.0, 5.0) ** 2
@@ -174,20 +180,20 @@ class TestLinearModalOracle:
         spec = MetricSpec.dirichlet_1d(5)
         cfg = LinearModalConfig(1.3, spec.mode_eigenvalues)
         p = random_point(rng, spec)
-        q = linear_modal_evolve(p, cfg, 0.0)
-        assert np.array_equal(p.as_array(), q.as_array())
+        q = cfg.sample(p, [0.0])[0]
+        assert np.array_equal(p, q)
 
     def test_negative_time_rejected(self):
         cfg = LinearModalConfig(1.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            linear_modal_evolve(PhasePoint.zero(1), cfg, -0.1)
+            cfg.sample(np.zeros(2), [-0.1])
 
     def test_critical_damping_value(self):
         # repeated root: z(t) = (1 + t) exp(-t) from (1, 0) with l = 2, lam = 1
         cfg = LinearModalConfig(2.0, np.array([1.0]))
-        p = linear_modal_evolve(PhasePoint(np.array([1.0]), np.array([0.0])), cfg, 1.0)
-        assert p.position_coeffs[0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-14)
-        assert p.velocity_coeffs[0] == pytest.approx(-1.0 * np.exp(-1.0), rel=1e-13)
+        p = cfg.sample(np.array([1.0, 0.0]), [1.0])[0]
+        assert p[0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-14)
+        assert p[1] == pytest.approx(-1.0 * np.exp(-1.0), rel=1e-13)
 
     def test_overdamped_matches_root_formula(self):
         lam, damping, t = 1.0, 3.0, 1.7
@@ -197,8 +203,8 @@ class TestLinearModalOracle:
         z0, v0 = 0.8, -0.3
         a = (v0 - r_m * z0) / (r_p - r_m)
         b = (r_p * z0 - v0) / (r_p - r_m)
-        p = linear_modal_evolve(PhasePoint(np.array([z0]), np.array([v0])), cfg, t)
-        assert p.position_coeffs[0] == pytest.approx(
+        p = cfg.sample(np.array([z0, v0]), [t])[0]
+        assert p[0] == pytest.approx(
             a * np.exp(r_p * t) + b * np.exp(r_m * t), rel=1e-13
         )
 
@@ -218,7 +224,7 @@ class TestLinearModalOracle:
         spec = MetricSpec.dirichlet_1d(6)
         cfg = LinearModalConfig(0.8, spec.mode_eigenvalues)
         for _ in range(20):
-            y = random_point(rng, spec).as_array()
+            y = random_point(rng, spec)
             t, s = rng.uniform(0.1, 3.0, 2)
             direct = modal_evolve_states(y, cfg, t + s)
             composed = modal_evolve_states(modal_evolve_states(y, cfg, t), cfg, s)
@@ -238,11 +244,11 @@ class TestLinearModalOracle:
 class TestLyapunov:
     def test_zero_state(self):
         cfg = WaveSystemConfig(mode_count=2, f_coeffs=(0.0, -1.0, 0.0, 1.0), dt=0.2)
-        assert lyapunov(PhasePoint.zero(2), cfg) == (0.0, 0.0)
+        assert lyapunov(np.zeros(4), cfg) == (0.0, 0.0)
 
     def test_unit_velocity_energy(self):
         cfg = WaveSystemConfig(mode_count=1, dt=0.4)
-        e_val, l_val = lyapunov(PhasePoint(np.array([0.0]), np.array([1.0])), cfg)
+        e_val, l_val = lyapunov(np.array([0.0, 1.0]), cfg)
         assert e_val == 0.5 and l_val == 0.5
 
     def test_quartic_potential_against_riemann_sum(self):
@@ -252,8 +258,7 @@ class TestLyapunov:
                                collocation_points=64)
         coeffs = np.zeros(n)
         coeffs[0], coeffs[2] = 1.1, -0.4
-        state = PhasePoint(coeffs, np.zeros(n))
-        e_val, l_val = lyapunov(state, cfg)
+        e_val, l_val = lyapunov(np.concatenate([coeffs, np.zeros(n)]), cfg)
         x = np.linspace(0.0, np.pi, 20001)
         u = np.sqrt(2 / np.pi) * (coeffs[0] * np.sin(x) + coeffs[2] * np.sin(3 * x))
         riemann = np.trapezoid(u**4 / 4.0, x)
@@ -261,8 +266,7 @@ class TestLyapunov:
 
     def test_forcing_term_subtracted(self):
         cfg = WaveSystemConfig(mode_count=2, h_coeffs=(2.0, 0.0), dt=0.2)
-        state = PhasePoint(np.array([3.0, 0.0]), np.zeros(2))
-        e_val, l_val = lyapunov(state, cfg)
+        e_val, l_val = lyapunov(np.array([3.0, 0.0, 0.0, 0.0]), cfg)
         assert l_val == pytest.approx(e_val - 6.0, rel=1e-15)
 
 
@@ -276,8 +280,8 @@ class TestDissipation:
         times = np.arange(0.0, 10.0 + 1e-12, 0.25)
         for _ in range(3):
             p0 = random_point(rng, spec)
-            states = evolve_states(p0.as_array(), cfg, times)
-            l_vals = np.array([lyapunov(PhasePoint.from_array(y), cfg)[1] for y in states])
+            states = evolve_states(p0, cfg, times)
+            l_vals = lyapunov(states, cfg)[1]
             tol = 1e-8 * (1.0 + abs(l_vals[0]))
             assert np.all(np.diff(l_vals) <= tol)
 
@@ -332,9 +336,7 @@ class TestAbsorbingRadius:
     def test_far_probe_enters_later(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        near = PhasePoint(np.zeros(2), np.array([0.5, 0.0]))
-        far = PhasePoint(np.zeros(2), np.array([5.0, 0.0]))
-        probe = Ensemble(np.stack([far.as_array(), near.as_array()]))
+        probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0], [0.0, 0.0, 0.5, 0.0]]))
         _, t_enter = absorbing_radius(cfg, probe, 8.0, 2.0)
         assert t_enter[0] >= t_enter[1]
 
@@ -365,6 +367,17 @@ class TestEngineInterface:
     def test_modal_grid_is_equispaced(self):
         cfg = LinearModalConfig(1.0, np.array([1.0, 4.0]))
         assert np.array_equal(cfg.sample_grid(2.0, 4), np.linspace(0.0, 2.0, 5))
+
+    @pytest.mark.parametrize("engine", ["wave", "modal"])
+    @pytest.mark.parametrize("times", [[-0.1], [1.0, 0.5]])
+    def test_backward_times_rejected(self, engine, times):
+        # neither engine runs backward: negative or decreasing times raise
+        if engine == "wave":
+            cfg = linear_wave_config(1, 1.0, 0.1)
+        else:
+            cfg = LinearModalConfig(1.0, np.array([1.0]))
+        with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
+            cfg.sample(np.zeros(2), times)
 
     @pytest.mark.parametrize("engine", ["wave", "modal"])
     def test_sample_shape_and_time_zero(self, engine, rng):

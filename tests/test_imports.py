@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 
 import pytest
@@ -13,11 +14,13 @@ from attractorlab.phase import Ensemble, MetricSpec
 MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
 
 REMOVED = {
-    "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord"),
-    "attracting": ("NetEntry", "_embed"),
+    "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
+    "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
+                 "linear_modal_evolve", "load_wave_config", "_rhs"),
+    "attracting": ("NetEntry", "_embed", "_reprs"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
-    "experiments": ("_with_damping",),
+    "experiments": ("_with_damping", "sweep_parameter"),
 }
 
 
@@ -62,3 +65,21 @@ def test_removed_members_are_gone():
     assert not hasattr(MetricSpec.dirichlet_1d(2), "spatial_dim")
     assert not hasattr(DecayLaw, "with_shift")
     assert not hasattr(Ensemble, "points")
+
+
+def test_benchmark_trace_points_are_bound():
+    # the benchmark's tracer rebinds these names in place, so each must stay
+    # bound in its owner's own namespace (e.g. criteria's import of semidist_arrays)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(root, "bench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unbound = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _span in tracing.TRACE_POINTS
+        if attr not in owner.__dict__
+    ]
+    assert len(tracing.TRACE_POINTS) == 19
+    assert unbound == []

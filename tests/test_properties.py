@@ -1,0 +1,78 @@
+"""Property tests of the covering invariants and the decay-law inverse."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from attractorlab.covering import (
+    EXACT_POINT_CAP,
+    alpha_proxy,
+    exact_kcenter_radius,
+    greedy_kcenter,
+    pairwise_distances,
+    semidist_arrays,
+)
+from attractorlab.decay import DECAY_KINDS, DecayLaw
+from attractorlab.phase import Ensemble, MetricSpec
+
+# fixed example sequence and no example database, so runs are repeatable
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def point_sets(draw, max_points=EXACT_POINT_CAP, width=None):
+    """A (P, W) array of coordinates, P <= ``max_points``; W is even and at
+    most 6 unless ``width`` fixes it."""
+    count = draw(st.integers(1, max_points))
+    width = width or 2 * draw(st.integers(1, 3))
+    return draw(arrays(np.float64, (count, width), elements=COORD))
+
+
+@PROPERTY
+@given(points=point_sets(), m=st.integers(1, 4))
+def test_greedy_alpha_proxy_dominates_exact(points, m):
+    ens = Ensemble(points)
+    spec = MetricSpec.dirichlet_1d(ens.mode_count)
+    greedy = alpha_proxy(ens, m, spec, method="greedy").max_diameter
+    exact = alpha_proxy(ens, m, spec, method="exact").max_diameter
+    assert greedy >= exact
+
+
+@PROPERTY
+@given(points=point_sets(), m=st.integers(1, 4))
+def test_greedy_kcenter_radius_within_twice_optimal(points, m):
+    _centers, _assignment, radius = greedy_kcenter(points, m)
+    optimal = exact_kcenter_radius(pairwise_distances(points), m)
+    assert radius <= 2.0 * optimal * (1 + 1e-12) + 1e-12
+
+
+@PROPERTY
+@given(data=st.data(), width=st.integers(1, 4).map(lambda n: 2 * n))
+def test_semidist_is_zero_on_itself_and_obeys_the_triangle_inequality(data, width):
+    a, b, c = (data.draw(point_sets(max_points=8, width=width)) for _ in range(3))
+    assert semidist_arrays(a, a) == 0.0
+    through_b = semidist_arrays(a, b) + semidist_arrays(b, c)
+    assert semidist_arrays(a, c) <= through_b * (1 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+@PROPERTY
+@given(
+    amplitude=st.floats(0.1, 10.0),
+    rate=st.floats(0.1, 3.0),
+    shift=st.floats(0.0, 5.0),
+    offset=st.floats(0.0, 20.0),
+)
+def test_decay_law_invert_round_trip(kind, amplitude, rate, shift, offset):
+    # each family's domain: any t for the exponential, t > shift for the
+    # polynomial, t > shift + 1 for the log-polynomial
+    start = {"exponential": 0.0, "polynomial": 0.01, "log_polynomial": 1.01}[kind]
+    law = DecayLaw(kind, amplitude, rate, shift)
+    t = shift + start + offset
+    assert math.isclose(law.invert(law.eval(t)), t, rel_tol=1e-9, abs_tol=1e-9)
