@@ -42,9 +42,10 @@ def shipped_oracle(out, **overrides):
 
 
 def small_wave(out, kind, **overrides):
+    fields = dict(seed=7, ensemble_count=12, ensemble_radius=4.0, fresh_count=8)
     return ExperimentConfig(
         kind=kind, system=wave_config_from_dict(SMALL_WAVE_SYSTEM), output_dir=str(out),
-        seed=7, ensemble_count=12, ensemble_radius=4.0, fresh_count=8, **overrides,
+        **{**fields, **overrides},
     )
 
 
@@ -53,6 +54,10 @@ CASES = {
     "quasistability_oracle": lambda out: shipped_oracle(out, kind="quasistability"),
     "quasistability_wave": lambda out: small_wave(out, "quasistability"),
     "wave_attractor": lambda out: small_wave(out, "wave_attractor"),
+    # inside the absorbing ball from the start: absorb_time = t_star = 0
+    "wave_attractor_unabsorbed": lambda out: small_wave(
+        out, "wave_attractor", ensemble_radius=1.0
+    ),
     "criteria_suite": lambda out: small_wave(out, "criteria_suite"),
     "sweep_l": lambda out: small_wave(out, "sweep_l", l_values=(1.0, 2.0)),
 }
@@ -123,6 +128,20 @@ GOLDEN = {
             "a25942a5da521bb99cbfef48aff8505d932b6ad58bd2cddfd3b4c69a96dd23c5",
         "trace_alpha.csv":
             "aca35bd9c4c8c35cd88c52afb19c19028f76ab0f1a018aaddc619482de602b40",
+    },
+    "wave_attractor_unabsorbed": {
+        "attractor/manifest.json":
+            "6f899eaec4cdfb23b47fc5d172684c3a3cc8b46dd5582a412227b7397c4dc9bc",
+        "attractor/net.csv":
+            "e24c9b5b736ea168638098af80ee43bedaa40ac1bf01d73217ad832a2624e187",
+        "attractor/orbits.csv":
+            "bca94e09c20e097f30003433f32598e15df38dfbb84e607cf1f04a9dd08ac410",
+        "attractor/proxy.csv":
+            "1554c0c339353ce8cd73f25566447fe3db8818e117a9eb1c0b5dca04ed185985",
+        "certificate.csv":
+            "cdff8b9551e5e317e128bf1f6ddc25727dcbb40707d752e8645bd8b8a92120da",
+        "trace_alpha.csv":
+            "8753fc20f54a7ce4821a7c77b6fa140004757cecfbae0a9b7f68f25c06a69480",
     },
 }
 
