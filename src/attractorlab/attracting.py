@@ -1,14 +1,19 @@
 """Constructive finite surrogate of a compact attracting set, with verification.
 
 The construction mirrors how such sets are built from a decaying cover of an
-absorbing set: for each integer birth time m, evolve the absorbed sample to
-time m and greedily select evolved points until every evolved sample lies
-within ``law.eval(m)`` of a selected center (the finite net).  Forward orbits
-of the net points over [0, t_orbit], together with a long-time evolved copy of
-the absorbed sample (the omega-limit surrogate), form the computable target
-set.  The attraction certificate then measures, for a held-out ensemble, the
-Hausdorff semidistance to that target against the bound
+absorbing set: for each integer birth time m, take the absorbed sample's
+image at time m and greedily select evolved points until every evolved sample
+lies within ``law.eval(m)`` of a selected center (the finite net).  Forward
+orbits of the net points over [0, t_orbit], together with a long-time evolved
+copy of the absorbed sample (the omega-limit surrogate), form the computable
+target set.  The attraction certificate then measures, for a held-out
+ensemble, the Hausdorff semidistance to that target against the bound
 ``law.eval(t - t_star - 1)``.
+
+The caller integrates the absorbed and held-out samples and passes their
+sampled rows in.  Only two functions call the engine, each on a batch it
+creates: ``build_attracting_set`` integrates the net orbits and
+``perturbed_net`` the quantized seeds.
 
 Everything here truncates: birth times to [m_min, m_max] and orbits to
 [0, t_orbit]; the certificate only claims the covered window.
@@ -110,14 +115,23 @@ def _cover_indices(embedded: np.ndarray, radius: float) -> list[int]:
             return chosen
 
 
-def build_net(
-    absorbed: Ensemble, m: int, law: DecayLaw, spec: MetricSpec, cfg
-) -> tuple:
-    """Evolve the absorbed sample to integer time m and select a finite net
-    whose balls of radius ``law.eval(m)`` cover all evolved points.
+def _net_radius(m: int, law: DecayLaw) -> float:
+    """Cover radius law.eval(m), refused below the distance floor."""
+    radius = law.eval(m)
+    if radius < RADIUS_FLOOR:
+        raise DegenerateRadiusError(
+            f"law.eval({m}) = {radius:g} is below the distance floor {RADIUS_FLOOR:g}"
+        )
+    return radius
 
-    Returns (seeds, evolved): the selected absorbed states and their time-m
-    images, each an (E, 2N) array.
+
+def build_net(states, evolved, m: int, law: DecayLaw, spec: MetricSpec) -> tuple:
+    """Select a finite net of the absorbed sample whose balls of radius
+    ``law.eval(m)`` cover all of its time-m images.
+
+    ``states`` (P, 2N) is the absorbed sample and ``evolved`` (P, 2N) its
+    image at integer time m.  Returns (seeds, evolved): the selected
+    absorbed states and their time-m images, each an (E, 2N) array.
 
     The caller is responsible for the absorbed ensemble actually sitting
     inside the empirical absorbing ball and for m being past the burn-in.
@@ -125,13 +139,7 @@ def build_net(
     m = int(m)
     if m < 1:
         raise ValueError("birth time m must be a positive integer")
-    radius = law.eval(m)
-    if radius < RADIUS_FLOOR:
-        raise DegenerateRadiusError(
-            f"law.eval({m}) = {radius:g} is below the distance floor {RADIUS_FLOOR:g}"
-        )
-    states = absorbed.as_matrix()
-    evolved = cfg.sample(states, [float(m)])[0]
+    radius = _net_radius(m, law)
     embedded = spec.embed(evolved)
     chosen = _cover_indices(embedded, radius)
     gap = semidist_arrays(embedded, embedded[chosen])
@@ -140,13 +148,7 @@ def build_net(
 
 
 def perturbed_net(
-    absorbed: Ensemble,
-    m: int,
-    law: DecayLaw,
-    eps: float,
-    rounder: float,
-    cfg,
-    spec: MetricSpec,
+    states, evolved, m: int, law: DecayLaw, eps: float, rounder: float, cfg, spec: MetricSpec
 ) -> tuple:
     """Like ``build_net`` but with every seed snapped to a quantization grid.
 
@@ -161,15 +163,9 @@ def perturbed_net(
     if rounder < 0:
         raise ValueError("rounder must be nonnegative")
     if rounder == 0.0:
-        return build_net(absorbed, m, law, spec, cfg)
+        return build_net(states, evolved, m, law, spec)
     m = int(m)
-    radius = law.eval(m)
-    if radius < RADIUS_FLOOR:
-        raise DegenerateRadiusError(
-            f"law.eval({m}) = {radius:g} is below the distance floor {RADIUS_FLOOR:g}"
-        )
-    states = absorbed.as_matrix()
-    evolved = cfg.sample(states, [float(m)])[0]
+    radius = _net_radius(m, law)
     embedded = spec.embed(evolved)
 
     step = float(rounder)
@@ -197,27 +193,29 @@ def perturbed_net(
 
 
 def build_attracting_set(
-    absorbed: Ensemble,
-    m_range: tuple,
-    law: DecayLaw,
-    t_orbit: float,
-    orbit_sample_every: float,
-    cfg,
-    spec: MetricSpec,
+    states, m_range: tuple, images, proxy_states, law: DecayLaw, t_orbit: float,
+    orbit_sample_every: float, cfg, spec: MetricSpec,
 ) -> AttractingSetApprox:
     """Union of nets over integer birth times in ``m_range`` with forward
-    orbits sampled on [0, t_orbit] and a long-time omega-limit proxy."""
+    orbits sampled on [0, t_orbit], plus the omega-limit proxy.
+
+    ``states`` (P, 2N) is the absorbed sample, ``images[i]`` (P, 2N) its
+    image at birth time ``m_range[0] + i``, and ``proxy_states`` its
+    long-time image.  The net orbits are the only integration done here.
+    """
     m_min, m_max = int(m_range[0]), int(m_range[1])
     if m_min < 1 or m_max < m_min:
         raise ValueError("m_range must satisfy 1 <= m_min <= m_max")
+    if len(images) != m_max - m_min + 1:
+        raise ValueError("need one image of the absorbed sample per birth time")
     if t_orbit < m_max:
         raise ValueError("t_orbit must reach at least m_max")
     if orbit_sample_every <= 0:
         raise ValueError("orbit_sample_every must be positive")
 
     births, seeds, nets = [], [], []
-    for m in range(m_min, m_max + 1):
-        seed, net = build_net(absorbed, m, law, spec, cfg)
+    for m, image in zip(range(m_min, m_max + 1), images):
+        seed, net = build_net(states, image, m, law, spec)
         births += [m] * len(seed)
         seeds.append(seed)
         nets.append(net)
@@ -226,10 +224,8 @@ def build_attracting_set(
     orbit_times = list(np.arange(0.0, t_orbit + 1e-12, orbit_sample_every))
     if abs(orbit_times[-1] - t_orbit) > 1e-9 * max(1.0, t_orbit):
         orbit_times.append(t_orbit)
+    # the net is a new batch: rows of a larger batch differ in the last bits
     orbit_blocks = cfg.sample(net_states, orbit_times)  # (K, E, 2N)
-
-    proxy_states = cfg.sample(absorbed.as_matrix(), [2.0 * t_orbit])[0]
-    proxy = Ensemble.from_matrix(proxy_states, label="attractor_proxy")
 
     return AttractingSetApprox(
         birth_times=np.array(births),
@@ -237,7 +233,7 @@ def build_attracting_set(
         net_states=net_states,
         orbit_states=np.ascontiguousarray(orbit_blocks.swapaxes(0, 1)),
         orbit_times=np.array(orbit_times, dtype=float),
-        attractor_proxy=proxy,
+        attractor_proxy=Ensemble.from_matrix(proxy_states, label="attractor_proxy"),
         law_used=law,
         m_range=(m_min, m_max),
         t_orbit=float(t_orbit),
@@ -259,15 +255,13 @@ def verification_grid(aset: AttractingSetApprox, t_star: float) -> np.ndarray:
 
 
 def verify_attraction(
-    aset: AttractingSetApprox,
-    fresh: Ensemble,
-    t_star: float,
-    t_grid,
-    cfg,
-    spec: MetricSpec,
+    aset: AttractingSetApprox, evolved, t_star: float, t_grid, spec: MetricSpec
 ) -> AttractionCertificate:
     """Measure dist(S(t) fresh, target) against law.eval(t - t_star - 1) on the
-    covered window [t_star + 1 + m_min, t_orbit]."""
+    covered window [t_star + 1 + m_min, t_orbit].
+
+    ``evolved[k]`` (P, 2N) is the held-out sample at time ``t_grid[k]``.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
@@ -277,7 +271,6 @@ def verify_attraction(
             f"t_grid outside orbit coverage [{lo:g}, {aset.t_orbit:g}]"
         )
     target = spec.embed(aset.target_matrix())
-    evolved = cfg.sample(fresh.as_matrix(), t_grid)
     measured = np.array([semidist_arrays(spec.embed(block), target) for block in evolved])
     bounds = np.array([aset.law_used.eval(t - t_star - 1.0) for t in t_grid])
     satisfied = float(np.mean(measured <= bounds * (1 + 1e-12)))

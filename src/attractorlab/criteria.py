@@ -2,10 +2,12 @@
 tail-projection checks, the contractive-pair test, and per-period
 quasi-stability contraction.
 
-Each check follows the same pattern: evolve a sample of the absorbing ball,
-measure the relevant quantity on a time grid, and compare against a decay law.
-The checks report satisfied fractions rather than booleans; finite samples
-cannot certify the underlying hypotheses, only fail to falsify them.
+The checks take a sample of the absorbing ball already evolved by the caller,
+as a (T, P, 2N) array of its rows on a time grid, measure the relevant
+quantity at each time, and compare against a decay law.  Only
+``quasistability_estimate`` calls the engine: it steps its sample period by
+period.  The checks report satisfied fractions rather than booleans; finite
+samples cannot certify the underlying hypotheses, only fail to falsify them.
 """
 
 from __future__ import annotations
@@ -179,9 +181,10 @@ class HausdorffCriterionReport:
 
 
 def check_hausdorff_criterion(
-    candidate: Ensemble, absorbed: Ensemble, t_grid, law: DecayLaw, cfg, spec: MetricSpec
+    candidate: Ensemble, evolved, t_grid, law: DecayLaw, spec: MetricSpec
 ) -> HausdorffCriterionReport:
-    """Measure dist(S(t) absorbed, candidate) against law.eval(t); when the
+    """Measure dist(S(t) absorbed, candidate) against law.eval(t), where
+    ``evolved[k]`` is the absorbed sample at ``t_grid[k]``; when the
     candidate attracts at that speed, covers by its points force the cluster
     measure of the evolved sample below twice the law."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -189,7 +192,6 @@ def check_hausdorff_criterion(
         raise ValueError("t_grid must be nonempty and strictly increasing")
     m_clusters = len(candidate)
     cand = candidate.embed(spec)
-    evolved = cfg.sample(absorbed.as_matrix(), t_grid)
     semidists, alphas = [], []
     for block in evolved:
         semidists.append(semidist_arrays(spec.embed(block), cand))
@@ -215,15 +217,14 @@ def check_hausdorff_criterion(
 
 
 def tail_projection_decay(
-    absorbed: Ensemble, n_low_modes: int, t_grid, cfg, spec: MetricSpec
+    evolved, n_low_modes: int, t_grid, spec: MetricSpec
 ) -> DecayTrace:
     """Sup over the ensemble of the energy norm restricted to modes above
-    ``n_low_modes``, sampled on the grid."""
+    ``n_low_modes``, where ``evolved[k]`` is the ensemble at ``t_grid[k]``."""
     n = spec.mode_count
     if not (0 < n_low_modes < n):
         raise ValueError("n_low_modes must satisfy 0 < n_low_modes < mode_count")
     t_grid = np.asarray(t_grid, dtype=float)
-    evolved = cfg.sample(absorbed.as_matrix(), t_grid)
     tail = np.concatenate(
         [evolved[..., n_low_modes:n], evolved[..., n + n_low_modes :]], axis=-1
     )
@@ -259,17 +260,19 @@ class ContractiveCheckReport:
 
 
 def contractive_inequality_check(
-    points: Ensemble, pairs, t_grid, law: DecayLaw, m_clusters: int, cfg, spec: MetricSpec
+    evolved, pairs, t_grid, law: DecayLaw, m_clusters: int, spec: MetricSpec
 ) -> ContractiveCheckReport:
     """Pairwise residuals max(0, d(S(t)y1, S(t)y2) - law.eval(t)) over the
-    index ``pairs`` (i, j) into ``points``, as the empirical stand-in for the
+    index ``pairs`` (i, j) into the points, as the empirical stand-in for the
     contractive correction term, plus the conclusion-side check
-    alpha <= 3 * law.eval(t) on the evolved points.
+    alpha <= 3 * law.eval(t) on the evolved points.  ``evolved[k]`` (P, 2N)
+    holds the points at ``t_grid[k]``.
 
-    The full residual matrix over ``points`` feeds the repeated tail-infimum
+    The full residual matrix over the points feeds the repeated tail-infimum
     diagnostic; with finite data that diagnostic is evidence, not
     certification.
     """
+    count = np.shape(evolved)[1]
     pair_index = np.asarray(pairs, dtype=int)
     if pair_index.size == 0:
         raise ValueError("need at least one pair")
@@ -277,11 +280,10 @@ def contractive_inequality_check(
         pair_index.ndim != 2
         or pair_index.shape[1] != 2
         or pair_index.min() < 0
-        or pair_index.max() >= len(points)
+        or pair_index.max() >= count
     ):
-        raise ValueError(f"pairs must be (i, j) index pairs into the {len(points)} points")
+        raise ValueError(f"pairs must be (i, j) index pairs into the {count} points")
     t_grid = np.asarray(t_grid, dtype=float)
-    evolved = cfg.sample(points.as_matrix(), t_grid)
 
     res_max, res_mean, alphas, bounds3, diags = [], [], [], [], []
     for k, t in enumerate(t_grid):
@@ -403,9 +405,10 @@ def quasistability_estimate(
 
     base_alpha = alpha_proxy(absorbed, m_clusters, spec).max_diameter
     per_period = []
-    y = states
-    for _ in range(int(n_periods)):
-        y = cfg.sample(y, [period])[0]
+    y = traj[-1]  # the sample one period on
+    for n in range(int(n_periods)):
+        if n:  # period by period: one sample at n * period differs in the last bits
+            y = cfg.sample(y, [period])[0]
         alpha_n = alpha_proxy(Ensemble.from_matrix(y), m_clusters, spec).max_diameter
         per_period.append(alpha_n / base_alpha if base_alpha > 0 else 0.0)
 

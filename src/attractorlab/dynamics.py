@@ -33,6 +33,10 @@ members, so no caller needs to know which engine it runs:
 
 Both engines reject sample times that are negative or decreasing: neither
 runs backward in time.
+
+Nothing else in this module calls an engine: ``absorbing_radius`` and
+``lyapunov`` read state arrays or norms that the caller sampled, so a
+pipeline integrates each ensemble once and hands every consumer its rows.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .phase import Ensemble
 
 __all__ = [
     "BlowUpError",
@@ -188,6 +190,8 @@ class WaveSystemConfig:
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
         """Every stride-th step time on [0, horizon], stride chosen for about
         ``count`` samples, with the horizon itself always included."""
+        if horizon < 0:
+            raise ValueError(f"sample horizon {horizon:g} is negative")
         stride = max(1, int(round(horizon / (count * self.dt))))
         times = np.arange(0, _steps_for(self, horizon, "horizon") + 1, stride) * self.dt
         if times[-1] < horizon - 1e-12:
@@ -428,13 +432,6 @@ def lyapunov(states, cfg: WaveSystemConfig):
     return e_val, l_val
 
 
-def _sampled_norms(cfg, states, horizon: float, sample_count: int):
-    """Engine sample grid on [0, horizon] and the (T, P) energy norms on it."""
-    times = cfg.sample_grid(horizon, sample_count)
-    samples = cfg.sample(np.atleast_2d(states), times)
-    return times, states_norms(samples, cfg.eigenvalues)
-
-
 def _settle_times(times, norms, radius: float) -> list:
     """First sample time per column of ``norms`` from which the running future
     max stays inside ``radius``."""
@@ -447,24 +444,17 @@ def _settle_times(times, norms, radius: float) -> list:
     return [float(t) for t in times[np.argmax(settled, axis=0)]]
 
 
-def absorbing_radius(
-    cfg,
-    probe: Ensemble,
-    burn_in: float,
-    window: float,
-    sample_count: int = 200,
-):
-    """Empirical absorbing-ball radius and per-point entering times.
+def absorbing_radius(times, norms, burn_in: float):
+    """Empirical absorbing-ball radius and per-point entering times from the
+    (T, P) energy norms of a probe sampled at ``times`` on [0, burn_in + window].
 
-    Evolves every probe point over [0, burn_in + window]; the radius is 1.1x
-    the largest norm seen on the trailing window, and each entering time is
-    the first sample time after which the point's norm stays inside that
-    radius.  Raises NonDissipativeError if windowed norms are still growing.
+    The radius is 1.1x the largest norm seen on the trailing window
+    [burn_in, times[-1]], and each entering time is the first sample time
+    after which the point's norm stays inside that radius.  Raises
+    NonDissipativeError if windowed norms are still growing.
     """
-    if burn_in <= 0 or window <= 0:
+    if burn_in <= 0 or times[-1] <= burn_in:
         raise ValueError("burn_in and window must be positive")
-    times, norms = _sampled_norms(cfg, probe.as_matrix(), burn_in + window, sample_count)
-
     windowed = norms[times >= burn_in - 1e-12]
     half = windowed.shape[0] // 2
     if half >= 1:
@@ -476,15 +466,6 @@ def absorbing_radius(
             )
     radius = 1.1 * float(np.max(windowed))
     return radius, _settle_times(times, norms, radius)
-
-
-def entering_times(cfg, states: np.ndarray, radius: float, horizon: float, sample_count: int = 200):
-    """First sample time per point after which its norm stays inside ``radius``.
-
-    Raises NonDissipativeError for any point still outside at the horizon.
-    """
-    times, norms = _sampled_norms(cfg, states, horizon, sample_count)
-    return _settle_times(times, norms, radius)
 
 
 def modal_slow_rate(damping: float, lam) -> float:

@@ -45,10 +45,11 @@ from .dynamics import (
     LinearModalConfig,
     WaveSystemConfig,
     absorbing_radius,
-    entering_times,
     modal_slow_rate,
+    states_norms,
     wave_config_from_dict,
     _num,
+    _settle_times,
 )
 from .phase import Ensemble, MetricSpec, ensemble_radius
 
@@ -229,22 +230,22 @@ def _inventory(output_dir) -> dict:
         for name in sorted(names):
             full = os.path.join(root, name)
             rel = os.path.relpath(full, output_dir)
-            if rel == "manifest.json":
+            folder = os.path.dirname(rel)
+            # run manifests carry duration_s: this run's and each sweep row's
+            sweep_row = folder.startswith("l_") and os.sep not in folder
+            if name == "manifest.json" and (folder == "" or sweep_row):
                 continue
             files[rel] = _sha256(full)
     return files
 
 
-def _snapshots(system, states, t_grid):
-    blocks = system.sample(states, t_grid)
-    return [(float(t), Ensemble.from_matrix(blocks[i])) for i, t in enumerate(t_grid)]
-
-
-def _semidist_to_origin_trace(spec, snapshots) -> DecayTrace:
-    values = [ensemble_radius(ens, spec) for _, ens in snapshots]
-    return DecayTrace(
-        np.array([t for t, _ in snapshots]), np.array(values), "semidist"
-    )
+def _sample_union(system, states, *grids) -> list:
+    """One ``system.sample`` pass of ``states`` over the union of ``grids``,
+    split back into one (len(grid), P, 2N) row array per grid."""
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    union = np.unique(np.concatenate(grids))
+    samples = system.sample(states, union)
+    return [samples[np.searchsorted(union, g)] for g in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,12 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
         raise ValueError("oracle_decay runs on the linear modal system")
     rng = np.random.default_rng(cfg.seed)
     probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    snapshots = _snapshots(system, probe.as_matrix(), cfg.t_grid)
+    rows = system.sample(probe.as_matrix(), cfg.t_grid)
+    snapshots = list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows)))
 
-    semidist = _semidist_to_origin_trace(spec, snapshots)
+    semidist = DecayTrace(
+        cfg.t_grid, np.array([ensemble_radius(ens, spec) for _, ens in snapshots]), "semidist"
+    )
     alpha = decay_trace(snapshots, cfg.m_clusters, spec)
     semidist.to_csv(out("trace_semidist.csv"))
     alpha.to_csv(out("trace_alpha.csv"))
@@ -287,20 +291,23 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
     fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec, "fresh")
 
-    radius, t_enter = absorbing_radius(system, probe, cfg.burn_in, cfg.window)
+    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, 200)
+    probe_norms = states_norms(system.sample(probe.as_matrix(), enter_grid), system.eigenvalues)
+    radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
     # anchor the absorbing-ball sample at the probe's own entering time: later
     # states are over-contracted and would miscalibrate the law's amplitude
     snap = cfg.orbit_sample_every
     absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
-    absorbed_states = (
-        system.sample(probe.as_matrix(), [absorb_time])[0]
-        if absorb_time > 0
-        else probe.as_matrix()
-    )
-    absorbed = Ensemble.from_matrix(absorbed_states, label="absorbed")
+    absorbed = probe.as_matrix()
+    if absorb_time > 0:
+        absorbed = system.sample(absorbed, [absorb_time])[0]
 
-    snapshots = _snapshots(system, absorbed.as_matrix(), cfg.t_grid)
-    alpha = decay_trace(snapshots, cfg.m_clusters, spec)
+    births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
+    rows, images, (proxy,) = _sample_union(
+        system, absorbed, cfg.t_grid, births, [2.0 * cfg.t_orbit]
+    )
+    alpha = decay_trace(list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows))),
+                        cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
     bounds = predicted_rate_bounds(system, spec) if system.l > 0 else None
     degenerate = int(np.sum(alpha.values > cfg.fit_floor)) < 4
@@ -317,13 +324,19 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         law = fit_envelope_law(alpha, cfg.fit_floor)
 
     aset = build_attracting_set(
-        absorbed, cfg.m_range, law, cfg.t_orbit, cfg.orbit_sample_every, system, spec
+        absorbed, cfg.m_range, images, proxy, law, cfg.t_orbit, cfg.orbit_sample_every,
+        system, spec,
     )
-    t_star = max(
-        entering_times(system, fresh.as_matrix(), radius, cfg.burn_in + cfg.window)
-    )
+    # the check times start after t_star: the fresh pass samples every
+    # orbit-cadence time as well, and rows are picked by step index
+    enter_steps = np.rint(enter_grid / system.dt)
+    steps = np.union1d(enter_steps, np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, snap) / system.dt))
+    fresh_rows = system.sample(fresh.as_matrix(), steps * system.dt)
+    enter_norms = states_norms(fresh_rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
+    t_star = max(_settle_times(enter_grid, enter_norms, radius))
     t_grid_verify = verification_grid(aset, t_star)
-    certificate = verify_attraction(aset, fresh, t_star, t_grid_verify, system, spec)
+    verify_rows = fresh_rows[np.searchsorted(steps, np.rint(t_grid_verify / system.dt))]
+    certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, spec)
 
     save_attracting_set(
         aset,
@@ -451,26 +464,29 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
 def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     absorbed = _absorbed_probe(cfg, spec)
+    rows, (candidate,) = _sample_union(
+        system, absorbed.as_matrix(), cfg.t_grid, [2.0 * cfg.t_orbit]
+    )
 
-    snapshots = _snapshots(system, absorbed.as_matrix(), cfg.t_grid)
-    alpha = decay_trace(snapshots, cfg.m_clusters, spec)
+    alpha = decay_trace(list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows))),
+                        cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
     law = fit_envelope_law(alpha, cfg.fit_floor)
 
-    candidate = Ensemble.from_matrix(
-        system.sample(absorbed.as_matrix(), [2.0 * cfg.t_orbit])[0], label="candidate"
+    later = cfg.t_grid > 0
+    grid = cfg.t_grid[later]
+    hausdorff = check_hausdorff_criterion(
+        Ensemble.from_matrix(candidate, label="candidate"), rows[later], grid, law, spec
     )
-    grid = cfg.t_grid[cfg.t_grid > 0]
-    hausdorff = check_hausdorff_criterion(candidate, absorbed, grid, law, system, spec)
     hausdorff.to_csv(out("hausdorff_criterion.csv"))
 
-    tail = tail_projection_decay(absorbed, cfg.low_mode_threshold, cfg.t_grid, system, spec)
+    tail = tail_projection_decay(rows, cfg.low_mode_threshold, cfg.t_grid, spec)
     tail.to_csv(out("tail_trace.csv"))
 
     count = len(absorbed)
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     contractive = contractive_inequality_check(
-        absorbed, pairs, grid, law, cfg.m_clusters, system, spec
+        rows[later], pairs, grid, law, cfg.m_clusters, spec
     )
     contractive.to_csv(out("contractive_check.csv"))
 
@@ -590,9 +606,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         if key not in raw:
             raise ValueError(f"config needs a {key!r} entry")
 
-    ensemble = raw.get("ensemble") or {}
-    grids = raw.get("grids") or {}
-    pipeline = raw.get("pipeline") or {}
+    def section(key) -> dict:
+        value = raw.get(key)
+        if value is not None and not isinstance(value, dict):
+            raise ValueError(f"config section {key!r} must be a mapping")
+        return value or {}
+
+    ensemble, grids, pipeline = section("ensemble"), section("grids"), section("pipeline")
     kwargs = {
         "kind": raw["kind"],
         "system": _parse_system(raw["system"]),
@@ -602,7 +622,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         "ensemble_radius": _num(ensemble.get("radius", 2.0), "ensemble.radius"),
         "fresh_count": int(ensemble.get("fresh_count", 20)),
         "thresholds": {
-            str(k): _num(v, f"thresholds.{k}") for k, v in (raw.get("thresholds") or {}).items()
+            str(k): _num(v, f"thresholds.{k}") for k, v in section("thresholds").items()
         },
     }
     if "t_grid" in grids:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attractorlab.attracting import build_attracting_set
 from attractorlab.phase import Ensemble
 
 
@@ -28,6 +29,18 @@ def velocity_line_ensemble(values, n_modes=1) -> Ensemble:
     states = np.zeros((len(values), 2 * n_modes))
     states[:, n_modes] = values
     return Ensemble(states, label="line")
+
+
+def attracting_set(absorbed, m_range, law, t_orbit, orbit_sample_every, cfg, spec):
+    """``build_attracting_set`` on an absorbed ensemble, integrated once as the
+    pipeline does: its image at each birth time and at 2 * t_orbit."""
+    states = absorbed.as_matrix()
+    births = np.arange(m_range[0], m_range[1] + 1, dtype=float)
+    samples = cfg.sample(states, [*births, 2.0 * t_orbit])
+    return build_attracting_set(
+        states, m_range, samples[:-1], samples[-1], law, t_orbit, orbit_sample_every,
+        cfg, spec,
+    )
 
 
 # The 8-mode damped wave system used by the end-to-end tests: the shipped

@@ -5,7 +5,6 @@ from attractorlab.attracting import (
     AttractingSetApprox,
     ContinuityBudgetError,
     DegenerateRadiusError,
-    build_attracting_set,
     build_net,
     load_attracting_set,
     perturbed_net,
@@ -22,7 +21,25 @@ from attractorlab.dynamics import (
 )
 from attractorlab.phase import Ensemble, MetricSpec, ensemble_radius
 
-from conftest import random_ensemble
+from conftest import attracting_set, random_ensemble
+
+
+def net(absorbed, m, law, spec, cfg):
+    """``build_net`` on the absorbed ensemble and its integrated time-m image."""
+    states = absorbed.as_matrix()
+    return build_net(states, cfg.sample(states, [float(m)])[0], m, law, spec)
+
+
+def quantized_net(absorbed, m, law, eps, rounder, cfg, spec):
+    """``perturbed_net`` on the absorbed ensemble and its integrated time-m image."""
+    states = absorbed.as_matrix()
+    evolved = cfg.sample(states, [float(m)])[0]
+    return perturbed_net(states, evolved, m, law, eps=eps, rounder=rounder, cfg=cfg, spec=spec)
+
+
+def certify(aset, fresh, t_star, t_grid, cfg, spec):
+    """``verify_attraction`` on the fresh ensemble integrated over ``t_grid``."""
+    return verify_attraction(aset, cfg.sample(fresh.as_matrix(), t_grid), t_star, t_grid, spec)
 
 
 def modal_preimage(cfg, targets, t):
@@ -59,7 +76,7 @@ class TestBuildNet:
         spec, cfg = modal_setup
         p = np.array([0.1, 0.2, 0.0, -0.1])
         absorbed = Ensemble(np.stack([p] * 3))
-        seeds, evolved = build_net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
+        seeds, evolved = net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
         assert len(seeds) == len(evolved) == 1
         assert np.array_equal(seeds[0], p)
 
@@ -67,7 +84,7 @@ class TestBuildNet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 8)
         law = DecayLaw("exponential", 1e3, 0.01)
-        seeds, _evolved = build_net(absorbed, 2, law, spec, cfg)
+        seeds, _evolved = net(absorbed, 2, law, spec, cfg)
         assert len(seeds) == 1
 
     def test_line_cover_matches_interval_oracle(self, modal_setup):
@@ -78,7 +95,7 @@ class TestBuildNet:
         seeds = modal_preimage(cfg, targets, float(m))
         absorbed = Ensemble.from_matrix(seeds)
         law = DecayLaw("exponential", np.exp(0.5 * m), 0.5)  # law.eval(m) == 1
-        _seeds, evolved = build_net(absorbed, m, law, spec, cfg)
+        _seeds, evolved = net(absorbed, m, law, spec, cfg)
         evolved_line = evolved[:, 2]
         optimal = min_interval_cover_count(targets[:, 2], 1.0)
         assert optimal <= len(evolved) <= 2 * optimal
@@ -93,14 +110,14 @@ class TestBuildNet:
         absorbed = random_ensemble(rng, spec, 3)
         law = DecayLaw("exponential", 1e-12, 1.0)
         with pytest.raises(DegenerateRadiusError):
-            build_net(absorbed, 1, law, spec, cfg)
+            net(absorbed, 1, law, spec, cfg)
 
     def test_net_covers_evolved_sample(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 12)
         law = DecayLaw("exponential", 0.5, 0.3)
         m = 2
-        _seeds, centers = build_net(absorbed, m, law, spec, cfg)
+        _seeds, centers = net(absorbed, m, law, spec, cfg)
         evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
         emb = spec.embed(evolved)
         emb_c = spec.embed(centers)
@@ -112,8 +129,8 @@ class TestPerturbedNet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 6)
         law = DecayLaw("exponential", 1.0, 0.4)
-        plain_seeds, _ = build_net(absorbed, 1, law, spec, cfg)
-        quant_seeds, _ = perturbed_net(absorbed, 1, law, eps=0.1, rounder=0.0, cfg=cfg, spec=spec)
+        plain_seeds, _ = net(absorbed, 1, law, spec, cfg)
+        quant_seeds, _ = quantized_net(absorbed, 1, law, 0.1, 0.0, cfg, spec)
         assert len(plain_seeds) == len(quant_seeds)
         for a, b in zip(plain_seeds, quant_seeds):
             assert np.array_equal(a, b)
@@ -122,7 +139,7 @@ class TestPerturbedNet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 6)
         law = DecayLaw("exponential", 1.0, 0.4)
-        seeds, _ = perturbed_net(absorbed, 1, law, eps=1e6, rounder=0.5, cfg=cfg, spec=spec)
+        seeds, _ = quantized_net(absorbed, 1, law, 1e6, 0.5, cfg, spec)
         for seed in seeds:
             snapped = np.round(seed / 0.5) * 0.5
             assert np.array_equal(seed, snapped)
@@ -132,9 +149,7 @@ class TestPerturbedNet:
         absorbed = random_ensemble(rng, spec, 10)
         law = DecayLaw("exponential", 1.0, 0.4)
         m, eps = 1, 0.1
-        _seeds, centers = perturbed_net(
-            absorbed, m, law, eps=eps, rounder=0.25, cfg=cfg, spec=spec
-        )
+        _seeds, centers = quantized_net(absorbed, m, law, eps, 0.25, cfg, spec)
         evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
         emb = spec.embed(evolved)
         emb_c = spec.embed(centers)
@@ -145,7 +160,7 @@ class TestPerturbedNet:
         absorbed = random_ensemble(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.4)
         with pytest.raises(ContinuityBudgetError):
-            perturbed_net(absorbed, 1, law, eps=1e-30, rounder=0.25, cfg=cfg, spec=spec)
+            quantized_net(absorbed, 1, law, 1e-30, 0.25, cfg, spec)
 
 
 class TestBuildAttractingSet:
@@ -153,7 +168,7 @@ class TestBuildAttractingSet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 6, scale=1.5)
         law = DecayLaw("exponential", 4.0, 0.5)
-        aset = build_attracting_set(absorbed, (1, 2), law, 12.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 2), law, 12.0, 0.5, cfg, spec)
         assert ensemble_radius(aset.attractor_proxy, spec) < 1e-6
         # orbit samples decay along each orbit
         for orbit in aset.orbit_states:
@@ -164,14 +179,14 @@ class TestBuildAttractingSet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
-        aset = build_attracting_set(absorbed, (1, 1), law, 4.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 1), law, 4.0, 0.5, cfg, spec)
         assert np.all(aset.birth_times == 1)
 
     def test_orbit_replay_modal(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.5)
-        aset = build_attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
         taus = aset.orbit_times
         for chain in aset.orbit_states:
             for t0, t1, p0, p1 in zip(taus, taus[1:], chain, chain[1:]):
@@ -185,7 +200,7 @@ class TestBuildAttractingSet:
         )
         absorbed = random_ensemble(rng, spec, 4)
         law = DecayLaw("exponential", 5.0, 0.3)
-        aset = build_attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
         taus, chain = aset.orbit_times, aset.orbit_states[0]
         for t0, t1, p0, p1 in zip(taus, taus[1:], chain, chain[1:]):
             stepped = cfg.sample(p0, [t1 - t0])[0]
@@ -195,7 +210,7 @@ class TestBuildAttractingSet:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
-        aset = build_attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         assert aset.orbit_times[0] == 0.0
         for orbit, net_state in zip(aset.orbit_states, aset.net_states):
             assert np.array_equal(orbit[0], net_state)
@@ -205,12 +220,12 @@ class TestBuildAttractingSet:
         absorbed = random_ensemble(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
         with pytest.raises(ValueError):
-            build_attracting_set(absorbed, (1, 5), law, 3.0, 0.5, cfg, spec)
+            attracting_set(absorbed, (1, 5), law, 3.0, 0.5, cfg, spec)
 
 
 class TestVerifyAttraction:
     def _build(self, rng, spec, cfg, law, absorbed, m_range=(1, 2), t_orbit=10.0):
-        return build_attracting_set(absorbed, m_range, law, t_orbit, 0.25, cfg, spec)
+        return attracting_set(absorbed, m_range, law, t_orbit, 0.25, cfg, spec)
 
     def test_building_ensemble_covered_at_birth_time(self, rng, modal_setup):
         spec, cfg = modal_setup
@@ -218,7 +233,7 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
         m = 2
-        cert = verify_attraction(aset, absorbed, 0.0, [float(m)], cfg, spec)
+        cert = certify(aset, absorbed, 0.0, [float(m)], cfg, spec)
         assert cert.measured_semidist[0] <= law.eval(m) + 1e-12
 
     def test_linear_oracle_fitted_law_fully_satisfied(self, rng, modal_setup):
@@ -230,7 +245,7 @@ class TestVerifyAttraction:
         aset = self._build(rng, spec, cfg, law, absorbed)
         fresh = random_ensemble(rng, spec, 6, scale=1.5, label="fresh")
         t_grid = np.arange(2.0, 10.25, 0.25)
-        cert = verify_attraction(aset, fresh, 0.0, t_grid, cfg, spec)
+        cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
         assert cert.satisfied_fraction == 1.0
 
     def test_contained_fresh_measures_zero(self, rng, modal_setup):
@@ -240,7 +255,7 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 1e-9, 1e-6)
         aset = self._build(rng, spec, cfg, law, absorbed)
         t_grid = [2.0, 2.25, 3.0]
-        cert = verify_attraction(aset, absorbed, 0.0, t_grid, cfg, spec)
+        cert = certify(aset, absorbed, 0.0, t_grid, cfg, spec)
         assert np.all(cert.measured_semidist <= 1e-10)
 
     def test_window_validation(self, rng, modal_setup):
@@ -249,9 +264,9 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
         with pytest.raises(ValueError, match="coverage"):
-            verify_attraction(aset, absorbed, 0.0, [1.0], cfg, spec)  # below t*+1+m_min
+            certify(aset, absorbed, 0.0, [1.0], cfg, spec)  # below t*+1+m_min
         with pytest.raises(ValueError, match="coverage"):
-            verify_attraction(aset, absorbed, 0.0, [11.0], cfg, spec)  # past t_orbit
+            certify(aset, absorbed, 0.0, [11.0], cfg, spec)  # past t_orbit
 
     def test_monotone_refinement(self, rng, modal_setup):
         spec, cfg = modal_setup
@@ -259,10 +274,10 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 1.0, 0.3)
         fresh = random_ensemble(rng, spec, 5, label="fresh")
         t_grid = np.arange(4.0, 8.25, 0.5)
-        small = build_attracting_set(absorbed, (1, 2), law, 10.0, 0.25, cfg, spec)
-        big = build_attracting_set(absorbed, (1, 4), law, 10.0, 0.25, cfg, spec)
-        cert_small = verify_attraction(small, fresh, 0.0, t_grid, cfg, spec)
-        cert_big = verify_attraction(big, fresh, 0.0, t_grid, cfg, spec)
+        small = attracting_set(absorbed, (1, 2), law, 10.0, 0.25, cfg, spec)
+        big = attracting_set(absorbed, (1, 4), law, 10.0, 0.25, cfg, spec)
+        cert_small = certify(small, fresh, 0.0, t_grid, cfg, spec)
+        cert_big = certify(big, fresh, 0.0, t_grid, cfg, spec)
         assert np.all(cert_big.measured_semidist <= cert_small.measured_semidist + 1e-12)
 
     def test_certificate_slope_matches_rate(self, rng, modal_setup):
@@ -274,7 +289,7 @@ class TestVerifyAttraction:
         aset = self._build(rng, spec, cfg, law, absorbed)
         fresh = random_ensemble(rng, spec, 6, scale=1.5, label="fresh")
         t_grid = np.arange(2.0, 10.25, 0.25)
-        cert = verify_attraction(aset, fresh, 0.0, t_grid, cfg, spec)
+        cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
         mask = cert.measured_semidist > 1e-8
         slope = np.polyfit(
             cert.times[mask], np.log(cert.measured_semidist[mask]), 1
@@ -287,7 +302,7 @@ class TestPersistence:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.2, 0.35)
-        aset = build_attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path / "aset", extra={"absorbing_radius": 2.0})
         back = load_attracting_set(tmp_path / "aset")
         assert back.law_used == law
@@ -305,7 +320,7 @@ class TestPersistence:
         spec, cfg = modal_setup
         absorbed = random_ensemble(rng, spec, 5)
         law = DecayLaw("exponential", 1.2, 0.35)
-        aset = build_attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path / "aset")
         orbits = tmp_path / "aset" / "orbits.csv"
         orbits.write_text("".join(orbits.read_text().splitlines(keepends=True)[:-1]))

@@ -137,12 +137,22 @@ def test_strict_sweep_checks_the_worst_row(tmp_path, command, required, expected
         assert err == "threshold failed: satisfied_fraction = 1.0 < required 1.5\n"
 
 
-def test_failed_sweep_row_exits_1(tmp_path):
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_sweep_row_exits_1(tmp_path, command):
+    # both commands finish the same way: the headline, then one line per row
     system = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
-    config = write_config(tmp_path, system=system, pipeline={"burn_in": 44.0})
-    code, out, _err = run_cli("sweep", config, "--values", "0")
+    config = write_config(tmp_path, system=system, kind="sweep_l",
+                          grids={"l_values": [0.0]}, pipeline={"burn_in": 44.0})
+    code, out, _err = run_cli(command, config)
     assert code == EXIT_CONFIG
-    assert "l = 0: FAILED" in out
+    assert "rows_ok = 0" in out and "l = 0: FAILED" in out
+
+
+@pytest.mark.parametrize("section", ["ensemble", "grids", "pipeline", "thresholds"])
+def test_config_section_that_is_not_a_mapping_exits_1(tmp_path, section):
+    code, _out, err = run_cli("run", write_config(tmp_path, **{section: [1, 2]}))
+    assert code == EXIT_CONFIG
+    assert err == f"error: config section '{section}' must be a mapping\n"
 
 
 def test_oracle_run_backward_in_time_exits_1(tmp_path):

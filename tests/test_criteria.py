@@ -127,8 +127,9 @@ class TestHausdorffCriterion:
         absorbed = Ensemble(np.zeros((2, 4)))
         candidate = Ensemble(np.zeros((1, 4)))
         law = DecayLaw("exponential", 1.0, 0.5)
+        grid = [0.5, 1.0, 1.5]
         report = check_hausdorff_criterion(
-            candidate, absorbed, [0.5, 1.0, 1.5], law, cfg, spec
+            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
         )
         assert np.all(report.semidist == 0.0)
         assert report.satisfied_fraction == 1.0
@@ -142,7 +143,9 @@ class TestHausdorffCriterion:
         law = DecayLaw("exponential", math.sqrt(3.0) * radius * 1.001, 0.5)
         candidate = Ensemble(np.zeros((1, 6)))
         grid = np.arange(0.5, 8.5, 0.5)
-        report = check_hausdorff_criterion(candidate, absorbed, grid, law, cfg, spec)
+        report = check_hausdorff_criterion(
+            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
+        )
         assert report.satisfied_fraction == 1.0
         assert report.alpha_within_fraction == 1.0
         assert report.m_clusters == 1
@@ -154,7 +157,9 @@ class TestHausdorffCriterion:
         law = DecayLaw("exponential", 0.01 * math.sqrt(3.0) * radius, 0.5)
         candidate = Ensemble(np.zeros((1, 6)))
         grid = np.arange(0.5, 6.5, 0.5)
-        report = check_hausdorff_criterion(candidate, absorbed, grid, law, cfg, spec)
+        report = check_hausdorff_criterion(
+            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
+        )
         assert report.satisfied_fraction <= 0.25
 
 
@@ -162,9 +167,8 @@ class TestTailProjection:
     def test_low_mode_data_keeps_zero_tail(self, modal_pair):
         spec, cfg = modal_pair
         state = np.array([1.0, 0.5, 0.0, 0.2, -0.1, 0.0])
-        trace = tail_projection_decay(
-            Ensemble(state[None, :]), 2, np.arange(0.0, 3.0, 0.5), cfg, spec
-        )
+        grid = np.arange(0.0, 3.0, 0.5)
+        trace = tail_projection_decay(cfg.sample(state[None, :], grid), 2, grid, spec)
         assert np.all(trace.values == 0.0)
         assert trace.quantity == "tail_norm"
 
@@ -172,7 +176,7 @@ class TestTailProjection:
         spec, cfg = modal_pair
         state = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         grid = np.array([0.5, 1.0, 2.0, 4.0])
-        trace = tail_projection_decay(Ensemble(state[None, :]), 2, grid, cfg, spec)
+        trace = tail_projection_decay(cfg.sample(state[None, :], grid), 2, grid, spec)
         lam_top = spec.mode_eigenvalues[-1]
         single = LinearModalConfig(cfg.damping, np.array([lam_top]))
         for t, value in zip(grid, trace.values):
@@ -184,7 +188,7 @@ class TestTailProjection:
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 4)
         grid = np.array([0.0, 1.0])
-        trace = tail_projection_decay(e, 2, grid, cfg, spec)
+        trace = tail_projection_decay(cfg.sample(e.as_matrix(), grid), 2, grid, spec)
         lam_top = spec.mode_eigenvalues[-1]
         states = e.as_matrix()
         expected = np.max(
@@ -196,7 +200,7 @@ class TestTailProjection:
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 2)
         with pytest.raises(ValueError):
-            tail_projection_decay(e, 3, [0.0, 1.0], cfg, spec)
+            tail_projection_decay(cfg.sample(e.as_matrix(), [0.0, 1.0]), 3, [0.0, 1.0], spec)
 
 
 class TestContractiveCheck:
@@ -204,8 +208,9 @@ class TestContractiveCheck:
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
+        grid = [1.0, 2.0]
         report = contractive_inequality_check(
-            Ensemble(e.as_matrix()[:1]), [(0, 0)], [1.0, 2.0], law, 1, cfg, spec
+            cfg.sample(e.as_matrix()[:1], grid), [(0, 0)], grid, law, 1, spec
         )
         assert np.all(report.pair_residual_max == 0.0)
 
@@ -213,9 +218,10 @@ class TestContractiveCheck:
         spec, cfg = modal_pair
         e = random_ensemble(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
+        evolved = cfg.sample(e.as_matrix(), [1.0])
         for pairs in ([], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
             with pytest.raises(ValueError):
-                contractive_inequality_check(e, pairs, [1.0], law, 1, cfg, spec)
+                contractive_inequality_check(evolved, pairs, [1.0], law, 1, spec)
 
     def test_linear_oracle_envelope_gives_zero_residuals(self, rng, modal_pair):
         spec, cfg = modal_pair
@@ -225,7 +231,9 @@ class TestContractiveCheck:
         diam = float(np.max(cdist(emb, emb)))
         law = DecayLaw("exponential", math.sqrt(3.0) * diam * 1.001, 0.5)
         grid = np.arange(0.5, 6.5, 0.5)
-        report = contractive_inequality_check(e, pairs, grid, law, 3, cfg, spec)
+        report = contractive_inequality_check(
+            cfg.sample(e.as_matrix(), grid), pairs, grid, law, 3, spec
+        )
         assert np.all(report.pair_residual_max <= 1e-12)
         assert report.conclusion_fraction == 1.0
         assert report.pair_count == len(pairs)
@@ -236,7 +244,9 @@ class TestContractiveCheck:
         pairs = [(0, 1), (2, 3)]
         law = DecayLaw("exponential", 1e-300, 1.0)
         t = 1.5
-        report = contractive_inequality_check(e, pairs, [t], law, 2, cfg, spec)
+        report = contractive_inequality_check(
+            cfg.sample(e.as_matrix(), [t]), pairs, [t], law, 2, spec
+        )
         evolved = modal_evolve_states(e.as_matrix(), cfg, t)
         emb = spec.embed(evolved)
         raw = max(

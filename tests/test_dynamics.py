@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attractorlab.attracting import build_attracting_set, save_attracting_set
+from attractorlab.attracting import save_attracting_set
 from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import (
     BlowUpError,
@@ -9,7 +9,6 @@ from attractorlab.dynamics import (
     NonDissipativeError,
     WaveSystemConfig,
     absorbing_radius,
-    entering_times,
     evolve_states,
     lyapunov,
     modal_evolve_states,
@@ -18,14 +17,27 @@ from attractorlab.dynamics import (
     wave_config_from_dict,
     wave_rhs,
     states_norms,
+    _settle_times,
 )
 from attractorlab.phase import Ensemble, MetricSpec
 
-from conftest import random_ensemble, random_point
+from conftest import attracting_set, random_ensemble, random_point
 
 
 def linear_wave_config(n_modes, damping, dt):
     return WaveSystemConfig(mode_count=n_modes, k=0.0, l=damping, dt=dt)
+
+
+def sampled_norms(cfg, states, horizon):
+    """The engine's sample grid on [0, horizon] and the energy norms on it."""
+    times = cfg.sample_grid(horizon, 200)
+    return times, states_norms(cfg.sample(states, times), cfg.eigenvalues)
+
+
+def probe_radius(cfg, probe, burn_in, window):
+    """``absorbing_radius`` of a probe sampled over [0, burn_in + window]."""
+    times, norms = sampled_norms(cfg, probe.as_matrix(), burn_in + window)
+    return absorbing_radius(times, norms, burn_in)
 
 
 class TestWaveConfig:
@@ -289,7 +301,7 @@ class TestDissipation:
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         probe = random_ensemble(rng, spec, 6, scale=1.5)
-        radius, _ = absorbing_radius(cfg, probe, burn_in=4.0, window=2.0)
+        radius, _ = probe_radius(cfg, probe, burn_in=4.0, window=2.0)
         inside = random_ensemble(rng, spec, 8, scale=0.1)
         states = inside.as_matrix()
         scale = radius / np.max(states_norms(states, spec.mode_eigenvalues))
@@ -309,7 +321,7 @@ class TestDissipation:
         )
         spec = MetricSpec.dirichlet_1d(8)
         probe = random_ensemble(rng, spec, 8, scale=0.7)
-        radius, t_enter = absorbing_radius(cfg, probe, burn_in=4.0, window=2.0)
+        radius, t_enter = probe_radius(cfg, probe, burn_in=4.0, window=2.0)
         absorbed = cfg.sample(probe.as_matrix(), [6.0])[0]
         times = np.arange(0.0, 8.0 + 1e-9, 0.25)
         norms = states_norms(cfg.sample(absorbed, times), spec.mode_eigenvalues)
@@ -321,7 +333,7 @@ class TestAbsorbingRadius:
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0]]))
-        radius, t_enter = absorbing_radius(cfg, probe, burn_in=8.0, window=2.0)
+        radius, t_enter = probe_radius(cfg, probe, burn_in=8.0, window=2.0)
         # norms have decayed by roughly exp(-4) on the window
         assert radius < 0.3
         assert 0.0 < t_enter[0] <= 10.0
@@ -329,7 +341,7 @@ class TestAbsorbingRadius:
     def test_equilibrium_probe_enters_at_zero(self):
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=1.0, dt=0.125)
         probe = Ensemble(np.zeros((2, 4)))
-        radius, t_enter = absorbing_radius(cfg, probe, burn_in=2.0, window=1.0)
+        radius, t_enter = probe_radius(cfg, probe, burn_in=2.0, window=1.0)
         assert radius == 0.0
         assert t_enter == [0.0, 0.0]
 
@@ -337,7 +349,7 @@ class TestAbsorbingRadius:
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0], [0.0, 0.0, 0.5, 0.0]]))
-        _, t_enter = absorbing_radius(cfg, probe, 8.0, 2.0)
+        _, t_enter = probe_radius(cfg, probe, 8.0, 2.0)
         assert t_enter[0] >= t_enter[1]
 
     def test_growth_detected(self):
@@ -345,16 +357,23 @@ class TestAbsorbingRadius:
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=0.0, kernel=((0.5, g1),), dt=0.25)
         probe = Ensemble(np.array([[0.0, 0.0, 1.0, 0.0]]))
         with pytest.raises(NonDissipativeError):
-            absorbing_radius(cfg, probe, burn_in=4.0, window=8.0)
+            probe_radius(cfg, probe, burn_in=4.0, window=8.0)
 
     def test_entering_times_against_radius(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(2.0, spec.mode_eigenvalues)
         states = np.array([[0.0, 0.0, 2.0, 0.0]])
-        times = entering_times(cfg, states, radius=0.5, horizon=10.0)
+        times = _settle_times(*sampled_norms(cfg, states, 10.0), radius=0.5)
         assert 0.0 < times[0] < 10.0
         with pytest.raises(NonDissipativeError):
-            entering_times(cfg, states, radius=1e-12, horizon=0.5)
+            _settle_times(*sampled_norms(cfg, states, 0.5), radius=1e-12)
+
+    @pytest.mark.parametrize("burn_in, window", [(0.0, 2.0), (4.0, 0.0)])
+    def test_burn_in_and_window_must_be_positive(self, burn_in, window):
+        cfg = LinearModalConfig(1.0, np.array([1.0]))
+        probe = Ensemble(np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="burn_in and window"):
+            probe_radius(cfg, probe, burn_in, window)
 
 
 class TestEngineInterface:
@@ -400,7 +419,7 @@ class TestTrajectoryCsv:
         spec = MetricSpec.dirichlet_1d(2)
         absorbed = random_ensemble(rng, spec, 3)
         law = DecayLaw("exponential", 1e3, 0.5)
-        aset = build_attracting_set(absorbed, (1, 1), law, 1.0, 0.5, cfg, spec)
+        aset = attracting_set(absorbed, (1, 1), law, 1.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path)
         lines = (tmp_path / "orbits.csv").read_text().splitlines()
         assert lines[0] == "entry,t,a_1,a_2,b_1,b_2"

@@ -7,12 +7,20 @@ change that alters numerics on purpose must re-record them and say so.
 
 import hashlib
 import os
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from attractorlab import dynamics
 from attractorlab.dynamics import wave_config_from_dict
-from attractorlab.experiments import ExperimentConfig, load_experiment_config, run_experiment
+from attractorlab.experiments import (
+    ExperimentConfig,
+    load_experiment_config,
+    run_experiment,
+    sample_phase_ball,
+)
 
 from conftest import SMALL_WAVE_SYSTEM
 
@@ -152,3 +160,37 @@ def test_outputs_match_golden_digests(case, tmp_path):
     manifest = run_experiment(cfg)
     assert manifest.status == "ok"
     assert output_hashes(cfg.output_dir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
+    # each pipeline integrates each ensemble once, to its longest horizon; only
+    # the probe may start twice, since its absorb time is known after one pass
+    starts = Counter()
+    evolve = dynamics.evolve_states
+
+    def counted(y0, cfg, times):
+        y0 = np.asarray(y0, dtype=float)
+        starts[repr(cfg), y0.shape, y0.tobytes()] += 1
+        return evolve(y0, cfg, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", counted)
+    cfg = CASES[case](tmp_path / case)
+    run_experiment(cfg)
+    probe = sample_phase_ball(
+        np.random.default_rng(cfg.seed), cfg.ensemble_count, cfg.ensemble_radius, cfg.metric
+    ).as_matrix()
+    may_repeat = probe.tobytes() if cfg.kind in ("wave_attractor", "sweep_l") else None
+    assert {
+        key: n for key, n in starts.items() if n > (2 if key[2] == may_repeat else 1)
+    } == {}
+
+
+def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):
+    cfg = CASES["sweep_l"](tmp_path / "sweep_l")
+    first = run_experiment(cfg).files
+    assert run_experiment(cfg).files == first
+    # the inventory leaves out the same timing-bearing manifests as the digests
+    assert {rel.replace(os.sep, "/"): h for rel, h in first.items()} == output_hashes(
+        cfg.output_dir
+    )

@@ -16,11 +16,12 @@ MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "
 REMOVED = {
     "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
-                 "linear_modal_evolve", "load_wave_config", "_rhs"),
+                 "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
+                 "_sampled_norms"),
     "attracting": ("NetEntry", "_embed", "_reprs"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
-    "experiments": ("_with_damping", "sweep_parameter"),
+    "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace"),
 }
 
 
