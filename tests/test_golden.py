@@ -2,7 +2,8 @@
 
 The digests pin every output file except the manifests that carry
 ``duration_s`` (the run's own ``manifest.json`` and each sweep row's).  A
-change that alters numerics on purpose must re-record them and say so.
+change that alters numerics on purpose must re-record them and say so.  The
+same cases check that no pipeline integrates an ensemble twice.
 """
 
 import hashlib
