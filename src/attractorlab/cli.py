@@ -3,7 +3,9 @@ verify persisted attracting sets from the command line.
 
 ``sweep`` is ``run`` on the config with kind ``sweep_l`` and the given
 damping values: it writes the same outputs, manifest included, prints the
-same lines and exits by the same rules.
+same lines and exits by the same rules.  The sweep's rows run in forked
+worker processes, one per CPU up to the number of rows; the outputs are the
+same as from a serial run, and a failed row is still recorded and printed.
 
 Exit codes: 0 success; 1 config error, missing input file, a system that
 is not dissipative (no absorbing ball found) or a failed sweep row; 2

@@ -69,6 +69,11 @@ class BlowUpError(RuntimeError):
         self.time = float(time)
         super().__init__(f"solution blew up (non-finite state) at t = {self.time:g}")
 
+    def __reduce__(self):
+        # rebuilt from the time, not from ``args`` (the message), so the
+        # error survives pickling, e.g. out of a worker process
+        return type(self), (self.time,)
+
 
 class NonDissipativeError(RuntimeError):
     """Raised when probe norms are still growing at the absorbing horizon."""

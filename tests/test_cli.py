@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 
 import pytest
 import yaml
@@ -146,6 +147,35 @@ def test_failed_sweep_row_exits_1(tmp_path, command):
     code, out, _err = run_cli(command, config)
     assert code == EXIT_CONFIG
     assert "rows_ok = 0" in out and "l = 0: FAILED" in out
+
+
+def test_pooled_sweep_records_a_failed_row_as_a_serial_run_does(tmp_path, monkeypatch):
+    # the four-mode system is not dissipative at l = 0 and is at l = 1; two
+    # CPUs run the rows in two worker processes, one CPU runs them here
+    system = {"mode_count": 4, "kernel": [{"weight": 0.5, "coeffs": [1.0]}], "dt": 0.125}
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        directory = tmp_path / f"cpus_{cpus}"
+        directory.mkdir()
+        config = write_config(directory, system=system, kind="sweep_l",
+                              grids={"l_values": [0.0, 1.0]})
+        code, out, err = run_cli("run", config)
+        assert code == EXIT_CONFIG, err
+        lines = [line for line in out.splitlines() if not line.startswith("wrote ")]
+        results[cpus] = lines, (directory / "out" / "sweep.csv").read_text()
+    assert results[2] == results[1]
+    lines, _table = results[2]
+    assert "rows_ok = 1" in lines
+    assert any(line.startswith("l = 0: FAILED (windowed max norm grew") for line in lines)
+    assert any(line.startswith("l = 1: beta_hat = ") for line in lines)
+
+
+@pytest.mark.parametrize("key", ["t_grid", "m_range", "l_values"])
+def test_scalar_grid_entry_exits_1(tmp_path, key):
+    code, _out, err = run_cli("run", write_config(tmp_path, grids={key: 5}))
+    assert code == EXIT_CONFIG
+    assert err == f"error: config field '{key}' must be a list, got 5\n"
 
 
 @pytest.mark.parametrize("section", ["ensemble", "grids", "pipeline", "thresholds"])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,13 @@ class TestEvolve:
         with pytest.raises(BlowUpError) as err:
             evolve_states(np.array([0.0, 1.0]), cfg, [50.0])
         assert 0.0 < err.value.time <= 50.0
+
+    def test_blow_up_survives_pickling(self):
+        # an error that leaves a worker process is pickled on the way out
+        err = pickle.loads(pickle.dumps(BlowUpError(1.5)))
+        assert type(err) is BlowUpError
+        assert err.time == 1.5
+        assert str(err) == str(BlowUpError(1.5))
 
     def test_sample_cadence_validation(self, rng):
         cfg = linear_wave_config(2, 1.0, 0.1)

@@ -167,6 +167,8 @@ def test_outputs_match_golden_digests(case, tmp_path):
 def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
     # each pipeline integrates each ensemble once, to its longest horizon; only
     # the probe may start twice, since its absorb time is known after one pass
+    # one CPU: the sweep's rows run in this process, where the counter sees them
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     starts = Counter()
     evolve = dynamics.evolve_states
 
@@ -181,6 +183,8 @@ def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
     probe = sample_phase_ball(
         np.random.default_rng(cfg.seed), cfg.ensemble_count, cfg.ensemble_radius, cfg.metric
     ).as_matrix()
+    # the wave engine integrates; the linear oracle is evaluated in closed form
+    assert bool(starts) == isinstance(cfg.system, dynamics.WaveSystemConfig)
     may_repeat = probe.tobytes() if cfg.kind in ("wave_attractor", "sweep_l") else None
     assert {
         key: n for key, n in starts.items() if n > (2 if key[2] == may_repeat else 1)
@@ -195,3 +199,27 @@ def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):
     assert {rel.replace(os.sep, "/"): h for rel, h in first.items()} == output_hashes(
         cfg.output_dir
     )
+
+
+def test_pooled_sweep_matches_the_in_process_run(tmp_path, monkeypatch):
+    # two CPUs fork a worker per row, so this process integrates nothing; one
+    # CPU runs the rows here
+    in_process = []
+    evolve = dynamics.evolve_states
+
+    def counted(y0, cfg, times):
+        in_process.append(1)
+        return evolve(y0, cfg, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", counted)
+    hashes, tables, integrations = {}, {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        in_process.clear()
+        cfg = CASES["sweep_l"](tmp_path / f"cpus_{cpus}")
+        tables[cpus] = run_experiment(cfg).table
+        hashes[cpus] = output_hashes(cfg.output_dir)
+        integrations[cpus] = len(in_process)
+    assert hashes[2] == hashes[1] == GOLDEN["sweep_l"]
+    assert tables[2] == tables[1]
+    assert integrations[1] > 0 and integrations[2] == 0
