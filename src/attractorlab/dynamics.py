@@ -18,7 +18,13 @@ potential integral in the Lyapunov functional makes the semi-discrete energy
 identity exact, so dissipation checks are meaningful at solver accuracy.
 
 Integration is fixed-step classical Runge-Kutta; all state arrays may carry
-leading batch dimensions, so whole ensembles evolve in one pass.
+leading batch dimensions, so whole ensembles evolve in one pass.  One
+buffered stepper (``_Stepper``) is the only right-hand side: ``evolve_states``
+builds it once per call for the batch's shape and ``wave_rhs`` calls it.  It
+allocates its stage arrays once and writes every stage in place, but it
+repeats the operands, order and association of the plain reference
+expressions exactly (numpy's polynomial evaluation order included), and that
+order is what keeps every output byte-identical to them.
 
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
 ``LinearModalConfig`` (the closed-form oracle) provide the same three
@@ -272,30 +278,106 @@ class LinearModalConfig:
 # wave system right-hand side and RK4 integration
 
 
+def _horner(coeffs, x, out=None) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (lowest degree first) at
+    x, by Horner's rule in the operation order of numpy's power-series
+    evaluator, so the result is bit for bit the one numpy gives.
+
+    numpy starts from ``c[-1] + x*0``; this starts from ``c[-1]*x``, one step
+    on.  The two agree exactly for finite x when ``c[-1] > 0`` (both callers'
+    leading coefficients are), and both are non-finite otherwise.
+    """
+    acc = np.multiply(x, coeffs[-1], out=out)
+    np.add(acc, coeffs[-2], out=acc)
+    for c in coeffs[-3::-1]:
+        np.multiply(acc, x, out=acc)
+        np.add(acc, c, out=acc)
+    return acc
+
+
+class _Stepper:
+    """Classical RK4 for one config and one (..., 2N) batch shape, with every
+    intermediate array allocated once.
+
+    ``rhs`` writes the time derivative into a caller's buffer and ``step``
+    advances a state in place.  Both repeat the operands, order and
+    association of the plain expressions
+
+        db = (-lam)*a - damp*b + h - weight*(f(a @ synth.T) @ synth) + K b
+        y' = y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
+
+    so their results are byte-identical to those expressions; only the
+    buffers differ.
+    """
+
+    def __init__(self, cfg: WaveSystemConfig, shape):
+        n = cfg.mode_count
+        if len(shape) == 0 or shape[-1] != 2 * n:
+            raise ValueError(f"state shape {tuple(shape)} does not match {n} config modes")
+        tab = cfg._tables()
+        self.n, self.dt = n, cfg.dt
+        self.neg_lam = -tab["lam"]
+        self.h = tab["h"]
+        self.k, self.p_half = cfg.k, cfg.p / 2.0
+        self.l = cfg.l + 0.0  # the reference's k = 0 damping (an l of -0.0 becomes 0.0)
+        self.f, self.weight = tab["f"], tab["weight"]
+        self.synth, self.synth_t = tab["synth"], tab["synth"].T
+        self.kw, self.kv = tab["kernel_weights"], tab["kernel_vectors"]
+        lead = tuple(shape[:-1])
+        self.stages = [np.empty(shape) for _ in range(5)]  # k1..k4, stage state
+        self.scratch = np.empty(lead + (n,))
+        self.sq = np.empty(lead + (1,))
+        if self.f is not None:
+            self.u = np.empty(lead + (self.synth.shape[0],))
+            self.acc = np.empty_like(self.u)
+        if self.kv is not None:
+            self.proj = np.empty(lead + (self.kv.shape[0],))
+
+    def rhs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the time derivative of ``y`` into ``out`` (no overlap)."""
+        n, tmp = self.n, self.scratch
+        a, b = y[..., :n], y[..., n:]
+        out[..., :n] = b
+        db = out[..., n:]
+        damp = self.l
+        if self.k:
+            np.add.reduce(np.multiply(b, b, out=tmp), axis=-1, keepdims=True, out=self.sq)
+            # x**1 == x exactly, so p = 2 skips the power
+            pw = self.sq if self.p_half == 1.0 else self.sq**self.p_half
+            damp = np.add(np.multiply(pw, self.k, out=self.sq), self.l, out=self.sq)
+        np.multiply(self.neg_lam, a, out=db)
+        np.subtract(db, np.multiply(damp, b, out=tmp), out=db)
+        np.add(db, self.h, out=db)
+        if self.f is not None:
+            u = np.matmul(a, self.synth_t, out=self.u)
+            f_vals = _horner(self.f, u, out=self.acc)
+            np.matmul(f_vals, self.synth, out=tmp)
+            np.subtract(db, np.multiply(tmp, self.weight, out=tmp), out=db)
+        if self.kv is not None:
+            proj = np.matmul(b, self.kv.T, out=self.proj)
+            np.matmul(np.multiply(proj, self.kw, out=proj), self.kv, out=tmp)
+            np.add(db, tmp, out=db)
+        return out
+
+    def step(self, y: np.ndarray) -> None:
+        """Advance ``y`` by one RK4 step of size dt, in place."""
+        k1, k2, k3, k4, ys = self.stages
+        dt = self.dt
+        half = 0.5 * dt
+        self.rhs(y, k1)
+        self.rhs(np.add(y, np.multiply(k1, half, out=ys), out=ys), k2)
+        self.rhs(np.add(y, np.multiply(k2, half, out=ys), out=ys), k3)
+        self.rhs(np.add(y, np.multiply(k3, dt, out=ys), out=ys), k4)
+        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+        np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(y, np.multiply(k1, dt / 6.0, out=k1), out=y)
+
+
 def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     """Time derivative of a (..., 2N) state array."""
-    n = cfg.mode_count
-    tab = cfg._tables()
-    a, b = y[..., :n], y[..., n:]
-    sq = np.sum(b * b, axis=-1, keepdims=True)
-    damp = cfg.l + (cfg.k * sq ** (cfg.p / 2.0) if cfg.k else 0.0)
-    db = -tab["lam"] * a - damp * b + tab["h"]
-    if tab["f"] is not None:
-        u_vals = a @ tab["synth"].T
-        f_vals = np.polynomial.polynomial.polyval(u_vals, tab["f"], tensor=False)
-        db = db - tab["weight"] * (f_vals @ tab["synth"])
-    if tab["kernel_weights"] is not None:
-        proj = b @ tab["kernel_vectors"].T
-        db = db + (proj * tab["kernel_weights"]) @ tab["kernel_vectors"]
-    return np.concatenate([b, db], axis=-1)
-
-
-def _rk4_step(y: np.ndarray, cfg: WaveSystemConfig, dt: float) -> np.ndarray:
-    k1 = wave_rhs(y, cfg)
-    k2 = wave_rhs(y + 0.5 * dt * k1, cfg)
-    k3 = wave_rhs(y + 0.5 * dt * k2, cfg)
-    k4 = wave_rhs(y + dt * k3, cfg)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.asarray(y, dtype=float)
+    return _Stepper(cfg, y.shape).rhs(y, np.empty_like(y))
 
 
 def _steps_for(cfg: WaveSystemConfig, t: float, what: str) -> int:
@@ -328,6 +410,7 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
             f"horizon needs {marks[-1]} steps, above the cap of {MAX_STEPS}"
         )
     y = np.asarray(y0, dtype=float).copy()
+    stepper = _Stepper(cfg, y.shape)
     out = np.empty((times.size,) + y.shape)
     next_mark = 0
     # finiteness is checked every step, so let overflow reach the check silently
@@ -338,8 +421,8 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
                 next_mark += 1
             if step == marks[-1]:
                 break
-            y = _rk4_step(y, cfg, cfg.dt)
-            if not np.all(np.isfinite(y)):
+            stepper.step(y)
+            if not np.isfinite(y).all():
                 raise BlowUpError((step + 1) * cfg.dt)
     return out
 
@@ -432,7 +515,7 @@ def lyapunov(states, cfg: WaveSystemConfig):
     l_val = e_val - a @ tab["h"]
     if tab["F"] is not None:
         u_vals = a @ tab["synth"].T
-        f_pot = np.polynomial.polynomial.polyval(u_vals, tab["F"], tensor=False)
+        f_pot = _horner(tab["F"], u_vals)
         l_val = l_val + tab["weight"] * np.sum(f_pot, axis=-1)
     return e_val, l_val
 
@@ -507,6 +590,16 @@ def _num(value, name: str) -> float:
         raise ValueError(f"config field {name!r} is not numeric: {value!r}") from None
 
 
+def _int(value, name: str) -> int:
+    """Integer config field: a whole number, given as for ``_num``."""
+    if isinstance(value, int):
+        return int(value)  # exact, even past float precision (large seeds)
+    number = _num(value, name)
+    if not number.is_integer():
+        raise ValueError(f"config field {name!r} is not an integer: {value!r}")
+    return int(number)
+
+
 def _padded(values, n: int, name: str) -> np.ndarray:
     arr = np.array([_num(v, name) for v in np.atleast_1d(values)], dtype=float)
     if arr.size > n:
@@ -527,7 +620,7 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
         raise ValueError(f"unknown wave config keys: {sorted(unknown)}")
     if "mode_count" not in raw:
         raise ValueError("wave config needs mode_count")
-    n = int(_num(raw["mode_count"], "mode_count"))
+    n = _int(raw["mode_count"], "mode_count")
     kernel = []
     for entry in raw.get("kernel") or ():
         if not isinstance(entry, dict) or set(entry) != {"weight", "coeffs"}:
@@ -543,6 +636,6 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
         kernel=tuple(kernel),
         h_coeffs=tuple(_padded(raw.get("h_coeffs", ()), n, "h_coeffs")),
         dt=_num(raw["dt"], "dt") if "dt" in raw else 0.5 / n,
-        collocation_points=int(_num(raw.get("collocation_points", 0), "collocation_points")),
+        collocation_points=_int(raw.get("collocation_points", 0), "collocation_points"),
     )
 

@@ -55,8 +55,11 @@ from .dynamics import (
     modal_slow_rate,
     states_norms,
     wave_config_from_dict,
+    _int,
     _num,
+    _sample_times,
     _settle_times,
+    _steps_for,
 )
 from .phase import Ensemble, MetricSpec, ensemble_radius
 
@@ -255,6 +258,30 @@ def _sample_union(system, states, *grids) -> list:
     return [samples[np.searchsorted(union, g)] for g in grids]
 
 
+def _resume(system, steps, rows, start: int, *grids) -> list:
+    """``_sample_union`` on the wave engine of the trajectory whose states at
+    the sorted step indices ``steps`` (``steps[0] == 0``) are ``rows``, with
+    the grids' times counted from step ``start``.
+
+    Rows the trajectory holds are read from it.  The rest come from one pass
+    that resumes at its last held row before the first time it lacks, so the
+    steps up to that row are not integrated again.  Each row is bit for bit
+    the one a pass from the state at ``start`` gives: the same batch takes
+    the same steps.
+    """
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    union = _sample_times(np.unique(np.concatenate(grids)))
+    want = start + np.array([_steps_for(system, t, "sample time") for t in union])
+    held = np.isin(want, steps)
+    first = want.size if held.all() else int(np.argmin(held))
+    samples = rows[np.searchsorted(steps, want[:first])]
+    if first < want.size:
+        base = np.searchsorted(steps, want[first]) - 1
+        later = system.sample(rows[base], (want[first:] - steps[base]) * system.dt)
+        samples = np.concatenate([samples, later])
+    return [samples[np.searchsorted(union, g)] for g in grids]
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -298,21 +325,40 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
     fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec, "fresh")
 
-    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, 200)
-    probe_norms = states_norms(system.sample(probe.as_matrix(), enter_grid), system.eigenvalues)
+    # one probe pass samples the entering grid and every orbit-cadence time up
+    # to the first at or past its end, where absorb_time can fall; rows are
+    # picked by step index, as in the fresh pass below.  Only the
+    # orbit-cadence rows are kept, until the absorbed sample is read.  They
+    # are allocated before the pass, so its freed rows leave one block for
+    # the later stages (copied out afterwards, they raised peak RSS by ~1%)
+    horizon, snap = cfg.burn_in + cfg.window, cfg.orbit_sample_every
+    enter_grid = system.sample_grid(horizon, 200)
+    enter_steps = np.rint(enter_grid / system.dt)
+    snap_steps = np.unique(np.rint(
+        np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap / system.dt
+    ))
+    probe_steps = np.union1d(enter_steps, snap_steps)
+    snap_rows = np.empty((snap_steps.size,) + probe.states.shape)
+    probe_rows = system.sample(probe.states, probe_steps * system.dt)
+    probe_norms = states_norms(probe_rows, system.eigenvalues)[
+        np.searchsorted(probe_steps, enter_steps)
+    ]
+    np.take(probe_rows, np.searchsorted(probe_steps, snap_steps), axis=0, out=snap_rows)
+    del probe_rows
     radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
     # anchor the absorbing-ball sample at the probe's own entering time: later
     # states are over-contracted and would miscalibrate the law's amplitude
-    snap = cfg.orbit_sample_every
     absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
-    absorbed = probe.as_matrix()
-    if absorb_time > 0:
-        absorbed = system.sample(absorbed, [absorb_time])[0]
+    absorb_step = _steps_for(system, absorb_time, "sample time")
 
+    # the absorbed sample is the probe from absorb_time on: its pass resumes
+    # the probe pass instead of integrating the probe's steps again
     births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
-    rows, images, (proxy,) = _sample_union(
-        system, absorbed, cfg.t_grid, births, [2.0 * cfg.t_orbit]
+    (absorbed,), rows, images, (proxy,) = _resume(
+        system, snap_steps, snap_rows, absorb_step,
+        [0.0], cfg.t_grid, births, [2.0 * cfg.t_orbit],
     )
+    del snap_rows
     alpha = decay_trace(list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows))),
                         cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
@@ -336,7 +382,6 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     )
     # the check times start after t_star: the fresh pass samples every
     # orbit-cadence time as well, and rows are picked by step index
-    enter_steps = np.rint(enter_grid / system.dt)
     steps = np.union1d(enter_steps, np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, snap) / system.dt))
     fresh_rows = system.sample(fresh.as_matrix(), steps * system.dt)
     enter_norms = states_norms(fresh_rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
@@ -599,7 +644,7 @@ def _parse_grid(raw, name: str) -> np.ndarray:
             return np.arange(start, stop + 1e-9 * max(1.0, abs(stop)), step)
         if keys == {"start", "stop", "count"}:
             return np.linspace(
-                _num(raw["start"], name), _num(raw["stop"], name), int(raw["count"])
+                _num(raw["start"], name), _num(raw["stop"], name), _int(raw["count"], name)
             )
         raise ValueError(f"{name} mapping must have keys start/stop/step or start/stop/count")
     return np.array(_entries(raw, name), dtype=float)
@@ -617,7 +662,7 @@ def _parse_system(raw: dict):
         if "mode_eigenvalues" in body:
             lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
         elif "mode_count" in body:
-            n = int(_num(body.pop("mode_count"), "mode_count"))
+            n = _int(body.pop("mode_count"), "mode_count")
             lam = np.arange(1, n + 1, dtype=float) ** 2
         else:
             raise ValueError("linear system needs mode_count or mode_eigenvalues")
@@ -654,10 +699,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         "kind": raw["kind"],
         "system": _parse_system(raw["system"]),
         "output_dir": str(raw["output_dir"]),
-        "seed": int(raw.get("seed", 0)),
-        "ensemble_count": int(ensemble.get("count", 30)),
+        "seed": _int(raw.get("seed", 0), "seed"),
+        "ensemble_count": _int(ensemble.get("count", 30), "ensemble.count"),
         "ensemble_radius": _num(ensemble.get("radius", 2.0), "ensemble.radius"),
-        "fresh_count": int(ensemble.get("fresh_count", 20)),
+        "fresh_count": _int(ensemble.get("fresh_count", 20), "ensemble.fresh_count"),
         "thresholds": {
             str(k): _num(v, f"thresholds.{k}") for k, v in section("thresholds").items()
         },
@@ -665,7 +710,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "t_grid" in grids:
         kwargs["t_grid"] = _parse_grid(grids["t_grid"], "t_grid")
     if "m_range" in grids:
-        pair = [int(v) for v in _entries(grids["m_range"], "m_range")]
+        pair = [_int(v, "m_range") for v in _entries(grids["m_range"], "m_range")]
         if len(pair) != 2:
             raise ValueError("m_range must be a pair [m_min, m_max]")
         kwargs["m_range"] = tuple(pair)
@@ -680,7 +725,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         if key in numeric_keys:
             kwargs[key] = None if value is None else _num(value, key)
         elif key in int_keys:
-            kwargs[key] = int(_num(value, key))
+            kwargs[key] = _int(value, key)
         else:
             raise ValueError(f"unknown pipeline key {key!r}")
     return ExperimentConfig(**kwargs)

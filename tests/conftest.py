@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,9 @@ def attracting_set(absorbed, m_range, law, t_orbit, orbit_sample_every, cfg, spe
         cfg, spec,
     )
 
+
+# The shipped run configs.
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 # The 8-mode damped wave system used by the end-to-end tests: the shipped
 # system's coefficients at a size where a pipeline run takes a fraction of a

@@ -9,7 +9,7 @@ import yaml
 
 from attractorlab.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
 
-from conftest import SMALL_WAVE_SYSTEM
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM
 
 
 def write_config(directory, system=None, kind="wave_attractor", pipeline=None,
@@ -176,6 +176,37 @@ def test_scalar_grid_entry_exits_1(tmp_path, key):
     code, _out, err = run_cli("run", write_config(tmp_path, grids={key: 5}))
     assert code == EXIT_CONFIG
     assert err == f"error: config field '{key}' must be a list, got 5\n"
+
+
+INTEGER_FIELDS = {
+    "seed": lambda v: {"seed": v},
+    "ensemble.count": lambda v: {"ensemble": {"count": v, "radius": 4.0, "fresh_count": 8}},
+    "ensemble.fresh_count": lambda v: {"ensemble": {"count": 12, "radius": 4.0,
+                                                    "fresh_count": v}},
+    "t_grid": lambda v: {"grids": {"t_grid": {"start": 0.0, "stop": 12.0, "count": v}}},
+    "m_range": lambda v: {"grids": {"m_range": [v, 4]}},
+}
+
+
+@pytest.mark.parametrize("value", [None, [2], 2.5])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_field_that_is_not_an_integer_exits_1(tmp_path, field, value):
+    code, _out, err = run_cli("run", write_config(tmp_path, **INTEGER_FIELDS[field](value)))
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: config field '{field}' is not ") and err.count("\n") == 1
+
+
+def test_shipped_wave_config_absorbs_and_meets_its_threshold(tmp_path):
+    with open(os.path.join(CONFIG_DIR, "wave_attractor.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    code, out, err = run_cli("run", config, "--strict")
+    assert code == EXIT_OK, err
+    headline = printed(out)
+    assert float(headline["absorb_time"]) > 0.0
+    assert float(headline["satisfied_fraction"]) >= raw["thresholds"]["satisfied_fraction"]
 
 
 @pytest.mark.parametrize("section", ["ensemble", "grids", "pipeline", "thresholds"])

@@ -196,6 +196,92 @@ class TestEvolve:
         assert slope >= 3.7
 
 
+def reference_rhs(y, cfg):
+    """The plain right-hand side the buffered kernel must reproduce bit for
+    bit: numpy's polyval, a concatenate and freshly allocated arrays."""
+    n = cfg.mode_count
+    tab = cfg._tables()
+    a, b = y[..., :n], y[..., n:]
+    sq = np.sum(b * b, axis=-1, keepdims=True)
+    damp = cfg.l + (cfg.k * sq ** (cfg.p / 2.0) if cfg.k else 0.0)
+    db = -tab["lam"] * a - damp * b + tab["h"]
+    if tab["f"] is not None:
+        u_vals = a @ tab["synth"].T
+        f_vals = np.polynomial.polynomial.polyval(u_vals, tab["f"], tensor=False)
+        db = db - tab["weight"] * (f_vals @ tab["synth"])
+    if tab["kernel_weights"] is not None:
+        proj = b @ tab["kernel_vectors"].T
+        db = db + (proj * tab["kernel_weights"]) @ tab["kernel_vectors"]
+    return np.concatenate([b, db], axis=-1)
+
+
+def reference_rk4_step(y, cfg):
+    dt = cfg.dt
+    k1 = reference_rhs(y, cfg)
+    k2 = reference_rhs(y + 0.5 * dt * k1, cfg)
+    k3 = reference_rhs(y + 0.5 * dt * k2, cfg)
+    k4 = reference_rhs(y + dt * k3, cfg)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_blow_up_time(y, cfg, steps):
+    """First step time at which the reference integration is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            y = reference_rk4_step(y, cfg)
+            if not np.all(np.isfinite(y)):
+                return (step + 1) * cfg.dt
+    return None
+
+
+# six modes; between them the systems switch each term on and off: f, the
+# kernel, the nonlinear damping k, p = 2 against p != 2, and the forcing h
+KERNEL_SYSTEMS = {
+    "linear": dict(l=0.5),
+    "f_k_p2": dict(k=1.0, l=0.5, f_coeffs=(0.0, -1.0, 0.0, 1.0)),
+    "kernel_h_p3": dict(k=1.0, p=3.0, kernel=((0.3, (0.5, -0.2, 0.1, 0.0, 0.3, -0.4)),),
+                        h_coeffs=(4.0, 0.0, -1.0, 0.0, 0.0, 0.5)),
+    "all_terms_p1": dict(k=2.0, p=1.0, l=0.25, f_coeffs=(0.5, -1.0, 0.0, 2.0),
+                         kernel=((0.1, (1.0,) + (0.0,) * 5), (-0.2, (0.0, 1.0) + (0.0,) * 4)),
+                         h_coeffs=(1.0,) * 6),
+}
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("shape", [(12,), (1, 12), (20, 12), (2, 5, 12)])
+    @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
+    def test_evolve_is_byte_identical_to_the_reference(self, system, shape):
+        cfg = WaveSystemConfig(mode_count=6, dt=0.5 / 6, **KERNEL_SYSTEMS[system])
+        y0 = 0.3 * np.random.default_rng(5).standard_normal(shape)
+        assert wave_rhs(y0, cfg).tobytes() == reference_rhs(y0, cfg).tobytes()
+        times = np.arange(0, 201, 50) * cfg.dt
+        want = [y0]
+        for _ in range(200):
+            want.append(reference_rk4_step(want[-1], cfg))
+        assert evolve_states(y0, cfg, times).tobytes() == np.stack(want[::50]).tobytes()
+
+    def test_blow_up_time_matches_the_reference(self):
+        cfg = WaveSystemConfig(mode_count=1, l=0.0, kernel=((200.0, (1.0,)),), dt=0.5)
+        y0 = np.array([0.0, 1.0])
+        with pytest.raises(BlowUpError) as err:
+            evolve_states(y0, cfg, [50.0])
+        assert err.value.time == reference_blow_up_time(y0, cfg, 100)
+
+    @pytest.mark.parametrize("f_coeffs", [(0.0, -1.0, 0.0, 1.0), (0.5, -1.0, 0.0, 2.0, 0.0, 0.1)])
+    def test_lyapunov_is_byte_identical_to_polyval(self, f_coeffs):
+        cfg = WaveSystemConfig(mode_count=6, f_coeffs=f_coeffs, h_coeffs=(1.0,) * 6,
+                               dt=0.5 / 6)
+        tab = cfg._tables()
+        y = 2.0 * np.random.default_rng(9).standard_normal((4, 7, 12))
+        a, b = y[..., :6], y[..., 6:]
+        e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(tab["lam"] * a * a, axis=-1))
+        f_pot = np.polynomial.polynomial.polyval(a @ tab["synth"].T, tab["F"], tensor=False)
+        l_val = e_val - a @ tab["h"] + tab["weight"] * np.sum(f_pot, axis=-1)
+        got_e, got_l = lyapunov(y, cfg)
+        assert got_e.tobytes() == e_val.tobytes()
+        assert got_l.tobytes() == l_val.tobytes()
+
+
 class TestLinearModalOracle:
     def test_time_zero_identity(self, rng):
         spec = MetricSpec.dirichlet_1d(5)

@@ -20,12 +20,9 @@ from attractorlab.experiments import (
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
-    sample_phase_ball,
 )
 
-from conftest import SMALL_WAVE_SYSTEM
-
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM
 
 
 def output_hashes(output_dir) -> dict:
@@ -165,8 +162,7 @@ def test_outputs_match_golden_digests(case, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
-    # each pipeline integrates each ensemble once, to its longest horizon; only
-    # the probe may start twice, since its absorb time is known after one pass
+    # each pipeline integrates each ensemble once, to its longest horizon
     # one CPU: the sweep's rows run in this process, where the counter sees them
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     starts = Counter()
@@ -180,15 +176,9 @@ def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "evolve_states", counted)
     cfg = CASES[case](tmp_path / case)
     run_experiment(cfg)
-    probe = sample_phase_ball(
-        np.random.default_rng(cfg.seed), cfg.ensemble_count, cfg.ensemble_radius, cfg.metric
-    ).as_matrix()
     # the wave engine integrates; the linear oracle is evaluated in closed form
     assert bool(starts) == isinstance(cfg.system, dynamics.WaveSystemConfig)
-    may_repeat = probe.tobytes() if cfg.kind in ("wave_attractor", "sweep_l") else None
-    assert {
-        key: n for key, n in starts.items() if n > (2 if key[2] == may_repeat else 1)
-    } == {}
+    assert {key: n for key, n in starts.items() if n > 1} == {}
 
 
 def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):

@@ -17,7 +17,7 @@ REMOVED = {
     "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
-                 "_sampled_norms"),
+                 "_sampled_norms", "_rk4_step"),
     "attracting": ("NetEntry", "_embed", "_reprs"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
