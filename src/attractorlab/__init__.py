@@ -11,9 +11,7 @@ from .phase import (  # noqa: E402
 )
 from .decay import DecayLaw
 from .covering import (
-    CoverReport,
     DecayTrace,
-    hausdorff_semidist,
     alpha_proxy,
     decay_trace,
 )
@@ -32,7 +30,6 @@ from .attracting import (
     AttractionCertificate,
     build_net,
     build_attracting_set,
-    perturbed_net,
     verify_attraction,
     save_attracting_set,
     load_attracting_set,

@@ -11,9 +11,8 @@ ensemble, the Hausdorff semidistance to that target against the bound
 ``law.eval(t - t_star - 1)``.
 
 The caller integrates the absorbed and held-out samples and passes their
-sampled rows in.  Only two functions call the engine, each on a batch it
-creates: ``build_attracting_set`` integrates the net orbits and
-``perturbed_net`` the quantized seeds.
+sampled rows in.  ``build_attracting_set`` is the only function here that
+calls the engine: it integrates the net orbits, a batch it creates.
 
 Everything here truncates: birth times to [m_min, m_max] and orbits to
 [0, t_orbit]; the certificate only claims the covered window.
@@ -31,16 +30,15 @@ import numpy as np
 
 from .covering import farthest_point_traversal, semidist_arrays, write_csv
 from .decay import DecayLaw
+from .dynamics import _int, _num
 from .phase import Ensemble, MetricSpec
 
 __all__ = [
     "DegenerateRadiusError",
-    "ContinuityBudgetError",
     "AttractingSetApprox",
     "AttractionCertificate",
     "build_net",
     "build_attracting_set",
-    "perturbed_net",
     "verification_grid",
     "verify_attraction",
     "save_attracting_set",
@@ -48,15 +46,11 @@ __all__ = [
 ]
 
 RADIUS_FLOOR = 1e-10
-QUANT_FLOOR = 1e-12
+LAW_KEYS = ("kind", "amplitude", "rate", "shift")
 
 
 class DegenerateRadiusError(ValueError):
     """Covering radius fell below the distance resolution floor."""
-
-
-class ContinuityBudgetError(RuntimeError):
-    """Quantization could not be made fine enough to respect the bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +68,7 @@ class AttractingSetApprox:
     net_states: np.ndarray  # (E, 2N)
     orbit_states: np.ndarray  # (E, K, 2N), entry-major
     orbit_times: np.ndarray  # (K,)
-    attractor_proxy: Ensemble
+    attractor_proxy: np.ndarray  # (Q, 2N)
     law_used: DecayLaw
     m_range: tuple
     t_orbit: float
@@ -84,7 +78,7 @@ class AttractingSetApprox:
         """Raw (Q, 2N) coefficients of orbit samples plus proxy points."""
         width = self.orbit_states.shape[-1]
         return np.concatenate(
-            [self.orbit_states.reshape(-1, width), self.attractor_proxy.as_matrix()]
+            [self.orbit_states.reshape(-1, width), self.attractor_proxy]
         )
 
 
@@ -147,51 +141,6 @@ def build_net(states, evolved, m: int, law: DecayLaw, spec: MetricSpec) -> tuple
     return states[chosen], evolved[chosen]
 
 
-def perturbed_net(
-    states, evolved, m: int, law: DecayLaw, eps: float, rounder: float, cfg, spec: MetricSpec
-) -> tuple:
-    """Like ``build_net`` but with every seed snapped to a quantization grid.
-
-    The grid step starts at ``rounder`` and halves until evolving a quantized
-    seed moves its time-m image by less than ``eps * law.eval(m)``; the
-    resulting cover radius is then measured and certified to stay within
-    ``(1 + eps) * law.eval(m)``.  ``rounder = 0`` disables quantization.
-    Returns (quantized seeds, their time-m images) as in ``build_net``.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if rounder < 0:
-        raise ValueError("rounder must be nonnegative")
-    if rounder == 0.0:
-        return build_net(states, evolved, m, law, spec)
-    m = int(m)
-    radius = _net_radius(m, law)
-    embedded = spec.embed(evolved)
-
-    step = float(rounder)
-    while True:
-        quantized = np.round(states / step) * step
-        evolved_q = cfg.sample(quantized, [float(m)])[0]
-        shift = np.linalg.norm(spec.embed(evolved_q) - embedded, axis=1)
-        if np.max(shift) < eps * radius:
-            break
-        step *= 0.5
-        if step < QUANT_FLOOR:
-            raise ContinuityBudgetError(
-                f"quantization step shrank below {QUANT_FLOOR:g} without meeting "
-                f"the continuity budget eps * law.eval(m) = {eps * radius:g}"
-            )
-
-    chosen = _cover_indices(embedded, radius)
-    measured = semidist_arrays(embedded, spec.embed(evolved_q)[chosen])
-    if measured > (1.0 + eps) * radius + 1e-12:
-        raise ContinuityBudgetError(
-            f"perturbed cover radius {measured:g} exceeds "
-            f"(1+eps) * law.eval(m) = {(1 + eps) * radius:g}"
-        )
-    return quantized[chosen], evolved_q[chosen]
-
-
 def build_attracting_set(
     states, m_range: tuple, images, proxy_states, law: DecayLaw, t_orbit: float,
     orbit_sample_every: float, cfg, spec: MetricSpec,
@@ -233,7 +182,7 @@ def build_attracting_set(
         net_states=net_states,
         orbit_states=np.ascontiguousarray(orbit_blocks.swapaxes(0, 1)),
         orbit_times=np.array(orbit_times, dtype=float),
-        attractor_proxy=Ensemble.from_matrix(proxy_states, label="attractor_proxy"),
+        attractor_proxy=proxy_states,
         law_used=law,
         m_range=(m_min, m_max),
         t_orbit=float(t_orbit),
@@ -290,7 +239,7 @@ def _coeff_header(prefix_a: str, prefix_b: str, n: int) -> list[str]:
 def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None = None):
     """Write net.csv, orbits.csv, proxy.csv and manifest.json to a directory."""
     os.makedirs(directory, exist_ok=True)
-    n = aset.attractor_proxy.mode_count
+    n = aset.attractor_proxy.shape[1] // 2
 
     write_csv(
         os.path.join(directory, "net.csv"),
@@ -309,16 +258,12 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
             for tau, state in zip(aset.orbit_times, orbit)
         ),
     )
-    proxy = aset.attractor_proxy.as_matrix()
-    write_csv(os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n), proxy)
+    write_csv(
+        os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n), aset.attractor_proxy
+    )
 
     manifest = {
-        "law": {
-            "kind": aset.law_used.kind,
-            "amplitude": aset.law_used.amplitude,
-            "rate": aset.law_used.rate,
-            "shift": aset.law_used.shift,
-        },
+        "law": {key: getattr(aset.law_used, key) for key in LAW_KEYS},
         "m_range": list(aset.m_range),
         "t_orbit": aset.t_orbit,
         "orbit_sample_every": aset.orbit_sample_every,
@@ -332,10 +277,27 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _manifest_law(raw) -> DecayLaw:
+    """The manifest's ``law`` entry: its kind and numeric parameters."""
+    if not (isinstance(raw, dict) and {"kind", "amplitude", "rate"} <= set(raw) <= set(LAW_KEYS)):
+        raise ValueError(f"manifest field 'law' must be a mapping of {LAW_KEYS}, got {raw!r}")
+    return DecayLaw(**{k: v if k == "kind" else _num(v, f"law.{k}") for k, v in raw.items()})
+
+
 def load_attracting_set(directory) -> AttractingSetApprox:
+    """Read a directory written by ``save_attracting_set``; a malformed
+    manifest field raises ValueError naming the field."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    law = DecayLaw(**manifest["law"])
+    if not isinstance(manifest, dict):
+        raise ValueError("attractor manifest must be a mapping")
+    law = _manifest_law(manifest.get("law"))
+    m_range = manifest.get("m_range")
+    if not (isinstance(m_range, list) and len(m_range) == 2):
+        raise ValueError(f"manifest field 'm_range' must be a pair, got {m_range!r}")
+    every = _num(manifest.get("orbit_sample_every"), "orbit_sample_every")
+    if not every > 0:
+        raise ValueError(f"manifest field 'orbit_sample_every' must be positive, got {every!r}")
 
     def read_matrix(name) -> np.ndarray:
         with open(os.path.join(directory, name), newline="") as fh:
@@ -360,9 +322,9 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         net_states=net[:, 1 + width :],
         orbit_states=orbits[:, 2:].reshape(count, steps, -1),
         orbit_times=orbit_times,
-        attractor_proxy=Ensemble.from_matrix(read_matrix("proxy.csv"), label="attractor_proxy"),
+        attractor_proxy=Ensemble(read_matrix("proxy.csv")).states,
         law_used=law,
-        m_range=tuple(manifest["m_range"]),
-        t_orbit=float(manifest["t_orbit"]),
-        orbit_sample_every=float(manifest["orbit_sample_every"]),
+        m_range=tuple(_int(m, "m_range") for m in m_range),
+        t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),
+        orbit_sample_every=every,
     )

@@ -21,14 +21,13 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from .attracting import load_attracting_set, verification_grid, verify_attraction
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
-from .dynamics import BlowUpError, NonDissipativeError
-from .experiments import load_experiment_config, run_experiment, sample_phase_ball
+from .dynamics import BlowUpError, NonDissipativeError, _num
+from .experiments import draw_samples, load_experiment_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,14 +106,13 @@ def _cmd_verify(args) -> int:
         t_star = json.load(fh).get("t_star")
     if t_star is None:
         raise ValueError("attractor manifest lacks t_star")
-    spec = cfg.metric
-    # replay the run's draws: the probe sample first, then the fresh one
-    rng = np.random.default_rng(cfg.seed)
-    sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec, "fresh")
+    t_star = _num(t_star, "t_star")
+    if not math.isfinite(t_star):
+        raise ValueError(f"attractor manifest field 't_star' is not finite: {t_star!r}")
+    _probe, fresh = draw_samples(cfg)
     t_grid = verification_grid(aset, t_star)
-    evolved = cfg.system.sample(fresh.as_matrix(), t_grid)
-    certificate = verify_attraction(aset, evolved, t_star, t_grid, spec)
+    evolved = cfg.system.sample(fresh, t_grid)
+    certificate = verify_attraction(aset, evolved, t_star, t_grid, cfg.metric)
     print(f"t_star = {t_star:.6g}")
     print(f"checked_times = {len(certificate.times)}")
     print(f"satisfied_fraction = {certificate.satisfied_fraction:.6g}")

@@ -1,18 +1,21 @@
-"""Empirical covering geometry: cluster covers, Hausdorff semidistance, decay traces.
+"""Empirical covering geometry: the greedy cover measure, Hausdorff
+semidistance and decay traces.
 
-The noncompactness of a finite sample is measured by the smallest achievable
-maximum cluster diameter over covers by ``m`` clusters.  Two methods:
+The noncompactness of a finite sample is measured by the max cluster diameter
+of a cover by ``m`` clusters.  ``alpha_proxy`` is the one measure the
+pipelines use: farthest-point (Gonzalez) seeding followed by nearest-center
+assignment.  Its covering *radius* is within a factor 2 of the optimal
+k-center radius; the reported max diameter carries no such guarantee and is
+simply what the greedy partition achieves.
 
-* ``greedy``  -- farthest-point (Gonzalez) seeding followed by nearest-center
-  assignment.  Its covering *radius* is within a factor 2 of the optimal
-  k-center radius; the reported max diameter carries no such guarantee and is
-  simply what the greedy partition achieves.
-* ``exact``   -- the true minimum max diameter over all partitions into at
-  most ``m`` blocks, found by thresholding the pairwise distances and testing
-  m-colorability of the conflict graph.  Capped at 12 points.
+``exact_min_max_diameter`` (the true minimum max diameter over partitions into
+at most ``m`` blocks, by thresholding the pairwise distances and testing
+m-colorability of the conflict graph) and ``exact_kcenter_radius`` are the
+test oracles the greedy measure is checked against.  Both take a distance
+matrix and are capped at 12 points.
 
-All geometry runs on flat coordinate arrays produced by ``MetricSpec.embed``,
-where the energy metric is Euclidean.
+All geometry runs on (P, 2N) state arrays, embedded by ``MetricSpec.embed``
+into flat coordinates where the energy metric is Euclidean.
 
 ``write_csv`` is the one writer of every output table in the package.
 """
@@ -25,12 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .phase import Ensemble, MetricSpec
+from .phase import MetricSpec
 
 __all__ = [
-    "CoverReport",
     "DecayTrace",
-    "hausdorff_semidist",
     "alpha_proxy",
     "decay_trace",
     "write_csv",
@@ -53,17 +54,6 @@ def write_csv(path, header, rows):
 
 
 @dataclass(frozen=True)
-class CoverReport:
-    """Outcome of covering a point set by ``cluster_count`` clusters."""
-
-    cluster_count: int
-    max_diameter: float
-    assignment: tuple
-    method: str
-    center_indices: tuple | None = None
-
-
-@dataclass(frozen=True)
 class DecayTrace:
     """A sampled nonnegative quantity on a strictly increasing time grid."""
 
@@ -77,6 +67,8 @@ class DecayTrace:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("trace times and values must be finite")
         if t.size and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(v < 0):
@@ -103,11 +95,6 @@ class DecayTrace:
 
 # ---------------------------------------------------------------------------
 # flat-array geometry
-
-
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return cdist(points, points)
 
 
 def semidist_arrays(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,16 +137,18 @@ def greedy_kcenter(points: np.ndarray, m: int):
     to_centers = cdist(points, points[centers])
     assignment = np.argmin(to_centers, axis=1)
     radius = float(np.max(np.min(to_centers, axis=1)))
-    return tuple(centers), tuple(int(i) for i in assignment), radius
+    return tuple(centers), assignment, radius
 
 
-def max_cluster_diameter(dist_matrix: np.ndarray, assignment) -> float:
+def max_cluster_diameter(points: np.ndarray, assignment) -> float:
+    """Largest distance between two rows of ``points`` in one cluster; only
+    the distances inside each cluster are computed."""
     assignment = np.asarray(assignment)
     worst = 0.0
     for c in np.unique(assignment):
-        idx = np.flatnonzero(assignment == c)
-        if idx.size > 1:
-            worst = max(worst, float(np.max(dist_matrix[np.ix_(idx, idx)])))
+        block = points[assignment == c]
+        if block.shape[0] > 1:
+            worst = max(worst, float(np.max(cdist(block, block))))
     return worst
 
 
@@ -242,44 +231,19 @@ def exact_kcenter_radius(dist_matrix: np.ndarray, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ensemble-level operations
+# the cover measure
 
 
-def hausdorff_semidist(a: Ensemble, b: Ensemble, spec: MetricSpec) -> float:
-    """One-sided set proximity: max over a's points of the distance to b."""
-    if a.mode_count != b.mode_count or a.mode_count != spec.mode_count:
-        raise ValueError("ensembles and metric must share one mode count")
-    return semidist_arrays(a.embed(spec), b.embed(spec))
+def alpha_proxy(states, m_clusters: int, spec: MetricSpec) -> float:
+    """Max cluster diameter of the greedy cover of the (P, 2N) ``states`` by
+    ``m_clusters`` clusters; deterministic."""
+    points = spec.embed(states)
+    _centers, assignment, _radius = greedy_kcenter(points, m_clusters)
+    return max_cluster_diameter(points, assignment)
 
 
-def alpha_proxy(
-    e: Ensemble, m_clusters: int, spec: MetricSpec, method: str = "greedy"
-) -> CoverReport:
-    """Min-max cluster diameter of a cover by ``m_clusters`` clusters.
-
-    ``greedy`` is deterministic and cheap; ``exact`` solves the partition
-    problem optimally and refuses more than 12 points.
-    """
-    if m_clusters < 1:
-        raise ValueError("m_clusters must be >= 1")
-    points = e.embed(spec)
-    if method == "greedy":
-        centers, assignment, _radius = greedy_kcenter(points, m_clusters)
-        diam = max_cluster_diameter(pairwise_distances(points), assignment)
-        return CoverReport(m_clusters, diam, assignment, "greedy", centers)
-    if method == "exact":
-        diam, assignment = exact_min_max_diameter(pairwise_distances(points), m_clusters)
-        return CoverReport(m_clusters, diam, assignment, "exact", None)
-    raise ValueError(f"unknown cover method {method!r}")
-
-
-def decay_trace(snapshots, m_clusters: int, spec: MetricSpec) -> DecayTrace:
-    """Greedy alpha_proxy along a sequence of (time, Ensemble) snapshots."""
-    times = [float(t) for t, _ in snapshots]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly increasing")
-    values = [
-        alpha_proxy(ens, m_clusters, spec, method="greedy").max_diameter
-        for _, ens in snapshots
-    ]
-    return DecayTrace(np.array(times), np.array(values), "alpha_proxy", m_clusters)
+def decay_trace(times, states, m_clusters: int, spec: MetricSpec) -> DecayTrace:
+    """``alpha_proxy`` of each (P, 2N) block ``states[k]``, taken at the
+    strictly increasing ``times[k]``."""
+    values = [alpha_proxy(block, m_clusters, spec) for block in states]
+    return DecayTrace(times, values, "alpha_proxy", m_clusters)

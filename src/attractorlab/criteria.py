@@ -4,9 +4,10 @@ quasi-stability contraction.
 
 The checks take a sample of the absorbing ball already evolved by the caller,
 as a (T, P, 2N) array of its rows on a time grid, measure the relevant
-quantity at each time, and compare against a decay law.  Only
-``quasistability_estimate`` calls the engine: it steps its sample period by
-period.  The checks report satisfied fractions rather than booleans; finite
+quantity at each time, and compare against a decay law.  Every sample and
+candidate set is a (P, 2N) state array; the cluster measure is the greedy
+``covering.alpha_proxy``.  Only ``quasistability_estimate`` calls the engine:
+it steps its sample period by period.  The checks report satisfied fractions rather than booleans; finite
 samples cannot certify the underlying hypotheses, only fail to falsify them.
 """
 
@@ -21,7 +22,7 @@ from scipy.spatial.distance import cdist
 from .covering import DecayTrace, alpha_proxy, semidist_arrays, write_csv
 from .decay import DecayLaw
 from .dynamics import states_norms
-from .phase import Ensemble, MetricSpec
+from .phase import MetricSpec
 
 __all__ = [
     "RateFit",
@@ -59,15 +60,6 @@ class RateFit:
     r_squared: float
     window: tuple
     floor_used: float
-
-    def as_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "floor": self.floor_used,
-        }
 
 
 def fit_exponential_rate(trace: DecayTrace, floor: float) -> RateFit:
@@ -127,13 +119,6 @@ class RateBounds:
     rate_contraction: float
     period: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rate_energy": self.rate_energy,
-            "rate_contraction": self.rate_contraction,
-            "period": self.period,
-        }
-
 
 def predicted_rate_bounds(cfg, spec: MetricSpec) -> RateBounds:
     damping = float(cfg.l)
@@ -181,21 +166,22 @@ class HausdorffCriterionReport:
 
 
 def check_hausdorff_criterion(
-    candidate: Ensemble, evolved, t_grid, law: DecayLaw, spec: MetricSpec
+    candidate, evolved, t_grid, law: DecayLaw, spec: MetricSpec
 ) -> HausdorffCriterionReport:
     """Measure dist(S(t) absorbed, candidate) against law.eval(t), where
-    ``evolved[k]`` is the absorbed sample at ``t_grid[k]``; when the
-    candidate attracts at that speed, covers by its points force the cluster
-    measure of the evolved sample below twice the law."""
+    ``evolved[k]`` is the absorbed sample at ``t_grid[k]`` and ``candidate``
+    a (Q, 2N) state array; when the candidate attracts at that speed, covers
+    by its points force the cluster measure of the evolved sample below twice
+    the law."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be nonempty and strictly increasing")
     m_clusters = len(candidate)
-    cand = candidate.embed(spec)
+    cand = spec.embed(candidate)
     semidists, alphas = [], []
     for block in evolved:
         semidists.append(semidist_arrays(spec.embed(block), cand))
-        alphas.append(alpha_proxy(Ensemble.from_matrix(block), m_clusters, spec).max_diameter)
+        alphas.append(alpha_proxy(block, m_clusters, spec))
     semidists = np.array(semidists)
     alphas = np.array(alphas)
     bounds = np.array([law.eval(t) for t in t_grid])
@@ -294,7 +280,7 @@ def contractive_inequality_check(
         pair_res = residual_matrix[pair_index[:, 0], pair_index[:, 1]]
         res_max.append(float(pair_res.max()))
         res_mean.append(float(pair_res.mean()))
-        alphas.append(alpha_proxy(Ensemble.from_matrix(evolved[k]), m_clusters, spec).max_diameter)
+        alphas.append(alpha_proxy(evolved[k], m_clusters, spec))
         bounds3.append(3.0 * phi)
         if residual_matrix.shape[0] >= 2:
             diags.append(repeated_liminf_diag(residual_matrix))
@@ -348,7 +334,7 @@ class QuasiStabilityReport:
 
 
 def quasistability_estimate(
-    absorbed: Ensemble,
+    absorbed,
     period: float,
     n_periods: int,
     low_mode_threshold: int,
@@ -358,8 +344,8 @@ def quasistability_estimate(
     m_clusters: int = 3,
     trajectory_samples: int = 32,
 ) -> QuasiStabilityReport:
-    """Estimate the one-period contraction factor and track the cluster
-    measure across ``n_periods`` periods.
+    """Estimate the one-period contraction factor of the (P, 2N) sample
+    ``absorbed`` and track its cluster measure across ``n_periods`` periods.
 
     Pseudometrics conditioning the contraction ratios: (i) the plain L2
     distance of the low-mode position coefficients at time 0, and (ii) the sup
@@ -374,7 +360,7 @@ def quasistability_estimate(
     n = spec.mode_count
     if not (0 < low_mode_threshold <= n):
         raise ValueError("low_mode_threshold must be in 1..mode_count")
-    states = absorbed.as_matrix()
+    states = np.asarray(absorbed, dtype=float)
     count = states.shape[0]
 
     times = cfg.sample_grid(period, trajectory_samples)
@@ -403,13 +389,13 @@ def quasistability_estimate(
     ratios = d_end[iu][conditioned] / d0[iu][conditioned]
     eta_hat = float(np.percentile(ratios, 95))
 
-    base_alpha = alpha_proxy(absorbed, m_clusters, spec).max_diameter
+    base_alpha = alpha_proxy(states, m_clusters, spec)
     per_period = []
     y = traj[-1]  # the sample one period on
     for n in range(int(n_periods)):
         if n:  # period by period: one sample at n * period differs in the last bits
             y = cfg.sample(y, [period])[0]
-        alpha_n = alpha_proxy(Ensemble.from_matrix(y), m_clusters, spec).max_diameter
+        alpha_n = alpha_proxy(y, m_clusters, spec)
         per_period.append(alpha_n / base_alpha if base_alpha > 0 else 0.0)
 
     return QuasiStabilityReport(

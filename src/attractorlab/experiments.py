@@ -67,6 +67,7 @@ __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "sample_phase_ball",
+    "draw_samples",
     "run_experiment",
     "load_experiment_config",
 ]
@@ -159,7 +160,7 @@ class RunManifest:
 # sampling and serialization helpers
 
 
-def sample_phase_ball(rng, count: int, radius: float, spec: MetricSpec, label: str = "") -> Ensemble:
+def sample_phase_ball(rng, count: int, radius: float, spec: MetricSpec) -> Ensemble:
     """Uniform sample of the energy-metric ball; see the module docstring for
     the exact (fixed) algorithm."""
     dim = 2 * spec.mode_count
@@ -170,7 +171,18 @@ def sample_phase_ball(rng, count: int, radius: float, spec: MetricSpec, label: s
     n = spec.mode_count
     positions = emb[:, :n] / np.sqrt(spec.mode_eigenvalues)
     rows = np.concatenate([positions, emb[:, n:]], axis=1)
-    return Ensemble.from_matrix(rows, label=label)
+    return Ensemble.from_matrix(rows)
+
+
+def draw_samples(cfg: ExperimentConfig) -> tuple:
+    """The run's seeded draws as (P, 2N) state arrays: the probe sample of
+    ``ensemble_count`` points, then the held-out fresh one of ``fresh_count``.
+    Every pipeline draws both in this order, so ``verify`` replays the fresh
+    sample of any run."""
+    rng, spec = np.random.default_rng(cfg.seed), cfg.metric
+    probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec)
+    fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec)
+    return probe.states, fresh.states
 
 
 def system_to_dict(system) -> dict:
@@ -290,15 +302,13 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     if not isinstance(system, LinearModalConfig):
         raise ValueError("oracle_decay runs on the linear modal system")
-    rng = np.random.default_rng(cfg.seed)
-    probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    rows = system.sample(probe.as_matrix(), cfg.t_grid)
-    snapshots = list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows)))
+    probe, _fresh = draw_samples(cfg)
+    rows = system.sample(probe, cfg.t_grid)
 
     semidist = DecayTrace(
-        cfg.t_grid, np.array([ensemble_radius(ens, spec) for _, ens in snapshots]), "semidist"
+        cfg.t_grid, np.array([ensemble_radius(block, spec) for block in rows]), "semidist"
     )
-    alpha = decay_trace(snapshots, cfg.m_clusters, spec)
+    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
     semidist.to_csv(out("trace_semidist.csv"))
     alpha.to_csv(out("trace_alpha.csv"))
 
@@ -321,9 +331,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     if not isinstance(system, WaveSystemConfig):
         raise ValueError("wave_attractor runs on the wave system")
-    rng = np.random.default_rng(cfg.seed)
-    probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
-    fresh = sample_phase_ball(rng, cfg.fresh_count, cfg.ensemble_radius, spec, "fresh")
+    probe, fresh = draw_samples(cfg)
 
     # one probe pass samples the entering grid and every orbit-cadence time up
     # to the first at or past its end, where absorb_time can fall; rows are
@@ -338,8 +346,8 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap / system.dt
     ))
     probe_steps = np.union1d(enter_steps, snap_steps)
-    snap_rows = np.empty((snap_steps.size,) + probe.states.shape)
-    probe_rows = system.sample(probe.states, probe_steps * system.dt)
+    snap_rows = np.empty((snap_steps.size,) + probe.shape)
+    probe_rows = system.sample(probe, probe_steps * system.dt)
     probe_norms = states_norms(probe_rows, system.eigenvalues)[
         np.searchsorted(probe_steps, enter_steps)
     ]
@@ -359,8 +367,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         [0.0], cfg.t_grid, births, [2.0 * cfg.t_orbit],
     )
     del snap_rows
-    alpha = decay_trace(list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows))),
-                        cfg.m_clusters, spec)
+    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
     bounds = predicted_rate_bounds(system, spec) if system.l > 0 else None
     degenerate = int(np.sum(alpha.values > cfg.fit_floor)) < 4
@@ -383,7 +390,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     # the check times start after t_star: the fresh pass samples every
     # orbit-cadence time as well, and rows are picked by step index
     steps = np.union1d(enter_steps, np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, snap) / system.dt))
-    fresh_rows = system.sample(fresh.as_matrix(), steps * system.dt)
+    fresh_rows = system.sample(fresh, steps * system.dt)
     enter_norms = states_norms(fresh_rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
     t_star = max(_settle_times(enter_grid, enter_norms, radius))
     t_grid_verify = verification_grid(aset, t_star)
@@ -484,20 +491,18 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     return headline, rows
 
 
-def _absorbed_probe(cfg: ExperimentConfig, spec: MetricSpec) -> Ensemble:
+def _absorbed_probe(cfg: ExperimentConfig) -> np.ndarray:
     """The seeded probe sample, evolved over burn_in + window on the wave
     engine; the linear oracle's sample is used as drawn."""
-    rng = np.random.default_rng(cfg.seed)
-    probe = sample_phase_ball(rng, cfg.ensemble_count, cfg.ensemble_radius, spec, "probe")
+    probe, _fresh = draw_samples(cfg)
     if not isinstance(cfg.system, WaveSystemConfig):
         return probe
-    states = cfg.system.sample(probe.as_matrix(), [cfg.burn_in + cfg.window])[0]
-    return Ensemble.from_matrix(states, label="absorbed")
+    return cfg.system.sample(probe, [cfg.burn_in + cfg.window])[0]
 
 
 def _pipeline_quasistability(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    absorbed = _absorbed_probe(cfg, spec)
+    absorbed = _absorbed_probe(cfg)
     if cfg.quasi_period:
         period = cfg.quasi_period
     elif system.l > 0:
@@ -538,21 +543,16 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
 
 def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    absorbed = _absorbed_probe(cfg, spec)
-    rows, (candidate,) = _sample_union(
-        system, absorbed.as_matrix(), cfg.t_grid, [2.0 * cfg.t_orbit]
-    )
+    absorbed = _absorbed_probe(cfg)
+    rows, (candidate,) = _sample_union(system, absorbed, cfg.t_grid, [2.0 * cfg.t_orbit])
 
-    alpha = decay_trace(list(zip(cfg.t_grid, map(Ensemble.from_matrix, rows))),
-                        cfg.m_clusters, spec)
+    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
     law = fit_envelope_law(alpha, cfg.fit_floor)
 
     later = cfg.t_grid > 0
     grid = cfg.t_grid[later]
-    hausdorff = check_hausdorff_criterion(
-        Ensemble.from_matrix(candidate, label="candidate"), rows[later], grid, law, spec
-    )
+    hausdorff = check_hausdorff_criterion(candidate, rows[later], grid, law, spec)
     hausdorff.to_csv(out("hausdorff_criterion.csv"))
 
     tail = tail_projection_decay(rows, cfg.low_mode_threshold, cfg.t_grid, spec)
@@ -597,21 +597,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         return os.path.join(cfg.output_dir, name)
 
     start = time.perf_counter()
+    headline, table, failure = {}, [], None
     try:
         headline, table = _PIPELINES[cfg.kind](cfg, out)
     except Exception as exc:
-        manifest = RunManifest(
-            kind=cfg.kind,
-            config=config_to_dict(cfg),
-            version=__version__,
-            duration_s=time.perf_counter() - start,
-            files=_inventory(cfg.output_dir),
-            headline={},
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        manifest.save(out("manifest.json"))
-        raise
+        failure = exc
     manifest = RunManifest(
         kind=cfg.kind,
         config=config_to_dict(cfg),
@@ -619,9 +609,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         duration_s=time.perf_counter() - start,
         files=_inventory(cfg.output_dir),
         headline=headline,
+        status="ok" if failure is None else "failed",
+        error="" if failure is None else f"{type(failure).__name__}: {failure}",
         table=table,
     )
     manifest.save(out("manifest.json"))
+    if failure is not None:
+        raise failure
     return manifest
 
 

@@ -10,11 +10,11 @@ which is plain Euclidean distance after rescaling positions by sqrt(lam_j);
 ``MetricSpec.embed`` performs that rescaling so downstream geometry
 (clustering, Hausdorff semidistances) can run on flat arrays.
 
-States are stored as flat arrays [positions, velocities] of length 2N.  An
-``Ensemble`` is a thin wrapper over one validated (P, 2N) float array, one row
-per state, so the engines and the geometry work on it without conversion.
-Every state is a row of such an array; ``phase_distance`` takes two (2N,)
-rows and is the reference that ``MetricSpec.embed`` is checked against.
+States are stored as flat arrays [positions, velocities] of length 2N, and a
+sample of P states as one (P, 2N) array, one row per state; the engines and
+the geometry take such arrays.  ``Ensemble`` validates one such array, as
+drawn by ``experiments.sample_phase_ball``.  ``phase_distance`` takes two
+(2N,) rows and is the reference that ``MetricSpec.embed`` is checked against.
 """
 
 from __future__ import annotations
@@ -84,14 +84,13 @@ class MetricSpec:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite labeled collection of states standing in for a bounded set.
+    """Finite collection of states standing in for a bounded set.
 
     ``states`` is a read-only (P, 2N) array, one row [positions, velocities]
     per state; it must be nonempty, of even width and finite.
     """
 
     states: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         y = np.array(self.states, dtype=float)
@@ -106,24 +105,13 @@ class Ensemble:
         y.setflags(write=False)
         object.__setattr__(self, "states", y)
 
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def mode_count(self) -> int:
-        return self.states.shape[1] // 2
-
     def as_matrix(self) -> np.ndarray:
         """(P, 2N) raw coefficients, one row [positions, velocities] per point."""
         return self.states
 
-    def embed(self, spec: MetricSpec) -> np.ndarray:
-        """(P, 2N) flat coordinates in which phase_distance is Euclidean."""
-        return spec.embed(self.states)
-
     @classmethod
-    def from_matrix(cls, rows, label: str = "") -> "Ensemble":
-        return cls(rows, label=label)
+    def from_matrix(cls, rows) -> "Ensemble":
+        return cls(rows)
 
 
 def phase_distance(a, b, spec: MetricSpec) -> float:
@@ -141,6 +129,7 @@ def phase_distance(a, b, spec: MetricSpec) -> float:
     return float(np.sqrt(np.dot(spec.mode_eigenvalues * da, da) + np.dot(db, db)))
 
 
-def ensemble_radius(e: Ensemble, spec: MetricSpec) -> float:
-    """Largest energy norm over the ensemble (bounding radius around the origin)."""
-    return float(np.max(np.linalg.norm(e.embed(spec), axis=1)))
+def ensemble_radius(states, spec: MetricSpec) -> float:
+    """Largest energy norm over the (P, 2N) ``states`` (bounding radius
+    around the origin)."""
+    return float(np.max(np.linalg.norm(spec.embed(states), axis=1)))

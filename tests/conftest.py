@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from attractorlab.attracting import build_attracting_set
-from attractorlab.phase import Ensemble
 
 
 @pytest.fixture
@@ -19,24 +18,22 @@ def random_point(rng, spec, scale=1.0) -> np.ndarray:
     return np.concatenate([positions, scale * rng.standard_normal(n)])
 
 
-def random_ensemble(rng, spec, count, scale=1.0, label="test") -> Ensemble:
-    return Ensemble(
-        np.stack([random_point(rng, spec, scale) for _ in range(count)]), label=label
-    )
+def random_states(rng, spec, count, scale=1.0) -> np.ndarray:
+    """A (count, 2N) array of ``random_point`` rows."""
+    return np.stack([random_point(rng, spec, scale) for _ in range(count)])
 
 
-def velocity_line_ensemble(values, n_modes=1) -> Ensemble:
+def velocity_line_states(values, n_modes=1) -> np.ndarray:
     """Scalar values embedded as mode-1 velocities: pairwise phase distances
     equal the scalar differences."""
     states = np.zeros((len(values), 2 * n_modes))
     states[:, n_modes] = values
-    return Ensemble(states, label="line")
+    return states
 
 
-def attracting_set(absorbed, m_range, law, t_orbit, orbit_sample_every, cfg, spec):
-    """``build_attracting_set`` on an absorbed ensemble, integrated once as the
-    pipeline does: its image at each birth time and at 2 * t_orbit."""
-    states = absorbed.as_matrix()
+def attracting_set(states, m_range, law, t_orbit, orbit_sample_every, cfg, spec):
+    """``build_attracting_set`` on the absorbed (P, 2N) states, integrated
+    once as the pipeline does: their image at each birth time and at 2 * t_orbit."""
     births = np.arange(m_range[0], m_range[1] + 1, dtype=float)
     samples = cfg.sample(states, [*births, 2.0 * t_orbit])
     return build_attracting_set(

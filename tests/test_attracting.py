@@ -3,11 +3,9 @@ import pytest
 
 from attractorlab.attracting import (
     AttractingSetApprox,
-    ContinuityBudgetError,
     DegenerateRadiusError,
     build_net,
     load_attracting_set,
-    perturbed_net,
     save_attracting_set,
     verify_attraction,
 )
@@ -19,27 +17,19 @@ from attractorlab.dynamics import (
     modal_evolve_states,
     modal_propagator,
 )
-from attractorlab.phase import Ensemble, MetricSpec, ensemble_radius
+from attractorlab.phase import MetricSpec, ensemble_radius
 
-from conftest import attracting_set, random_ensemble
+from conftest import attracting_set, random_states
 
 
-def net(absorbed, m, law, spec, cfg):
-    """``build_net`` on the absorbed ensemble and its integrated time-m image."""
-    states = absorbed.as_matrix()
+def net(states, m, law, spec, cfg):
+    """``build_net`` on the absorbed states and their integrated time-m image."""
     return build_net(states, cfg.sample(states, [float(m)])[0], m, law, spec)
 
 
-def quantized_net(absorbed, m, law, eps, rounder, cfg, spec):
-    """``perturbed_net`` on the absorbed ensemble and its integrated time-m image."""
-    states = absorbed.as_matrix()
-    evolved = cfg.sample(states, [float(m)])[0]
-    return perturbed_net(states, evolved, m, law, eps=eps, rounder=rounder, cfg=cfg, spec=spec)
-
-
 def certify(aset, fresh, t_star, t_grid, cfg, spec):
-    """``verify_attraction`` on the fresh ensemble integrated over ``t_grid``."""
-    return verify_attraction(aset, cfg.sample(fresh.as_matrix(), t_grid), t_star, t_grid, spec)
+    """``verify_attraction`` on the fresh states integrated over ``t_grid``."""
+    return verify_attraction(aset, cfg.sample(fresh, t_grid), t_star, t_grid, spec)
 
 
 def modal_preimage(cfg, targets, t):
@@ -75,14 +65,14 @@ class TestBuildNet:
     def test_collapsed_ensemble_single_entry(self, modal_setup):
         spec, cfg = modal_setup
         p = np.array([0.1, 0.2, 0.0, -0.1])
-        absorbed = Ensemble(np.stack([p] * 3))
+        absorbed = np.stack([p] * 3)
         seeds, evolved = net(absorbed, 1, DecayLaw("exponential", 1.0, 0.1), spec, cfg)
         assert len(seeds) == len(evolved) == 1
         assert np.array_equal(seeds[0], p)
 
     def test_large_radius_single_entry(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 8)
+        absorbed = random_states(rng, spec, 8)
         law = DecayLaw("exponential", 1e3, 0.01)
         seeds, _evolved = net(absorbed, 2, law, spec, cfg)
         assert len(seeds) == 1
@@ -93,9 +83,8 @@ class TestBuildNet:
         targets = np.zeros((10, 4))
         targets[:, 2] = np.arange(10.0)  # mode-1 velocities 0..9, spacing 1
         seeds = modal_preimage(cfg, targets, float(m))
-        absorbed = Ensemble.from_matrix(seeds)
         law = DecayLaw("exponential", np.exp(0.5 * m), 0.5)  # law.eval(m) == 1
-        _seeds, evolved = net(absorbed, m, law, spec, cfg)
+        _seeds, evolved = net(seeds, m, law, spec, cfg)
         evolved_line = evolved[:, 2]
         optimal = min_interval_cover_count(targets[:, 2], 1.0)
         assert optimal <= len(evolved) <= 2 * optimal
@@ -107,66 +96,27 @@ class TestBuildNet:
 
     def test_degenerate_radius_rejected(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 3)
+        absorbed = random_states(rng, spec, 3)
         law = DecayLaw("exponential", 1e-12, 1.0)
         with pytest.raises(DegenerateRadiusError):
             net(absorbed, 1, law, spec, cfg)
 
     def test_net_covers_evolved_sample(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 12)
+        absorbed = random_states(rng, spec, 12)
         law = DecayLaw("exponential", 0.5, 0.3)
         m = 2
         _seeds, centers = net(absorbed, m, law, spec, cfg)
-        evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
+        evolved = cfg.sample(absorbed, [float(m)])[0]
         emb = spec.embed(evolved)
         emb_c = spec.embed(centers)
         assert semidist_arrays(emb, emb_c) <= law.eval(m) + 1e-12
 
 
-class TestPerturbedNet:
-    def test_zero_rounder_identical_to_build_net(self, rng, modal_setup):
-        spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 6)
-        law = DecayLaw("exponential", 1.0, 0.4)
-        plain_seeds, _ = net(absorbed, 1, law, spec, cfg)
-        quant_seeds, _ = quantized_net(absorbed, 1, law, 0.1, 0.0, cfg, spec)
-        assert len(plain_seeds) == len(quant_seeds)
-        for a, b in zip(plain_seeds, quant_seeds):
-            assert np.array_equal(a, b)
-
-    def test_huge_eps_accepts_coarse_grid(self, rng, modal_setup):
-        spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 6)
-        law = DecayLaw("exponential", 1.0, 0.4)
-        seeds, _ = quantized_net(absorbed, 1, law, 1e6, 0.5, cfg, spec)
-        for seed in seeds:
-            snapped = np.round(seed / 0.5) * 0.5
-            assert np.array_equal(seed, snapped)
-
-    def test_certified_cover_radius(self, rng, modal_setup):
-        spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 10)
-        law = DecayLaw("exponential", 1.0, 0.4)
-        m, eps = 1, 0.1
-        _seeds, centers = quantized_net(absorbed, m, law, eps, 0.25, cfg, spec)
-        evolved = cfg.sample(absorbed.as_matrix(), [float(m)])[0]
-        emb = spec.embed(evolved)
-        emb_c = spec.embed(centers)
-        assert semidist_arrays(emb, emb_c) <= (1 + eps) * law.eval(m) + 1e-12
-
-    def test_budget_error_when_eps_unreachable(self, rng, modal_setup):
-        spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 4)
-        law = DecayLaw("exponential", 1.0, 0.4)
-        with pytest.raises(ContinuityBudgetError):
-            quantized_net(absorbed, 1, law, 1e-30, 0.25, cfg, spec)
-
-
 class TestBuildAttractingSet:
     def test_linear_oracle_proxy_near_origin(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 6, scale=1.5)
+        absorbed = random_states(rng, spec, 6, scale=1.5)
         law = DecayLaw("exponential", 4.0, 0.5)
         aset = attracting_set(absorbed, (1, 2), law, 12.0, 0.5, cfg, spec)
         assert ensemble_radius(aset.attractor_proxy, spec) < 1e-6
@@ -177,14 +127,14 @@ class TestBuildAttractingSet:
 
     def test_m_range_single(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 5)
+        absorbed = random_states(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = attracting_set(absorbed, (1, 1), law, 4.0, 0.5, cfg, spec)
         assert np.all(aset.birth_times == 1)
 
     def test_orbit_replay_modal(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 4)
+        absorbed = random_states(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
         taus = aset.orbit_times
@@ -198,7 +148,7 @@ class TestBuildAttractingSet:
         cfg = WaveSystemConfig(
             mode_count=4, k=1.0, p=2.0, l=1.0, f_coeffs=(0.0, -1.0, 0.0, 1.0), dt=0.125
         )
-        absorbed = random_ensemble(rng, spec, 4)
+        absorbed = random_states(rng, spec, 4)
         law = DecayLaw("exponential", 5.0, 0.3)
         aset = attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec)
         taus, chain = aset.orbit_times, aset.orbit_states[0]
@@ -208,7 +158,7 @@ class TestBuildAttractingSet:
 
     def test_first_orbit_sample_is_net_point(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 5)
+        absorbed = random_states(rng, spec, 5)
         law = DecayLaw("exponential", 1.0, 0.5)
         aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         assert aset.orbit_times[0] == 0.0
@@ -217,7 +167,7 @@ class TestBuildAttractingSet:
 
     def test_horizon_must_reach_m_max(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 3)
+        absorbed = random_states(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
         with pytest.raises(ValueError):
             attracting_set(absorbed, (1, 5), law, 3.0, 0.5, cfg, spec)
@@ -229,7 +179,7 @@ class TestVerifyAttraction:
 
     def test_building_ensemble_covered_at_birth_time(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 8)
+        absorbed = random_states(rng, spec, 8)
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
         m = 2
@@ -238,19 +188,19 @@ class TestVerifyAttraction:
 
     def test_linear_oracle_fitted_law_fully_satisfied(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 10, scale=1.5)
+        absorbed = random_states(rng, spec, 10, scale=1.5)
         # energy-multiplier envelope: |S(t)x| <= sqrt(3) |x| exp(-t/2) for l = 2
         radius = ensemble_radius(absorbed, spec)
         law = DecayLaw("exponential", 2.0 * np.sqrt(3.0) * radius, 0.5)
         aset = self._build(rng, spec, cfg, law, absorbed)
-        fresh = random_ensemble(rng, spec, 6, scale=1.5, label="fresh")
+        fresh = random_states(rng, spec, 6, scale=1.5)
         t_grid = np.arange(2.0, 10.25, 0.25)
         cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
         assert cert.satisfied_fraction == 1.0
 
     def test_contained_fresh_measures_zero(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 5)
+        absorbed = random_states(rng, spec, 5)
         # tiny radius forces every evolved point into the net
         law = DecayLaw("exponential", 1e-9, 1e-6)
         aset = self._build(rng, spec, cfg, law, absorbed)
@@ -260,7 +210,7 @@ class TestVerifyAttraction:
 
     def test_window_validation(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 4)
+        absorbed = random_states(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
         with pytest.raises(ValueError, match="coverage"):
@@ -270,9 +220,9 @@ class TestVerifyAttraction:
 
     def test_monotone_refinement(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 8)
+        absorbed = random_states(rng, spec, 8)
         law = DecayLaw("exponential", 1.0, 0.3)
-        fresh = random_ensemble(rng, spec, 5, label="fresh")
+        fresh = random_states(rng, spec, 5)
         t_grid = np.arange(4.0, 8.25, 0.5)
         small = attracting_set(absorbed, (1, 2), law, 10.0, 0.25, cfg, spec)
         big = attracting_set(absorbed, (1, 4), law, 10.0, 0.25, cfg, spec)
@@ -282,12 +232,12 @@ class TestVerifyAttraction:
 
     def test_certificate_slope_matches_rate(self, rng, modal_setup):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 10, scale=1.5)
+        absorbed = random_states(rng, spec, 10, scale=1.5)
         radius = ensemble_radius(absorbed, spec)
         beta = 0.5
         law = DecayLaw("exponential", 2.0 * np.sqrt(3.0) * radius, beta)
         aset = self._build(rng, spec, cfg, law, absorbed)
-        fresh = random_ensemble(rng, spec, 6, scale=1.5, label="fresh")
+        fresh = random_states(rng, spec, 6, scale=1.5)
         t_grid = np.arange(2.0, 10.25, 0.25)
         cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
         mask = cert.measured_semidist > 1e-8
@@ -300,7 +250,7 @@ class TestVerifyAttraction:
 class TestPersistence:
     def test_round_trip(self, rng, modal_setup, tmp_path):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 5)
+        absorbed = random_states(rng, spec, 5)
         law = DecayLaw("exponential", 1.2, 0.35)
         aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path / "aset", extra={"absorbing_radius": 2.0})
@@ -318,7 +268,7 @@ class TestPersistence:
 
     def test_load_rejects_ragged_orbits(self, rng, modal_setup, tmp_path):
         spec, cfg = modal_setup
-        absorbed = random_ensemble(rng, spec, 5)
+        absorbed = random_states(rng, spec, 5)
         law = DecayLaw("exponential", 1.2, 0.35)
         aset = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path / "aset")

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import json
 import os
+import shutil
 
 import pytest
 import yaml
@@ -73,6 +75,44 @@ def test_fit_exits_0_on_the_alpha_trace(finished_run):
     code, out, err = run_cli("fit", out_dir / "trace_alpha.csv")
     assert code == EXIT_OK, err
     assert float(printed(out)["rate"]) > 0.0
+
+
+# (field named in the error, edit of the attractor manifest) per malformed case
+MALFORMED_MANIFESTS = [
+    ("law", lambda m: {**m, "law": {**m["law"], "bogus": 1.0}}),
+    ("law", lambda m: {**m, "law": 5}),
+    ("law.amplitude", lambda m: {**m, "law": {**m["law"], "amplitude": "large"}}),
+    ("m_range", lambda m: {**m, "m_range": 5}),
+    ("t_star", lambda m: {**m, "t_star": "soon"}),
+    ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": 0.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "field,edit", MALFORMED_MANIFESTS,
+    ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
+         "zero_orbit_cadence"],
+)
+def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
+    config, out_dir, _out = finished_run
+    attractor = tmp_path / "attractor"
+    shutil.copytree(out_dir / "attractor", attractor)
+    manifest = attractor / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    code, _out, err = run_cli("verify", attractor, config)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_fit_nonfinite_trace_value_exits_1(tmp_path, bad):
+    values = ["1.0", "0.5", bad, "0.125", "0.0625"]
+    rows = [f"{t},{v},semidist,0" for t, v in enumerate(values)]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(["t,value,quantity,m_clusters", *rows]) + "\n")
+    code, out, err = run_cli("fit", trace)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: trace times and values must be finite\n"
 
 
 def test_sweep_exits_0_for_each_value(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from attractorlab.covering import (
     DecayTrace,
@@ -10,14 +11,12 @@ from attractorlab.covering import (
     exact_kcenter_radius,
     exact_min_max_diameter,
     greedy_kcenter,
-    hausdorff_semidist,
     max_cluster_diameter,
-    pairwise_distances,
     semidist_arrays,
 )
-from attractorlab.phase import Ensemble, MetricSpec
+from attractorlab.phase import MetricSpec
 
-from conftest import random_ensemble, velocity_line_ensemble
+from conftest import random_states, velocity_line_states
 
 
 def all_partitions(items):
@@ -45,41 +44,56 @@ def brute_force_min_max_diameter(dist, m):
     return best
 
 
-class TestHausdorffSemidist:
+def exact_alpha(states, m, spec):
+    """The exact cover measure of (P, 2N) states: the oracle for alpha_proxy."""
+    points = spec.embed(states)
+    return exact_min_max_diameter(cdist(points, points), m)[0]
+
+
+def full_matrix_max_cluster_diameter(dist_matrix, assignment):
+    """The max cluster diameter read from the full distance matrix: the
+    reference the per-cluster computation must reproduce bit for bit."""
+    assignment = np.asarray(assignment)
+    worst = 0.0
+    for c in np.unique(assignment):
+        idx = np.flatnonzero(assignment == c)
+        if idx.size > 1:
+            worst = max(worst, float(np.max(dist_matrix[np.ix_(idx, idx)])))
+    return worst
+
+
+class TestSemidist:
     def test_identity(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
-        e = random_ensemble(rng, spec, 4)
-        assert hausdorff_semidist(e, e, spec) == 0.0
+        points = spec.embed(random_states(rng, spec, 4))
+        assert semidist_arrays(points, points) == 0.0
 
     def test_farthest_point(self):
-        spec = MetricSpec.dirichlet_1d(1)
+        # one mode with eigenvalue 1: the embedding is the identity
         origin = np.zeros(2)
         far = np.array([0.0, 2.0])
-        a = Ensemble(np.stack([far, origin]))
-        b = Ensemble(origin[None, :])
-        assert hausdorff_semidist(a, b, spec) == 2.0
-        assert hausdorff_semidist(b, a, spec) == 0.0
+        a = np.stack([far, origin])
+        b = origin[None, :]
+        assert semidist_arrays(a, b) == 2.0
+        assert semidist_arrays(b, a) == 0.0
 
     def test_matches_double_loop(self, rng):
         spec = MetricSpec.dirichlet_1d(5)
-        a = random_ensemble(rng, spec, 6)
-        b = random_ensemble(rng, spec, 4)
-        ea, eb = a.embed(spec), b.embed(spec)
+        ea = spec.embed(random_states(rng, spec, 6))
+        eb = spec.embed(random_states(rng, spec, 4))
         brute = max(
-            min(np.linalg.norm(ea[i] - eb[j]) for j in range(len(b)))
-            for i in range(len(a))
+            min(np.linalg.norm(ea[i] - eb[j]) for j in range(len(eb)))
+            for i in range(len(ea))
         )
-        assert hausdorff_semidist(a, b, spec) == pytest.approx(brute, rel=1e-14)
+        assert semidist_arrays(ea, eb) == pytest.approx(brute, rel=1e-14)
 
     def test_directed_triangle_inequality(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
         for _ in range(30):
-            a = random_ensemble(rng, spec, 5)
-            b = random_ensemble(rng, spec, 4)
-            c = random_ensemble(rng, spec, 6)
-            d_ac = hausdorff_semidist(a, c, spec)
-            d_ab = hausdorff_semidist(a, b, spec)
-            d_bc = hausdorff_semidist(b, c, spec)
+            a, b, c = (spec.embed(random_states(rng, spec, k)) for k in (5, 4, 6))
+            d_ac = semidist_arrays(a, c)
+            d_ab = semidist_arrays(a, b)
+            d_bc = semidist_arrays(b, c)
             assert d_ac <= (d_ab + d_bc) * (1 + 1e-12)
 
     def test_empty_rejected(self):
@@ -87,94 +101,123 @@ class TestHausdorffSemidist:
             semidist_arrays(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
-class TestAlphaProxy:
-    def test_enough_clusters_gives_zero(self, rng):
+class TestMaxClusterDiameter:
+    def test_per_cluster_matches_full_matrix_bit_for_bit(self, rng):
+        spec = MetricSpec.dirichlet_1d(4)
+        for count in (1, 2, 5, 17, 60):
+            states = random_states(rng, spec, count)
+            # duplicate points, so some clusters hold repeated rows
+            states = np.vstack([states, states[: count // 2]])
+            points = spec.embed(states)
+            dist = cdist(points, points)
+            assignments = [
+                greedy_kcenter(points, m)[1] for m in (1, 3, len(points))
+            ] + [
+                # random labels: a spread of cluster sizes, singletons included
+                rng.integers(0, max(1, len(points) // 2), len(points)),
+                np.arange(len(points)),
+            ]
+            for assignment in assignments:
+                assert max_cluster_diameter(points, assignment) == (
+                    full_matrix_max_cluster_diameter(dist, assignment)
+                )
+
+    def test_alpha_proxy_is_the_greedy_cover_diameter(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
-        e = random_ensemble(rng, spec, 5)
-        for method in ("greedy", "exact"):
-            assert alpha_proxy(e, 5, spec, method).max_diameter == 0.0
-            assert alpha_proxy(e, 9, spec, method).max_diameter == 0.0
+        states = random_states(rng, spec, 9)
+        points = spec.embed(states)
+        _centers, assignment, _radius = greedy_kcenter(points, 3)
+        assert alpha_proxy(states, 3, spec) == max_cluster_diameter(points, assignment)
+
+
+class TestAlphaProxy:
+    def test_enough_clusters_or_repeated_points_give_zero(self, rng):
+        spec = MetricSpec.dirichlet_1d(3)
+        states = random_states(rng, spec, 5)
+        for m in (5, 9):
+            assert alpha_proxy(states, m, spec) == 0.0
+            assert exact_alpha(states, m, spec) == 0.0
+        repeated = np.repeat(states[:1], 4, axis=0)
+        assert alpha_proxy(repeated, 1, spec) == 0.0
+        assert exact_alpha(repeated, 1, spec) == 0.0
 
     def test_three_points_two_clusters(self):
-        spec = MetricSpec.dirichlet_1d(1)
-        e = velocity_line_ensemble([0.0, 1.0, 2.0])
-        report = alpha_proxy(e, 2, spec, "exact")
-        assert report.max_diameter == 1.0
+        states = velocity_line_states([0.0, 1.0, 2.0])
+        diameter, assign = exact_min_max_diameter(cdist(states, states), 2)
+        assert diameter == 1.0
         # the {0,1},{2} split is the only optimal one
-        assign = np.asarray(report.assignment)
         assert assign[0] == assign[1] and assign[2] != assign[0]
 
     def test_pair_single_cluster(self):
         spec = MetricSpec.dirichlet_1d(1)
-        e = velocity_line_ensemble([0.0, 1.0])
-        for method in ("greedy", "exact"):
-            assert alpha_proxy(e, 1, spec, method).max_diameter == 1.0
+        states = velocity_line_states([0.0, 1.0])
+        assert alpha_proxy(states, 1, spec) == 1.0
+        assert exact_alpha(states, 1, spec) == 1.0
+
+    def test_cluster_budget_must_be_positive(self, rng):
+        spec = MetricSpec.dirichlet_1d(2)
+        with pytest.raises(ValueError, match=">= 1"):
+            alpha_proxy(random_states(rng, spec, 3), 0, spec)
 
     def test_exact_cap(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
-        e = random_ensemble(rng, spec, 13)
+        points = spec.embed(random_states(rng, spec, 13))
+        dist = cdist(points, points)
         with pytest.raises(ValueError, match="12"):
-            alpha_proxy(e, 3, spec, "exact")
+            exact_min_max_diameter(dist, 3)
+        with pytest.raises(ValueError, match="12"):
+            exact_kcenter_radius(dist, 3)
 
-    def test_report_recomputable(self, rng):
+    def test_exact_assignment_recomputable(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
-        e = random_ensemble(rng, spec, 9)
-        for method in ("greedy", "exact"):
-            report = alpha_proxy(e, 3, spec, method)
-            dist = pairwise_distances(e.embed(spec))
-            assert max_cluster_diameter(dist, report.assignment) == pytest.approx(
-                report.max_diameter, abs=1e-15
-            )
-            assert len(report.assignment) == len(e)
+        points = spec.embed(random_states(rng, spec, 9))
+        diameter, assignment = exact_min_max_diameter(cdist(points, points), 3)
+        assert max_cluster_diameter(points, assignment) == pytest.approx(diameter, abs=1e-15)
+        assert len(assignment) == len(points)
 
     def test_exact_matches_partition_enumeration(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
         for count, m in [(5, 2), (6, 3), (7, 2), (8, 3)]:
-            e = random_ensemble(rng, spec, count)
-            dist = pairwise_distances(e.embed(spec))
+            points = spec.embed(random_states(rng, spec, count))
+            dist = cdist(points, points)
             expected = brute_force_min_max_diameter(dist, m)
-            assert alpha_proxy(e, m, spec, "exact").max_diameter == pytest.approx(
-                expected, rel=1e-14
-            )
+            assert exact_min_max_diameter(dist, m)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_greedy_between_exact_and_double(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
         for _ in range(25):
-            e = random_ensemble(rng, spec, 8)
-            exact = alpha_proxy(e, 3, spec, "exact").max_diameter
-            greedy = alpha_proxy(e, 3, spec, "greedy").max_diameter
+            states = random_states(rng, spec, 8)
+            exact = exact_alpha(states, 3, spec)
+            greedy = alpha_proxy(states, 3, spec)
             assert greedy >= exact * (1 - 1e-12)
             assert greedy <= 2.0 * exact + 1e-12
 
     def test_greedy_radius_factor_two(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
         for _ in range(25):
-            e = random_ensemble(rng, spec, 10)
-            points = e.embed(spec)
+            points = spec.embed(random_states(rng, spec, 10))
             _, _, radius = greedy_kcenter(points, 3)
-            optimal = exact_kcenter_radius(pairwise_distances(points), 3)
+            optimal = exact_kcenter_radius(cdist(points, points), 3)
             assert radius <= 2.0 * optimal + 1e-12
 
     def test_greedy_deterministic_and_seeded_at_max_norm(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
-        e = random_ensemble(rng, spec, 7)
-        points = e.embed(spec)
+        points = spec.embed(random_states(rng, spec, 7))
         centers, assign, _ = greedy_kcenter(points, 3)
         assert centers[0] == int(np.argmax(np.linalg.norm(points, axis=1)))
         again = greedy_kcenter(points, 3)
-        assert again[0] == centers and again[1] == assign
+        assert again[0] == centers and np.array_equal(again[1], assign)
 
     def test_scaling_equivariance(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
-        e = random_ensemble(rng, spec, 8)
-        scaled = Ensemble.from_matrix(3.5 * e.as_matrix())
-        for method in ("greedy", "exact"):
-            base = alpha_proxy(e, 3, spec, method).max_diameter
-            big = alpha_proxy(scaled, 3, spec, method).max_diameter
-            assert big == pytest.approx(3.5 * base, rel=1e-12)
-        origin = Ensemble(np.zeros((1, 6)))
-        assert hausdorff_semidist(scaled, origin, spec) == (
-            pytest.approx(3.5 * hausdorff_semidist(e, origin, spec))
+        states = random_states(rng, spec, 8)
+        scaled = 3.5 * states
+        for measure in (alpha_proxy, exact_alpha):
+            base = measure(states, 3, spec)
+            assert measure(scaled, 3, spec) == pytest.approx(3.5 * base, rel=1e-12)
+        origin = np.zeros((1, 6))
+        assert semidist_arrays(spec.embed(scaled), origin) == (
+            pytest.approx(3.5 * semidist_arrays(spec.embed(states), origin))
         )
 
 
@@ -184,41 +227,33 @@ class TestCoverAlgebra:
     def test_monotone_under_subsets(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
         for _ in range(10):
-            big = random_ensemble(rng, spec, 8)
-            small = Ensemble(big.as_matrix()[:5])
+            big = random_states(rng, spec, 8)
+            small = big[:5]
             for m in (1, 2, 3):
-                inner = alpha_proxy(small, m, spec, "exact").max_diameter
-                outer = alpha_proxy(big, m, spec, "exact").max_diameter
-                assert inner <= outer + 1e-15
+                assert exact_alpha(small, m, spec) <= exact_alpha(big, m, spec) + 1e-15
 
     def test_union_budget(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
         for _ in range(10):
-            a = random_ensemble(rng, spec, 5)
-            b = random_ensemble(rng, spec, 5)
+            a = random_states(rng, spec, 5)
+            b = random_states(rng, spec, 5)
             m_a = m_b = 2
-            v_a = alpha_proxy(a, m_a, spec, "exact").max_diameter
-            v_b = alpha_proxy(b, m_b, spec, "exact").max_diameter
-            union = Ensemble(np.vstack([a.as_matrix(), b.as_matrix()]))
-            v_u = alpha_proxy(union, m_a + m_b, spec, "exact").max_diameter
+            v_a = exact_alpha(a, m_a, spec)
+            v_b = exact_alpha(b, m_b, spec)
+            v_u = exact_alpha(np.vstack([a, b]), m_a + m_b, spec)
             assert v_u <= max(v_a, v_b) + 1e-15
 
     def test_minkowski_subadditive(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
         for _ in range(6):
-            a = random_ensemble(rng, spec, 3)
-            b = random_ensemble(rng, spec, 3)
+            a = random_states(rng, spec, 3)
+            b = random_states(rng, spec, 3)
             m_a = m_b = 2
-            v_a = alpha_proxy(a, m_a, spec, "exact").max_diameter
-            v_b = alpha_proxy(b, m_b, spec, "exact").max_diameter
-            rows = [pa + pb for pa in a.as_matrix() for pb in b.as_matrix()]
-            summed = Ensemble.from_matrix(np.stack(rows))
-            v_s = alpha_proxy(summed, m_a * m_b, spec, "exact").max_diameter
+            v_a = exact_alpha(a, m_a, spec)
+            v_b = exact_alpha(b, m_b, spec)
+            summed = np.stack([pa + pb for pa in a for pb in b])
+            v_s = exact_alpha(summed, m_a * m_b, spec)
             assert v_s <= v_a + v_b + 1e-12
-
-    def test_exact_min_max_diameter_shape_checks(self):
-        with pytest.raises(ValueError, match="12"):
-            exact_min_max_diameter(np.zeros((13, 13)), 2)
 
 
 class TestDecayTrace:
@@ -230,10 +265,17 @@ class TestDecayTrace:
         with pytest.raises(ValueError):
             DecayTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "spread")
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DecayTrace(np.array([0.0, 1.0]), np.array([1.0, bad]), "semidist")
+        with pytest.raises(ValueError, match="finite"):
+            DecayTrace(np.array([0.0, bad]), np.array([1.0, 1.0]), "semidist")
+
     def test_constant_for_identical_snapshots(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
-        e = random_ensemble(rng, spec, 6)
-        trace = decay_trace([(0.0, e), (1.0, e), (2.0, e)], 2, spec)
+        e = random_states(rng, spec, 6)
+        trace = decay_trace([0.0, 1.0, 2.0], np.stack([e, e, e]), 2, spec)
         assert np.all(trace.values == trace.values[0])
         assert trace.quantity == "alpha_proxy"
         assert trace.m_clusters == 2
@@ -241,32 +283,29 @@ class TestDecayTrace:
     def test_exact_scaling_of_contracting_cloud(self, rng):
         # snapshots x * exp(-t) scale every pairwise distance by exp(-t)
         spec = MetricSpec.dirichlet_1d(3)
-        base = random_ensemble(rng, spec, 7)
+        base = random_states(rng, spec, 7)
         times = [0.0, 0.5, 1.0, 2.0]
-        snaps = [
-            (t, Ensemble.from_matrix(np.exp(-t) * base.as_matrix())) for t in times
-        ]
-        trace = decay_trace(snaps, 3, spec)
+        trace = decay_trace(times, np.stack([np.exp(-t) * base for t in times]), 3, spec)
         expected = trace.values[0] * np.exp(-np.asarray(times))
         assert np.allclose(trace.values, expected, rtol=1e-12)
 
     def test_single_point_snapshots_are_zero(self):
         spec = MetricSpec.dirichlet_1d(1)
-        e = Ensemble(np.array([[0.3, 0.1]]))
-        trace = decay_trace([(0.0, e), (1.0, e)], 2, spec)
+        e = np.array([[0.3, 0.1]])
+        trace = decay_trace([0.0, 1.0], np.stack([e, e]), 2, spec)
         assert np.all(trace.values == 0.0)
 
     def test_nonincreasing_times_rejected(self, rng):
         spec = MetricSpec.dirichlet_1d(1)
-        e = random_ensemble(rng, spec, 2)
+        e = random_states(rng, spec, 2)
         with pytest.raises(ValueError):
-            decay_trace([(1.0, e), (1.0, e)], 1, spec)
+            decay_trace([1.0, 1.0], np.stack([e, e]), 1, spec)
 
     def test_csv_round_trip(self, rng, tmp_path):
         spec = MetricSpec.dirichlet_1d(2)
-        e = random_ensemble(rng, spec, 5)
-        snaps = [(float(t), Ensemble.from_matrix(np.exp(-t) * e.as_matrix())) for t in range(4)]
-        trace = decay_trace(snaps, 2, spec)
+        e = random_states(rng, spec, 5)
+        times = [0.0, 1.0, 2.0, 3.0]
+        trace = decay_trace(times, np.stack([np.exp(-t) * e for t in times]), 2, spec)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         header = path.read_text().splitlines()[0]

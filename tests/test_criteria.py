@@ -19,9 +19,9 @@ from attractorlab.criteria import (
     tail_projection_decay,
 )
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, modal_evolve_states
-from attractorlab.phase import Ensemble, MetricSpec, ensemble_radius
+from attractorlab.phase import MetricSpec, ensemble_radius
 
-from conftest import random_ensemble
+from conftest import random_states
 
 
 def exponential_trace(c, beta, times):
@@ -124,12 +124,12 @@ class TestHausdorffCriterion:
     def test_equilibrium_always_satisfied(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = WaveSystemConfig(mode_count=2, k=1.0, l=1.0, f_coeffs=(0.0, 1.0), dt=0.125)
-        absorbed = Ensemble(np.zeros((2, 4)))
-        candidate = Ensemble(np.zeros((1, 4)))
+        absorbed = np.zeros((2, 4))
+        candidate = np.zeros((1, 4))
         law = DecayLaw("exponential", 1.0, 0.5)
         grid = [0.5, 1.0, 1.5]
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
+            candidate, cfg.sample(absorbed, grid), grid, law, spec
         )
         assert np.all(report.semidist == 0.0)
         assert report.satisfied_fraction == 1.0
@@ -137,14 +137,14 @@ class TestHausdorffCriterion:
 
     def test_linear_oracle_with_analytic_envelope(self, rng, modal_pair):
         spec, cfg = modal_pair
-        absorbed = random_ensemble(rng, spec, 8, scale=1.2)
+        absorbed = random_states(rng, spec, 8, scale=1.2)
         radius = ensemble_radius(absorbed, spec)
         # energy-multiplier bound: |S(t)x| <= sqrt(3) e^{-t/2} |x| for l = 2
         law = DecayLaw("exponential", math.sqrt(3.0) * radius * 1.001, 0.5)
-        candidate = Ensemble(np.zeros((1, 6)))
+        candidate = np.zeros((1, 6))
         grid = np.arange(0.5, 8.5, 0.5)
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
+            candidate, cfg.sample(absorbed, grid), grid, law, spec
         )
         assert report.satisfied_fraction == 1.0
         assert report.alpha_within_fraction == 1.0
@@ -152,13 +152,13 @@ class TestHausdorffCriterion:
 
     def test_unreachable_bound(self, rng, modal_pair):
         spec, cfg = modal_pair
-        absorbed = random_ensemble(rng, spec, 8, scale=1.2)
+        absorbed = random_states(rng, spec, 8, scale=1.2)
         radius = ensemble_radius(absorbed, spec)
         law = DecayLaw("exponential", 0.01 * math.sqrt(3.0) * radius, 0.5)
-        candidate = Ensemble(np.zeros((1, 6)))
+        candidate = np.zeros((1, 6))
         grid = np.arange(0.5, 6.5, 0.5)
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed.as_matrix(), grid), grid, law, spec
+            candidate, cfg.sample(absorbed, grid), grid, law, spec
         )
         assert report.satisfied_fraction <= 0.25
 
@@ -186,11 +186,11 @@ class TestTailProjection:
 
     def test_last_mode_only(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 4)
+        e = random_states(rng, spec, 4)
         grid = np.array([0.0, 1.0])
-        trace = tail_projection_decay(cfg.sample(e.as_matrix(), grid), 2, grid, spec)
+        trace = tail_projection_decay(cfg.sample(e, grid), 2, grid, spec)
         lam_top = spec.mode_eigenvalues[-1]
-        states = e.as_matrix()
+        states = e
         expected = np.max(
             np.sqrt(lam_top * states[:, 2] ** 2 + states[:, 5] ** 2)
         )
@@ -198,41 +198,41 @@ class TestTailProjection:
 
     def test_threshold_validation(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 2)
+        e = random_states(rng, spec, 2)
         with pytest.raises(ValueError):
-            tail_projection_decay(cfg.sample(e.as_matrix(), [0.0, 1.0]), 3, [0.0, 1.0], spec)
+            tail_projection_decay(cfg.sample(e, [0.0, 1.0]), 3, [0.0, 1.0], spec)
 
 
 class TestContractiveCheck:
     def test_identical_pair_zero_residual(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 3)
+        e = random_states(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
         grid = [1.0, 2.0]
         report = contractive_inequality_check(
-            cfg.sample(e.as_matrix()[:1], grid), [(0, 0)], grid, law, 1, spec
+            cfg.sample(e[:1], grid), [(0, 0)], grid, law, 1, spec
         )
         assert np.all(report.pair_residual_max == 0.0)
 
     def test_pair_indices_validated(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 3)
+        e = random_states(rng, spec, 3)
         law = DecayLaw("exponential", 1.0, 0.5)
-        evolved = cfg.sample(e.as_matrix(), [1.0])
+        evolved = cfg.sample(e, [1.0])
         for pairs in ([], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
             with pytest.raises(ValueError):
                 contractive_inequality_check(evolved, pairs, [1.0], law, 1, spec)
 
     def test_linear_oracle_envelope_gives_zero_residuals(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 6, scale=1.0)
+        e = random_states(rng, spec, 6, scale=1.0)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        emb = e.embed(spec)
+        emb = spec.embed(e)
         diam = float(np.max(cdist(emb, emb)))
         law = DecayLaw("exponential", math.sqrt(3.0) * diam * 1.001, 0.5)
         grid = np.arange(0.5, 6.5, 0.5)
         report = contractive_inequality_check(
-            cfg.sample(e.as_matrix(), grid), pairs, grid, law, 3, spec
+            cfg.sample(e, grid), pairs, grid, law, 3, spec
         )
         assert np.all(report.pair_residual_max <= 1e-12)
         assert report.conclusion_fraction == 1.0
@@ -240,14 +240,14 @@ class TestContractiveCheck:
 
     def test_vanishing_law_residuals_are_raw_distances(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_ensemble(rng, spec, 4)
+        e = random_states(rng, spec, 4)
         pairs = [(0, 1), (2, 3)]
         law = DecayLaw("exponential", 1e-300, 1.0)
         t = 1.5
         report = contractive_inequality_check(
-            cfg.sample(e.as_matrix(), [t]), pairs, [t], law, 2, spec
+            cfg.sample(e, [t]), pairs, [t], law, 2, spec
         )
-        evolved = modal_evolve_states(e.as_matrix(), cfg, t)
+        evolved = modal_evolve_states(e, cfg, t)
         emb = spec.embed(evolved)
         raw = max(
             np.linalg.norm(emb[0] - emb[1]), np.linalg.norm(emb[2] - emb[3])
@@ -259,7 +259,7 @@ class TestQuasiStability:
     def test_linear_oracle_period_contraction(self, rng):
         spec = MetricSpec.dirichlet_1d(8)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        absorbed = random_ensemble(rng, spec, 20, scale=1.5)
+        absorbed = random_states(rng, spec, 20, scale=1.5)
         report = quasistability_estimate(
             absorbed, 3.0, 8, 4, closeness=1e6, cfg=cfg, spec=spec
         )
@@ -277,7 +277,7 @@ class TestQuasiStability:
     def test_eta_below_one_for_matched_period(self, rng, damping):
         spec = MetricSpec.dirichlet_1d(6)
         cfg = LinearModalConfig(damping, spec.mode_eigenvalues)
-        absorbed = random_ensemble(rng, spec, 12)
+        absorbed = random_states(rng, spec, 12)
         report = quasistability_estimate(
             absorbed, 3.0 / damping, 0, 3, closeness=1e6, cfg=cfg, spec=spec
         )
@@ -287,8 +287,8 @@ class TestQuasiStability:
     def test_duplicates_excluded_and_counted(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        base = random_ensemble(rng, spec, 5)
-        with_dup = Ensemble(np.vstack([base.as_matrix(), base.as_matrix()[:1]]))
+        base = random_states(rng, spec, 5)
+        with_dup = np.vstack([base, base[:1]])
         report = quasistability_estimate(
             with_dup, 3.0, 0, 2, closeness=1e6, cfg=cfg, spec=spec
         )
@@ -298,7 +298,7 @@ class TestQuasiStability:
     def test_tight_threshold_raises(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        absorbed = random_ensemble(rng, spec, 6)
+        absorbed = random_states(rng, spec, 6)
         with pytest.raises(ThresholdTooTightError):
             quasistability_estimate(absorbed, 3.0, 0, 2, closeness=1e-12, cfg=cfg, spec=spec)
 
@@ -306,12 +306,11 @@ class TestQuasiStability:
         spec = MetricSpec.dirichlet_1d(3)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         # clustered sample so the 10% default still admits pairs
-        center = random_ensemble(rng, spec, 1).as_matrix()
+        center = random_states(rng, spec, 1)
         rows = center + 1e-3 * np.random.default_rng(5).standard_normal((8, 6))
         rows = np.vstack([rows, center + 2.0])
-        absorbed = Ensemble.from_matrix(rows)
-        report = quasistability_estimate(absorbed, 1.0, 0, 2, None, cfg, spec)
-        emb = absorbed.embed(spec)
+        report = quasistability_estimate(rows, 1.0, 0, 2, None, cfg, spec)
+        emb = spec.embed(rows)
         assert report.pseudometric_threshold == pytest.approx(
             0.1 * float(np.max(cdist(emb, emb))), rel=1e-12
         )

@@ -21,9 +21,9 @@ from attractorlab.dynamics import (
     states_norms,
     _settle_times,
 )
-from attractorlab.phase import Ensemble, MetricSpec
+from attractorlab.phase import MetricSpec
 
-from conftest import attracting_set, random_ensemble, random_point
+from conftest import attracting_set, random_point, random_states
 
 
 def linear_wave_config(n_modes, damping, dt):
@@ -37,8 +37,9 @@ def sampled_norms(cfg, states, horizon):
 
 
 def probe_radius(cfg, probe, burn_in, window):
-    """``absorbing_radius`` of a probe sampled over [0, burn_in + window]."""
-    times, norms = sampled_norms(cfg, probe.as_matrix(), burn_in + window)
+    """``absorbing_radius`` of the (P, 2N) probe states sampled over
+    [0, burn_in + window]."""
+    times, norms = sampled_norms(cfg, probe, burn_in + window)
     return absorbing_radius(times, norms, burn_in)
 
 
@@ -118,7 +119,7 @@ class TestWaveRhs:
     def test_batched_rows_match_single_rows(self, rng):
         cfg = WaveSystemConfig(mode_count=4, k=1.0, l=0.5, f_coeffs=(0.0, -1.0, 0.0, 1.0),
                                kernel=((0.2, (1.0, 0.0, 0.0, 0.0)),), dt=0.1)
-        states = random_ensemble(rng, MetricSpec.dirichlet_1d(4), 3).as_matrix()
+        states = random_states(rng, MetricSpec.dirichlet_1d(4), 3)
         batched = wave_rhs(states, cfg)
         for row, y in zip(batched, states):
             assert np.allclose(row, wave_rhs(y, cfg), rtol=1e-14, atol=1e-14)
@@ -395,10 +396,9 @@ class TestDissipation:
     def test_positive_invariance_linear_modal(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        probe = random_ensemble(rng, spec, 6, scale=1.5)
+        probe = random_states(rng, spec, 6, scale=1.5)
         radius, _ = probe_radius(cfg, probe, burn_in=4.0, window=2.0)
-        inside = random_ensemble(rng, spec, 8, scale=0.1)
-        states = inside.as_matrix()
+        states = random_states(rng, spec, 8, scale=0.1)
         scale = radius / np.max(states_norms(states, spec.mode_eigenvalues))
         states = states * scale  # exactly on the ball boundary
         norms = states_norms(
@@ -415,9 +415,9 @@ class TestDissipation:
             kernel=((0.1, tuple(g1)),), h_coeffs=tuple(4.0 * g1), dt=1 / 16,
         )
         spec = MetricSpec.dirichlet_1d(8)
-        probe = random_ensemble(rng, spec, 8, scale=0.7)
+        probe = random_states(rng, spec, 8, scale=0.7)
         radius, t_enter = probe_radius(cfg, probe, burn_in=4.0, window=2.0)
-        absorbed = cfg.sample(probe.as_matrix(), [6.0])[0]
+        absorbed = cfg.sample(probe, [6.0])[0]
         times = np.arange(0.0, 8.0 + 1e-9, 0.25)
         norms = states_norms(cfg.sample(absorbed, times), spec.mode_eigenvalues)
         assert np.all(norms <= radius * (1 + 1e-3))
@@ -427,7 +427,7 @@ class TestAbsorbingRadius:
     def test_linear_decay_probe(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0]]))
+        probe = np.array([[0.0, 0.0, 5.0, 0.0]])
         radius, t_enter = probe_radius(cfg, probe, burn_in=8.0, window=2.0)
         # norms have decayed by roughly exp(-4) on the window
         assert radius < 0.3
@@ -435,7 +435,7 @@ class TestAbsorbingRadius:
 
     def test_equilibrium_probe_enters_at_zero(self):
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=1.0, dt=0.125)
-        probe = Ensemble(np.zeros((2, 4)))
+        probe = np.zeros((2, 4))
         radius, t_enter = probe_radius(cfg, probe, burn_in=2.0, window=1.0)
         assert radius == 0.0
         assert t_enter == [0.0, 0.0]
@@ -443,14 +443,14 @@ class TestAbsorbingRadius:
     def test_far_probe_enters_later(self):
         spec = MetricSpec.dirichlet_1d(2)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        probe = Ensemble(np.array([[0.0, 0.0, 5.0, 0.0], [0.0, 0.0, 0.5, 0.0]]))
+        probe = np.array([[0.0, 0.0, 5.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
         _, t_enter = probe_radius(cfg, probe, 8.0, 2.0)
         assert t_enter[0] >= t_enter[1]
 
     def test_growth_detected(self):
         g1 = (1.0, 0.0)
         cfg = WaveSystemConfig(mode_count=2, k=0.0, l=0.0, kernel=((0.5, g1),), dt=0.25)
-        probe = Ensemble(np.array([[0.0, 0.0, 1.0, 0.0]]))
+        probe = np.array([[0.0, 0.0, 1.0, 0.0]])
         with pytest.raises(NonDissipativeError):
             probe_radius(cfg, probe, burn_in=4.0, window=8.0)
 
@@ -466,7 +466,7 @@ class TestAbsorbingRadius:
     @pytest.mark.parametrize("burn_in, window", [(0.0, 2.0), (4.0, 0.0)])
     def test_burn_in_and_window_must_be_positive(self, burn_in, window):
         cfg = LinearModalConfig(1.0, np.array([1.0]))
-        probe = Ensemble(np.array([[1.0, 0.0]]))
+        probe = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError, match="burn_in and window"):
             probe_radius(cfg, probe, burn_in, window)
 
@@ -500,7 +500,7 @@ class TestEngineInterface:
             cfg = linear_wave_config(2, 1.0, 0.1)
         else:
             cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
-        states = random_ensemble(rng, spec, 3).as_matrix()
+        states = random_states(rng, spec, 3)
         out = cfg.sample(states, [0.0, 0.5, 1.0])
         assert out.shape == (3, 3, 4)
         assert np.array_equal(out[0], states)
@@ -512,7 +512,7 @@ class TestTrajectoryCsv:
         # the sampled trajectories the package writes are the net orbits
         cfg = linear_wave_config(2, 1.0, 0.1)
         spec = MetricSpec.dirichlet_1d(2)
-        absorbed = random_ensemble(rng, spec, 3)
+        absorbed = random_states(rng, spec, 3)
         law = DecayLaw("exponential", 1e3, 0.5)
         aset = attracting_set(absorbed, (1, 1), law, 1.0, 0.5, cfg, spec)
         save_attracting_set(aset, tmp_path)

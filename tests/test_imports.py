@@ -8,6 +8,7 @@ import os
 import pytest
 
 import attractorlab
+from attractorlab.criteria import RateBounds, RateFit
 from attractorlab.decay import DecayLaw
 from attractorlab.phase import Ensemble, MetricSpec
 
@@ -18,7 +19,9 @@ REMOVED = {
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
                  "_sampled_norms", "_rk4_step"),
-    "attracting": ("NetEntry", "_embed", "_reprs"),
+    "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
+                   "QUANT_FLOOR"),
+    "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace"),
@@ -45,7 +48,7 @@ def test_all_names_resolve(name):
 
 def test_package_imports_resolve():
     imports = package_imports()
-    assert len(imports) > 40
+    assert len(imports) > 35
     for module, name in imports:
         assert getattr(attractorlab, name) is getattr(
             importlib.import_module(f"attractorlab.{module}"), name
@@ -66,6 +69,12 @@ def test_removed_members_are_gone():
     assert not hasattr(MetricSpec.dirichlet_1d(2), "spatial_dim")
     assert not hasattr(DecayLaw, "with_shift")
     assert not hasattr(Ensemble, "points")
+    assert not hasattr(Ensemble, "label")
+    assert not hasattr(Ensemble, "embed")
+    assert not hasattr(Ensemble, "mode_count")
+    assert not hasattr(Ensemble, "__len__")
+    assert not hasattr(RateFit, "as_dict")
+    assert not hasattr(RateBounds, "as_dict")
 
 
 def test_benchmark_trace_points_are_bound():

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from attractorlab.covering import (
     EXACT_POINT_CAP,
     alpha_proxy,
     exact_kcenter_radius,
+    exact_min_max_diameter,
     greedy_kcenter,
-    pairwise_distances,
     semidist_arrays,
 )
 from attractorlab.decay import DECAY_KINDS, DecayLaw
-from attractorlab.phase import Ensemble, MetricSpec
+from attractorlab.phase import MetricSpec
 
 # fixed example sequence and no example database, so runs are repeatable
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -37,10 +38,10 @@ def point_sets(draw, max_points=EXACT_POINT_CAP, width=None):
 @PROPERTY
 @given(points=point_sets(), m=st.integers(1, 4))
 def test_greedy_alpha_proxy_dominates_exact(points, m):
-    ens = Ensemble(points)
-    spec = MetricSpec.dirichlet_1d(ens.mode_count)
-    greedy = alpha_proxy(ens, m, spec, method="greedy").max_diameter
-    exact = alpha_proxy(ens, m, spec, method="exact").max_diameter
+    spec = MetricSpec.dirichlet_1d(points.shape[1] // 2)
+    embedded = spec.embed(points)
+    greedy = alpha_proxy(points, m, spec)
+    exact, _assignment = exact_min_max_diameter(cdist(embedded, embedded), m)
     assert greedy >= exact
 
 
@@ -48,7 +49,7 @@ def test_greedy_alpha_proxy_dominates_exact(points, m):
 @given(points=point_sets(), m=st.integers(1, 4))
 def test_greedy_kcenter_radius_within_twice_optimal(points, m):
     _centers, _assignment, radius = greedy_kcenter(points, m)
-    optimal = exact_kcenter_radius(pairwise_distances(points), m)
+    optimal = exact_kcenter_radius(cdist(points, points), m)
     assert radius <= 2.0 * optimal * (1 + 1e-12) + 1e-12
 
 
