@@ -61,6 +61,8 @@ class AttractingSetApprox:
     Net entry e was selected at integer time ``birth_times[e]`` from the
     absorbed state ``net_seeds[e]``, whose image then is ``net_states[e]``.
     ``orbit_states[e, k]`` is that image advanced by ``orbit_times[k]``.
+    ``t_star``, the held-out sample's entering time that a run certified the
+    set from, is known only for a set loaded from a manifest that records it.
     """
 
     birth_times: np.ndarray  # (E,) int
@@ -73,6 +75,7 @@ class AttractingSetApprox:
     m_range: tuple
     t_orbit: float
     orbit_sample_every: float
+    t_star: float | None = None
 
     def target_matrix(self) -> np.ndarray:
         """Raw (Q, 2N) coefficients of orbit samples plus proxy points."""
@@ -286,7 +289,8 @@ def _manifest_law(raw) -> DecayLaw:
 
 def load_attracting_set(directory) -> AttractingSetApprox:
     """Read a directory written by ``save_attracting_set``; a malformed
-    manifest field raises ValueError naming the field."""
+    manifest field, or a CSV file with no data rows, raises ValueError
+    naming the field or the file."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -298,10 +302,17 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     every = _num(manifest.get("orbit_sample_every"), "orbit_sample_every")
     if not every > 0:
         raise ValueError(f"manifest field 'orbit_sample_every' must be positive, got {every!r}")
+    t_star = manifest.get("t_star")
+    if t_star is not None:
+        t_star = _num(t_star, "t_star")
+        if not math.isfinite(t_star):
+            raise ValueError(f"manifest field 't_star' is not finite: {t_star!r}")
 
     def read_matrix(name) -> np.ndarray:
         with open(os.path.join(directory, name), newline="") as fh:
             rows = list(csv.reader(fh))[1:]
+        if not rows:
+            raise ValueError(f"attractor file {name} has no data rows")
         return np.array([[float(v) for v in row] for row in rows])
 
     net = read_matrix("net.csv")
@@ -327,4 +338,5 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         m_range=tuple(_int(m, "m_range") for m in m_range),
         t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),
         orbit_sample_every=every,
+        t_star=t_star,
     )

@@ -7,16 +7,16 @@ same lines and exits by the same rules.  The sweep's rows run in forked
 worker processes, one per CPU up to the number of rows; the outputs are the
 same as from a serial run, and a failed row is still recorded and printed.
 
-Exit codes: 0 success; 1 config error, missing input file, a system that
-is not dissipative (no absorbing ball found) or a failed sweep row; 2
-numerical blow-up; 3 unsatisfied acceptance thresholds under --strict.  Every
-failure prints one line to stderr, never a traceback.
+Exit codes: 0 success; 1 config error (an unknown key in any section of the
+run file is one), missing input file, a system that is not dissipative (no
+absorbing ball found) or a failed sweep row; 2 numerical blow-up; 3
+unsatisfied acceptance thresholds under --strict.  Every failure prints one
+line to stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -26,7 +26,7 @@ import yaml
 from .attracting import load_attracting_set, verification_grid, verify_attraction
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
-from .dynamics import BlowUpError, NonDissipativeError, _num
+from .dynamics import BlowUpError, NonDissipativeError
 from .experiments import draw_samples, load_experiment_config, run_experiment
 
 EXIT_OK = 0
@@ -102,13 +102,9 @@ def _cmd_fit(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = load_experiment_config(args.config)
     aset = load_attracting_set(args.attractor_dir)
-    with open(f"{args.attractor_dir}/manifest.json") as fh:
-        t_star = json.load(fh).get("t_star")
+    t_star = aset.t_star
     if t_star is None:
         raise ValueError("attractor manifest lacks t_star")
-    t_star = _num(t_star, "t_star")
-    if not math.isfinite(t_star):
-        raise ValueError(f"attractor manifest field 't_star' is not finite: {t_star!r}")
     _probe, fresh = draw_samples(cfg)
     t_grid = verification_grid(aset, t_star)
     evolved = cfg.system.sample(fresh, t_grid)

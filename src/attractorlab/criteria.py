@@ -321,17 +321,6 @@ class QuasiStabilityReport:
     excluded_pair_count: int
     predicted_eta: float
 
-    def as_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "eta_hat": self.eta_hat,
-            "pair_count": self.pair_count,
-            "pseudometric_threshold": self.pseudometric_threshold,
-            "per_period_alpha_ratios": list(self.per_period_alpha_ratios),
-            "excluded_pair_count": self.excluded_pair_count,
-            "predicted_eta": self.predicted_eta,
-        }
-
 
 def quasistability_estimate(
     absorbed,

@@ -27,7 +27,7 @@ expressions exactly (numpy's polynomial evaluation order included), and that
 order is what keeps every output byte-identical to them.
 
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
-``LinearModalConfig`` (the closed-form oracle) provide the same three
+``LinearModalConfig`` (the closed-form oracle) provide the same four
 members, so no caller needs to know which engine it runs:
 
 * ``eigenvalues`` -- the (N,) Dirichlet eigenvalues that define the metric;
@@ -35,7 +35,9 @@ members, so no caller needs to know which engine it runs:
   ``times``, shape ``(len(times),) + states.shape``;
 * ``sample_grid(horizon, count)`` -- about ``count`` sample times on
   [0, horizon] that ``sample`` accepts: a dt-aligned stride grid ending at the
-  horizon for the wave engine, ``count + 1`` equispaced times for the oracle.
+  horizon for the wave engine, ``count + 1`` equispaced times for the oracle;
+* ``as_dict()`` -- the config as the run file's ``system`` mapping, with its
+  ``type`` (``wave`` or ``linear``); ``system_from_dict`` reads it back.
 
 Both engines reject sample times that are negative or decreasing: neither
 runs backward in time.
@@ -47,7 +49,7 @@ pipeline integrates each ensemble once and hands every consumer its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +64,7 @@ __all__ = [
     "modal_propagator",
     "lyapunov",
     "absorbing_radius",
+    "system_from_dict",
     "wave_config_from_dict",
 ]
 
@@ -118,7 +121,7 @@ class WaveSystemConfig:
     (the structural stand-in for the dissipativity condition on f).
     ``kernel`` is a finite-rank velocity operator given as (weight, coeffs)
     pairs in the eigenbasis.  ``dt`` must respect the explicit stability
-    guard dt <= 0.5 / sqrt(lam_N).
+    guard dt <= 0.5 / sqrt(lam_N), and defaults to that bound.
     """
 
     mode_count: int
@@ -128,7 +131,7 @@ class WaveSystemConfig:
     f_coeffs: tuple = ()
     kernel: tuple = ()
     h_coeffs: tuple = ()
-    dt: float = 0.01
+    dt: float | None = None
     collocation_points: int = 0
 
     def __post_init__(self):
@@ -163,7 +166,7 @@ class WaveSystemConfig:
                 raise ValueError("kernel coefficient vectors must be finite with length mode_count")
             if not np.isfinite(weight):
                 raise ValueError("kernel weights must be finite")
-            kern.append((float(weight), tuple(coeffs)))
+            kern.append((float(weight), tuple(float(c) for c in coeffs)))
         object.__setattr__(self, "kernel", tuple(kern))
 
         h = np.asarray(self.h_coeffs, dtype=float).ravel()
@@ -171,11 +174,11 @@ class WaveSystemConfig:
             h = np.zeros(n)
         if h.size != n or not np.all(np.isfinite(h)):
             raise ValueError("h_coeffs must be finite with length mode_count")
-        object.__setattr__(self, "h_coeffs", tuple(h))
+        object.__setattr__(self, "h_coeffs", tuple(float(c) for c in h))
 
-        dt = float(self.dt)
         lam_max = float(n) ** 2
         dt_cap = 0.5 / np.sqrt(lam_max)
+        dt = float(dt_cap if self.dt is None else self.dt)
         if not (0 < dt <= dt_cap * (1 + 1e-12)):
             raise ValueError(
                 f"dt must satisfy 0 < dt <= 0.5/sqrt(lam_N) = {dt_cap:g}, got {dt:g}"
@@ -208,6 +211,14 @@ class WaveSystemConfig:
         if times[-1] < horizon - 1e-12:
             times = np.append(times, horizon)
         return times
+
+    def as_dict(self) -> dict:
+        """The run file's ``system`` mapping: the fields by name, the
+        coefficient tuples as lists (``system_from_dict`` reads it back)."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        kernel = [{"weight": w, "coeffs": list(c)} for w, c in self.kernel]
+        raw.update(f_coeffs=list(self.f_coeffs), kernel=kernel, h_coeffs=list(self.h_coeffs))
+        return {"type": "wave", **raw}
 
     def _tables(self):
         """Precomputed arrays for the right-hand side (cached per config)."""
@@ -272,6 +283,11 @@ class LinearModalConfig:
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
         """``count + 1`` equispaced times on [0, horizon]."""
         return np.linspace(0.0, horizon, count + 1)
+
+    def as_dict(self) -> dict:
+        """The run file's ``system`` mapping of this config."""
+        return {"type": "linear", "l": self.damping,
+                "mode_eigenvalues": [float(v) for v in self.mode_eigenvalues]}
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +585,6 @@ def modal_slow_rate(damping: float, lam) -> float:
 # ---------------------------------------------------------------------------
 # config-file loading
 
-_WAVE_KEYS = {
-    "mode_count",
-    "k",
-    "p",
-    "l",
-    "f_coeffs",
-    "kernel",
-    "h_coeffs",
-    "dt",
-    "collocation_points",
-}
-
 
 def _num(value, name: str) -> float:
     """Numeric config field; strings are accepted so '1e-3' works in YAML."""
@@ -600,42 +604,66 @@ def _int(value, name: str) -> int:
     return int(number)
 
 
-def _padded(values, n: int, name: str) -> np.ndarray:
-    arr = np.array([_num(v, name) for v in np.atleast_1d(values)], dtype=float)
-    if arr.size > n:
-        raise ValueError(f"{name} has {arr.size} entries but mode_count is {n}")
-    return np.concatenate([arr, np.zeros(n - arr.size)])
+def _padded(values, n: int, name: str) -> tuple:
+    arr = [_num(v, name) for v in np.atleast_1d(values)]
+    if len(arr) > n:
+        raise ValueError(f"{name} has {len(arr)} entries but mode_count is {n}")
+    return tuple(arr) + (0.0,) * (n - len(arr))
+
+
+def _kernel_entry(entry, n: int) -> tuple:
+    if not isinstance(entry, dict) or set(entry) != {"weight", "coeffs"}:
+        raise ValueError("kernel entries must be mappings with keys weight, coeffs")
+    return _num(entry["weight"], "kernel.weight"), _padded(entry["coeffs"], n, "kernel.coeffs")
 
 
 def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
-    """Build a WaveSystemConfig from a plain mapping (the file schema).
+    """Build a WaveSystemConfig from a plain mapping (the file schema): its
+    fields by name, an absent one at its default.
 
     Coefficient lists shorter than ``mode_count`` are zero-padded, so a
     single-mode forcing is just ``h_coeffs: [4.0]``.
     """
     if not isinstance(raw, dict):
         raise ValueError("wave config must be a mapping")
-    unknown = set(raw) - _WAVE_KEYS
+    schema = fields(WaveSystemConfig)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ValueError(f"unknown wave config keys: {sorted(unknown)}")
     if "mode_count" not in raw:
         raise ValueError("wave config needs mode_count")
     n = _int(raw["mode_count"], "mode_count")
-    kernel = []
-    for entry in raw.get("kernel") or ():
-        if not isinstance(entry, dict) or set(entry) != {"weight", "coeffs"}:
-            raise ValueError("kernel entries must be mappings with keys weight, coeffs")
-        kernel.append((_num(entry["weight"], "kernel.weight"),
-                       _padded(entry["coeffs"], n, "kernel.coeffs")))
-    return WaveSystemConfig(
-        mode_count=n,
-        k=_num(raw.get("k", 0.0), "k"),
-        p=_num(raw.get("p", 2.0), "p"),
-        l=_num(raw.get("l", 0.0), "l"),
-        f_coeffs=tuple(_num(c, "f_coeffs") for c in raw.get("f_coeffs") or ()),
-        kernel=tuple(kernel),
-        h_coeffs=tuple(_padded(raw.get("h_coeffs", ()), n, "h_coeffs")),
-        dt=_num(raw["dt"], "dt") if "dt" in raw else 0.5 / n,
-        collocation_points=_int(raw.get("collocation_points", 0), "collocation_points"),
-    )
+    readers = {  # the coefficient fields; the rest are scalars of their type
+        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in v or ()),
+        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in v or ()),
+        "h_coeffs": lambda v, name: _padded(v, n, name),
+    }
+    return WaveSystemConfig(**{
+        f.name: readers.get(f.name, _int if f.type == "int" else _num)(raw[f.name], f.name)
+        for f in schema if f.name in raw
+    })
 
+
+def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
+    """The engine of a run file's ``system`` mapping, as its ``as_dict``
+    writes it: ``type: wave`` with the keys of ``wave_config_from_dict``, or
+    ``type: linear`` with ``l`` and ``mode_count`` or ``mode_eigenvalues``."""
+    if not isinstance(raw, dict) or "type" not in raw:
+        raise ValueError("system section must be a mapping with a 'type' key")
+    kind = raw["type"]
+    body = {k: v for k, v in raw.items() if k != "type"}
+    if kind == "wave":
+        return wave_config_from_dict(body)
+    if kind == "linear":
+        damping = _num(body.pop("l", body.pop("damping", None)), "system.l")
+        if "mode_eigenvalues" in body:
+            lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
+        elif "mode_count" in body:
+            n = _int(body.pop("mode_count"), "mode_count")
+            lam = np.arange(1, n + 1, dtype=float) ** 2
+        else:
+            raise ValueError("linear system needs mode_count or mode_eigenvalues")
+        if body:
+            raise ValueError(f"unknown linear system keys: {sorted(body)}")
+        return LinearModalConfig(damping, lam)
+    raise ValueError(f"unknown system type {kind!r}, expected 'wave' or 'linear'")

@@ -14,6 +14,12 @@ A ``sweep_l`` run's rows are independent wave_attractor runs.  They run at
 the same time in forked worker processes, one per CPU up to the number of
 rows (in this process when that is one).  The outputs are the same as from
 one row after another, and a row that fails is still recorded in its row.
+
+The run file format is the table ``_SCHEMA``, one row per field: its section,
+its key, the ``ExperimentConfig`` attribute it sets and the reader of its
+value.  ``load_experiment_config`` reads a file by it and rejects any key it
+does not list; ``config_to_dict`` writes by it the config echo of each run
+manifest.  Defaults live on the dataclasses alone.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -54,7 +60,7 @@ from .dynamics import (
     absorbing_radius,
     modal_slow_rate,
     states_norms,
-    wave_config_from_dict,
+    system_from_dict,
     _int,
     _num,
     _sample_times,
@@ -118,8 +124,10 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", t)
         if self.ensemble_count < 1 or self.fresh_count < 1:
             raise ValueError("ensemble counts must be positive")
-        if self.ensemble_radius <= 0:
-            raise ValueError("ensemble_radius must be positive")
+        for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
 
     @property
     def metric(self) -> MetricSpec:
@@ -130,7 +138,7 @@ class ExperimentConfig:
 class RunManifest:
     kind: str
     config: dict
-    version: str
+    artifact_version: str
     duration_s: float
     files: dict
     headline: dict
@@ -138,22 +146,9 @@ class RunManifest:
     error: str = ""
     table: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "artifact_version": self.version,
-            "duration_s": self.duration_s,
-            "files": self.files,
-            "headline": self.headline,
-            "status": self.status,
-            "error": self.error,
-            "table": self.table,
-        }
-
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,57 +180,25 @@ def draw_samples(cfg: ExperimentConfig) -> tuple:
     return probe.states, fresh.states
 
 
-def system_to_dict(system) -> dict:
-    if isinstance(system, LinearModalConfig):
-        return {
-            "type": "linear",
-            "l": system.damping,
-            "mode_eigenvalues": [float(v) for v in system.mode_eigenvalues],
-        }
-    return {
-        "type": "wave",
-        "mode_count": system.mode_count,
-        "k": system.k,
-        "p": system.p,
-        "l": system.l,
-        "f_coeffs": list(system.f_coeffs),
-        "kernel": [{"weight": w, "coeffs": list(c)} for w, c in system.kernel],
-        "h_coeffs": list(system.h_coeffs),
-        "dt": system.dt,
-        "collocation_points": system.collocation_points,
-    }
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "ensemble": {
-            "count": cfg.ensemble_count,
-            "radius": cfg.ensemble_radius,
-            "fresh_count": cfg.fresh_count,
-        },
-        "system": system_to_dict(cfg.system),
-        "grids": {
-            "t_grid": [float(t) for t in cfg.t_grid],
-            "m_range": list(cfg.m_range),
-            "l_values": list(cfg.l_values),
-        },
-        "pipeline": {
-            "burn_in": cfg.burn_in,
-            "window": cfg.window,
-            "m_clusters": cfg.m_clusters,
-            "t_orbit": cfg.t_orbit,
-            "orbit_sample_every": cfg.orbit_sample_every,
-            "fit_floor": cfg.fit_floor,
-            "n_periods": cfg.n_periods,
-            "low_mode_threshold": cfg.low_mode_threshold,
-            "closeness": cfg.closeness,
-            "quasi_period": cfg.quasi_period,
-        },
-        "thresholds": dict(cfg.thresholds),
-    }
+    """The run file of ``cfg`` (``load_experiment_config`` reads it back),
+    laid out by ``_SCHEMA``: the config echo in each run manifest."""
+    raw = {}
+    for section, key, attr, _read in _SCHEMA:
+        (raw.setdefault(section, {}) if section else raw)[key] = _file_value(getattr(cfg, attr))
+    return raw
+
+
+def _file_value(value):
+    """An ExperimentConfig attribute as the run file holds it: arrays and
+    tuples as lists, a mapping copied, an engine as its ``as_dict``."""
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return getattr(value, "as_dict", lambda: value)()
 
 
 def _sha256(path) -> str:
@@ -538,7 +501,7 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
             for n, ratio in enumerate(report.per_period_alpha_ratios, start=1)
         )
         headline["max_ratio_over_bound"] = excess
-    return headline, [dict(report.as_dict())]
+    return headline, [asdict(report)]
 
 
 def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
@@ -605,7 +568,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         kind=cfg.kind,
         config=config_to_dict(cfg),
-        version=__version__,
+        artifact_version=__version__,
         duration_s=time.perf_counter() - start,
         files=_inventory(cfg.output_dir),
         headline=headline,
@@ -631,95 +594,88 @@ def _entries(raw, name: str) -> list:
 
 
 def _parse_grid(raw, name: str) -> np.ndarray:
-    if isinstance(raw, dict):
-        keys = set(raw)
-        if keys == {"start", "stop", "step"}:
-            start, stop, step = (_num(raw[k], name) for k in ("start", "stop", "step"))
-            return np.arange(start, stop + 1e-9 * max(1.0, abs(stop)), step)
-        if keys == {"start", "stop", "count"}:
-            return np.linspace(
-                _num(raw["start"], name), _num(raw["stop"], name), _int(raw["count"], name)
-            )
+    if not isinstance(raw, dict):
+        return np.array(_entries(raw, name), dtype=float)
+    if set(raw) not in ({"start", "stop", "step"}, {"start", "stop", "count"}):
         raise ValueError(f"{name} mapping must have keys start/stop/step or start/stop/count")
-    return np.array(_entries(raw, name), dtype=float)
+    start, stop = _num(raw["start"], name), _num(raw["stop"], name)
+    if "count" in raw:
+        return np.linspace(start, stop, _int(raw["count"], name))
+    step = _num(raw["step"], name)
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"config field {name!r} step must be positive and finite, got {step!r}")
+    return np.arange(start, stop + 1e-9 * max(1.0, abs(stop)), step)
 
 
-def _parse_system(raw: dict):
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise ValueError("system section must be a mapping with a 'type' key")
-    kind = raw["type"]
-    body = {k: v for k, v in raw.items() if k != "type"}
-    if kind == "wave":
-        return wave_config_from_dict(body)
-    if kind == "linear":
-        damping = _num(body.pop("l", body.pop("damping", None)), "system.l")
-        if "mode_eigenvalues" in body:
-            lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
-        elif "mode_count" in body:
-            n = _int(body.pop("mode_count"), "mode_count")
-            lam = np.arange(1, n + 1, dtype=float) ** 2
-        else:
-            raise ValueError("linear system needs mode_count or mode_eigenvalues")
-        if body:
-            raise ValueError(f"unknown linear system keys: {sorted(body)}")
-        return LinearModalConfig(damping, lam)
-    raise ValueError(f"unknown system type {kind!r}, expected 'wave' or 'linear'")
+def _pair(raw, name: str) -> tuple:
+    pair = tuple(_int(v, name) for v in _entries(raw, name))
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a pair [m_min, m_max]")
+    return pair
+
+
+def _mapping(raw, name: str) -> dict:
+    """A config section; an empty one may be left null."""
+    if raw is not None and not isinstance(raw, dict):
+        raise ValueError(f"config section {name!r} must be a mapping")
+    return raw or {}
+
+
+def _optional(read):
+    return lambda raw, name: None if raw is None else read(raw, name)
+
+
+# The run file format (see the module docstring); section None is the top level.
+_SCHEMA = (
+    (None, "kind", "kind", lambda raw, _name: str(raw)),
+    (None, "output_dir", "output_dir", lambda raw, _name: str(raw)),
+    (None, "seed", "seed", _int),
+    ("ensemble", "count", "ensemble_count", _int),
+    ("ensemble", "radius", "ensemble_radius", _num),
+    ("ensemble", "fresh_count", "fresh_count", _int),
+    (None, "system", "system", lambda raw, _name: system_from_dict(raw)),
+    ("grids", "t_grid", "t_grid", _parse_grid),
+    ("grids", "m_range", "m_range", _pair),
+    ("grids", "l_values", "l_values", lambda raw, name: tuple(_entries(raw, name))),
+    ("pipeline", "burn_in", "burn_in", _num),
+    ("pipeline", "window", "window", _num),
+    ("pipeline", "m_clusters", "m_clusters", _int),
+    ("pipeline", "t_orbit", "t_orbit", _num),
+    ("pipeline", "orbit_sample_every", "orbit_sample_every", _num),
+    ("pipeline", "fit_floor", "fit_floor", _num),
+    ("pipeline", "n_periods", "n_periods", _int),
+    ("pipeline", "low_mode_threshold", "low_mode_threshold", _int),
+    ("pipeline", "closeness", "closeness", _optional(_num)),
+    ("pipeline", "quasi_period", "quasi_period", _optional(_num)),
+    (None, "thresholds", "thresholds", lambda raw, name: {
+        str(k): _num(v, f"{name}.{k}") for k, v in _mapping(raw, name).items()
+    }),
+)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read the documented YAML schema; numeric fields accept scientific
-    notation whether or not YAML parsed them as strings."""
+    """Read a run file (``_SCHEMA``); numbers may be strings such as '1e-3'.
+    Errors name a field by its key, or by ``ensemble.<key>`` in that section."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ValueError("experiment config must be a mapping")
-    known = {"kind", "output_dir", "seed", "ensemble", "system", "grids",
-             "pipeline", "thresholds"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    for key in ("kind", "output_dir", "system"):
-        if key not in raw:
-            raise ValueError(f"config needs a {key!r} entry")
-
-    def section(key) -> dict:
-        value = raw.get(key)
-        if value is not None and not isinstance(value, dict):
-            raise ValueError(f"config section {key!r} must be a mapping")
-        return value or {}
-
-    ensemble, grids, pipeline = section("ensemble"), section("grids"), section("pipeline")
-    kwargs = {
-        "kind": raw["kind"],
-        "system": _parse_system(raw["system"]),
-        "output_dir": str(raw["output_dir"]),
-        "seed": _int(raw.get("seed", 0), "seed"),
-        "ensemble_count": _int(ensemble.get("count", 30), "ensemble.count"),
-        "ensemble_radius": _num(ensemble.get("radius", 2.0), "ensemble.radius"),
-        "fresh_count": _int(ensemble.get("fresh_count", 20), "ensemble.fresh_count"),
-        "thresholds": {
-            str(k): _num(v, f"thresholds.{k}") for k, v in section("thresholds").items()
-        },
-    }
-    if "t_grid" in grids:
-        kwargs["t_grid"] = _parse_grid(grids["t_grid"], "t_grid")
-    if "m_range" in grids:
-        pair = [_int(v, "m_range") for v in _entries(grids["m_range"], "m_range")]
-        if len(pair) != 2:
-            raise ValueError("m_range must be a pair [m_min, m_max]")
-        kwargs["m_range"] = tuple(pair)
-    if "l_values" in grids:
-        kwargs["l_values"] = tuple(_entries(grids["l_values"], "l_values"))
-    numeric_keys = {
-        "burn_in", "window", "t_orbit", "orbit_sample_every", "fit_floor",
-        "closeness", "quasi_period",
-    }
-    int_keys = {"m_clusters", "n_periods", "low_mode_threshold"}
-    for key, value in pipeline.items():
-        if key in numeric_keys:
-            kwargs[key] = None if value is None else _num(value, key)
-        elif key in int_keys:
-            kwargs[key] = _int(value, key)
-        else:
-            raise ValueError(f"unknown pipeline key {key!r}")
+    sections = {None: raw}
+    kwargs = {}
+    for section, key, attr, read in _SCHEMA:
+        if section not in sections:
+            sections[section] = _mapping(raw.get(section), section)
+        if key in sections[section]:
+            name = f"{section}.{key}" if section == "ensemble" else key
+            kwargs[attr] = read(sections[section][key], name)
+    for section, body in sections.items():
+        # the top level holds its own keys and the names of the sections
+        known = {key if s == section else s for s, key, *_ in _SCHEMA if section in (None, s)}
+        unknown = set(body) - known
+        if unknown:
+            where = "config" if section is None else f"config section {section!r}"
+            raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+            raise ValueError(f"config needs a {f.name!r} entry")
     return ExperimentConfig(**kwargs)

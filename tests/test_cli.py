@@ -104,6 +104,18 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["net.csv", "orbits.csv"])
+def test_verify_header_only_csv_exits_1(finished_run, tmp_path, name):
+    config, out_dir, _out = finished_run
+    attractor = tmp_path / "attractor"
+    shutil.copytree(out_dir / "attractor", attractor)
+    table = attractor / name
+    table.write_text(table.read_text().splitlines(keepends=True)[0])
+    code, _out, err = run_cli("verify", attractor, config)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and name in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad", ["inf", "nan"])
 def test_fit_nonfinite_trace_value_exits_1(tmp_path, bad):
     values = ["1.0", "0.5", bad, "0.125", "0.0625"]
@@ -125,6 +137,41 @@ def test_unknown_config_key_exits_1(tmp_path):
     code, _out, err = run_cli("run", write_config(tmp_path, bogus={"x": 1}))
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and "bogus" in err
+
+
+# (misspelt key, config edit) per section: the run file has one rule for all
+UNKNOWN_KEYS = {
+    "ensemble": ("cuont", {"ensemble": {"cuont": 5}}),
+    "grids": ("t_gird", {"grids": {"t_gird": [0.0, 1.0], "m_rang": [1, 2]}}),
+    "pipeline": ("burnin", {"pipeline": {"burnin": 2.0}}),
+    "system": ("modes", {"system": dict(SMALL_WAVE_SYSTEM, modes=3)}),
+}
+
+
+@pytest.mark.parametrize("section", sorted(UNKNOWN_KEYS))
+def test_unknown_key_in_a_section_exits_1(tmp_path, section):
+    key, edit = UNKNOWN_KEYS[section]
+    code, out, err = run_cli("run", write_config(tmp_path, **edit))
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error:") and f"'{key}'" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# (field named in the error, config edit) per number that cannot run
+BAD_NUMBERS = {
+    "t_grid_step": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12, "step": 0}}}),
+    "zero_orbit_cadence": ("orbit_sample_every", {"pipeline": {"orbit_sample_every": 0}}),
+    "infinite_burn_in": ("burn_in", {"pipeline": {"burn_in": float("inf")}}),
+    "nan_t_orbit": ("t_orbit", {"pipeline": {"t_orbit": float("nan")}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_exits_1_naming_its_field(tmp_path, case):
+    field, edit = BAD_NUMBERS[case]
+    code, _out, err = run_cli("run", write_config(tmp_path, **edit))
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: config field '{field}' ") and err.count("\n") == 1
 
 
 def test_missing_attractor_directory_exits_1(finished_run, tmp_path):

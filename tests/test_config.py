@@ -1,0 +1,106 @@
+"""The run file format: a run manifest's config echo loads back to the same
+config, for every pipeline kind, both engines and every field."""
+
+import json
+import os
+from dataclasses import MISSING, fields, replace
+
+import numpy as np
+import pytest
+import yaml
+
+from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, wave_config_from_dict
+from attractorlab.experiments import (
+    ExperimentConfig,
+    config_to_dict,
+    load_experiment_config,
+    run_experiment,
+)
+
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM
+
+
+def small_wave(out, kind, **overrides):
+    return ExperimentConfig(
+        kind=kind, system=wave_config_from_dict(SMALL_WAVE_SYSTEM), output_dir=str(out),
+        seed=7, ensemble_count=8, ensemble_radius=4.0, fresh_count=6, **overrides,
+    )
+
+
+def shipped_oracle(out, kind):
+    cfg = load_experiment_config(os.path.join(CONFIG_DIR, "oracle_decay.yaml"))
+    return replace(cfg, kind=kind, output_dir=str(out))
+
+
+RUNS = {
+    "oracle_decay": lambda out: shipped_oracle(out, "oracle_decay"),
+    "quasistability_oracle": lambda out: shipped_oracle(out, "quasistability"),
+    "quasistability_wave": lambda out: small_wave(out, "quasistability"),
+    "wave_attractor": lambda out: small_wave(out, "wave_attractor"),
+    "criteria_suite": lambda out: small_wave(out, "criteria_suite"),
+    "sweep_l": lambda out: small_wave(out, "sweep_l", l_values=(1.0, 2.0)),
+}
+
+
+def reloaded(raw, tmp_path) -> ExperimentConfig:
+    """``load_experiment_config`` of a config mapping written as YAML."""
+    path = tmp_path / "echo.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return load_experiment_config(path)
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_manifest_config_echo_loads_back(case, tmp_path):
+    cfg = RUNS[case](tmp_path / "out")
+    assert run_experiment(cfg).status == "ok"
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert echo == config_to_dict(cfg)
+    assert config_to_dict(reloaded(echo, tmp_path)) == echo
+
+
+def off_default_config(out) -> ExperimentConfig:
+    system = WaveSystemConfig(
+        mode_count=3, k=0.5, p=3.0, l=1.5, f_coeffs=(0.0, -1.0, 0.0, 2.0),
+        kernel=((0.2, (1.0, 0.5, 0.0)),), h_coeffs=(1.0, 0.0, -0.5), dt=0.125,
+        collocation_points=9,
+    )
+    return ExperimentConfig(
+        kind="sweep_l", system=system, output_dir=str(out), seed=11, ensemble_count=9,
+        ensemble_radius=3.0, fresh_count=5, t_grid=np.arange(0.0, 6.5, 0.5), m_range=(2, 3),
+        l_values=(0.5, 1.0), burn_in=3.0, window=1.5, m_clusters=2, t_orbit=6.0,
+        orbit_sample_every=0.5, fit_floor=1e-8, n_periods=4, low_mode_threshold=2,
+        closeness=0.3, quasi_period=2.0, thresholds={"satisfied_fraction": 0.9},
+    )
+
+
+def test_every_field_survives_the_round_trip(tmp_path):
+    cfg = off_default_config(tmp_path / "out")
+    defaults = ExperimentConfig(kind="oracle_decay", system=cfg.system, output_dir="")
+    for f in fields(ExperimentConfig):
+        # every field off its default, so a field the file format leaves out
+        # comes back at its default and fails below
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            assert not np.array_equal(getattr(cfg, f.name), getattr(defaults, f.name)), f.name
+    back = reloaded(config_to_dict(cfg), tmp_path)
+    for f in fields(ExperimentConfig):
+        if f.name == "system":
+            assert back.system.as_dict() == cfg.system.as_dict()
+        else:
+            assert np.array_equal(getattr(back, f.name), getattr(cfg, f.name)), f.name
+    assert config_to_dict(back) == config_to_dict(cfg)
+
+
+@pytest.mark.parametrize("system", [
+    WaveSystemConfig(mode_count=3, kernel=((0.1, (1.0, 0.0, 0.0)),), h_coeffs=(4.0, 0.0, 0.0)),
+    LinearModalConfig(2.0, np.array([1.0, 4.0])),
+])
+def test_engine_writes_plain_values(system, tmp_path):
+    # plain floats, not numpy scalars, so yaml.safe_dump can write the echo
+    cfg = ExperimentConfig(kind="oracle_decay", system=system, output_dir=str(tmp_path))
+    assert reloaded(config_to_dict(cfg), tmp_path).system.as_dict() == system.as_dict()
+
+
+def test_wave_dt_defaults_to_the_stability_bound():
+    assert WaveSystemConfig(mode_count=8).dt == 0.0625
+    assert wave_config_from_dict({"mode_count": 32}).dt == 0.015625
+    assert replace(WaveSystemConfig(mode_count=4), l=1.0).dt == 0.125

@@ -8,8 +8,9 @@ import os
 import pytest
 
 import attractorlab
-from attractorlab.criteria import RateBounds, RateFit
+from attractorlab.criteria import QuasiStabilityReport, RateBounds, RateFit
 from attractorlab.decay import DecayLaw
+from attractorlab.experiments import RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
 MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
@@ -18,13 +19,14 @@ REMOVED = {
     "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
-                 "_sampled_norms", "_rk4_step"),
+                 "_sampled_norms", "_rk4_step", "_WAVE_KEYS"),
     "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
                    "QUANT_FLOOR"),
     "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
-    "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace"),
+    "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
+                    "system_to_dict", "_parse_system"),
 }
 
 
@@ -75,6 +77,8 @@ def test_removed_members_are_gone():
     assert not hasattr(Ensemble, "__len__")
     assert not hasattr(RateFit, "as_dict")
     assert not hasattr(RateBounds, "as_dict")
+    assert not hasattr(QuasiStabilityReport, "as_dict")
+    assert not hasattr(RunManifest, "as_dict")
 
 
 def test_benchmark_trace_points_are_bound():
