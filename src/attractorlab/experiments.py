@@ -15,6 +15,18 @@ the same time in forked worker processes, one per CPU up to the number of
 rows (in this process when that is one).  The outputs are the same as from
 one row after another, and a row that fails is still recorded in its row.
 
+Inside one wave_attractor run, two passes run in forked children
+(``_forked``) while this process integrates: the held-out fresh sample's
+pass, which needs only the config, from the start of the run; and the fit,
+net and net orbits, while this process continues the absorbed sample to
+2 t_orbit for the omega-limit proxy.  A child sends back only what the run
+reads and writes no file.  With one CPU nothing is forked, and every pass
+runs here in the serial order.  A failed run ends as the serial one does:
+the same error wins (the proxy continuation's before the net stage's, both
+before the fresh pass's), the same files are left, ``trace_alpha.csv`` is
+written only once the continuation has succeeded, and every child is joined
+before ``run_experiment`` returns or raises.
+
 The run file format is the table ``_SCHEMA``, one row per field: its section,
 its key, the ``ExperimentConfig`` attribute it sets and the reader of its
 value.  ``load_experiment_config`` reads a file by it and rejects any key it
@@ -24,6 +36,7 @@ manifest.  Defaults live on the dataclasses alone.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -55,6 +68,7 @@ from .criteria import (
     tail_projection_decay,
 )
 from .dynamics import (
+    BlowUpError,
     LinearModalConfig,
     WaveSystemConfig,
     absorbing_radius,
@@ -122,9 +136,12 @@ class ExperimentConfig:
         if t.size == 0 or np.any(np.diff(t) <= 0):
             raise ValueError("t_grid must be nonempty and strictly increasing")
         object.__setattr__(self, "t_grid", t)
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")
         if self.ensemble_count < 1 or self.fresh_count < 1:
             raise ValueError("ensemble counts must be positive")
-        for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every"):
+        for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every",
+                     "fit_floor"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
@@ -235,14 +252,17 @@ def _sample_union(system, states, *grids) -> list:
 
 def _resume(system, steps, rows, start: int, *grids) -> list:
     """``_sample_union`` on the wave engine of the trajectory whose states at
-    the sorted step indices ``steps`` (``steps[0] == 0``) are ``rows``, with
-    the grids' times counted from step ``start``.
+    the sorted step indices ``steps`` (``steps[0] <= start``) are ``rows``,
+    with the grids' times counted from step ``start``.  After the grids' row
+    arrays comes this call's own table (steps, rows), which holds a row at
+    every grid time, for a later call to resume from.
 
     Rows the trajectory holds are read from it.  The rest come from one pass
     that resumes at its last held row before the first time it lacks, so the
     steps up to that row are not integrated again.  Each row is bit for bit
     the one a pass from the state at ``start`` gives: the same batch takes
-    the same steps.
+    the same steps.  A blow-up's time is counted from ``start`` too, so it
+    does not depend on the row the pass resumed from.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     union = _sample_times(np.unique(np.concatenate(grids)))
@@ -252,9 +272,65 @@ def _resume(system, steps, rows, start: int, *grids) -> list:
     samples = rows[np.searchsorted(steps, want[:first])]
     if first < want.size:
         base = np.searchsorted(steps, want[first]) - 1
-        later = system.sample(rows[base], (want[first:] - steps[base]) * system.dt)
+        try:
+            later = system.sample(rows[base], (want[first:] - steps[base]) * system.dt)
+        except BlowUpError as exc:
+            lost = round(exc.time / system.dt) + steps[base] - start
+            raise BlowUpError(lost * system.dt) from None
         samples = np.concatenate([samples, later])
-    return [samples[np.searchsorted(union, g)] for g in grids]
+    return [samples[np.searchsorted(union, g)] for g in grids] + [(want, samples)]
+
+
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Run ``fn(*args)`` in a forked child process while the block runs.
+
+    The block gets a zero-argument callable that joins the child and gives
+    back its result, or re-raises its exception.  On leaving the block the
+    child is joined in every case; one whose result was not asked for (the
+    block raised first) is killed first, so the block's own error is the one
+    that propagates.  With one CPU nothing is forked: the callable computes
+    ``fn(*args)`` here when it is called, so the work keeps its serial order.
+    """
+    if (os.cpu_count() or 1) == 1:
+        yield lambda: fn(*args)
+        return
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_reply, args=(send, fn, args))
+    child.start()
+    send.close()
+
+    def result():
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"{fn.__name__} exited with code {child.exitcode} and sent no result"
+            ) from None
+        child.join()
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        receive.close()
+        if child.is_alive():
+            child.kill()
+        child.join()
+
+
+def _reply(send, fn, args):
+    """The child side of ``_forked``: send (True, result) or (False, error)."""
+    try:
+        reply = True, fn(*args)
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        reply = False, exc
+    send.send(reply)
+    send.close()
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +366,19 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     return headline, []
 
 
-def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
-    system, spec = cfg.system, cfg.metric
-    if not isinstance(system, WaveSystemConfig):
-        raise ValueError("wave_attractor runs on the wave system")
-    probe, fresh = draw_samples(cfg)
-
-    # one probe pass samples the entering grid and every orbit-cadence time up
-    # to the first at or past its end, where absorb_time can fall; rows are
-    # picked by step index, as in the fresh pass below.  Only the
-    # orbit-cadence rows are kept, until the absorbed sample is read.  They
-    # are allocated before the pass, so its freed rows leave one block for
-    # the later stages (copied out afterwards, they raised peak RSS by ~1%)
-    horizon, snap = cfg.burn_in + cfg.window, cfg.orbit_sample_every
-    enter_grid = system.sample_grid(horizon, 200)
-    enter_steps = np.rint(enter_grid / system.dt)
+def _absorbing_ball(cfg: ExperimentConfig, probe, enter_grid, enter_steps):
+    """One probe pass over burn_in + window: the absorbing radius, the time
+    ``absorb_time`` at which the probe has entered the ball, and the probe's
+    rows at every orbit-cadence step up to the first at or past the horizon,
+    as (radius, absorb_time, steps, rows)."""
+    system, snap = cfg.system, cfg.orbit_sample_every
+    horizon = cfg.burn_in + cfg.window
+    # the pass samples the entering grid and every orbit-cadence time up to
+    # the first at or past its end, where absorb_time can fall; rows are
+    # picked by step index, as in the fresh pass.  Only the orbit-cadence
+    # rows are kept.  They are allocated before the pass, so its freed rows
+    # leave one block for the later stages (copied out afterwards, they
+    # raised peak RSS by ~1%)
     snap_steps = np.unique(np.rint(
         np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap / system.dt
     ))
@@ -320,21 +394,25 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     # anchor the absorbing-ball sample at the probe's own entering time: later
     # states are over-contracted and would miscalibrate the law's amplitude
     absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
-    absorb_step = _steps_for(system, absorb_time, "sample time")
+    return radius, absorb_time, snap_steps, snap_rows
 
-    # the absorbed sample is the probe from absorb_time on: its pass resumes
-    # the probe pass instead of integrating the probe's steps again
-    births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
-    (absorbed,), rows, images, (proxy,) = _resume(
-        system, snap_steps, snap_rows, absorb_step,
-        [0.0], cfg.t_grid, births, [2.0 * cfg.t_orbit],
-    )
-    del snap_rows
+
+def _fresh_pass(system, fresh, enter_steps, cadence_steps):
+    """The held-out sample's energy norms at the entering-grid steps and its
+    rows at the orbit-cadence steps, from one pass over both."""
+    steps = np.union1d(enter_steps, cadence_steps)
+    rows = system.sample(fresh, steps * system.dt)
+    norms = states_norms(rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
+    return norms, rows[np.searchsorted(steps, cadence_steps)]
+
+
+def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
+    """The alpha trace of the absorbed sample's ``rows`` (on ``t_grid``), its
+    fit and decay law, and the net with its orbits, as (alpha, fit, law,
+    set).  ``fit`` is None for a degenerate trace, and the set's omega-limit
+    proxy is None for the caller to fill in."""
     alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
-    alpha.to_csv(out("trace_alpha.csv"))
-    bounds = predicted_rate_bounds(system, spec) if system.l > 0 else None
-    degenerate = int(np.sum(alpha.values > cfg.fit_floor)) < 4
-    if degenerate:
+    if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
         # sample spread never rises above the floor (e.g. an exact equilibrium);
         # any positive envelope dominates, so use the predicted rate
         fit = None
@@ -345,19 +423,61 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     else:
         fit = fit_exponential_rate(alpha, cfg.fit_floor)
         law = fit_envelope_law(alpha, cfg.fit_floor)
-
     aset = build_attracting_set(
-        absorbed, cfg.m_range, images, proxy, law, cfg.t_orbit, cfg.orbit_sample_every,
-        system, spec,
+        absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
+        cfg.system, spec,
     )
+    return alpha, fit, law, aset
+
+
+def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
+    system, spec = cfg.system, cfg.metric
+    if not isinstance(system, WaveSystemConfig):
+        raise ValueError("wave_attractor runs on the wave system")
+    probe, fresh = draw_samples(cfg)
+    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, 200)
+    enter_steps = np.rint(enter_grid / system.dt)
     # the check times start after t_star: the fresh pass samples every
-    # orbit-cadence time as well, and rows are picked by step index
-    steps = np.union1d(enter_steps, np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, snap) / system.dt))
-    fresh_rows = system.sample(fresh, steps * system.dt)
-    enter_norms = states_norms(fresh_rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
+    # orbit-cadence time as well.  It needs nothing but the config, so it
+    # runs in a child from here on (see the module docstring)
+    cadence_steps = np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, cfg.orbit_sample_every)
+                            / system.dt)
+    with _forked(_fresh_pass, system, fresh, enter_steps, cadence_steps) as fresh_pass:
+        radius, absorb_time, snap_steps, snap_rows = _absorbing_ball(
+            cfg, probe, enter_grid, enter_steps
+        )
+        absorb_step = _steps_for(system, absorb_time, "sample time")
+        # the absorbed sample is the probe from absorb_time on: its pass
+        # resumes the probe pass instead of integrating the probe's steps again
+        births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
+        (absorbed,), rows, images, held = _resume(
+            system, snap_steps, snap_rows, absorb_step, [0.0], cfg.t_grid, births,
+        )
+        del snap_rows
+        bounds = predicted_rate_bounds(system, spec) if system.l > 0 else None
+        # a child fits the law and builds the net while this process
+        # continues the same batch to 2 t_orbit, the omega-limit proxy
+        with _forked(_net_stage, cfg, spec, bounds, absorbed, rows, images) as net_stage:
+            (proxy,), _ = _resume(system, *held, absorb_step, [2.0 * cfg.t_orbit])
+            del held
+            try:
+                alpha, fit, law, aset = net_stage()
+            except Exception:
+                # the serial order writes the trace before the fit, so a failed
+                # fit or net leaves it; a failed trace fails here again, unwritten
+                decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec).to_csv(
+                    out("trace_alpha.csv")
+                )
+                raise
+        alpha.to_csv(out("trace_alpha.csv"))
+        enter_norms, cadence_rows = fresh_pass()
+    aset = replace(aset, attractor_proxy=proxy)
+
     t_star = max(_settle_times(enter_grid, enter_norms, radius))
     t_grid_verify = verification_grid(aset, t_star)
-    verify_rows = fresh_rows[np.searchsorted(steps, np.rint(t_grid_verify / system.dt))]
+    verify_rows = cadence_rows[
+        np.searchsorted(cadence_steps, np.rint(t_grid_verify / system.dt))
+    ]
     certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, spec)
 
     save_attracting_set(
@@ -376,7 +496,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         "t_star": t_star,
         "net_size": float(len(aset.birth_times)),
         "orbit_sample_count": float(aset.orbit_states.shape[0] * aset.orbit_states.shape[1]),
-        "degenerate_trace": float(degenerate),
+        "degenerate_trace": float(fit is None),
     }
     if fit is not None:
         headline["beta_hat"] = fit.rate
@@ -417,7 +537,9 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     worker keeps the imported modules, where a spawned one would import
     scipy again, at about two thirds of a row's run time.  Forking is safe
     here: the pool forks every worker before it starts its own thread, and
-    OpenBLAS stops its threads across a fork (it registers a fork handler)."""
+    OpenBLAS stops its threads across a fork (it registers a fork handler).
+    A row forks its own passes' children in turn: the pool's workers are not
+    daemonic, and each runs only its main thread, so that fork is safe too."""
     values = [float(v) for v in cfg.l_values]
     if not values:
         raise ValueError("sweep_l needs a nonempty l_values grid")
@@ -600,7 +722,10 @@ def _parse_grid(raw, name: str) -> np.ndarray:
         raise ValueError(f"{name} mapping must have keys start/stop/step or start/stop/count")
     start, stop = _num(raw["start"], name), _num(raw["stop"], name)
     if "count" in raw:
-        return np.linspace(start, stop, _int(raw["count"], name))
+        count = _int(raw["count"], name)
+        if count < 1:
+            raise ValueError(f"config field {name!r} count must be positive, got {count!r}")
+        return np.linspace(start, stop, count)
     step = _num(raw["step"], name)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"config field {name!r} step must be positive and finite, got {step!r}")

@@ -1,9 +1,24 @@
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from attractorlab.attracting import build_attracting_set
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running: the forked passes of
+    a run and the sweep's workers are joined before ``run_experiment``
+    returns or raises.  A child left behind is killed, so later tests start
+    clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

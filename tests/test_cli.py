@@ -163,6 +163,10 @@ BAD_NUMBERS = {
     "zero_orbit_cadence": ("orbit_sample_every", {"pipeline": {"orbit_sample_every": 0}}),
     "infinite_burn_in": ("burn_in", {"pipeline": {"burn_in": float("inf")}}),
     "nan_t_orbit": ("t_orbit", {"pipeline": {"t_orbit": float("nan")}}),
+    "nan_fit_floor": ("fit_floor", {"pipeline": {"fit_floor": float("nan")}}),
+    "negative_seed": ("seed", {"seed": -1}),
+    "negative_grid_count": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12,
+                                                            "count": -1}}}),
 }
 
 

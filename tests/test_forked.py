@@ -1,0 +1,119 @@
+"""wave_attractor's forked passes: the helper, and failed runs that end the
+same way whether the passes run in children (two CPUs) or here (one CPU)."""
+
+import json
+import multiprocessing
+import os
+import time
+
+import numpy as np
+import pytest
+
+from attractorlab import experiments
+from attractorlab.dynamics import BlowUpError, wave_config_from_dict
+from attractorlab.experiments import ExperimentConfig, _forked, run_experiment
+
+# One stiff mode: RK4 at dt = 0.5 multiplies its fast component by about
+# 4e6 a step, so a state of size 1e-300 stays below the probe's 1e-12
+# tolerance through the absorbing horizon and overflows at t = 46.
+BLOW_UP_SYSTEM = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
+
+
+def blow_up_run(out, t_orbit):
+    return ExperimentConfig(
+        kind="wave_attractor", system=wave_config_from_dict(BLOW_UP_SYSTEM),
+        output_dir=str(out), seed=7, ensemble_count=6, fresh_count=4,
+        ensemble_radius=1e-300, t_grid=np.arange(0.0, 12.25, 0.5),
+        orbit_sample_every=0.5, t_orbit=t_orbit,
+    )
+
+
+def _double(x):
+    return 2 * x
+
+
+def _blow_up(t):
+    raise BlowUpError(t)
+
+
+def test_forked_gives_back_the_child_result(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with _forked(_double, 21) as result:
+        assert result() == 42
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_reraises_the_child_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(BlowUpError) as err:
+        with _forked(_blow_up, 1.5) as result:
+            result()
+    assert err.value.time == 1.5
+
+
+def test_forked_kills_a_child_whose_result_is_not_read(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisionError):
+        with _forked(time.sleep, 60.0):
+            1 / 0
+    assert time.perf_counter() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_on_one_cpu_runs_here_when_asked(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    calls = []
+    with _forked(calls.append, "ran") as result:
+        assert calls == [] and multiprocessing.active_children() == []
+        result()
+    assert calls == ["ran"]
+
+
+def fresh_scaled_up(monkeypatch):
+    # a held-out sample near 1e100 overflows at t = 16, before t_orbit = 20;
+    # the absorbed sample stays finite to its horizon 2 * t_orbit = 40
+    draw = experiments.draw_samples
+
+    def draw_large_fresh(cfg):
+        probe, fresh = draw(cfg)
+        return probe, fresh * 1e300 * 1e100
+
+    monkeypatch.setattr(experiments, "draw_samples", draw_large_fresh)
+    return 20.0
+
+
+# (t_orbit or a setup returning it, manifest error, files left) per failure
+FAILURES = {
+    # only the proxy continuation reaches t = 46; nothing is written
+    "proxy_continuation": (
+        24.0, "BlowUpError: solution blew up (non-finite state) at t = 46", ["manifest.json"],
+    ),
+    # the net orbits (at t = 42) and the fresh pass blow up as well; the
+    # continuation comes first in the serial order, so its error is the one
+    "proxy_continuation_and_net": (
+        48.0, "BlowUpError: solution blew up (non-finite state) at t = 46", ["manifest.json"],
+    ),
+    # the trace is written before the fresh sample's rows are read
+    "fresh_pass": (
+        fresh_scaled_up, "BlowUpError: solution blew up (non-finite state) at t = 16",
+        ["manifest.json", "trace_alpha.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failed_run_ends_the_same_on_one_and_two_cpus(case, tmp_path, monkeypatch):
+    t_orbit, error, files = FAILURES[case]
+    if callable(t_orbit):
+        t_orbit = t_orbit(monkeypatch)
+    ends = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        cfg = blow_up_run(tmp_path / f"cpus_{cpus}", t_orbit)
+        with pytest.raises(BlowUpError):
+            run_experiment(cfg)
+        with open(os.path.join(cfg.output_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        ends[cpus] = manifest["status"], manifest["error"], sorted(os.listdir(cfg.output_dir))
+    assert ends[1] == ends[2] == ("failed", error, files)

@@ -18,6 +18,7 @@ from attractorlab import dynamics
 from attractorlab.dynamics import wave_config_from_dict
 from attractorlab.experiments import (
     ExperimentConfig,
+    draw_samples,
     load_experiment_config,
     run_experiment,
 )
@@ -162,8 +163,9 @@ def test_outputs_match_golden_digests(case, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
-    # each pipeline integrates each ensemble once, to its longest horizon
-    # one CPU: the sweep's rows run in this process, where the counter sees them
+    # each pipeline integrates each ensemble once, to its longest horizon.
+    # One CPU keeps every pass in this process, where the counter sees it: the
+    # sweep's rows and wave_attractor's fresh pass and net stage
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     starts = Counter()
     evolve = dynamics.evolve_states
@@ -213,3 +215,28 @@ def test_pooled_sweep_matches_the_in_process_run(tmp_path, monkeypatch):
     assert hashes[2] == hashes[1] == GOLDEN["sweep_l"]
     assert tables[2] == tables[1]
     assert integrations[1] > 0 and integrations[2] == 0
+
+
+@pytest.mark.parametrize("case", ["wave_attractor", "wave_attractor_unabsorbed"])
+def test_forked_passes_match_the_in_process_run(case, tmp_path, monkeypatch):
+    # one CPU integrates all five passes here: probe, absorbed sample, proxy
+    # continuation, net orbits and fresh sample.  Two CPUs fork the fresh pass
+    # and the net stage, so this process integrates only the first three
+    starts = []
+    evolve = dynamics.evolve_states
+
+    def recorded(y0, cfg, times):
+        starts.append(np.asarray(y0, dtype=float).tobytes())
+        return evolve(y0, cfg, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", recorded)
+    integrated = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        starts.clear()
+        cfg = CASES[case](tmp_path / f"cpus_{cpus}")
+        run_experiment(cfg)
+        assert output_hashes(cfg.output_dir) == GOLDEN[case]
+        _probe, fresh = draw_samples(cfg)
+        integrated[cpus] = len(starts), fresh.tobytes() in starts
+    assert integrated == {1: (5, True), 2: (3, False)}
