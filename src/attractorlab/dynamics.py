@@ -277,8 +277,7 @@ class LinearModalConfig:
     def sample(self, states, times) -> np.ndarray:
         """Exact samples of a (..., 2N) state array at nonnegative,
         nondecreasing times."""
-        times = _sample_times(times)
-        return np.stack([modal_evolve_states(states, self, t) for t in times])
+        return modal_evolve_states(states, self, _sample_times(times))
 
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
         """``count + 1`` equispaced times on [0, horizon]."""
@@ -447,9 +446,10 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
 # closed-form linear modal oracle
 
 
-def modal_propagator(damping: float, lam: np.ndarray, t: float):
+def modal_propagator(damping: float, lam: np.ndarray, t):
     """Per-mode 2x2 propagator entries (m11, m12, m21, m22) at time t for
-    z'' + damping z' + lam z = 0, split over the three root branches."""
+    z'' + damping z' + lam z = 0, split over the three root branches.  An
+    array ``t`` broadcasts against ``lam``, entry by entry."""
     lam = np.asarray(lam, dtype=float)
     sig = damping / 2.0
     disc = damping * damping - 4.0 * lam
@@ -493,12 +493,25 @@ def modal_propagator(damping: float, lam: np.ndarray, t: float):
     )
 
 
-def modal_evolve_states(y: np.ndarray, cfg: LinearModalConfig, t: float) -> np.ndarray:
+def modal_evolve_states(y: np.ndarray, cfg: LinearModalConfig, t) -> np.ndarray:
+    """The exact flow of the (..., 2N) state array ``y`` at time ``t``, a
+    scalar or an array of times, with shape ``np.shape(t) + y.shape``: a
+    scalar gives one state array, a 1-d array one per time.  Each entry is
+    bit for bit the one a scalar call at that time gives."""
     y = np.asarray(y, dtype=float)
     n = cfg.mode_count
+    shape = np.shape(t)
+    # one propagator for every time: t on the leading axes, modes on the last
+    t = np.reshape(np.asarray(t, dtype=float), shape + (1,) * y.ndim)
     m11, m12, m21, m22 = modal_propagator(cfg.damping, cfg.mode_eigenvalues, t)
     a, b = y[..., :n], y[..., n:]
-    return np.concatenate([m11 * a + m12 * b, m21 * a + m22 * b], axis=-1)
+    out = np.empty(shape + y.shape)
+    # m11 a + m12 b and m21 a + m22 b: each product, then the in-place sum
+    np.multiply(m11, a, out=out[..., :n])
+    out[..., :n] += m12 * b
+    np.multiply(m21, a, out=out[..., n:])
+    out[..., n:] += m22 * b
+    return out
 
 
 def states_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:

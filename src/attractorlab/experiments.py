@@ -27,6 +27,12 @@ before the fresh pass's), the same files are left, ``trace_alpha.csv`` is
 written only once the continuation has succeeded, and every child is joined
 before ``run_experiment`` returns or raises.
 
+An oracle_decay run splits its alpha trace the same way: a forked child
+covers the later half of ``t_grid`` while this process takes the
+semidistance trace, then the earlier half, and the two halves join into one
+trace.  With one CPU the later half is covered here after the earlier one,
+the serial order, and a failed run ends with the same error and files.
+
 The run file format is the table ``_SCHEMA``, one row per field: its section,
 its key, the ``ExperimentConfig`` attribute it sets and the reader of its
 value.  ``load_experiment_config`` reads a file by it and rejects any key it
@@ -140,6 +146,13 @@ class ExperimentConfig:
             raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")
         if self.ensemble_count < 1 or self.fresh_count < 1:
             raise ValueError("ensemble counts must be positive")
+        if self.m_clusters < 1:
+            raise ValueError(f"config field 'm_clusters' must be >= 1, got {self.m_clusters!r}")
+        m_min, m_max = self.m_range
+        if not 1 <= m_min <= m_max:
+            raise ValueError(
+                f"config field 'm_range' must satisfy 1 <= m_min <= m_max, got {self.m_range!r}"
+            )
         for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every",
                      "fit_floor"):
             value = getattr(self, name)
@@ -344,10 +357,18 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     probe, _fresh = draw_samples(cfg)
     rows = system.sample(probe, cfg.t_grid)
 
-    semidist = DecayTrace(
-        cfg.t_grid, np.array([ensemble_radius(block, spec) for block in rows]), "semidist"
-    )
-    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
+    # a child covers the later half of the grid while this process takes the
+    # semidistance trace and the earlier half (see the module docstring)
+    half = cfg.t_grid.size // 2
+    with _forked(decay_trace, cfg.t_grid[half:], rows[half:], cfg.m_clusters, spec) as later:
+        semidist = DecayTrace(
+            cfg.t_grid, np.array([ensemble_radius(block, spec) for block in rows]), "semidist"
+        )
+        earlier = decay_trace(cfg.t_grid[:half], rows[:half], cfg.m_clusters, spec)
+        alpha = DecayTrace(
+            cfg.t_grid, np.concatenate([earlier.values, later().values]), "alpha_proxy",
+            cfg.m_clusters,
+        )
     semidist.to_csv(out("trace_semidist.csv"))
     alpha.to_csv(out("trace_alpha.csv"))
 

@@ -1,3 +1,4 @@
+import importlib.util
 import multiprocessing
 import os
 
@@ -57,8 +58,22 @@ def attracting_set(states, m_range, law, t_orbit, orbit_sample_every, cfg, spec)
     )
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 # The shipped run configs.
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+CONFIG_DIR = os.path.join(ROOT, "configs")
+
+
+def load_bench_tracing():
+    """The benchmark's ``bench/tracing.py``, loaded from its file (``bench``
+    is not a package on the test path)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
 
 # The 8-mode damped wave system used by the end-to-end tests: the shipped
 # system's coefficients at a size where a pipeline run takes a fraction of a

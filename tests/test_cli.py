@@ -167,6 +167,9 @@ BAD_NUMBERS = {
     "negative_seed": ("seed", {"seed": -1}),
     "negative_grid_count": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12,
                                                             "count": -1}}}),
+    "zero_m_clusters": ("m_clusters", {"pipeline": {"m_clusters": 0}}),
+    "m_range_from_zero": ("m_range", {"grids": {"m_range": [0, 4]}}),
+    "m_range_reversed": ("m_range", {"grids": {"m_range": [3, 2]}}),
 }
 
 
@@ -176,6 +179,8 @@ def test_bad_number_exits_1_naming_its_field(tmp_path, case):
     code, _out, err = run_cli("run", write_config(tmp_path, **edit))
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: config field '{field}' ") and err.count("\n") == 1
+    # rejected when the config is read: no pass has run, no trace is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_attractor_directory_exits_1(finished_run, tmp_path):

@@ -348,6 +348,26 @@ class TestLinearModalOracle:
             for got, want in zip(m, ref):
                 assert got[0] == pytest.approx(want[0], rel=1e-6)
 
+    @pytest.mark.parametrize("shape", [(12,), (5, 12), (2, 3, 12)])
+    def test_time_array_matches_one_call_per_time(self, rng, shape):
+        # l = 2: lam 0.25 and 0.75 are overdamped, 1 critical, 4 and 9 under
+        cfg = LinearModalConfig(2.0, np.array([0.25, 1.0, 4.0, 0.75, 1.0, 9.0]))
+        y = rng.standard_normal(shape)
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 20.0, 40))])
+        a, b = y[..., :6], y[..., 6:]
+
+        def by_formula(t):
+            # the per-time expression the array call replaced
+            m11, m12, m21, m22 = modal_propagator(cfg.damping, cfg.mode_eigenvalues, float(t))
+            return np.concatenate([m11 * a + m12 * b, m21 * a + m22 * b], axis=-1)
+
+        got = modal_evolve_states(y, cfg, ts)
+        assert got.shape == ts.shape + shape
+        assert got.tobytes() == np.stack([modal_evolve_states(y, cfg, t) for t in ts]).tobytes()
+        assert got.tobytes() == np.stack([by_formula(t) for t in ts]).tobytes()
+        assert cfg.sample(y, ts).tobytes() == got.tobytes()
+        assert modal_evolve_states(y, cfg, 1.5).shape == shape
+
 
 class TestLyapunov:
     def test_zero_state(self):

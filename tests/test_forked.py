@@ -1,5 +1,6 @@
-"""wave_attractor's forked passes: the helper, and failed runs that end the
-same way whether the passes run in children (two CPUs) or here (one CPU)."""
+"""The forked passes of wave_attractor and oracle_decay: the helper, and
+failed runs that end the same way whether the passes run in children (two
+CPUs) or here (one CPU)."""
 
 import json
 import multiprocessing
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from attractorlab import experiments
-from attractorlab.dynamics import BlowUpError, wave_config_from_dict
+from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_from_dict
 from attractorlab.experiments import ExperimentConfig, _forked, run_experiment
 
 # One stiff mode: RK4 at dt = 0.5 multiplies its fast component by about
@@ -117,3 +118,28 @@ def test_failed_run_ends_the_same_on_one_and_two_cpus(case, tmp_path, monkeypatc
             manifest = json.load(fh)
         ends[cpus] = manifest["status"], manifest["error"], sorted(os.listdir(cfg.output_dir))
     assert ends[1] == ends[2] == ("failed", error, files)
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_failed_oracle_run_ends_the_same_on_one_and_two_cpus(points, tmp_path, monkeypatch):
+    # a t_grid of 1 or 2 points leaves the earlier half of the alpha trace
+    # empty or of one block; both traces are written, then the fit fails
+    ends = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        out = tmp_path / f"cpus_{cpus}"
+        cfg = ExperimentConfig(
+            kind="oracle_decay", system=LinearModalConfig(1.0, np.arange(1.0, 5.0) ** 2),
+            output_dir=str(out), seed=7, ensemble_count=6, t_grid=np.arange(float(points)),
+        )
+        with pytest.raises(ValueError):
+            run_experiment(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(os.listdir(out))
+        traces = [(out / name).read_text() for name in names if name != "manifest.json"]
+        ends[cpus] = manifest["status"], manifest["error"], names, traces
+    error = f"ValueError: need at least 4 trace values above floor 1e-09, got {points}"
+    assert ends[1] == ends[2]
+    assert ends[2][:3] == (
+        "failed", error, ["manifest.json", "trace_alpha.csv", "trace_semidist.csv"],
+    )

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from attractorlab import dynamics
+from attractorlab import covering, criteria, dynamics, experiments
 from attractorlab.dynamics import wave_config_from_dict
 from attractorlab.experiments import (
     ExperimentConfig,
@@ -23,7 +23,7 @@ from attractorlab.experiments import (
     run_experiment,
 )
 
-from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM, load_bench_tracing
 
 
 def output_hashes(output_dir) -> dict:
@@ -183,6 +183,20 @@ def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
     assert {key: n for key, n in starts.items() if n > 1} == {}
 
 
+def test_every_benchmark_span_is_reached(tmp_path, monkeypatch):
+    # a trace point no pipeline calls reads 0 in the benchmark's per-layer
+    # split.  One CPU keeps every pass in this process, where the tracer sees it
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    tracing = load_bench_tracing()
+    with tracing.Tracer() as tracer:
+        for case in sorted(CASES):
+            # through the module, where the tracer wraps it
+            experiments.run_experiment(CASES[case](tmp_path / case))
+    spans = {span for _owner, _attr, span in tracing.TRACE_POINTS}
+    assert sorted(span for span in spans if tracer.calls[span] == 0) == []
+    assert tracing.installed_wrappers() == []
+
+
 def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):
     cfg = CASES["sweep_l"](tmp_path / "sweep_l")
     first = run_experiment(cfg).files
@@ -240,3 +254,37 @@ def test_forked_passes_match_the_in_process_run(case, tmp_path, monkeypatch):
         _probe, fresh = draw_samples(cfg)
         integrated[cpus] = len(starts), fresh.tobytes() in starts
     assert integrated == {1: (5, True), 2: (3, False)}
+
+
+# alpha_proxy calls a forked child takes over from this process, per case
+FORKED_BLOCKS = {
+    # the later half of the 101-point t_grid
+    "oracle_decay": 51,
+    "quasistability_oracle": 0,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORKED_BLOCKS))
+def test_forked_oracle_trace_matches_the_in_process_run(case, tmp_path, monkeypatch):
+    # one CPU covers every t_grid block here; two CPUs cover oracle_decay's
+    # later half in a child, so this process calls alpha_proxy for fewer blocks
+    calls = []
+    alpha = covering.alpha_proxy
+
+    def counted(states, m_clusters, spec):
+        calls.append(1)
+        return alpha(states, m_clusters, spec)
+
+    monkeypatch.setattr(covering, "alpha_proxy", counted)
+    monkeypatch.setattr(criteria, "alpha_proxy", counted)
+    here = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        calls.clear()
+        cfg = CASES[case](tmp_path / f"cpus_{cpus}")
+        run_experiment(cfg)
+        assert output_hashes(cfg.output_dir) == GOLDEN[case]
+        here[cpus] = len(calls)
+    assert here[1] - here[2] == FORKED_BLOCKS[case]
+    if case == "oracle_decay":
+        assert here[1] == cfg.t_grid.size == 101

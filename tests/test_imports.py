@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import os
 
 import pytest
@@ -12,6 +11,8 @@ from attractorlab.criteria import QuasiStabilityReport, RateBounds, RateFit
 from attractorlab.decay import DecayLaw
 from attractorlab.experiments import RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
+
+from conftest import load_bench_tracing
 
 MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
 
@@ -84,12 +85,7 @@ def test_removed_members_are_gone():
 def test_benchmark_trace_points_are_bound():
     # the benchmark's tracer rebinds these names in place, so each must stay
     # bound in its owner's own namespace (e.g. criteria's import of semidist_arrays)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", os.path.join(root, "bench", "tracing.py")
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_tracing()
     unbound = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _span in tracing.TRACE_POINTS
