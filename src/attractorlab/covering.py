@@ -17,16 +17,29 @@ matrix and are capped at 12 points.
 All geometry runs on (P, 2N) state arrays, embedded by ``MetricSpec.embed``
 into flat coordinates where the energy metric is Euclidean.
 
+``_cdist`` is the package's one distance kernel.  It is scipy's compiled
+Euclidean kernel, ``cdist_euclidean`` of the private extension module
+``scipy.spatial._distance_pybind``, which the public
+``scipy.spatial.distance.cdist(a, b)`` calls for the Euclidean metric.  The
+extension file is loaded directly from scipy's package directory, so neither
+``scipy/__init__.py`` nor ``scipy/spatial/__init__.py`` runs: importing
+``scipy.spatial`` also imports ``scipy.sparse``, the KD-tree and the array-API
+layer, and costs more time than most runs spend computing.  Where the file or
+its ``cdist_euclidean`` is missing (another scipy version), ``_cdist`` is the
+public ``cdist``, which gives the same distances.
+
 ``write_csv`` is the one writer of every output table in the package.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .phase import MetricSpec
 
@@ -39,6 +52,29 @@ __all__ = [
 ]
 
 EXACT_POINT_CAP = 12
+
+
+def _load_cdist():
+    """scipy's Euclidean ``cdist`` kernel, loaded from its extension file
+    without importing ``scipy.spatial``; the public ``cdist`` if the file or
+    its kernel is missing (see the module docstring)."""
+    for location in importlib.util.find_spec("scipy").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "spatial", "_distance_pybind" + suffix)
+            if not os.path.isfile(path):
+                continue
+            spec = importlib.util.spec_from_file_location("scipy.spatial._distance_pybind", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            kernel = getattr(module, "cdist_euclidean", None)
+            if kernel is not None:
+                return kernel
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
+_cdist = _load_cdist()
 
 
 def write_csv(path, header, rows):
@@ -103,7 +139,7 @@ def semidist_arrays(a: np.ndarray, b: np.ndarray) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("semidistance needs nonempty point sets")
-    return float(np.max(np.min(cdist(a, b), axis=1)))
+    return float(np.max(np.min(_cdist(a, b), axis=1)))
 
 
 def farthest_point_traversal(points: np.ndarray):
@@ -134,7 +170,7 @@ def greedy_kcenter(points: np.ndarray, m: int):
         centers.append(center)
         if len(centers) >= min(m, points.shape[0]) or np.max(dist) == 0.0:
             break
-    to_centers = cdist(points, points[centers])
+    to_centers = _cdist(points, points[centers])
     assignment = np.argmin(to_centers, axis=1)
     radius = float(np.max(np.min(to_centers, axis=1)))
     return tuple(centers), assignment, radius
@@ -148,7 +184,7 @@ def max_cluster_diameter(points: np.ndarray, assignment) -> float:
     for c in np.unique(assignment):
         block = points[assignment == c]
         if block.shape[0] > 1:
-            worst = max(worst, float(np.max(cdist(block, block))))
+            worst = max(worst, float(np.max(_cdist(block, block))))
     return worst
 
 

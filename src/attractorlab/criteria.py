@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .covering import DecayTrace, alpha_proxy, semidist_arrays, write_csv
+from .covering import DecayTrace, _cdist, alpha_proxy, semidist_arrays, write_csv
 from .decay import DecayLaw
 from .dynamics import states_norms
 from .phase import MetricSpec
@@ -274,7 +273,7 @@ def contractive_inequality_check(
     res_max, res_mean, alphas, bounds3, diags = [], [], [], [], []
     for k, t in enumerate(t_grid):
         emb = spec.embed(evolved[k])
-        dist = cdist(emb, emb)
+        dist = _cdist(emb, emb)
         phi = law.eval(float(t))
         residual_matrix = np.maximum(0.0, dist - phi)
         pair_res = residual_matrix[pair_index[:, 0], pair_index[:, 1]]
@@ -356,14 +355,14 @@ def quasistability_estimate(
     traj = cfg.sample(states, times)  # (K, P, 2N)
 
     emb0 = spec.embed(states)
-    d0 = cdist(emb0, emb0)
+    d0 = _cdist(emb0, emb0)
     emb_t = spec.embed(traj[-1])
-    d_end = cdist(emb_t, emb_t)
+    d_end = _cdist(emb_t, emb_t)
 
-    rho_low = cdist(states[:, :low_mode_threshold], states[:, :low_mode_threshold])
+    rho_low = _cdist(states[:, :low_mode_threshold], states[:, :low_mode_threshold])
     rho_sup = np.zeros((count, count))
     for k in range(times.size):
-        rho_sup = np.maximum(rho_sup, cdist(traj[k][:, :n], traj[k][:, :n]))
+        rho_sup = np.maximum(rho_sup, _cdist(traj[k][:, :n], traj[k][:, :n]))
 
     iu = np.triu_indices(count, k=1)
     if closeness is None:

@@ -158,6 +158,21 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
+        q = self.quasi_period
+        if q is not None and not (q > 0 and math.isfinite(q)):
+            raise ValueError(f"config field 'quasi_period' must be positive and finite, got {q!r}")
+        if self.n_periods < 0:
+            raise ValueError(
+                f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}"
+            )
+        # the tail check needs a mode above the threshold; quasistability does not
+        top = {"criteria_suite": self.system.mode_count - 1,
+               "quasistability": self.system.mode_count}.get(self.kind)
+        if top is not None and not 0 < self.low_mode_threshold <= top:
+            raise ValueError(
+                f"config field 'low_mode_threshold' must be in 1..{top} for a {self.kind} "
+                f"run, got {self.low_mode_threshold!r}"
+            )
 
     @property
     def metric(self) -> MetricSpec:
@@ -555,8 +570,8 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     ``satisfied_fraction`` is the worst over the rows that ran.
 
     The rows run in forked workers (see the module docstring): a forked
-    worker keeps the imported modules, where a spawned one would import
-    scipy again, at about two thirds of a row's run time.  Forking is safe
+    worker keeps the imported modules, where a spawned one would start a new
+    interpreter and import numpy and this package again.  Forking is safe
     here: the pool forks every worker before it starts its own thread, and
     OpenBLAS stops its threads across a fork (it registers a fork handler).
     A row forks its own passes' children in turn: the pool's workers are not
@@ -609,7 +624,7 @@ def _absorbed_probe(cfg: ExperimentConfig) -> np.ndarray:
 def _pipeline_quasistability(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     absorbed = _absorbed_probe(cfg)
-    if cfg.quasi_period:
+    if cfg.quasi_period is not None:
         period = cfg.quasi_period
     elif system.l > 0:
         period = 3.0 / float(system.l)

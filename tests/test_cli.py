@@ -170,6 +170,20 @@ BAD_NUMBERS = {
     "zero_m_clusters": ("m_clusters", {"pipeline": {"m_clusters": 0}}),
     "m_range_from_zero": ("m_range", {"grids": {"m_range": [0, 4]}}),
     "m_range_reversed": ("m_range", {"grids": {"m_range": [3, 2]}}),
+    "zero_low_modes": ("low_mode_threshold", {"kind": "criteria_suite",
+                                              "pipeline": {"low_mode_threshold": 0}}),
+    "too_many_low_modes": ("low_mode_threshold", {"kind": "criteria_suite",
+                                                  "pipeline": {"low_mode_threshold": 100}}),
+    "all_modes_low_in_the_tail_check": ("low_mode_threshold", {
+        "kind": "criteria_suite", "pipeline": {"low_mode_threshold": 8}}),
+    "quasi_low_modes_above_mode_count": ("low_mode_threshold", {
+        "kind": "quasistability", "pipeline": {"low_mode_threshold": 9}}),
+    "negative_n_periods": ("n_periods", {"kind": "quasistability",
+                                         "pipeline": {"n_periods": -2}}),
+    "negative_quasi_period": ("quasi_period", {"kind": "quasistability",
+                                               "pipeline": {"quasi_period": -1}}),
+    "infinite_quasi_period": ("quasi_period", {"kind": "quasistability",
+                                               "pipeline": {"quasi_period": float("inf")}}),
 }
 
 

@@ -58,6 +58,18 @@ def test_manifest_config_echo_loads_back(case, tmp_path):
     assert config_to_dict(reloaded(echo, tmp_path)) == echo
 
 
+@pytest.mark.parametrize("kind, top", [("criteria_suite", 7), ("quasistability", 8)])
+def test_low_mode_threshold_range_follows_the_pipeline(kind, top, tmp_path):
+    # the 8-mode system: the tail check needs a mode above the threshold
+    for n in (1, top):
+        assert small_wave(tmp_path, kind, low_mode_threshold=n).low_mode_threshold == n
+    for n in (0, top + 1):
+        with pytest.raises(ValueError, match="'low_mode_threshold'"):
+            small_wave(tmp_path, kind, low_mode_threshold=n)
+    # a pipeline that does not read the field does not check it
+    assert small_wave(tmp_path, "wave_attractor", low_mode_threshold=0).low_mode_threshold == 0
+
+
 def off_default_config(out) -> ExperimentConfig:
     system = WaveSystemConfig(
         mode_count=3, k=0.5, p=3.0, l=1.5, f_coeffs=(0.0, -1.0, 0.0, 2.0),

@@ -1,9 +1,11 @@
+import importlib.machinery
 import itertools
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from attractorlab import covering
 from attractorlab.covering import (
     DecayTrace,
     alpha_proxy,
@@ -60,6 +62,56 @@ def full_matrix_max_cluster_diameter(dist_matrix, assignment):
         if idx.size > 1:
             worst = max(worst, float(np.max(dist_matrix[np.ix_(idx, idx)])))
     return worst
+
+
+def same_bytes_as_cdist(a, b, kernel=covering._cdist):
+    expected = cdist(a, b)
+    got = kernel(a, b)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestDistanceKernel:
+    """``covering._cdist`` against the public ``cdist``, bit for bit."""
+
+    def test_random_shapes(self, rng):
+        for _ in range(40):
+            rows_a, rows_b, dim = rng.integers(1, 40, 3)
+            scale = 10.0 ** rng.uniform(-6, 6)
+            a = scale * rng.standard_normal((rows_a, dim))
+            b = scale * rng.standard_normal((rows_b, dim))
+            assert same_bytes_as_cdist(a, b)
+
+    def test_one_column_and_one_row(self, rng):
+        column = rng.standard_normal((9, 1))
+        row = rng.standard_normal((1, 12))
+        assert same_bytes_as_cdist(column, column[::-1].copy())
+        assert same_bytes_as_cdist(row, rng.standard_normal((7, 12)))
+        assert same_bytes_as_cdist(row, row)
+
+    def test_same_array_on_both_sides(self, rng):
+        x = rng.standard_normal((25, 16))
+        assert same_bytes_as_cdist(x, x)
+
+    def test_strided_views(self, rng):
+        x = rng.standard_normal((30, 16))
+        # a column slice, as quasistability_estimate passes its low modes
+        assert not x[:, :5].flags.c_contiguous
+        assert same_bytes_as_cdist(x[:, :5], x[:, :5])
+        assert same_bytes_as_cdist(x[::2], x[1::3])
+
+    @pytest.mark.parametrize("miss", ["suffix", "location"])
+    def test_missing_extension_falls_back_to_the_public_cdist(self, rng, monkeypatch,
+                                                              tmp_path, miss):
+        if miss == "suffix":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        else:
+            spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+            monkeypatch.setattr(covering.importlib.util, "find_spec", lambda name: spec)
+        kernel = covering._load_cdist()
+        assert kernel is cdist
+        x = rng.standard_normal((12, 6))
+        assert same_bytes_as_cdist(x, x[:, ::-1], kernel)
 
 
 class TestSemidist:

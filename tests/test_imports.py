@@ -3,6 +3,8 @@
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +95,19 @@ def test_benchmark_trace_points_are_bound():
     ]
     assert len(tracing.TRACE_POINTS) == 19
     assert unbound == []
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # the distance kernel is loaded from its extension file; importing
+    # scipy.spatial (and with it scipy.sparse) costs more than most runs
+    src = os.path.dirname(os.path.dirname(attractorlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import attractorlab.cli\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
