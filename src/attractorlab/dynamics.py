@@ -80,7 +80,7 @@ class BlowUpError(RuntimeError):
 
     def __reduce__(self):
         # rebuilt from the time, not from ``args`` (the message), so the
-        # error survives pickling, e.g. out of a worker process
+        # error survives pickling, e.g. out of a forked child (a pass or a sweep row)
         return type(self), (self.time,)
 
 

@@ -11,9 +11,10 @@ in embedded coordinates, then scaled by ``radius * U**(1 / (2N))`` with U
 uniform on (0, 1); this is uniform in the energy-metric ball.
 
 A ``sweep_l`` run's rows are independent wave_attractor runs.  They run at
-the same time in forked worker processes, one per CPU up to the number of
-rows (in this process when that is one).  The outputs are the same as from
-one row after another, and a row that fails is still recorded in its row.
+the same time in row children (``_forked``), at most one per CPU, oldest
+joined first.  The outputs are the same as from one row after another, and
+a failed row is still recorded in its row.  Row children are not daemonic
+and run only their main thread, so their own forks are safe.
 
 Inside one wave_attractor run, two passes run in forked children
 (``_forked``) while this process integrates: the held-out fresh sample's
@@ -49,7 +50,6 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -158,9 +158,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
-        q = self.quasi_period
-        if q is not None and not (q > 0 and math.isfinite(q)):
-            raise ValueError(f"config field 'quasi_period' must be positive and finite, got {q!r}")
+        for name in ("closeness", "quasi_period"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
+        for key, value in self.thresholds.items():
+            if not math.isfinite(value):
+                raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
         if self.n_periods < 0:
             raise ValueError(
                 f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}"
@@ -313,30 +317,32 @@ def _resume(system, steps, rows, start: int, *grids) -> list:
 def _forked(fn, *args):
     """Run ``fn(*args)`` in a forked child process while the block runs.
 
-    The block gets a zero-argument callable that joins the child and gives
-    back its result, or re-raises its exception.  On leaving the block the
-    child is joined in every case; one whose result was not asked for (the
-    block raised first) is killed first, so the block's own error is the one
-    that propagates.  With one CPU nothing is forked: the callable computes
-    ``fn(*args)`` here when it is called, so the work keeps its serial order.
+    The block gets a zero-argument callable that closes the pipe once read,
+    joins the child and gives back its result, or re-raises its exception.
+    On leaving the block the child is joined in every case; one whose result
+    was not asked for (the block raised first) is killed first, so the
+    block's own error is the one that propagates.  With one CPU nothing is
+    forked: the callable computes ``fn(*args)`` here when it is called, so
+    the work keeps its serial order.
     """
     if (os.cpu_count() or 1) == 1:
         yield lambda: fn(*args)
         return
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_reply, args=(send, fn, args))
+    child = fork.Process(target=_reply, args=(receive, send, fn, args))
     child.start()
     send.close()
 
     def result():
-        try:
-            ok, value = receive.recv()
-        except EOFError:
-            child.join()
-            raise ChildProcessError(
-                f"{fn.__name__} exited with code {child.exitcode} and sent no result"
-            ) from None
+        with receive:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"{fn.__name__} exited with code {child.exitcode} and sent no result"
+                ) from None
         child.join()
         if not ok:
             raise value
@@ -351,13 +357,17 @@ def _forked(fn, *args):
         child.join()
 
 
-def _reply(send, fn, args):
+def _reply(receive, send, fn, args):
     """The child side of ``_forked``: send (True, result) or (False, error)."""
+    receive.close()  # once the parent is gone, the send fails instead of blocking
     try:
         reply = True, fn(*args)
     except Exception as exc:  # noqa: BLE001 - re-raised in the parent
         reply = False, exc
-    send.send(reply)
+    try:
+        send.send(reply)
+    except BrokenPipeError:
+        pass  # the parent is gone: nobody reads the result
     send.close()
 
 
@@ -549,7 +559,7 @@ _SWEEP_MEASURED = ["beta_hat", "rate_energy", "rate_contraction"]
 def _sweep_row(sub: ExperimentConfig) -> dict:
     """One row of a damping sweep: the wave_attractor run of ``sub`` and its
     headline numbers, or the error that stopped it.  The error is caught here,
-    so a row run in a worker process sends back only floats and strings."""
+    so a row child (``_forked``) sends back only floats and strings."""
     row = {"l": sub.system.l,
            **dict.fromkeys(_SWEEP_MEASURED + ["satisfied_fraction"], float("nan"))}
     try:
@@ -565,47 +575,35 @@ def _sweep_row(sub: ExperimentConfig) -> dict:
 
 def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     """One wave_attractor run per damping value in ``l_values``, each in its
-    own ``l_<i>_<value>`` directory, and sweep.csv over them.  A failed value
+    own ``l_<i>_<value>`` directory, and sweep.csv over them, in row children
+    (``_forked``), at most one per CPU, oldest joined first.  A failed value
     is recorded in its row and the sweep continues; the headline's
-    ``satisfied_fraction`` is the worst over the rows that ran.
-
-    The rows run in forked workers (see the module docstring): a forked
-    worker keeps the imported modules, where a spawned one would start a new
-    interpreter and import numpy and this package again.  Forking is safe
-    here: the pool forks every worker before it starts its own thread, and
-    OpenBLAS stops its threads across a fork (it registers a fork handler).
-    A row forks its own passes' children in turn: the pool's workers are not
-    daemonic, and each runs only its main thread, so that fork is safe too."""
+    ``satisfied_fraction`` is the worst over the rows that ran."""
     values = [float(v) for v in cfg.l_values]
     if not values:
         raise ValueError("sweep_l needs a nonempty l_values grid")
     if not isinstance(cfg.system, WaveSystemConfig):
         raise ValueError("sweep_l runs on the wave system")
     subs = [
-        replace(
-            cfg,
-            kind="wave_attractor",
-            system=replace(cfg.system, l=val),
-            output_dir=out(f"l_{i}_{val:g}"),
-            l_values=(),
-        )
+        replace(cfg, kind="wave_attractor", system=replace(cfg.system, l=val),
+                output_dir=out(f"l_{i}_{val:g}"), l_values=())
         for i, val in enumerate(values)
     ]
-    workers = min(len(subs), os.cpu_count() or 1)
-    if workers == 1:
-        rows = [_sweep_row(sub) for sub in subs]
-    else:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            rows = list(pool.map(_sweep_row, subs))
+    rows, window, width = [], [], os.cpu_count() or 1
+    with contextlib.ExitStack() as started:
+        for i, sub in enumerate(subs, 1):
+            row = started.enter_context(contextlib.ExitStack())
+            window.append((row, row.enter_context(_forked(_sweep_row, sub))))
+            # the window is full, or every row is forked: join the oldest, freeing its process
+            while window and (len(window) == width or i == len(subs)):
+                row, result = window.pop(0)
+                with row:
+                    rows.append(result())
     columns = ["l", *_SWEEP_MEASURED, "satisfied_fraction", "status", "error"]
     write_csv(out("sweep.csv"), columns, ([r[c] for c in columns] for r in rows))
 
     ok = [r for r in rows if r["status"] == "ok"]
-    headline = {
-        "rows_total": float(len(rows)),
-        "rows_ok": float(len(ok)),
-    }
+    headline = {"rows_total": float(len(rows)), "rows_ok": float(len(ok))}
     if ok:
         headline["satisfied_fraction"] = min(r["satisfied_fraction"] for r in ok)
         headline["max_beta_hat"] = max(r["beta_hat"] for r in ok)

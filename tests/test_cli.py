@@ -184,6 +184,11 @@ BAD_NUMBERS = {
                                                "pipeline": {"quasi_period": -1}}),
     "infinite_quasi_period": ("quasi_period", {"kind": "quasistability",
                                                "pipeline": {"quasi_period": float("inf")}}),
+    "negative_closeness": ("closeness", {"kind": "quasistability",
+                                         "pipeline": {"closeness": -1}}),
+    "zero_closeness": ("closeness", {"kind": "quasistability", "pipeline": {"closeness": 0}}),
+    "nan_closeness": ("closeness", {"kind": "quasistability",
+                                    "pipeline": {"closeness": float("nan")}}),
 }
 
 

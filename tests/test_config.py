@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, wave_config_from_dict
 from attractorlab.experiments import (
     ExperimentConfig,
@@ -68,6 +69,22 @@ def test_low_mode_threshold_range_follows_the_pipeline(kind, top, tmp_path):
             small_wave(tmp_path, kind, low_mode_threshold=n)
     # a pipeline that does not read the field does not check it
     assert small_wave(tmp_path, "wave_attractor", low_mode_threshold=0).low_mode_threshold == 0
+
+
+@pytest.mark.parametrize("minimum", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_threshold_exits_1_when_read(minimum, tmp_path, capsys):
+    # no headline value is below NaN, so a NaN threshold could never fail
+    with open(os.path.join(CONFIG_DIR, "wave_attractor.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["output_dir"] = str(tmp_path / "out")
+    raw["thresholds"]["satisfied_fraction"] = minimum
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(path), "--strict"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: config field 'thresholds.satisfied_fraction' must be finite, got {minimum!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def off_default_config(out) -> ExperimentConfig:

@@ -1,18 +1,33 @@
-"""The forked passes of wave_attractor and oracle_decay: the helper, and
-failed runs that end the same way whether the passes run in children (two
-CPUs) or here (one CPU)."""
+"""The forked passes of wave_attractor and oracle_decay and the sweep's
+row children: the helper, and failed runs that end the same way whether the
+passes run in children (two CPUs) or here (one CPU)."""
 
+import contextlib
+import functools
+import io
 import json
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import numpy as np
 import pytest
+import yaml
 
 from attractorlab import experiments
+from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_from_dict
-from attractorlab.experiments import ExperimentConfig, _forked, run_experiment
+from attractorlab.experiments import (
+    ExperimentConfig,
+    _forked,
+    _reply,
+    config_to_dict,
+    run_experiment,
+)
+
+from conftest import SMALL_WAVE_SYSTEM
 
 # One stiff mode: RK4 at dt = 0.5 multiplies its fast component by about
 # 4e6 a step, so a state of size 1e-300 stays below the probe's 1e-12
@@ -69,6 +84,48 @@ def test_forked_on_one_cpu_runs_here_when_asked(monkeypatch):
         assert calls == [] and multiprocessing.active_children() == []
         result()
     assert calls == ["ran"]
+
+
+def test_reply_with_no_reader_left_ends_instead_of_blocking():
+    # a child whose parent was killed: its own copy of the read end is
+    # closed, so a result larger than the pipe buffer fails to send
+    receive, send = multiprocessing.Pipe(duplex=False)
+    replying = threading.Thread(
+        target=_reply, args=(receive, send, np.zeros, (1 << 20,)), daemon=True
+    )
+    replying.start()
+    replying.join(30.0)
+    assert not replying.is_alive()
+
+
+def test_killed_sweep_row_exits_1_with_one_line(tmp_path, monkeypatch):
+    # the first row dies without a result while the second runs: the second
+    # is killed, and the sweep ends as a failed run with one error line
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    row = experiments._sweep_row
+
+    @functools.wraps(row)
+    def killed_at_l_1(sub):
+        if sub.system.l == 1.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return row(sub)
+
+    monkeypatch.setattr(experiments, "_sweep_row", killed_at_l_1)
+    cfg = ExperimentConfig(
+        kind="sweep_l", system=wave_config_from_dict(SMALL_WAVE_SYSTEM),
+        output_dir=str(tmp_path / "out"), seed=7, ensemble_count=12, ensemble_radius=4.0,
+        fresh_count=8, l_values=(1.0, 2.0),
+    )
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(config_to_dict(cfg)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", str(config)])
+    error = "_sweep_row exited with code -9 and sent no result"
+    assert (code, out.getvalue(), err.getvalue()) == (EXIT_CONFIG, "", f"error: {error}\n")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", f"ChildProcessError: {error}")
+    assert multiprocessing.active_children() == []
 
 
 def fresh_scaled_up(monkeypatch):

@@ -6,7 +6,9 @@ change that alters numerics on purpose must re-record them and say so.  The
 same cases check that no pipeline integrates an ensemble twice.
 """
 
+import contextlib
 import hashlib
+import itertools
 import os
 from collections import Counter
 from dataclasses import replace
@@ -207,28 +209,59 @@ def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):
     )
 
 
-def test_pooled_sweep_matches_the_in_process_run(tmp_path, monkeypatch):
-    # two CPUs fork a worker per row, so this process integrates nothing; one
-    # CPU runs the rows here
-    in_process = []
-    evolve = dynamics.evolve_states
+# the row contexts entered (+l) and left (-l), in order: one CPU runs each
+# row here in turn; two keep two rows open and join the oldest before the
+# next row is forked
+ROW_WINDOWS = {
+    (1.0, 2.0): {1: [1.0, -1.0, 2.0, -2.0], 2: [1.0, 2.0, -1.0, -2.0]},
+    (1.0, 2.0, 4.0): {
+        1: [1.0, -1.0, 2.0, -2.0, 4.0, -4.0],
+        2: [1.0, 2.0, -1.0, 4.0, -2.0, -4.0],
+    },
+}
+
+
+@pytest.mark.parametrize("l_values", sorted(ROW_WINDOWS), ids=lambda v: f"{len(v)}_rows")
+def test_forked_sweep_matches_the_in_process_run(l_values, tmp_path, monkeypatch):
+    # two CPUs run every row in a row child, so this process integrates
+    # nothing; one CPU runs the rows here
+    in_process, windows = [], []
+    evolve, forked = dynamics.evolve_states, experiments._forked
 
     def counted(y0, cfg, times):
         in_process.append(1)
         return evolve(y0, cfg, times)
 
+    @contextlib.contextmanager
+    def recorded(fn, *args):
+        # a row's own passes are forked here only on one CPU; they are not rows
+        damping = args[0].system.l if fn is experiments._sweep_row else None
+        with forked(fn, *args) as result:
+            windows.append(damping)
+            try:
+                yield result
+            finally:
+                windows.append(None if damping is None else -damping)
+
     monkeypatch.setattr(dynamics, "evolve_states", counted)
-    hashes, tables, integrations = {}, {}, {}
+    monkeypatch.setattr(experiments, "_forked", recorded)
+    hashes, tables, integrations, rows = {}, {}, {}, {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
         in_process.clear()
-        cfg = CASES["sweep_l"](tmp_path / f"cpus_{cpus}")
+        windows.clear()
+        cfg = small_wave(tmp_path / f"cpus_{cpus}", "sweep_l", l_values=l_values)
         tables[cpus] = run_experiment(cfg).table
         hashes[cpus] = output_hashes(cfg.output_dir)
         integrations[cpus] = len(in_process)
-    assert hashes[2] == hashes[1] == GOLDEN["sweep_l"]
+        rows[cpus] = [damping for damping in windows if damping is not None]
+    assert hashes[2] == hashes[1]
+    if l_values == (1.0, 2.0):  # the golden sweep_l case
+        assert hashes[2] == GOLDEN["sweep_l"]
     assert tables[2] == tables[1]
     assert integrations[1] > 0 and integrations[2] == 0
+    assert rows == ROW_WINDOWS[l_values]
+    assert max(itertools.accumulate(np.sign(rows[2]))) == 2
 
 
 @pytest.mark.parametrize("case", ["wave_attractor", "wave_attractor_unabsorbed"])

@@ -29,7 +29,7 @@ REMOVED = {
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
-                    "system_to_dict", "_parse_system"),
+                    "system_to_dict", "_parse_system", "ProcessPoolExecutor"),
 }
 
 
@@ -99,14 +99,16 @@ def test_benchmark_trace_points_are_bound():
 
 def test_cli_import_leaves_scipy_spatial_out():
     # the distance kernel is loaded from its extension file; importing
-    # scipy.spatial (and with it scipy.sparse) costs more than most runs
+    # scipy.spatial (and with it scipy.sparse) costs more than most runs.
+    # The sweep's rows run in ``_forked`` children, so no pool module is needed
     src = os.path.dirname(os.path.dirname(attractorlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "import attractorlab.cli\n"
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'concurrent.futures')\n"
+        "             if m in sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
