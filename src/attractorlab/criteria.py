@@ -41,6 +41,9 @@ __all__ = [
     "repeated_liminf_diag",
 ]
 
+# about this many samples of the trajectories over one quasistability period
+TRAJECTORY_SAMPLES = 32
+
 
 class ThresholdTooTightError(ValueError):
     """No pair of sample points passes the pseudometric closeness threshold."""
@@ -330,7 +333,6 @@ def quasistability_estimate(
     cfg,
     spec: MetricSpec,
     m_clusters: int = 3,
-    trajectory_samples: int = 32,
 ) -> QuasiStabilityReport:
     """Estimate the one-period contraction factor of the (P, 2N) sample
     ``absorbed`` and track its cluster measure across ``n_periods`` periods.
@@ -351,7 +353,7 @@ def quasistability_estimate(
     states = np.asarray(absorbed, dtype=float)
     count = states.shape[0]
 
-    times = cfg.sample_grid(period, trajectory_samples)
+    times = cfg.sample_grid(period, TRAJECTORY_SAMPLES)
     traj = cfg.sample(states, times)  # (K, P, 2N)
 
     emb0 = spec.embed(states)

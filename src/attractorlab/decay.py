@@ -49,13 +49,3 @@ class DecayLaw:
             raise ValueError(f"log_polynomial law needs t > {self.shift + 1}, got t = {t}")
         return self.amplitude * math.log(s) ** (-self.rate)
 
-    def invert(self, value: float) -> float:
-        """Time at which the law reaches ``value`` (laws are strictly decreasing)."""
-        if not (0 < value and math.isfinite(value)):
-            raise ValueError("can only invert at a positive finite value")
-        ratio = self.amplitude / value
-        if self.kind == "exponential":
-            return self.shift + math.log(ratio) / self.rate
-        if self.kind == "polynomial":
-            return self.shift + ratio ** (1.0 / self.rate)
-        return self.shift + math.exp(ratio ** (1.0 / self.rate))

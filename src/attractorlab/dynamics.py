@@ -20,11 +20,11 @@ identity exact, so dissipation checks are meaningful at solver accuracy.
 Integration is fixed-step classical Runge-Kutta; all state arrays may carry
 leading batch dimensions, so whole ensembles evolve in one pass.  One
 buffered stepper (``_Stepper``) is the only right-hand side: ``evolve_states``
-builds it once per call for the batch's shape and ``wave_rhs`` calls it.  It
-allocates its stage arrays once and writes every stage in place, but it
-repeats the operands, order and association of the plain reference
-expressions exactly (numpy's polynomial evaluation order included), and that
-order is what keeps every output byte-identical to them.
+builds it from the config once per call for the batch's shape and
+``wave_rhs`` calls it.  It allocates its stage arrays once and writes every
+stage in place, but it repeats the operands, order and association of the
+plain reference expressions exactly (numpy's polynomial evaluation order
+included), and that order is what keeps every output byte-identical to them.
 
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
 ``LinearModalConfig`` (the closed-form oracle) provide the same four
@@ -41,6 +41,10 @@ members, so no caller needs to know which engine it runs:
 
 Both engines reject sample times that are negative or decreasing: neither
 runs backward in time.
+
+The wave engine alone has a fifth member, ``steps(times, what)``: the RK4
+step index of each time, a multiple of dt.  Every time-to-step conversion
+calls it, so the step grid is known in one place.
 
 Nothing else in this module calls an engine: ``absorbing_radius`` and
 ``lyapunov`` read state arrays or norms that the caller sampled, so a
@@ -90,8 +94,8 @@ class NonDissipativeError(RuntimeError):
 
 @lru_cache(maxsize=32)
 def _sine_collocation(n_modes: int, n_points: int):
-    """Interior grid, synthesis matrix and quadrature weight for the orthonormal
-    sine basis sqrt(2/pi) sin(j x) on (0, pi).
+    """Synthesis matrix and quadrature weight of the interior grid for the
+    orthonormal sine basis sqrt(2/pi) sin(j x) on (0, pi).
 
     With G interior equispaced nodes the discrete sine transform is exactly
     orthogonal for modes j <= G, so analyze(synthesize(a)) == a.
@@ -101,9 +105,8 @@ def _sine_collocation(n_modes: int, n_points: int):
     j = np.arange(1, n_modes + 1, dtype=float)
     synth = np.sqrt(2.0 / np.pi) * np.sin(np.outer(x, j))
     weight = np.pi / (n_points + 1)
-    x.setflags(write=False)
     synth.setflags(write=False)
-    return x, synth, weight
+    return synth, weight
 
 
 def _trim_poly(coeffs) -> np.ndarray:
@@ -201,13 +204,25 @@ class WaveSystemConfig:
         """RK4 samples of a (..., 2N) state array at dt-multiple times."""
         return evolve_states(states, self, times)
 
+    def steps(self, times, what: str = "sample time") -> np.ndarray:
+        """The RK4 step index of each of ``times``, rounded half to even, as an
+        int array; a time off the dt grid by more than 1e-9 max(1, |t|) raises,
+        named as ``what``."""
+        t = np.asarray(times, dtype=float)
+        k = np.rint(t / self.dt)
+        with np.errstate(invalid="ignore"):  # a NaN or infinite time fails as NaN
+            off = ~(np.abs(k * self.dt - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))
+        if off.any():
+            raise ValueError(f"{what} = {t[off].flat[0]:g} is not a multiple of dt = {self.dt:g}")
+        return k.astype(int)
+
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
         """Every stride-th step time on [0, horizon], stride chosen for about
         ``count`` samples, with the horizon itself always included."""
         if horizon < 0:
             raise ValueError(f"sample horizon {horizon:g} is negative")
         stride = max(1, int(round(horizon / (count * self.dt))))
-        times = np.arange(0, _steps_for(self, horizon, "horizon") + 1, stride) * self.dt
+        times = np.arange(0, self.steps(horizon, "horizon") + 1, stride) * self.dt
         if times[-1] < horizon - 1e-12:
             times = np.append(times, horizon)
         return times
@@ -219,31 +234,6 @@ class WaveSystemConfig:
         kernel = [{"weight": w, "coeffs": list(c)} for w, c in self.kernel]
         raw.update(f_coeffs=list(self.f_coeffs), kernel=kernel, h_coeffs=list(self.h_coeffs))
         return {"type": "wave", **raw}
-
-    def _tables(self):
-        """Precomputed arrays for the right-hand side (cached per config)."""
-        cached = self.__dict__.get("_tables_cache")
-        if cached is None:
-            _x, synth, weight = _sine_collocation(self.mode_count, self.collocation_points)
-            f = np.asarray(self.f_coeffs)
-            big_f = np.concatenate([[0.0], f / np.arange(1, f.size + 1)]) if f.size else None
-            if self.kernel:
-                kw = np.array([w for w, _ in self.kernel])
-                kv = np.array([c for _, c in self.kernel])
-            else:
-                kw = kv = None
-            cached = {
-                "lam": self.eigenvalues,
-                "synth": synth,
-                "weight": weight,
-                "f": f if f.size else None,
-                "F": big_f,
-                "h": np.asarray(self.h_coeffs),
-                "kernel_weights": kw,
-                "kernel_vectors": kv,
-            }
-            self.__dict__["_tables_cache"] = cached
-        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,15 +319,16 @@ class _Stepper:
         n = cfg.mode_count
         if len(shape) == 0 or shape[-1] != 2 * n:
             raise ValueError(f"state shape {tuple(shape)} does not match {n} config modes")
-        tab = cfg._tables()
         self.n, self.dt = n, cfg.dt
-        self.neg_lam = -tab["lam"]
-        self.h = tab["h"]
+        self.neg_lam = -cfg.eigenvalues
+        self.h = np.asarray(cfg.h_coeffs)
         self.k, self.p_half = cfg.k, cfg.p / 2.0
         self.l = cfg.l + 0.0  # the reference's k = 0 damping (an l of -0.0 becomes 0.0)
-        self.f, self.weight = tab["f"], tab["weight"]
-        self.synth, self.synth_t = tab["synth"], tab["synth"].T
-        self.kw, self.kv = tab["kernel_weights"], tab["kernel_vectors"]
+        self.f = np.asarray(cfg.f_coeffs) if cfg.f_coeffs else None
+        self.synth, self.weight = _sine_collocation(n, cfg.collocation_points)
+        self.synth_t = self.synth.T
+        self.kw = np.array([w for w, _ in cfg.kernel]) if cfg.kernel else None
+        self.kv = np.array([c for _, c in cfg.kernel]) if cfg.kernel else None
         lead = tuple(shape[:-1])
         self.stages = [np.empty(shape) for _ in range(5)]  # k1..k4, stage state
         self.scratch = np.empty(lead + (n,))
@@ -395,13 +386,6 @@ def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     return _Stepper(cfg, y.shape).rhs(y, np.empty_like(y))
 
 
-def _steps_for(cfg: WaveSystemConfig, t: float, what: str) -> int:
-    k = int(round(t / cfg.dt))
-    if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"{what} = {t:g} is not a multiple of dt = {cfg.dt:g}")
-    return k
-
-
 def _sample_times(times) -> np.ndarray:
     """Sample times as a float array; nonempty, nonnegative, nondecreasing."""
     times = np.asarray(times, dtype=float)
@@ -419,7 +403,7 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     array of shape (len(times),) + y0.shape.
     """
     times = _sample_times(times)
-    marks = [_steps_for(cfg, t, "sample time") for t in times]
+    marks = cfg.steps(times).tolist()
     if marks[-1] > MAX_STEPS:
         raise ValueError(
             f"horizon needs {marks[-1]} steps, above the cap of {MAX_STEPS}"
@@ -538,14 +522,14 @@ def lyapunov(states, cfg: WaveSystemConfig):
     n = cfg.mode_count
     if y.ndim == 0 or y.shape[-1] != 2 * n:
         raise ValueError(f"state shape {y.shape} does not match {n} config modes")
-    tab = cfg._tables()
     a, b = y[..., :n], y[..., n:]
-    e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(tab["lam"] * a * a, axis=-1))
-    l_val = e_val - a @ tab["h"]
-    if tab["F"] is not None:
-        u_vals = a @ tab["synth"].T
-        f_pot = _horner(tab["F"], u_vals)
-        l_val = l_val + tab["weight"] * np.sum(f_pot, axis=-1)
+    e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(cfg.eigenvalues * a * a, axis=-1))
+    l_val = e_val - a @ np.asarray(cfg.h_coeffs)
+    if cfg.f_coeffs:
+        synth, weight = _sine_collocation(n, cfg.collocation_points)
+        f = np.asarray(cfg.f_coeffs)
+        f_pot = _horner(np.concatenate([[0.0], f / np.arange(1, f.size + 1)]), a @ synth.T)
+        l_val = l_val + weight * np.sum(f_pot, axis=-1)
     return e_val, l_val
 
 
@@ -668,7 +652,6 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
     if kind == "wave":
         return wave_config_from_dict(body)
     if kind == "linear":
-        damping = _num(body.pop("l", body.pop("damping", None)), "system.l")
         if "mode_eigenvalues" in body:
             lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
         elif "mode_count" in body:
@@ -676,7 +659,8 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
             lam = np.arange(1, n + 1, dtype=float) ** 2
         else:
             raise ValueError("linear system needs mode_count or mode_eigenvalues")
-        if body:
-            raise ValueError(f"unknown linear system keys: {sorted(body)}")
-        return LinearModalConfig(damping, lam)
+        unknown = sorted(set(body) - {"l"})
+        if unknown:
+            raise ValueError(f"unknown linear system keys: {unknown}")
+        return LinearModalConfig(_num(body.get("l"), "system.l"), lam)
     raise ValueError(f"unknown system type {kind!r}, expected 'wave' or 'linear'")

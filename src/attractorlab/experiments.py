@@ -85,7 +85,6 @@ from .dynamics import (
     _num,
     _sample_times,
     _settle_times,
-    _steps_for,
 )
 from .phase import Ensemble, MetricSpec, ensemble_radius
 
@@ -177,10 +176,34 @@ class ExperimentConfig:
                 f"config field 'low_mode_threshold' must be in 1..{top} for a {self.kind} "
                 f"run, got {self.low_mode_threshold!r}"
             )
+        # the times a pass samples straight from the fields: on the wave
+        # engine each must be a step time (an oracle_decay run makes no pass)
+        sampled = {"'burn_in' + 'window'": self.burn_in + self.window}
+        if self.kind == "quasistability":
+            sampled["'quasi_period' (by default 3 / l)"] = self.period
+        if self.kind == "criteria_suite":
+            sampled.update({"'t_grid'": self.t_grid, "'t_orbit' * 2": 2.0 * self.t_orbit})
+        if self.kind in ("wave_attractor", "sweep_l"):
+            if m_max > self.t_orbit:
+                raise ValueError(f"config field 'm_range' must end by t_orbit = "
+                                 f"{self.t_orbit:g}, got {self.m_range!r}")
+            sampled.update({"'t_grid'": self.t_grid, "'m_range'": np.arange(m_min, m_max + 1),
+                            "'t_orbit'": self.t_orbit,
+                            "'orbit_sample_every'": self.orbit_sample_every})
+        if isinstance(self.system, WaveSystemConfig) and self.kind != "oracle_decay":
+            for what, times in sampled.items():
+                self.system.steps(times, f"config field {what}")
 
     @property
     def metric(self) -> MetricSpec:
         return MetricSpec(self.system.eigenvalues)
+
+    @property
+    def period(self) -> float:
+        """The quasistability period: ``quasi_period``, by default 3 / l."""
+        if self.quasi_period is None and self.system.l == 0:
+            raise ValueError("config field 'quasi_period' is needed at linear damping l = 0")
+        return self.quasi_period or 3.0 / self.system.l
 
 
 @dataclass
@@ -298,7 +321,7 @@ def _resume(system, steps, rows, start: int, *grids) -> list:
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     union = _sample_times(np.unique(np.concatenate(grids)))
-    want = start + np.array([_steps_for(system, t, "sample time") for t in union])
+    want = start + system.steps(union)
     held = np.isin(want, steps)
     first = want.size if held.all() else int(np.argmin(held))
     samples = rows[np.searchsorted(steps, want[:first])]
@@ -307,7 +330,7 @@ def _resume(system, steps, rows, start: int, *grids) -> list:
         try:
             later = system.sample(rows[base], (want[first:] - steps[base]) * system.dt)
         except BlowUpError as exc:
-            lost = round(exc.time / system.dt) + steps[base] - start
+            lost = system.steps(exc.time, "blow-up time") + steps[base] - start
             raise BlowUpError(lost * system.dt) from None
         samples = np.concatenate([samples, later])
     return [samples[np.searchsorted(union, g)] for g in grids] + [(want, samples)]
@@ -419,23 +442,8 @@ def _absorbing_ball(cfg: ExperimentConfig, probe, enter_grid, enter_steps):
     as (radius, absorb_time, steps, rows)."""
     system, snap = cfg.system, cfg.orbit_sample_every
     horizon = cfg.burn_in + cfg.window
-    # the pass samples the entering grid and every orbit-cadence time up to
-    # the first at or past its end, where absorb_time can fall; rows are
-    # picked by step index, as in the fresh pass.  Only the orbit-cadence
-    # rows are kept.  They are allocated before the pass, so its freed rows
-    # leave one block for the later stages (copied out afterwards, they
-    # raised peak RSS by ~1%)
-    snap_steps = np.unique(np.rint(
-        np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap / system.dt
-    ))
-    probe_steps = np.union1d(enter_steps, snap_steps)
-    snap_rows = np.empty((snap_steps.size,) + probe.shape)
-    probe_rows = system.sample(probe, probe_steps * system.dt)
-    probe_norms = states_norms(probe_rows, system.eigenvalues)[
-        np.searchsorted(probe_steps, enter_steps)
-    ]
-    np.take(probe_rows, np.searchsorted(probe_steps, snap_steps), axis=0, out=snap_rows)
-    del probe_rows
+    snap_steps = system.steps(np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap)
+    probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
     radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
     # anchor the absorbing-ball sample at the probe's own entering time: later
     # states are over-contracted and would miscalibrate the law's amplitude
@@ -443,11 +451,11 @@ def _absorbing_ball(cfg: ExperimentConfig, probe, enter_grid, enter_steps):
     return radius, absorb_time, snap_steps, snap_rows
 
 
-def _fresh_pass(system, fresh, enter_steps, cadence_steps):
-    """The held-out sample's energy norms at the entering-grid steps and its
+def _norms_and_rows(system, states, enter_steps, cadence_steps):
+    """The energy norms of a (P, 2N) sample at the entering-grid steps and its
     rows at the orbit-cadence steps, from one pass over both."""
     steps = np.union1d(enter_steps, cadence_steps)
-    rows = system.sample(fresh, steps * system.dt)
+    rows = system.sample(states, steps * system.dt)
     norms = states_norms(rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
     return norms, rows[np.searchsorted(steps, cadence_steps)]
 
@@ -482,17 +490,16 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         raise ValueError("wave_attractor runs on the wave system")
     probe, fresh = draw_samples(cfg)
     enter_grid = system.sample_grid(cfg.burn_in + cfg.window, 200)
-    enter_steps = np.rint(enter_grid / system.dt)
+    enter_steps = system.steps(enter_grid)
     # the check times start after t_star: the fresh pass samples every
     # orbit-cadence time as well.  It needs nothing but the config, so it
     # runs in a child from here on (see the module docstring)
-    cadence_steps = np.rint(np.arange(0.0, cfg.t_orbit + 1e-9, cfg.orbit_sample_every)
-                            / system.dt)
-    with _forked(_fresh_pass, system, fresh, enter_steps, cadence_steps) as fresh_pass:
+    cadence_steps = system.steps(np.arange(0.0, cfg.t_orbit + 1e-9, cfg.orbit_sample_every))
+    with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
         radius, absorb_time, snap_steps, snap_rows = _absorbing_ball(
             cfg, probe, enter_grid, enter_steps
         )
-        absorb_step = _steps_for(system, absorb_time, "sample time")
+        absorb_step = int(system.steps(absorb_time))
         # the absorbed sample is the probe from absorb_time on: its pass
         # resumes the probe pass instead of integrating the probe's steps again
         births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
@@ -521,9 +528,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
 
     t_star = max(_settle_times(enter_grid, enter_norms, radius))
     t_grid_verify = verification_grid(aset, t_star)
-    verify_rows = cadence_rows[
-        np.searchsorted(cadence_steps, np.rint(t_grid_verify / system.dt))
-    ]
+    verify_rows = cadence_rows[np.searchsorted(cadence_steps, system.steps(t_grid_verify))]
     certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, spec)
 
     save_attracting_set(
@@ -622,17 +627,9 @@ def _absorbed_probe(cfg: ExperimentConfig) -> np.ndarray:
 def _pipeline_quasistability(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     absorbed = _absorbed_probe(cfg)
-    if cfg.quasi_period is not None:
-        period = cfg.quasi_period
-    elif system.l > 0:
-        period = 3.0 / float(system.l)
-    else:
-        raise ValueError(
-            "quasistability with linear damping l = 0 needs pipeline.quasi_period"
-        )
     report = quasistability_estimate(
         absorbed,
-        period,
+        cfg.period,
         cfg.n_periods,
         cfg.low_mode_threshold,
         cfg.closeness,

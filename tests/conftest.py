@@ -64,15 +64,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(ROOT, "configs")
 
 
-def load_bench_tracing():
-    """The benchmark's ``bench/tracing.py``, loaded from its file (``bench``
-    is not a package on the test path)."""
+def load_bench(name):
+    """The benchmark's module ``bench/<name>.py``, loaded from its file
+    (``bench`` is not a package on the test path)."""
     spec = importlib.util.spec_from_file_location(
-        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py")
+        f"bench_{name}", os.path.join(ROOT, "bench", f"{name}.py")
     )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # The 8-mode damped wave system used by the end-to-end tests: the shipped

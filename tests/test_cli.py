@@ -145,6 +145,9 @@ UNKNOWN_KEYS = {
     "grids": ("t_gird", {"grids": {"t_gird": [0.0, 1.0], "m_rang": [1, 2]}}),
     "pipeline": ("burnin", {"pipeline": {"burnin": 2.0}}),
     "system": ("modes", {"system": dict(SMALL_WAVE_SYSTEM, modes=3)}),
+    # the linear oracle's damping is ``l``, as its ``as_dict`` writes it
+    "linear_system": ("damping", {"kind": "oracle_decay", "system": {
+        "type": "linear", "damping": 1.0, "mode_count": 4}}),
 }
 
 
@@ -189,6 +192,26 @@ BAD_NUMBERS = {
     "zero_closeness": ("closeness", {"kind": "quasistability", "pipeline": {"closeness": 0}}),
     "nan_closeness": ("closeness", {"kind": "quasistability",
                                     "pipeline": {"closeness": float("nan")}}),
+    # times a pass samples straight from a field, off the dt = 1/16 step grid
+    "t_grid_off_the_step_grid": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12,
+                                                                 "step": 0.1}}}),
+    "orbit_cadence_off_the_step_grid": ("orbit_sample_every",
+                                        {"pipeline": {"orbit_sample_every": 0.3}}),
+    "t_orbit_off_the_step_grid": ("t_orbit", {"pipeline": {"t_orbit": 12.1}}),
+    "absorbing_horizon_off_the_step_grid": ("burn_in", {"pipeline": {"window": 2.01}}),
+    "birth_times_off_the_step_grid": ("m_range", {
+        "system": dict(SMALL_WAVE_SYSTEM, dt=0.06), "pipeline": {"orbit_sample_every": 0.24},
+        "grids": {"t_grid": {"start": 0, "stop": 12, "step": 0.24}}}),
+    "m_range_past_t_orbit": ("m_range", {"grids": {"m_range": [1, 13]}}),
+    "proxy_time_off_the_step_grid": ("t_orbit", {"kind": "criteria_suite",
+                                                 "pipeline": {"t_orbit": 12.03}}),
+    "default_quasi_period_off_the_step_grid": ("quasi_period", {
+        "kind": "quasistability", "system": dict(SMALL_WAVE_SYSTEM, l=0.7)}),
+    "quasi_period_off_the_step_grid": ("quasi_period", {"kind": "quasistability",
+                                                        "pipeline": {"quasi_period": 1.3}}),
+    "sweep_cadence_off_the_step_grid": ("orbit_sample_every", {
+        "kind": "sweep_l", "grids": {"l_values": [1.0]},
+        "pipeline": {"orbit_sample_every": 0.3}}),
 }
 
 
@@ -227,7 +250,9 @@ def test_undamped_quasistability_needs_a_period(tmp_path):
 
 def test_blow_up_exits_2(tmp_path):
     system = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
-    config = write_config(tmp_path, system=system, pipeline={"burn_in": 44.0})
+    config = write_config(tmp_path, system=system,
+                          pipeline={"burn_in": 44.0, "orbit_sample_every": 0.5},
+                          grids={"t_grid": {"start": 0, "stop": 12, "step": 0.5}})
     code, _out, err = run_cli("run", config)
     assert code == EXIT_BLOWUP
     assert err.startswith("numerical blow-up")
@@ -257,8 +282,9 @@ def test_strict_sweep_checks_the_worst_row(tmp_path, command, required, expected
 def test_failed_sweep_row_exits_1(tmp_path, command):
     # both commands finish the same way: the headline, then one line per row
     system = {"mode_count": 1, "kernel": [{"weight": 200.0, "coeffs": [1.0]}], "dt": 0.5}
-    config = write_config(tmp_path, system=system, kind="sweep_l",
-                          grids={"l_values": [0.0]}, pipeline={"burn_in": 44.0})
+    grids = {"l_values": [0.0], "t_grid": {"start": 0, "stop": 12, "step": 0.5}}
+    config = write_config(tmp_path, system=system, kind="sweep_l", grids=grids,
+                          pipeline={"burn_in": 44.0, "orbit_sample_every": 0.5})
     code, out, _err = run_cli(command, config)
     assert code == EXIT_CONFIG
     assert "rows_ok = 0" in out and "l = 0: FAILED" in out

@@ -1,6 +1,7 @@
 """The run file format: a run manifest's config echo loads back to the same
 config, for every pipeline kind, both engines and every field."""
 
+import glob
 import json
 import os
 from dataclasses import MISSING, fields, replace
@@ -18,7 +19,7 @@ from attractorlab.experiments import (
     run_experiment,
 )
 
-from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM, load_bench
 
 
 def small_wave(out, kind, **overrides):
@@ -85,6 +86,29 @@ def test_non_finite_threshold_exits_1_when_read(minimum, tmp_path, capsys):
         f"error: config field 'thresholds.satisfied_fraction' must be finite, got {minimum!r}\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_shipped_and_benchmark_configs_pass_the_step_grid_checks(tmp_path):
+    # the checks run when a config is read; none may refuse a config that runs
+    shipped = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
+    assert [os.path.basename(path) for path in shipped] == [
+        "oracle_decay.yaml", "wave_attractor.yaml"]
+    for path in shipped:
+        load_experiment_config(path)
+    workloads = load_bench("workloads")
+    for name in workloads.WORKLOADS:
+        workloads.build(name, workloads.REFERENCE_SEEDS[0], str(tmp_path / name))
+
+
+def test_a_field_the_kind_never_samples_is_not_checked(tmp_path):
+    # dt = 1/6 at three modes: the default t_grid and orbit cadence of 0.25
+    # are off the step grid, but a quasistability run samples neither
+    cfg = ExperimentConfig(kind="quasistability", system=WaveSystemConfig(mode_count=3, l=1.0),
+                           output_dir=str(tmp_path / "out"), ensemble_count=8,
+                           low_mode_threshold=2)
+    assert run_experiment(cfg).status == "ok"
+    with pytest.raises(ValueError, match="^config field 't_grid' = 0.25 is not a multiple"):
+        replace(cfg, kind="criteria_suite")
 
 
 def off_default_config(out) -> ExperimentConfig:

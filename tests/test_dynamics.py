@@ -20,6 +20,7 @@ from attractorlab.dynamics import (
     wave_rhs,
     states_norms,
     _settle_times,
+    _sine_collocation,
 )
 from attractorlab.phase import MetricSpec
 
@@ -183,6 +184,21 @@ class TestEvolve:
         with pytest.raises(ValueError, match="cap"):
             evolve_states(p0, cfg, [1e7])
 
+        def one_at_a_time(t):
+            # the rule ``steps`` vectorises: round half to even, then check
+            k = round(t / cfg.dt)
+            assert abs(k * cfg.dt - t) <= 1e-9 * max(1.0, abs(t))
+            return k
+
+        # exact multiples, and a large t just inside the 1e-9 max(1, |t|) tolerance
+        times = [0.0, 0.1, 0.3, 2.5, 12.0, 1e6 - 9.9e-4, 1e6 + 9.9e-4]
+        assert cfg.steps(times).tolist() == [one_at_a_time(t) for t in times]
+        assert cfg.steps(0.3).shape == () and int(cfg.steps(0.3)) == 3
+        with pytest.raises(ValueError, match=r"^t_orbit = 1e\+06 is not a multiple of dt = 0.1$"):
+            cfg.steps([0.0, 1e6 + 1.01e-3], "t_orbit")
+        with pytest.raises(ValueError, match=r"^sample time = inf is not a multiple"):
+            cfg.steps([0.1, np.inf])
+
     def test_rk4_order_against_oracle(self, rng):
         lam = np.arange(1.0, 5.0) ** 2
         oracle = LinearModalConfig(1.0, lam)
@@ -201,18 +217,19 @@ def reference_rhs(y, cfg):
     """The plain right-hand side the buffered kernel must reproduce bit for
     bit: numpy's polyval, a concatenate and freshly allocated arrays."""
     n = cfg.mode_count
-    tab = cfg._tables()
+    synth, weight = _sine_collocation(n, cfg.collocation_points)
     a, b = y[..., :n], y[..., n:]
     sq = np.sum(b * b, axis=-1, keepdims=True)
     damp = cfg.l + (cfg.k * sq ** (cfg.p / 2.0) if cfg.k else 0.0)
-    db = -tab["lam"] * a - damp * b + tab["h"]
-    if tab["f"] is not None:
-        u_vals = a @ tab["synth"].T
-        f_vals = np.polynomial.polynomial.polyval(u_vals, tab["f"], tensor=False)
-        db = db - tab["weight"] * (f_vals @ tab["synth"])
-    if tab["kernel_weights"] is not None:
-        proj = b @ tab["kernel_vectors"].T
-        db = db + (proj * tab["kernel_weights"]) @ tab["kernel_vectors"]
+    db = -cfg.eigenvalues * a - damp * b + np.array(cfg.h_coeffs)
+    if cfg.f_coeffs:
+        u_vals = a @ synth.T
+        f_vals = np.polynomial.polynomial.polyval(u_vals, np.array(cfg.f_coeffs), tensor=False)
+        db = db - weight * (f_vals @ synth)
+    if cfg.kernel:
+        weights = np.array([w for w, _ in cfg.kernel])
+        vectors = np.array([c for _, c in cfg.kernel])
+        db = db + ((b @ vectors.T) * weights) @ vectors
     return np.concatenate([b, db], axis=-1)
 
 
@@ -272,12 +289,14 @@ class TestKernelMatchesReference:
     def test_lyapunov_is_byte_identical_to_polyval(self, f_coeffs):
         cfg = WaveSystemConfig(mode_count=6, f_coeffs=f_coeffs, h_coeffs=(1.0,) * 6,
                                dt=0.5 / 6)
-        tab = cfg._tables()
+        synth, weight = _sine_collocation(6, cfg.collocation_points)
+        # the potential F, F' = f and F(0) = 0, lowest degree first
+        big_f = np.concatenate([[0.0], np.array(f_coeffs) / np.arange(1, len(f_coeffs) + 1)])
         y = 2.0 * np.random.default_rng(9).standard_normal((4, 7, 12))
         a, b = y[..., :6], y[..., 6:]
-        e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(tab["lam"] * a * a, axis=-1))
-        f_pot = np.polynomial.polynomial.polyval(a @ tab["synth"].T, tab["F"], tensor=False)
-        l_val = e_val - a @ tab["h"] + tab["weight"] * np.sum(f_pot, axis=-1)
+        e_val = 0.5 * (np.sum(b * b, axis=-1) + np.sum(cfg.eigenvalues * a * a, axis=-1))
+        f_pot = np.polynomial.polynomial.polyval(a @ synth.T, big_f, tensor=False)
+        l_val = e_val - a @ np.array(cfg.h_coeffs) + weight * np.sum(f_pot, axis=-1)
         got_e, got_l = lyapunov(y, cfg)
         assert got_e.tobytes() == e_val.tobytes()
         assert got_l.tobytes() == l_val.tobytes()

@@ -25,7 +25,7 @@ from attractorlab.experiments import (
     run_experiment,
 )
 
-from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM, load_bench_tracing
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM, load_bench
 
 
 def output_hashes(output_dir) -> dict:
@@ -189,7 +189,7 @@ def test_every_benchmark_span_is_reached(tmp_path, monkeypatch):
     # a trace point no pipeline calls reads 0 in the benchmark's per-layer
     # split.  One CPU keeps every pass in this process, where the tracer sees it
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    tracing = load_bench_tracing()
+    tracing = load_bench("tracing")
     with tracing.Tracer() as tracer:
         for case in sorted(CASES):
             # through the module, where the tracer wraps it

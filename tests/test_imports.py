@@ -11,10 +11,11 @@ import pytest
 import attractorlab
 from attractorlab.criteria import QuasiStabilityReport, RateBounds, RateFit
 from attractorlab.decay import DecayLaw
+from attractorlab.dynamics import WaveSystemConfig
 from attractorlab.experiments import RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
-from conftest import load_bench_tracing
+from conftest import load_bench
 
 MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
 
@@ -22,14 +23,14 @@ REMOVED = {
     "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
-                 "_sampled_norms", "_rk4_step", "_WAVE_KEYS"),
+                 "_sampled_norms", "_rk4_step", "_WAVE_KEYS", "_steps_for"),
     "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
                    "QUANT_FLOOR"),
     "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
-                    "system_to_dict", "_parse_system", "ProcessPoolExecutor"),
+                    "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass"),
 }
 
 
@@ -73,6 +74,8 @@ def test_removed_members_are_gone():
     assert not hasattr(MetricSpec, "dirichlet_2d")
     assert not hasattr(MetricSpec.dirichlet_1d(2), "spatial_dim")
     assert not hasattr(DecayLaw, "with_shift")
+    assert not hasattr(DecayLaw, "invert")
+    assert not hasattr(WaveSystemConfig, "_tables")
     assert not hasattr(Ensemble, "points")
     assert not hasattr(Ensemble, "label")
     assert not hasattr(Ensemble, "embed")
@@ -87,7 +90,7 @@ def test_removed_members_are_gone():
 def test_benchmark_trace_points_are_bound():
     # the benchmark's tracer rebinds these names in place, so each must stay
     # bound in its owner's own namespace (e.g. criteria's import of semidist_arrays)
-    tracing = load_bench_tracing()
+    tracing = load_bench("tracing")
     unbound = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _span in tracing.TRACE_POINTS

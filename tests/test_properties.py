@@ -1,6 +1,4 @@
-"""Property tests of the covering invariants and the decay-law inverse."""
-
-import math
+"""Property tests of the covering invariants."""
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from attractorlab.covering import (
     greedy_kcenter,
     semidist_arrays,
 )
-from attractorlab.decay import DECAY_KINDS, DecayLaw
 from attractorlab.phase import MetricSpec
 
 # fixed example sequence and no example database, so runs are repeatable
@@ -62,18 +59,3 @@ def test_semidist_is_zero_on_itself_and_obeys_the_triangle_inequality(data, widt
     assert semidist_arrays(a, c) <= through_b * (1 + 1e-12) + 1e-12
 
 
-@pytest.mark.parametrize("kind", DECAY_KINDS)
-@PROPERTY
-@given(
-    amplitude=st.floats(0.1, 10.0),
-    rate=st.floats(0.1, 3.0),
-    shift=st.floats(0.0, 5.0),
-    offset=st.floats(0.0, 20.0),
-)
-def test_decay_law_invert_round_trip(kind, amplitude, rate, shift, offset):
-    # each family's domain: any t for the exponential, t > shift for the
-    # polynomial, t > shift + 1 for the log-polynomial
-    start = {"exponential": 0.0, "polynomial": 0.01, "log_polynomial": 1.01}[kind]
-    law = DecayLaw(kind, amplitude, rate, shift)
-    t = shift + start + offset
-    assert math.isclose(law.invert(law.eval(t)), t, rel_tol=1e-9, abs_tol=1e-9)
