@@ -38,7 +38,9 @@ The run file format is the table ``_SCHEMA``, one row per field: its section,
 its key, the ``ExperimentConfig`` attribute it sets and the reader of its
 value.  ``load_experiment_config`` reads a file by it and rejects any key it
 does not list; ``config_to_dict`` writes by it the config echo of each run
-manifest.  Defaults live on the dataclasses alone.
+manifest.  Defaults live on the dataclasses alone.  The table ``_KINDS``
+gives each kind its pipeline and the engines it runs on, and a config whose
+system is another engine is refused when it is read, before any pass runs.
 """
 
 from __future__ import annotations
@@ -97,13 +99,7 @@ __all__ = [
     "load_experiment_config",
 ]
 
-EXPERIMENT_KINDS = (
-    "oracle_decay",
-    "wave_attractor",
-    "sweep_l",
-    "quasistability",
-    "criteria_suite",
-)
+_ENTER_SAMPLES = 200  # the probe's sample times on [0, burn_in + window]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +127,18 @@ class ExperimentConfig:
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(
-                f"unknown experiment kind {self.kind!r}, expected one of {EXPERIMENT_KINDS}"
+                f"unknown experiment kind {self.kind!r}, expected one of {tuple(_KINDS)}"
             )
-        if not isinstance(self.system, (WaveSystemConfig, LinearModalConfig)):
-            raise ValueError("system must be a wave or linear modal config")
+        if not isinstance(self.system, engines := _KINDS[self.kind][1]):
+            raise ValueError(f"config field 'system' is a {type(self.system).__name__}, but kind "
+                             f"{self.kind!r} runs on {' or '.join(e.__name__ for e in engines)}")
         t = np.asarray(self.t_grid, dtype=float)
-        if t.size == 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be nonempty and strictly increasing")
+        if t.size == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
+            raise ValueError(
+                "config field 't_grid' must be nonempty, nonnegative and strictly increasing"
+            )
         object.__setattr__(self, "t_grid", t)
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")
@@ -153,21 +152,15 @@ class ExperimentConfig:
                 f"config field 'm_range' must satisfy 1 <= m_min <= m_max, got {self.m_range!r}"
             )
         for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every",
-                     "fit_floor"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
-        for name in ("closeness", "quasi_period"):
-            value = getattr(self, name)
+                     "fit_floor", "closeness", "quasi_period"):
+            value = getattr(self, name)  # closeness and quasi_period may be None: unset
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
         for key, value in self.thresholds.items():
             if not math.isfinite(value):
                 raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
         if self.n_periods < 0:
-            raise ValueError(
-                f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}"
-            )
+            raise ValueError(f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}")
         # the tail check needs a mode above the threshold; quasistability does not
         top = {"criteria_suite": self.system.mode_count - 1,
                "quasistability": self.system.mode_count}.get(self.kind)
@@ -177,7 +170,7 @@ class ExperimentConfig:
                 f"run, got {self.low_mode_threshold!r}"
             )
         # the times a pass samples straight from the fields: on the wave
-        # engine each must be a step time (an oracle_decay run makes no pass)
+        # engine each must be a step time
         sampled = {"'burn_in' + 'window'": self.burn_in + self.window}
         if self.kind == "quasistability":
             sampled["'quasi_period' (by default 3 / l)"] = self.period
@@ -188,11 +181,18 @@ class ExperimentConfig:
                 raise ValueError(f"config field 'm_range' must end by t_orbit = "
                                  f"{self.t_orbit:g}, got {self.m_range!r}")
             sampled.update({"'t_grid'": self.t_grid, "'m_range'": np.arange(m_min, m_max + 1),
-                            "'t_orbit'": self.t_orbit,
-                            "'orbit_sample_every'": self.orbit_sample_every})
-        if isinstance(self.system, WaveSystemConfig) and self.kind != "oracle_decay":
+                            "'t_orbit'": self.t_orbit})
+            if self.system.steps(self.orbit_sample_every, "config field 'orbit_sample_every'") == 0:
+                raise ValueError(f"config field 'orbit_sample_every' = {self.orbit_sample_every:g} "
+                                 f"is shorter than one step dt = {self.system.dt:g}")
+        if isinstance(self.system, WaveSystemConfig):
             for what, times in sampled.items():
                 self.system.steps(times, f"config field {what}")
+        # absorbing_radius needs a probe sample after burn_in
+        if self.kind in ("wave_attractor", "sweep_l") and self.system.sample_grid(
+                self.burn_in + self.window, _ENTER_SAMPLES)[-1] <= self.burn_in:
+            raise ValueError(f"config field 'window' = {self.window:g} ends the absorbing "
+                             f"window at or before burn_in = {self.burn_in:g} on the dt grid")
 
     @property
     def metric(self) -> MetricSpec:
@@ -400,8 +400,6 @@ def _reply(receive, send, fn, args):
 
 def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    if not isinstance(system, LinearModalConfig):
-        raise ValueError("oracle_decay runs on the linear modal system")
     probe, _fresh = draw_samples(cfg)
     rows = system.sample(probe, cfg.t_grid)
 
@@ -486,10 +484,8 @@ def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
 
 def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    if not isinstance(system, WaveSystemConfig):
-        raise ValueError("wave_attractor runs on the wave system")
     probe, fresh = draw_samples(cfg)
-    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, 200)
+    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, _ENTER_SAMPLES)
     enter_steps = system.steps(enter_grid)
     # the check times start after t_star: the fresh pass samples every
     # orbit-cadence time as well.  It needs nothing but the config, so it
@@ -587,8 +583,6 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     values = [float(v) for v in cfg.l_values]
     if not values:
         raise ValueError("sweep_l needs a nonempty l_values grid")
-    if not isinstance(cfg.system, WaveSystemConfig):
-        raise ValueError("sweep_l runs on the wave system")
     subs = [
         replace(cfg, kind="wave_attractor", system=replace(cfg.system, l=val),
                 output_dir=out(f"l_{i}_{val:g}"), l_values=())
@@ -637,9 +631,8 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
         spec,
         m_clusters=cfg.m_clusters,
     )
-    rows = []
-    for n, ratio in enumerate(report.per_period_alpha_ratios, start=1):
-        rows.append([float(n), ratio, 2.0 * report.predicted_eta**n])
+    rows = [[float(n), ratio, 2.0 * report.predicted_eta**n]
+            for n, ratio in enumerate(report.per_period_alpha_ratios, start=1)]
     write_csv(out("quasistability.csv"), ["n", "alpha_ratio", "bound"], rows)
     headline = {
         "eta_hat": report.eta_hat,
@@ -648,12 +641,8 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
         "pair_count": float(report.pair_count),
         "excluded_pair_count": float(report.excluded_pair_count),
     }
-    if report.per_period_alpha_ratios:
-        excess = max(
-            ratio / (2.0 * report.predicted_eta**n)
-            for n, ratio in enumerate(report.per_period_alpha_ratios, start=1)
-        )
-        headline["max_ratio_over_bound"] = excess
+    if rows:
+        headline["max_ratio_over_bound"] = max(ratio / bound for _n, ratio, bound in rows)
     return headline, [asdict(report)]
 
 
@@ -692,12 +681,13 @@ def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     return headline, []
 
 
-_PIPELINES = {
-    "oracle_decay": _pipeline_oracle_decay,
-    "wave_attractor": _pipeline_wave_attractor,
-    "sweep_l": _pipeline_sweep_l,
-    "quasistability": _pipeline_quasistability,
-    "criteria_suite": _pipeline_criteria_suite,
+# Each experiment kind: its pipeline and the engines it runs on.
+_KINDS = {
+    "oracle_decay": (_pipeline_oracle_decay, (LinearModalConfig,)),
+    "wave_attractor": (_pipeline_wave_attractor, (WaveSystemConfig,)),
+    "sweep_l": (_pipeline_sweep_l, (WaveSystemConfig,)),
+    "quasistability": (_pipeline_quasistability, (WaveSystemConfig, LinearModalConfig)),
+    "criteria_suite": (_pipeline_criteria_suite, (WaveSystemConfig, LinearModalConfig)),
 }
 
 
@@ -715,7 +705,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     start = time.perf_counter()
     headline, table, failure = {}, [], None
     try:
-        headline, table = _PIPELINES[cfg.kind](cfg, out)
+        headline, table = _KINDS[cfg.kind][0](cfg, out)
     except Exception as exc:
         failure = exc
     manifest = RunManifest(

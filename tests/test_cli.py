@@ -160,6 +160,8 @@ def test_unknown_key_in_a_section_exits_1(tmp_path, section):
     assert not (tmp_path / "out").exists()
 
 
+LINEAR_SYSTEM = {"type": "linear", "l": 1.0, "mode_count": 4}
+
 # (field named in the error, config edit) per number that cannot run
 BAD_NUMBERS = {
     "t_grid_step": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12, "step": 0}}}),
@@ -212,6 +214,16 @@ BAD_NUMBERS = {
     "sweep_cadence_off_the_step_grid": ("orbit_sample_every", {
         "kind": "sweep_l", "grids": {"l_values": [1.0]},
         "pipeline": {"orbit_sample_every": 0.3}}),
+    # within the step grid's tolerance of step 0, or of the step at burn_in
+    "orbit_cadence_below_one_step": ("orbit_sample_every",
+                                     {"pipeline": {"orbit_sample_every": 1e-12}}),
+    "window_below_one_step": ("window", {"pipeline": {"window": 1e-12}}),
+    "negative_t_grid": ("t_grid", {"grids": {"t_grid": [-1.0, 0.0, 1.0]}}),
+    # a kind on an engine it does not run on
+    "oracle_decay_on_the_wave_system": ("system", {"kind": "oracle_decay"}),
+    "wave_attractor_on_the_linear_oracle": ("system", {"system": LINEAR_SYSTEM}),
+    "sweep_on_the_linear_oracle": ("system", {"kind": "sweep_l", "grids": {"l_values": [1.0]},
+                                              "system": LINEAR_SYSTEM}),
 }
 
 

@@ -37,6 +37,7 @@ def shipped_oracle(out, kind):
 RUNS = {
     "oracle_decay": lambda out: shipped_oracle(out, "oracle_decay"),
     "quasistability_oracle": lambda out: shipped_oracle(out, "quasistability"),
+    "criteria_suite_oracle": lambda out: shipped_oracle(out, "criteria_suite"),
     "quasistability_wave": lambda out: small_wave(out, "quasistability"),
     "wave_attractor": lambda out: small_wave(out, "wave_attractor"),
     "criteria_suite": lambda out: small_wave(out, "criteria_suite"),
@@ -88,6 +89,18 @@ def test_non_finite_threshold_exits_1_when_read(minimum, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, system, engine", [
+    ("oracle_decay", wave_config_from_dict(SMALL_WAVE_SYSTEM), "LinearModalConfig"),
+    ("wave_attractor", LinearModalConfig(1.0, [1.0, 4.0]), "WaveSystemConfig"),
+    ("sweep_l", LinearModalConfig(1.0, [1.0, 4.0]), "WaveSystemConfig"),
+])
+def test_a_kind_refuses_an_engine_it_does_not_run_on(kind, system, engine, tmp_path):
+    # test_cli's BAD_NUMBERS runs the same three through the command line
+    with pytest.raises(ValueError, match=f"^config field 'system' is a {type(system).__name__}, "
+                                         f"but kind '{kind}' runs on {engine}$"):
+        ExperimentConfig(kind=kind, system=system, output_dir=str(tmp_path))
+
+
 def test_shipped_and_benchmark_configs_pass_the_step_grid_checks(tmp_path):
     # the checks run when a config is read; none may refuse a config that runs
     shipped = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
@@ -128,7 +141,7 @@ def off_default_config(out) -> ExperimentConfig:
 
 def test_every_field_survives_the_round_trip(tmp_path):
     cfg = off_default_config(tmp_path / "out")
-    defaults = ExperimentConfig(kind="oracle_decay", system=cfg.system, output_dir="")
+    defaults = ExperimentConfig(kind=cfg.kind, system=cfg.system, output_dir="")
     for f in fields(ExperimentConfig):
         # every field off its default, so a field the file format leaves out
         # comes back at its default and fails below
@@ -148,8 +161,11 @@ def test_every_field_survives_the_round_trip(tmp_path):
     LinearModalConfig(2.0, np.array([1.0, 4.0])),
 ])
 def test_engine_writes_plain_values(system, tmp_path):
-    # plain floats, not numpy scalars, so yaml.safe_dump can write the echo
-    cfg = ExperimentConfig(kind="oracle_decay", system=system, output_dir=str(tmp_path))
+    # plain floats, not numpy scalars, so yaml.safe_dump can write the echo.
+    # quasistability runs on both engines; its period is a step of the
+    # three-mode system (dt = 1/6), whose damping l = 0 gives no default one
+    cfg = ExperimentConfig(kind="quasistability", system=system, output_dir=str(tmp_path),
+                           low_mode_threshold=2, quasi_period=1.0)
     assert reloaded(config_to_dict(cfg), tmp_path).system.as_dict() == system.as_dict()
 
 

@@ -141,6 +141,16 @@ def fresh_scaled_up(monkeypatch):
     return 20.0
 
 
+def net_orbits_blow_up(monkeypatch):
+    # the net stage fails after its alpha trace; the proxy continuation to
+    # 2 t_orbit = 40 and the fresh pass to t_orbit stay finite
+    def blow_up(*_args):
+        raise BlowUpError(42.0)
+
+    monkeypatch.setattr(experiments, "build_attracting_set", blow_up)
+    return 20.0
+
+
 # (t_orbit or a setup returning it, manifest error, files left) per failure
 FAILURES = {
     # only the proxy continuation reaches t = 46; nothing is written
@@ -151,6 +161,11 @@ FAILURES = {
     # continuation comes first in the serial order, so its error is the one
     "proxy_continuation_and_net": (
         48.0, "BlowUpError: solution blew up (non-finite state) at t = 46", ["manifest.json"],
+    ),
+    # the serial order writes the trace before the net, so a failed net stage leaves it
+    "net_stage": (
+        net_orbits_blow_up, "BlowUpError: solution blew up (non-finite state) at t = 42",
+        ["manifest.json", "trace_alpha.csv"],
     ),
     # the trace is written before the fresh sample's rows are read
     "fresh_pass": (

@@ -30,7 +30,8 @@ REMOVED = {
     "decay": ("decay_eval",),
     "criteria": ("_unique_points",),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
-                    "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass"),
+                    "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
+                    "EXPERIMENT_KINDS", "_PIPELINES"),
 }
 
 
