@@ -21,9 +21,11 @@ Integration is fixed-step classical Runge-Kutta; all state arrays may carry
 leading batch dimensions, so whole ensembles evolve in one pass.  One
 buffered stepper (``_Stepper``) is the only right-hand side: ``evolve_states``
 builds it from the config once per call for the batch's shape and
-``wave_rhs`` calls it.  It allocates its stage arrays once and writes every
-stage in place, but it repeats the operands, order and association of the
-plain reference expressions exactly (numpy's polynomial evaluation order
+``wave_rhs`` calls it.  It keeps positions and velocities in separate
+contiguous blocks and copies (..., 2N) states in and out, so callers see no
+other layout.  It allocates its stage arrays once and writes every stage in
+place, but it repeats the operands, order and association of the plain
+reference expressions exactly (numpy's polynomial evaluation order
 included), and that order is what keeps every output byte-identical to them.
 
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
@@ -39,8 +41,8 @@ members, so no caller needs to know which engine it runs:
 * ``as_dict()`` -- the config as the run file's ``system`` mapping, with its
   ``type`` (``wave`` or ``linear``); ``system_from_dict`` reads it back.
 
-Both engines reject sample times that are negative or decreasing: neither
-runs backward in time.
+Both engines reject sample times that are non-finite, negative or
+decreasing: neither runs backward in time.
 
 The wave engine alone has a fifth member, ``steps(times, what)``: the RK4
 step index of each time, a multiple of dt.  Every time-to-step conversion
@@ -304,15 +306,21 @@ class _Stepper:
     """Classical RK4 for one config and one (..., 2N) batch shape, with every
     intermediate array allocated once.
 
+    The state ``y`` and the five stage buffers are planar, of shape
+    (2, ..., N): ``y[0]`` holds the positions and ``y[1]`` the velocities,
+    each one contiguous block, so no operation reads a strided half of a
+    (..., 2N) row.  ``load`` copies a (..., 2N) state in and ``store`` copies
+    it back out; only those two copies see the interleaved layout.
+
     ``rhs`` writes the time derivative into a caller's buffer and ``step``
-    advances a state in place.  Both repeat the operands, order and
-    association of the plain expressions
+    advances ``y`` in place.  Both repeat the operands, order and association
+    of the plain expressions
 
         db = (-lam)*a - damp*b + h - weight*(f(a @ synth.T) @ synth) + K b
         y' = y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
 
-    so their results are byte-identical to those expressions; only the
-    buffers differ.
+    element by element, so their results are byte-identical to those
+    expressions; only the buffers and their layout differ.
     """
 
     def __init__(self, cfg: WaveSystemConfig, shape):
@@ -330,7 +338,8 @@ class _Stepper:
         self.kw = np.array([w for w, _ in cfg.kernel]) if cfg.kernel else None
         self.kv = np.array([c for _, c in cfg.kernel]) if cfg.kernel else None
         lead = tuple(shape[:-1])
-        self.stages = [np.empty(shape) for _ in range(5)]  # k1..k4, stage state
+        self.y = np.empty((2,) + lead + (n,))
+        self.stages = [np.empty_like(self.y) for _ in range(5)]  # k1..k4, stage state
         self.scratch = np.empty(lead + (n,))
         self.sq = np.empty(lead + (1,))
         if self.f is not None:
@@ -339,12 +348,23 @@ class _Stepper:
         if self.kv is not None:
             self.proj = np.empty(lead + (self.kv.shape[0],))
 
+    def load(self, y0: np.ndarray) -> None:
+        """Copy the (..., 2N) state ``y0`` into ``y``."""
+        np.copyto(self.y[0], y0[..., : self.n])
+        np.copyto(self.y[1], y0[..., self.n :])
+
+    @staticmethod
+    def store(planar: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy a planar (2, ..., N) array into the (..., 2N) array ``out``."""
+        return np.concatenate(planar, axis=-1, out=out)
+
     def rhs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the time derivative of ``y`` into ``out`` (no overlap)."""
-        n, tmp = self.n, self.scratch
-        a, b = y[..., :n], y[..., n:]
-        out[..., :n] = b
-        db = out[..., n:]
+        """Write the time derivative of the planar ``y`` into the planar
+        ``out`` (no overlap)."""
+        tmp = self.scratch
+        a, b = y
+        np.copyto(out[0], b)
+        db = out[1]
         damp = self.l
         if self.k:
             np.add.reduce(np.multiply(b, b, out=tmp), axis=-1, keepdims=True, out=self.sq)
@@ -365,8 +385,9 @@ class _Stepper:
             np.add(db, tmp, out=db)
         return out
 
-    def step(self, y: np.ndarray) -> None:
+    def step(self) -> None:
         """Advance ``y`` by one RK4 step of size dt, in place."""
+        y = self.y
         k1, k2, k3, k4, ys = self.stages
         dt = self.dt
         half = 0.5 * dt
@@ -383,14 +404,20 @@ class _Stepper:
 def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     """Time derivative of a (..., 2N) state array."""
     y = np.asarray(y, dtype=float)
-    return _Stepper(cfg, y.shape).rhs(y, np.empty_like(y))
+    stepper = _Stepper(cfg, y.shape)
+    stepper.load(y)
+    dy = stepper.rhs(stepper.y, stepper.stages[0])
+    return stepper.store(dy, np.empty_like(y))
 
 
 def _sample_times(times) -> np.ndarray:
-    """Sample times as a float array; nonempty, nonnegative, nondecreasing."""
+    """Sample times as a float array; nonempty, finite, nonnegative,
+    nondecreasing."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("need at least one sample time")
+    if not np.isfinite(times).all():
+        raise ValueError("sample times must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("sample times must be nonnegative and nondecreasing")
     return times
@@ -408,19 +435,21 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
         raise ValueError(
             f"horizon needs {marks[-1]} steps, above the cap of {MAX_STEPS}"
         )
-    y = np.asarray(y0, dtype=float).copy()
-    stepper = _Stepper(cfg, y.shape)
-    out = np.empty((times.size,) + y.shape)
+    y0 = np.asarray(y0, dtype=float)
+    stepper = _Stepper(cfg, y0.shape)
+    stepper.load(y0)
+    y = stepper.y
+    out = np.empty((times.size,) + y0.shape)
     next_mark = 0
     # finiteness is checked every step, so let overflow reach the check silently
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(marks[-1] + 1):
             while next_mark < len(marks) and marks[next_mark] == step:
-                out[next_mark] = y
+                stepper.store(y, out[next_mark])
                 next_mark += 1
             if step == marks[-1]:
                 break
-            stepper.step(y)
+            stepper.step()
             if not np.isfinite(y).all():
                 raise BlowUpError((step + 1) * cfg.dt)
     return out

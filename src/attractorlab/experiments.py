@@ -135,10 +135,9 @@ class ExperimentConfig:
             raise ValueError(f"config field 'system' is a {type(self.system).__name__}, but kind "
                              f"{self.kind!r} runs on {' or '.join(e.__name__ for e in engines)}")
         t = np.asarray(self.t_grid, dtype=float)
-        if t.size == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
-            raise ValueError(
-                "config field 't_grid' must be nonempty, nonnegative and strictly increasing"
-            )
+        if t.size == 0 or not np.isfinite(t).all() or t[0] < 0 or np.any(np.diff(t) <= 0):
+            raise ValueError("config field 't_grid' must be nonempty, finite, nonnegative and "
+                             "strictly increasing")
         object.__setattr__(self, "t_grid", t)
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")

@@ -219,6 +219,11 @@ BAD_NUMBERS = {
                                      {"pipeline": {"orbit_sample_every": 1e-12}}),
     "window_below_one_step": ("window", {"pipeline": {"window": 1e-12}}),
     "negative_t_grid": ("t_grid", {"grids": {"t_grid": [-1.0, 0.0, 1.0]}}),
+    "nan_t_grid": ("t_grid", {"grids": {"t_grid": [0.0, float("nan"), 1.0, 2.0]}}),
+    "infinite_t_grid": ("t_grid", {"grids": {"t_grid": [0.0, 1.0, float("inf")]}}),
+    "nan_t_grid_on_the_oracle": ("t_grid", {
+        "kind": "oracle_decay", "system": LINEAR_SYSTEM,
+        "grids": {"t_grid": [0.0, float("nan"), 1.0, 2.0, 3.0, 4.0]}}),
     # a kind on an engine it does not run on
     "oracle_decay_on_the_wave_system": ("system", {"kind": "oracle_decay"}),
     "wave_attractor_on_the_linear_oracle": ("system", {"system": LINEAR_SYSTEM}),

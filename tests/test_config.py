@@ -101,6 +101,16 @@ def test_a_kind_refuses_an_engine_it_does_not_run_on(kind, system, engine, tmp_p
         ExperimentConfig(kind=kind, system=system, output_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_a_non_finite_t_grid_entry_is_refused_for_every_kind(case, bad, tmp_path):
+    # a NaN compares false with everything, so the order check alone passes it
+    cfg = RUNS[case](tmp_path / "out")
+    with pytest.raises(ValueError, match="^config field 't_grid' must be nonempty, finite, "
+                                         "nonnegative and strictly increasing$"):
+        replace(cfg, t_grid=np.append(cfg.t_grid[:2], bad))
+
+
 def test_shipped_and_benchmark_configs_pass_the_step_grid_checks(tmp_path):
     # the checks run when a config is read; none may refuse a config that runs
     shipped = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))

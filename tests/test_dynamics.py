@@ -19,8 +19,10 @@ from attractorlab.dynamics import (
     wave_config_from_dict,
     wave_rhs,
     states_norms,
+    _sample_times,
     _settle_times,
     _sine_collocation,
+    _Stepper,
 )
 from attractorlab.phase import MetricSpec
 
@@ -265,6 +267,14 @@ KERNEL_SYSTEMS = {
 }
 
 
+# the benchmark's wave system, copied from bench/workloads.py: 32 modes on
+# 96 collocation points and a rank-one kernel, sizes at which the matrix
+# products take BLAS's real code paths
+BENCH_SYSTEM = dict(mode_count=32, k=1.0, p=2.0, l=2.0, f_coeffs=(0.0, -1.0, 0.0, 1.0),
+                    kernel=((0.1, (1.0,) + (0.0,) * 31),), h_coeffs=(4.0,) + (0.0,) * 31,
+                    dt=0.015625, collocation_points=96)
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("shape", [(12,), (1, 12), (20, 12), (2, 5, 12)])
     @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
@@ -277,6 +287,43 @@ class TestKernelMatchesReference:
         for _ in range(200):
             want.append(reference_rk4_step(want[-1], cfg))
         assert evolve_states(y0, cfg, times).tobytes() == np.stack(want[::50]).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 30])
+    def test_benchmark_system_is_byte_identical_to_the_reference(self, batch):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        y0 = 0.3 * np.random.default_rng(3).standard_normal((batch, 64))
+        assert wave_rhs(y0, cfg).tobytes() == reference_rhs(y0, cfg).tobytes()
+        want = [y0]
+        for _ in range(20):
+            want.append(reference_rk4_step(want[-1], cfg))
+        times = np.arange(21) * cfg.dt
+        assert evolve_states(y0, cfg, times).tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+    def test_non_contiguous_start_is_copied_exactly(self, layout):
+        cfg = WaveSystemConfig(mode_count=6, dt=0.5 / 6, **KERNEL_SYSTEMS["all_terms_p1"])
+        base = np.random.default_rng(4).standard_normal((5, 12))
+        base[::2, ::3] = -0.0
+        if layout == "fortran":
+            y0 = np.asfortranarray(base)
+        else:
+            wide = np.ones((5, 20))
+            wide[:, 3:15] = base
+            y0 = wide[:, 3:15]
+        assert not y0.flags.c_contiguous and np.signbit(y0[0, 0])
+        before = y0.tobytes()
+        out = evolve_states(y0, cfg, [0.0, 10 * cfg.dt])
+        assert out[0].tobytes() == before  # -0.0 stays -0.0
+        assert y0.tobytes() == before
+        contiguous = evolve_states(np.ascontiguousarray(y0), cfg, [0.0, 10 * cfg.dt])
+        assert out.tobytes() == contiguous.tobytes()
+
+    def test_state_and_stage_blocks_are_contiguous(self):
+        # positions and velocities are planar blocks, never strided halves of rows
+        stepper = _Stepper(WaveSystemConfig(**BENCH_SYSTEM), (30, 64))
+        for planar in [stepper.y, *stepper.stages]:
+            assert planar.shape == (2, 30, 32)
+            assert all(block.flags.c_contiguous for block in planar)
 
     def test_blow_up_time_matches_the_reference(self):
         cfg = WaveSystemConfig(mode_count=1, l=0.0, kernel=((200.0, (1.0,)),), dt=0.5)
@@ -531,6 +578,15 @@ class TestEngineInterface:
             cfg = LinearModalConfig(1.0, np.array([1.0]))
         with pytest.raises(ValueError, match="nonnegative and nondecreasing"):
             cfg.sample(np.zeros(2), times)
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.0, np.inf], [0.0, np.nan, 1.0]])
+    def test_non_finite_times_rejected(self, times):
+        # a NaN compares false with everything, so it would pass the order checks
+        with pytest.raises(ValueError, match="^sample times must be finite$"):
+            _sample_times(times)
+        for cfg in (linear_wave_config(1, 1.0, 0.1), LinearModalConfig(1.0, np.array([1.0]))):
+            with pytest.raises(ValueError, match="^sample times must be finite$"):
+                cfg.sample(np.zeros(2), times)
 
     @pytest.mark.parametrize("engine", ["wave", "modal"])
     def test_sample_shape_and_time_zero(self, engine, rng):
