@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import farthest_point_traversal, semidist_arrays, write_csv
-from .decay import DecayLaw
+from .decay import DecayLaw, within_bound
 from .dynamics import _int, _num
 from .phase import Ensemble, MetricSpec
 
@@ -97,7 +97,7 @@ class AttractionCertificate:
             path,
             ["t", "measured_semidist", "bound", "satisfied"],
             (
-                [t, m, b, int(m <= b)]
+                [t, m, b, int(within_bound(m, b))]
                 for t, m, b in zip(self.times, self.measured_semidist, self.bound_values)
             ),
         )
@@ -225,7 +225,7 @@ def verify_attraction(
     target = spec.embed(aset.target_matrix())
     measured = np.array([semidist_arrays(spec.embed(block), target) for block in evolved])
     bounds = np.array([aset.law_used.eval(t - t_star - 1.0) for t in t_grid])
-    satisfied = float(np.mean(measured <= bounds * (1 + 1e-12)))
+    satisfied = float(np.mean(within_bound(measured, bounds)))
     return AttractionCertificate(t_grid, measured, bounds, satisfied)
 
 

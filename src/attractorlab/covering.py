@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 EXACT_POINT_CAP = 12
+TRACE_COLUMNS = ("t", "value", "quantity", "m_clusters")  # a trace file's header
 
 
 def _load_cdist():
@@ -116,14 +117,18 @@ class DecayTrace:
 
     def to_csv(self, path):
         rows = ([t, v, self.quantity, self.m_clusters] for t, v in zip(self.times, self.values))
-        write_csv(path, ["t", "value", "quantity", "m_clusters"], rows)
+        write_csv(path, TRACE_COLUMNS, rows)
 
     @classmethod
     def from_csv(cls, path) -> "DecayTrace":
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
         if not rows:
             raise ValueError(f"empty trace file {path}")
+        missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"trace file {path} lacks the columns {missing}")
         times = np.array([float(r["t"]) for r in rows])
         values = np.array([float(r["value"]) for r in rows])
         return cls(times, values, rows[0]["quantity"], int(rows[0]["m_clusters"]))

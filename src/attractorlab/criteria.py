@@ -2,13 +2,13 @@
 tail-projection checks, the contractive-pair test, and per-period
 quasi-stability contraction.
 
-The checks take a sample of the absorbing ball already evolved by the caller,
-as a (T, P, 2N) array of its rows on a time grid, measure the relevant
-quantity at each time, and compare against a decay law.  Every sample and
-candidate set is a (P, 2N) state array; the cluster measure is the greedy
-``covering.alpha_proxy``.  Only ``quasistability_estimate`` calls the engine:
-it steps its sample period by period.  The checks report satisfied fractions rather than booleans; finite
-samples cannot certify the underlying hypotheses, only fail to falsify them.
+The checks take a sample of the absorbing ball evolved by the caller, as a
+(T, P, 2N) array of its rows on a time grid, and the alpha trace the caller
+measured on it, and compare both with a decay law; the envelope law lifts a
+rate fit the caller made.  Only ``quasistability_estimate`` calls the engine
+and the cover measure ``covering.alpha_proxy``: it steps its sample period by
+period.  The checks report satisfied fractions, not booleans: finite samples
+cannot certify the underlying hypotheses, only fail to falsify them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import DecayTrace, _cdist, alpha_proxy, semidist_arrays, write_csv
-from .decay import DecayLaw
+from .decay import DecayLaw, within_bound
 from .dynamics import states_norms
 from .phase import MetricSpec
 
@@ -68,8 +68,10 @@ def fit_exponential_rate(trace: DecayTrace, floor: float) -> RateFit:
     """Least squares on ln(value) over samples above ``floor``.
 
     Needs at least four usable samples; raises if the fitted slope is not a
-    decay (rate <= 0).
+    decay (rate <= 0).  ``floor`` must be nonnegative and finite.
     """
+    if not (floor >= 0 and math.isfinite(floor)):
+        raise ValueError(f"fit floor must be nonnegative and finite, got {floor!r}")
     mask = trace.values > floor
     if int(mask.sum()) < 4:
         raise ValueError(
@@ -93,11 +95,10 @@ def fit_exponential_rate(trace: DecayTrace, floor: float) -> RateFit:
     )
 
 
-def fit_envelope_law(trace: DecayTrace, floor: float) -> DecayLaw:
-    """Exponential law dominating the trace: least-squares exponent, amplitude
-    lifted to the smallest value whose curve sits above every fitted sample."""
-    fit = fit_exponential_rate(trace, floor)
-    mask = trace.values > floor
+def fit_envelope_law(trace: DecayTrace, fit: RateFit) -> DecayLaw:
+    """Exponential law with the exponent of ``fit``, a fit of ``trace``, and the
+    smallest amplitude whose curve sits above every sample above the fit's floor."""
+    mask = trace.values > fit.floor_used
     amplitude = float(np.max(trace.values[mask] * np.exp(fit.rate * trace.times[mask])))
     return DecayLaw("exponential", amplitude, fit.rate)
 
@@ -168,35 +169,32 @@ class HausdorffCriterionReport:
 
 
 def check_hausdorff_criterion(
-    candidate, evolved, t_grid, law: DecayLaw, spec: MetricSpec
+    candidate, evolved, alpha: DecayTrace, law: DecayLaw, spec: MetricSpec
 ) -> HausdorffCriterionReport:
     """Measure dist(S(t) absorbed, candidate) against law.eval(t), where
-    ``evolved[k]`` is the absorbed sample at ``t_grid[k]`` and ``candidate``
-    a (Q, 2N) state array; when the candidate attracts at that speed, covers
-    by its points force the cluster measure of the evolved sample below twice
-    the law."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be nonempty and strictly increasing")
-    m_clusters = len(candidate)
+    ``evolved[k]`` is the absorbed sample at ``alpha.times[k]`` and
+    ``candidate`` a (Q, 2N) state array; when the candidate attracts at that
+    speed, covers by its points force the cluster measure of the evolved
+    sample below twice the law.  ``alpha`` is that measure on ``evolved``,
+    taken with one cluster per candidate point."""
+    if alpha.m_clusters != len(candidate):
+        raise ValueError(f"the alpha trace needs one cluster per candidate point "
+                         f"({len(candidate)}), got m_clusters = {alpha.m_clusters}")
+    if alpha.times.size == 0 or alpha.times.size != len(evolved):
+        raise ValueError("need a nonempty alpha trace with one sample block per time")
     cand = spec.embed(candidate)
-    semidists, alphas = [], []
-    for block in evolved:
-        semidists.append(semidist_arrays(spec.embed(block), cand))
-        alphas.append(alpha_proxy(block, m_clusters, spec))
-    semidists = np.array(semidists)
-    alphas = np.array(alphas)
-    bounds = np.array([law.eval(t) for t in t_grid])
+    semidists = np.array([semidist_arrays(spec.embed(block), cand) for block in evolved])
+    bounds = np.array([law.eval(t) for t in alpha.times])
     implied = 2.0 * bounds
     return HausdorffCriterionReport(
-        times=t_grid,
+        times=alpha.times,
         semidist=semidists,
         bounds=bounds,
-        satisfied_fraction=float(np.mean(semidists <= bounds * (1 + 1e-12))),
+        satisfied_fraction=float(np.mean(within_bound(semidists, bounds))),
         implied_alpha_bounds=implied,
-        alpha_values=alphas,
-        alpha_within_fraction=float(np.mean(alphas <= implied * (1 + 1e-12))),
-        m_clusters=m_clusters,
+        alpha_values=alpha.values,
+        alpha_within_fraction=float(np.mean(within_bound(alpha.values, implied))),
+        m_clusters=alpha.m_clusters,
     )
 
 
@@ -233,7 +231,6 @@ class ContractiveCheckReport:
     alpha_bounds: np.ndarray  # 3 * law, the conclusion side
     conclusion_fraction: float
     liminf_diagnostics: np.ndarray
-    pair_count: int
 
     def to_csv(self, path):
         write_csv(
@@ -248,57 +245,39 @@ class ContractiveCheckReport:
 
 
 def contractive_inequality_check(
-    evolved, pairs, t_grid, law: DecayLaw, m_clusters: int, spec: MetricSpec
+    evolved, alpha: DecayTrace, law: DecayLaw, spec: MetricSpec
 ) -> ContractiveCheckReport:
-    """Pairwise residuals max(0, d(S(t)y1, S(t)y2) - law.eval(t)) over the
-    index ``pairs`` (i, j) into the points, as the empirical stand-in for the
-    contractive correction term, plus the conclusion-side check
-    alpha <= 3 * law.eval(t) on the evolved points.  ``evolved[k]`` (P, 2N)
-    holds the points at ``t_grid[k]``.
+    """Pairwise residuals max(0, d(S(t)y1, S(t)y2) - law.eval(t)) over every
+    pair i < j of the points, as the empirical stand-in for the contractive
+    correction term, plus the conclusion-side check alpha <= 3 * law.eval(t)
+    on the measured trace ``alpha``.  ``evolved[k]`` (P, 2N) holds the points
+    at ``alpha.times[k]``, and P must be at least 2.
 
     The full residual matrix over the points feeds the repeated tail-infimum
     diagnostic; with finite data that diagnostic is evidence, not
     certification.
     """
     count = np.shape(evolved)[1]
-    pair_index = np.asarray(pairs, dtype=int)
-    if pair_index.size == 0:
-        raise ValueError("need at least one pair")
-    if (
-        pair_index.ndim != 2
-        or pair_index.shape[1] != 2
-        or pair_index.min() < 0
-        or pair_index.max() >= count
-    ):
-        raise ValueError(f"pairs must be (i, j) index pairs into the {count} points")
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    res_max, res_mean, alphas, bounds3, diags = [], [], [], [], []
-    for k, t in enumerate(t_grid):
-        emb = spec.embed(evolved[k])
-        dist = _cdist(emb, emb)
-        phi = law.eval(float(t))
-        residual_matrix = np.maximum(0.0, dist - phi)
-        pair_res = residual_matrix[pair_index[:, 0], pair_index[:, 1]]
-        res_max.append(float(pair_res.max()))
-        res_mean.append(float(pair_res.mean()))
-        alphas.append(alpha_proxy(evolved[k], m_clusters, spec))
-        bounds3.append(3.0 * phi)
-        if residual_matrix.shape[0] >= 2:
-            diags.append(repeated_liminf_diag(residual_matrix))
-        else:
-            diags.append(float(residual_matrix[-1, -1]))
-    alphas = np.array(alphas)
-    bounds3 = np.array(bounds3)
+    if count < 2:
+        raise ValueError(f"need at least two points, got {count}")
+    pairs = np.triu_indices(count, 1)
+    phis = np.array([law.eval(float(t)) for t in alpha.times])
+    res_max, res_mean, diags = [], [], []
+    for phi, block in zip(phis, evolved, strict=True):
+        emb = spec.embed(block)
+        residual_matrix = np.maximum(0.0, _cdist(emb, emb) - phi)
+        res_max.append(residual_matrix[pairs].max())
+        res_mean.append(residual_matrix[pairs].mean())
+        diags.append(repeated_liminf_diag(residual_matrix))
+    bounds3 = 3.0 * phis
     return ContractiveCheckReport(
-        times=t_grid,
+        times=alpha.times,
         pair_residual_max=np.array(res_max),
         pair_residual_mean=np.array(res_mean),
-        alpha_values=alphas,
+        alpha_values=alpha.values,
         alpha_bounds=bounds3,
-        conclusion_fraction=float(np.mean(alphas <= bounds3 * (1 + 1e-12))),
+        conclusion_fraction=float(np.mean(within_bound(alpha.values, bounds3))),
         liminf_diagnostics=np.array(diags),
-        pair_count=len(pair_index),
     )
 
 

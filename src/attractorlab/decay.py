@@ -15,9 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["DecayLaw", "DECAY_KINDS"]
+__all__ = ["DecayLaw", "DECAY_KINDS", "within_bound"]
 
 DECAY_KINDS = ("exponential", "polynomial", "log_polynomial")
+
+
+def within_bound(measured, bound):
+    """``measured <= bound`` up to a relative round-off of 1e-12, elementwise:
+    the one rule by which every check counts a value as under its bound."""
+    return measured <= bound * (1 + 1e-12)
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,18 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", t)
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")
-        if self.ensemble_count < 1 or self.fresh_count < 1:
-            raise ValueError("ensemble counts must be positive")
+        for name, count in (("ensemble.count", self.ensemble_count),
+                            ("ensemble.fresh_count", self.fresh_count)):
+            if count < 1:
+                raise ValueError(f"config field {name!r} must be positive, got {count!r}")
         if self.m_clusters < 1:
             raise ValueError(f"config field 'm_clusters' must be >= 1, got {self.m_clusters!r}")
+        # alpha is 0 on one point, or with a cluster per point
+        if self.kind in ("criteria_suite", "quasistability") and self.ensemble_count < 2:
+            raise ValueError(f"config field 'ensemble.count' must be >= 2 for a {self.kind} run")
+        if self.kind in ("oracle_decay", "criteria_suite") and self.m_clusters >= self.ensemble_count:
+            raise ValueError(f"config field 'm_clusters' must be below ensemble.count = "
+                             f"{self.ensemble_count} for a {self.kind} run")
         m_min, m_max = self.m_range
         if not 1 <= m_min <= m_max:
             raise ValueError(
@@ -473,7 +481,7 @@ def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
         )
     else:
         fit = fit_exponential_rate(alpha, cfg.fit_floor)
-        law = fit_envelope_law(alpha, cfg.fit_floor)
+        law = fit_envelope_law(alpha, fit)
     aset = build_attracting_set(
         absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
         cfg.system, spec,
@@ -652,20 +660,21 @@ def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
 
     alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))
-    law = fit_envelope_law(alpha, cfg.fit_floor)
+    law = fit_envelope_law(alpha, fit_exponential_rate(alpha, cfg.fit_floor))
 
     later = cfg.t_grid > 0
     grid = cfg.t_grid[later]
-    hausdorff = check_hausdorff_criterion(candidate, rows[later], grid, law, spec)
+    # rows[later] copies the rows: one copy per call keeps the peak memory down
+    covered = decay_trace(grid, rows[later], len(candidate), spec)
+    hausdorff = check_hausdorff_criterion(candidate, rows[later], covered, law, spec)
     hausdorff.to_csv(out("hausdorff_criterion.csv"))
 
     tail = tail_projection_decay(rows, cfg.low_mode_threshold, cfg.t_grid, spec)
     tail.to_csv(out("tail_trace.csv"))
 
-    count = len(absorbed)
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     contractive = contractive_inequality_check(
-        rows[later], pairs, grid, law, cfg.m_clusters, spec
+        rows[later], DecayTrace(grid, alpha.values[later], "alpha_proxy", cfg.m_clusters),
+        law, spec,
     )
     contractive.to_csv(out("contractive_check.csv"))
 

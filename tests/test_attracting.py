@@ -246,6 +246,22 @@ class TestVerifyAttraction:
         )[0]
         assert slope <= -0.9 * beta
 
+    def test_row_within_round_off_of_its_bound_is_written_and_counted(
+        self, rng, modal_setup, tmp_path
+    ):
+        spec, cfg = modal_setup
+        law = DecayLaw("exponential", 1.0, 0.5)
+        # the absorbed sample sits at the origin, so the target is the origin
+        aset = self._build(rng, spec, cfg, law, np.zeros((2, 4)), m_range=(1, 1))
+        bound = law.eval(3.0 - 0.0 - 1.0)
+        distance = bound * (1 + 1e-13)
+        fresh = np.array([[[0.0, 0.0, distance, 0.0]]])  # one mode-1 velocity
+        cert = verify_attraction(aset, fresh, 0.0, [3.0], spec)
+        assert cert.measured_semidist[0] == distance > cert.bound_values[0] == bound
+        assert cert.satisfied_fraction == 1.0
+        cert.to_csv(tmp_path / "certificate.csv")
+        assert (tmp_path / "certificate.csv").read_text().splitlines()[1].endswith(",1")
+
 
 class TestPersistence:
     def test_round_trip(self, rng, modal_setup, tmp_path):

@@ -127,6 +127,23 @@ def test_fit_nonfinite_trace_value_exits_1(tmp_path, bad):
     assert out == "" and err == "error: trace times and values must be finite\n"
 
 
+def test_fit_negative_floor_exits_1(tmp_path):
+    rows = [f"{t},{v},semidist,0" for t, v in enumerate(["1.0", "0.5", "0.0", "0.125", "0.0625"])]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(["t,value,quantity,m_clusters", *rows]) + "\n")
+    code, out, err = run_cli("fit", trace, "--floor", "-1")
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: fit floor must be nonnegative and finite, got -1.0\n"
+
+
+def test_fit_trace_without_a_time_column_exits_1(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,value,quantity,m_clusters\n0.0,1.0,semidist,0\n")
+    code, out, err = run_cli("fit", trace)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == f"error: trace file {trace} lacks the columns ['t']\n"
+
+
 def test_sweep_exits_0_for_each_value(tmp_path):
     code, out, err = run_cli("sweep", write_config(tmp_path), "--values", "1,2")
     assert code == EXIT_OK, err
@@ -224,6 +241,21 @@ BAD_NUMBERS = {
     "nan_t_grid_on_the_oracle": ("t_grid", {
         "kind": "oracle_decay", "system": LINEAR_SYSTEM,
         "grids": {"t_grid": [0.0, float("nan"), 1.0, 2.0, 3.0, 4.0]}}),
+    "no_probe_points": ("ensemble.count", {"ensemble": {"count": 0, "radius": 4.0,
+                                                        "fresh_count": 8}}),
+    "no_fresh_points": ("ensemble.fresh_count", {"ensemble": {"count": 12, "radius": 4.0,
+                                                              "fresh_count": 0}}),
+    # a sample on which alpha is 0: one point, or a cluster per point
+    "one_point_criteria_suite": ("ensemble.count", {
+        "kind": "criteria_suite", "ensemble": {"count": 1, "radius": 4.0, "fresh_count": 8}}),
+    "one_point_quasistability": ("ensemble.count", {
+        "kind": "quasistability", "ensemble": {"count": 1, "radius": 4.0, "fresh_count": 8}}),
+    "a_cluster_per_point_on_the_oracle": ("m_clusters", {
+        "kind": "oracle_decay", "system": LINEAR_SYSTEM,
+        "ensemble": {"count": 3, "radius": 4.0, "fresh_count": 8}, "pipeline": {"m_clusters": 3}}),
+    "a_cluster_per_point_in_the_criteria_suite": ("m_clusters", {
+        "kind": "criteria_suite", "ensemble": {"count": 4, "radius": 4.0, "fresh_count": 8},
+        "pipeline": {"m_clusters": 5}}),
     # a kind on an engine it does not run on
     "oracle_decay_on_the_wave_system": ("system", {"kind": "oracle_decay"}),
     "wave_attractor_on_the_linear_oracle": ("system", {"system": LINEAR_SYSTEM}),
@@ -240,6 +272,15 @@ def test_bad_number_exits_1_naming_its_field(tmp_path, case):
     assert err.startswith(f"error: config field '{field}' ") and err.count("\n") == 1
     # rejected when the config is read: no pass has run, no trace is written
     assert not (tmp_path / "out").exists()
+
+
+def test_one_point_wave_attractor_runs_on_the_degenerate_trace_fallback(tmp_path):
+    # the ensemble checks above leave wave_attractor alone: its alpha trace is
+    # 0 on one point, and its law falls back to the predicted rate
+    ensemble = {"count": 1, "radius": 4.0, "fresh_count": 8}
+    code, out, err = run_cli("run", write_config(tmp_path, ensemble=ensemble))
+    assert code == EXIT_OK, err
+    assert printed(out)["degenerate_trace"] == "1"
 
 
 def test_missing_attractor_directory_exits_1(finished_run, tmp_path):

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from attractorlab.covering import DecayTrace
+from attractorlab.covering import DecayTrace, _cdist, alpha_proxy, decay_trace, semidist_arrays
 from attractorlab.decay import DecayLaw
 from attractorlab.criteria import (
+    ContractiveCheckReport,
+    HausdorffCriterionReport,
     ThresholdTooTightError,
     check_hausdorff_criterion,
     contractive_inequality_check,
@@ -18,10 +21,16 @@ from attractorlab.criteria import (
     repeated_liminf_diag,
     tail_projection_decay,
 )
-from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, modal_evolve_states
+from attractorlab.dynamics import (
+    LinearModalConfig,
+    WaveSystemConfig,
+    modal_evolve_states,
+    wave_config_from_dict,
+)
+from attractorlab.experiments import ExperimentConfig, draw_samples
 from attractorlab.phase import MetricSpec, ensemble_radius
 
-from conftest import random_states
+from conftest import SMALL_WAVE_SYSTEM, random_states
 
 
 def exponential_trace(c, beta, times):
@@ -64,8 +73,26 @@ class TestFitExponentialRate:
         times = np.linspace(0.0, 8.0, 60)
         values = np.exp(-0.6 * times) * (1.0 + 0.2 * rng.uniform(-1, 1, times.size))
         trace = DecayTrace(times, values, "semidist")
-        law = fit_envelope_law(trace, 1e-12)
+        law = fit_envelope_law(trace, fit_exponential_rate(trace, 1e-12))
         assert all(law.eval(t) >= v * (1 - 1e-12) for t, v in zip(times, values))
+
+    def test_envelope_lifts_only_the_samples_the_fit_used(self):
+        # the last sample sits at the floor, where the fit leaves it out;
+        # lifted over it, the amplitude would be about 2e8
+        times = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 40.0])
+        values = np.exp(-times)
+        values[-1] = 1e-9
+        trace = DecayTrace(times, values, "semidist")
+        fit = fit_exponential_rate(trace, 1e-9)
+        law = fit_envelope_law(trace, fit)
+        assert law.rate == fit.rate
+        assert law.amplitude == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("floor", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_nonfinite_floor_rejected(self, floor):
+        trace = exponential_trace(1.0, 1.0, np.linspace(0, 4, 9))
+        with pytest.raises(ValueError, match="fit floor must be nonnegative and finite"):
+            fit_exponential_rate(trace, floor)
 
 
 class TestPredictedRateBounds:
@@ -128,8 +155,9 @@ class TestHausdorffCriterion:
         candidate = np.zeros((1, 4))
         law = DecayLaw("exponential", 1.0, 0.5)
         grid = [0.5, 1.0, 1.5]
+        evolved = cfg.sample(absorbed, grid)
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed, grid), grid, law, spec
+            candidate, evolved, decay_trace(grid, evolved, 1, spec), law, spec
         )
         assert np.all(report.semidist == 0.0)
         assert report.satisfied_fraction == 1.0
@@ -143,8 +171,9 @@ class TestHausdorffCriterion:
         law = DecayLaw("exponential", math.sqrt(3.0) * radius * 1.001, 0.5)
         candidate = np.zeros((1, 6))
         grid = np.arange(0.5, 8.5, 0.5)
+        evolved = cfg.sample(absorbed, grid)
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed, grid), grid, law, spec
+            candidate, evolved, decay_trace(grid, evolved, 1, spec), law, spec
         )
         assert report.satisfied_fraction == 1.0
         assert report.alpha_within_fraction == 1.0
@@ -157,10 +186,30 @@ class TestHausdorffCriterion:
         law = DecayLaw("exponential", 0.01 * math.sqrt(3.0) * radius, 0.5)
         candidate = np.zeros((1, 6))
         grid = np.arange(0.5, 6.5, 0.5)
+        evolved = cfg.sample(absorbed, grid)
         report = check_hausdorff_criterion(
-            candidate, cfg.sample(absorbed, grid), grid, law, spec
+            candidate, evolved, decay_trace(grid, evolved, 1, spec), law, spec
         )
         assert report.satisfied_fraction <= 0.25
+
+    def test_trace_needs_a_cluster_per_candidate_point(self, rng, modal_pair):
+        spec, cfg = modal_pair
+        candidate = np.zeros((2, 6))
+        grid = [0.5, 1.0]
+        evolved = cfg.sample(random_states(rng, spec, 4), grid)
+        law = DecayLaw("exponential", 1.0, 0.5)
+        with pytest.raises(ValueError, match="one cluster per candidate point"):
+            check_hausdorff_criterion(
+                candidate, evolved, decay_trace(grid, evolved, 3, spec), law, spec
+            )
+
+    def test_empty_trace_refused(self, modal_pair):
+        spec, _cfg = modal_pair
+        candidate = np.zeros((1, 6))
+        law = DecayLaw("exponential", 1.0, 0.5)
+        empty = DecayTrace(np.zeros(0), np.zeros(0), "alpha_proxy", 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            check_hausdorff_criterion(candidate, np.zeros((0, 4, 6)), empty, law, spec)
 
 
 class TestTailProjection:
@@ -206,53 +255,65 @@ class TestTailProjection:
 class TestContractiveCheck:
     def test_identical_pair_zero_residual(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_states(rng, spec, 3)
+        e = random_states(rng, spec, 1)
         law = DecayLaw("exponential", 1.0, 0.5)
         grid = [1.0, 2.0]
+        evolved = cfg.sample(np.vstack([e, e]), grid)
         report = contractive_inequality_check(
-            cfg.sample(e[:1], grid), [(0, 0)], grid, law, 1, spec
+            evolved, decay_trace(grid, evolved, 1, spec), law, spec
         )
         assert np.all(report.pair_residual_max == 0.0)
 
-    def test_pair_indices_validated(self, rng, modal_pair):
+    def test_fewer_than_two_points_raises(self, rng, modal_pair):
         spec, cfg = modal_pair
-        e = random_states(rng, spec, 3)
+        e = random_states(rng, spec, 1)
         law = DecayLaw("exponential", 1.0, 0.5)
         evolved = cfg.sample(e, [1.0])
-        for pairs in ([], [(0, 3)], [(-1, 0)], [(0, 1, 2)]):
-            with pytest.raises(ValueError):
-                contractive_inequality_check(evolved, pairs, [1.0], law, 1, spec)
+        with pytest.raises(ValueError, match="at least two points"):
+            contractive_inequality_check(
+                evolved, decay_trace([1.0], evolved, 1, spec), law, spec
+            )
+
+    def test_trace_needs_a_block_per_time(self, rng, modal_pair):
+        spec, cfg = modal_pair
+        evolved = cfg.sample(random_states(rng, spec, 3), [1.0, 2.0])
+        law = DecayLaw("exponential", 1.0, 0.5)
+        with pytest.raises(ValueError):
+            contractive_inequality_check(
+                evolved, decay_trace([1.0], evolved[:1], 1, spec), law, spec
+            )
+        with pytest.raises(ValueError, match="one sample block per time"):
+            check_hausdorff_criterion(
+                evolved[0, :1], evolved, decay_trace([1.0], evolved[:1], 1, spec), law, spec
+            )
 
     def test_linear_oracle_envelope_gives_zero_residuals(self, rng, modal_pair):
         spec, cfg = modal_pair
         e = random_states(rng, spec, 6, scale=1.0)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         emb = spec.embed(e)
         diam = float(np.max(cdist(emb, emb)))
         law = DecayLaw("exponential", math.sqrt(3.0) * diam * 1.001, 0.5)
         grid = np.arange(0.5, 6.5, 0.5)
+        evolved = cfg.sample(e, grid)
         report = contractive_inequality_check(
-            cfg.sample(e, grid), pairs, grid, law, 3, spec
+            evolved, decay_trace(grid, evolved, 3, spec), law, spec
         )
         assert np.all(report.pair_residual_max <= 1e-12)
         assert report.conclusion_fraction == 1.0
-        assert report.pair_count == len(pairs)
 
     def test_vanishing_law_residuals_are_raw_distances(self, rng, modal_pair):
         spec, cfg = modal_pair
         e = random_states(rng, spec, 4)
-        pairs = [(0, 1), (2, 3)]
         law = DecayLaw("exponential", 1e-300, 1.0)
         t = 1.5
+        sampled = cfg.sample(e, [t])
         report = contractive_inequality_check(
-            cfg.sample(e, [t]), pairs, [t], law, 2, spec
+            sampled, decay_trace([t], sampled, 2, spec), law, spec
         )
-        evolved = modal_evolve_states(e, cfg, t)
-        emb = spec.embed(evolved)
-        raw = max(
-            np.linalg.norm(emb[0] - emb[1]), np.linalg.norm(emb[2] - emb[3])
-        )
-        assert report.pair_residual_max[0] == pytest.approx(raw, rel=1e-12)
+        emb = spec.embed(modal_evolve_states(e, cfg, t))
+        raw = [np.linalg.norm(emb[i] - emb[j]) for i in range(4) for j in range(i + 1, 4)]
+        assert report.pair_residual_max[0] == pytest.approx(max(raw), rel=1e-12)
+        assert report.pair_residual_mean[0] == pytest.approx(np.mean(raw), rel=1e-12)
 
 
 class TestQuasiStability:
@@ -343,3 +404,140 @@ class TestRepeatedLiminf:
             repeated_liminf_diag(np.zeros((1, 5)))
         with pytest.raises(ValueError):
             repeated_liminf_diag(-np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the checks against the expressions they replaced, which measured alpha
+# themselves: same fields, same CSV bytes
+
+
+def reference_hausdorff(candidate, evolved, t_grid, law, spec):
+    """The Hausdorff check as it measured alpha per block, one cluster per
+    candidate point."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    m_clusters = len(candidate)
+    cand = spec.embed(candidate)
+    semidists, alphas = [], []
+    for block in evolved:
+        semidists.append(semidist_arrays(spec.embed(block), cand))
+        alphas.append(alpha_proxy(block, m_clusters, spec))
+    semidists, alphas = np.array(semidists), np.array(alphas)
+    bounds = np.array([law.eval(t) for t in t_grid])
+    implied = 2.0 * bounds
+    return HausdorffCriterionReport(
+        times=t_grid, semidist=semidists, bounds=bounds,
+        satisfied_fraction=float(np.mean(semidists <= bounds * (1 + 1e-12))),
+        implied_alpha_bounds=implied, alpha_values=alphas,
+        alpha_within_fraction=float(np.mean(alphas <= implied * (1 + 1e-12))),
+        m_clusters=m_clusters,
+    )
+
+
+def reference_contractive(evolved, pairs, t_grid, law, m_clusters, spec):
+    """The contractive check as it read an explicit pair list and measured
+    alpha per block."""
+    pair_index = np.asarray(pairs, dtype=int)
+    t_grid = np.asarray(t_grid, dtype=float)
+    res_max, res_mean, alphas, bounds3, diags = [], [], [], [], []
+    for k, t in enumerate(t_grid):
+        emb = spec.embed(evolved[k])
+        phi = law.eval(float(t))
+        residual_matrix = np.maximum(0.0, _cdist(emb, emb) - phi)
+        pair_res = residual_matrix[pair_index[:, 0], pair_index[:, 1]]
+        res_max.append(float(pair_res.max()))
+        res_mean.append(float(pair_res.mean()))
+        alphas.append(alpha_proxy(evolved[k], m_clusters, spec))
+        bounds3.append(3.0 * phi)
+        diags.append(repeated_liminf_diag(residual_matrix))
+    alphas, bounds3 = np.array(alphas), np.array(bounds3)
+    return ContractiveCheckReport(
+        times=t_grid, pair_residual_max=np.array(res_max),
+        pair_residual_mean=np.array(res_mean), alpha_values=alphas, alpha_bounds=bounds3,
+        conclusion_fraction=float(np.mean(alphas <= bounds3 * (1 + 1e-12))),
+        liminf_diagnostics=np.array(diags),
+    )
+
+
+def reference_envelope(trace, floor):
+    """The envelope law as it fitted the trace itself."""
+    fit = fit_exponential_rate(trace, floor)
+    mask = trace.values > floor
+    amplitude = float(np.max(trace.values[mask] * np.exp(fit.rate * trace.times[mask])))
+    return DecayLaw("exponential", amplitude, fit.rate)
+
+
+# The benchmark's wave system (N = 32) and sample size (P = 30), copied so
+# the test does not read the benchmark's files.
+BENCH_WAVE_SYSTEM = {
+    "mode_count": 32,
+    "k": 1.0,
+    "p": 2.0,
+    "l": 2.0,
+    "f_coeffs": [0.0, -1.0, 0.0, 1.0],
+    "kernel": [{"weight": 0.1, "coeffs": [1.0]}],
+    "h_coeffs": [4.0],
+    "dt": 0.015625,
+    "collocation_points": 96,
+}
+
+SYSTEMS = {"golden_8_modes": (SMALL_WAVE_SYSTEM, 12), "bench_32_modes": (BENCH_WAVE_SYSTEM, 30)}
+
+
+@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def criteria_inputs(request):
+    """A criteria_suite run's inputs: the absorbed sample's rows on t_grid,
+    the candidate at 2 t_orbit, the alpha trace and its envelope law."""
+    system, count = SYSTEMS[request.param]
+    cfg = ExperimentConfig(
+        kind="criteria_suite", system=wave_config_from_dict(system), output_dir="unused",
+        seed=7, ensemble_count=count, ensemble_radius=4.0,
+    )
+    spec, probe = cfg.metric, draw_samples(cfg)[0]
+    absorbed = cfg.system.sample(probe, [cfg.burn_in + cfg.window])[0]
+    sampled = cfg.system.sample(absorbed, [*cfg.t_grid, 2.0 * cfg.t_orbit])
+    rows, candidate = sampled[:-1], sampled[-1]
+    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
+    return cfg, rows, candidate, alpha
+
+
+def assert_same_report(new, old, tmp_path):
+    for f in fields(old):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        assert type(a) is type(b) and np.array_equal(a, b), f.name
+    new.to_csv(tmp_path / "new.csv")
+    old.to_csv(tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestAgainstTheSelfMeasuringChecks:
+    def test_envelope_law_lifts_the_given_fit_bit_for_bit(self, criteria_inputs):
+        cfg, _rows, _candidate, alpha = criteria_inputs
+        law = fit_envelope_law(alpha, fit_exponential_rate(alpha, cfg.fit_floor))
+        old = reference_envelope(alpha, cfg.fit_floor)
+        assert (law.amplitude.hex(), law.rate.hex()) == (old.amplitude.hex(), old.rate.hex())
+        assert law == old
+
+    def test_hausdorff_check_matches(self, criteria_inputs, tmp_path):
+        cfg, rows, candidate, alpha = criteria_inputs
+        spec, later = cfg.metric, cfg.t_grid > 0
+        grid, evolved = cfg.t_grid[later], rows[later]
+        law = reference_envelope(alpha, cfg.fit_floor)
+        new = check_hausdorff_criterion(
+            candidate, evolved, decay_trace(grid, evolved, len(candidate), spec), law, spec
+        )
+        assert_same_report(new, reference_hausdorff(candidate, evolved, grid, law, spec),
+                           tmp_path)
+
+    def test_contractive_check_matches(self, criteria_inputs, tmp_path):
+        cfg, rows, _candidate, alpha = criteria_inputs
+        spec, later = cfg.metric, cfg.t_grid > 0
+        grid, evolved = cfg.t_grid[later], rows[later]
+        law = reference_envelope(alpha, cfg.fit_floor)
+        count = evolved.shape[1]
+        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        new = contractive_inequality_check(
+            evolved, DecayTrace(grid, alpha.values[later], "alpha_proxy", cfg.m_clusters),
+            law, spec,
+        )
+        old = reference_contractive(evolved, pairs, grid, law, cfg.m_clusters, spec)
+        assert_same_report(new, old, tmp_path)
