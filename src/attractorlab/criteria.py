@@ -2,13 +2,14 @@
 tail-projection checks, the contractive-pair test, and per-period
 quasi-stability contraction.
 
-The checks take a sample of the absorbing ball evolved by the caller, as a
-(T, P, 2N) array of its rows on a time grid, and the alpha trace the caller
+The checks take a sample of the absorbing ball evolved by the caller, as
+(T, P, 2N) arrays of its rows on time grids, and the alpha trace the caller
 measured on it, and compare both with a decay law; the envelope law lifts a
-rate fit the caller made.  Only ``quasistability_estimate`` calls the engine
-and the cover measure ``covering.alpha_proxy``: it steps its sample period by
-period.  The checks report satisfied fractions, not booleans: finite samples
-cannot certify the underlying hypotheses, only fail to falsify them.
+rate fit the caller made.  No check calls the engine: the caller samples each
+ensemble in one pass.  Only ``quasistability_estimate`` calls the cover
+measure ``covering.alpha_proxy``, on the rows at each period.  The checks
+report satisfied fractions, not booleans: finite samples cannot certify the
+underlying hypotheses, only fail to falsify them.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ __all__ = [
     "predicted_contraction",
     "repeated_liminf_diag",
 ]
-
-# about this many samples of the trajectories over one quasistability period
-TRAJECTORY_SAMPLES = 32
-
 
 class ThresholdTooTightError(ValueError):
     """No pair of sample points passes the pseudometric closeness threshold."""
@@ -304,17 +301,14 @@ class QuasiStabilityReport:
 
 
 def quasistability_estimate(
-    absorbed,
-    period: float,
-    n_periods: int,
-    low_mode_threshold: int,
-    closeness: float | None,
-    cfg,
-    spec: MetricSpec,
-    m_clusters: int = 3,
+    absorbed, trajectory, period_rows, period: float, damping: float,
+    low_mode_threshold: int, closeness: float | None, spec: MetricSpec, m_clusters: int = 3,
 ) -> QuasiStabilityReport:
     """Estimate the one-period contraction factor of the (P, 2N) sample
-    ``absorbed`` and track its cluster measure across ``n_periods`` periods.
+    ``absorbed`` and track its cluster measure period by period.
+    ``trajectory`` (K, P, 2N) holds the sample on a time grid over [0, period]
+    that ends at ``period``, and ``period_rows[n - 1]`` the sample at
+    n * period; ``damping`` gives the predicted factor.
 
     Pseudometrics conditioning the contraction ratios: (i) the plain L2
     distance of the low-mode position coefficients at time 0, and (ii) the sup
@@ -324,26 +318,23 @@ def quasistability_estimate(
     """
     if len(absorbed) < 2:
         raise ValueError("need at least two points")
-    if period <= 0 or n_periods < 0:
-        raise ValueError("period must be positive and n_periods nonnegative")
+    if period <= 0:
+        raise ValueError("period must be positive")
     n = spec.mode_count
     if not (0 < low_mode_threshold <= n):
         raise ValueError("low_mode_threshold must be in 1..mode_count")
     states = np.asarray(absorbed, dtype=float)
     count = states.shape[0]
 
-    times = cfg.sample_grid(period, TRAJECTORY_SAMPLES)
-    traj = cfg.sample(states, times)  # (K, P, 2N)
-
     emb0 = spec.embed(states)
     d0 = _cdist(emb0, emb0)
-    emb_t = spec.embed(traj[-1])
+    emb_t = spec.embed(trajectory[-1])
     d_end = _cdist(emb_t, emb_t)
 
     rho_low = _cdist(states[:, :low_mode_threshold], states[:, :low_mode_threshold])
     rho_sup = np.zeros((count, count))
-    for k in range(times.size):
-        rho_sup = np.maximum(rho_sup, _cdist(traj[k][:, :n], traj[k][:, :n]))
+    for block in trajectory:
+        rho_sup = np.maximum(rho_sup, _cdist(block[:, :n], block[:, :n]))
 
     iu = np.triu_indices(count, k=1)
     if closeness is None:
@@ -359,22 +350,19 @@ def quasistability_estimate(
     eta_hat = float(np.percentile(ratios, 95))
 
     base_alpha = alpha_proxy(states, m_clusters, spec)
-    per_period = []
-    y = traj[-1]  # the sample one period on
-    for n in range(int(n_periods)):
-        if n:  # period by period: one sample at n * period differs in the last bits
-            y = cfg.sample(y, [period])[0]
-        alpha_n = alpha_proxy(y, m_clusters, spec)
-        per_period.append(alpha_n / base_alpha if base_alpha > 0 else 0.0)
+    per_period = tuple(
+        alpha_proxy(rows, m_clusters, spec) / base_alpha if base_alpha > 0 else 0.0
+        for rows in period_rows
+    )
 
     return QuasiStabilityReport(
         period=float(period),
         eta_hat=eta_hat,
         pair_count=int(conditioned.sum()),
         pseudometric_threshold=float(closeness),
-        per_period_alpha_ratios=tuple(per_period),
+        per_period_alpha_ratios=per_period,
         excluded_pair_count=excluded,
-        predicted_eta=predicted_contraction(float(cfg.l), float(period)),
+        predicted_eta=predicted_contraction(float(damping), float(period)),
     )
 
 

@@ -100,6 +100,7 @@ __all__ = [
 ]
 
 _ENTER_SAMPLES = 200  # the probe's sample times on [0, burn_in + window]
+_TRAJECTORY_SAMPLES = 32  # about this many over one quasistability period
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +151,8 @@ class ExperimentConfig:
         # alpha is 0 on one point, or with a cluster per point
         if self.kind in ("criteria_suite", "quasistability") and self.ensemble_count < 2:
             raise ValueError(f"config field 'ensemble.count' must be >= 2 for a {self.kind} run")
-        if self.kind in ("oracle_decay", "criteria_suite") and self.m_clusters >= self.ensemble_count:
+        if (self.kind in ("oracle_decay", "criteria_suite", "quasistability")
+                and self.m_clusters >= self.ensemble_count):
             raise ValueError(f"config field 'm_clusters' must be below ensemble.count = "
                              f"{self.ensemble_count} for a {self.kind} run")
         m_min, m_max = self.m_range
@@ -305,7 +307,9 @@ def _inventory(output_dir) -> dict:
 
 def _sample_union(system, states, *grids) -> list:
     """One ``system.sample`` pass of ``states`` over the union of ``grids``,
-    split back into one (len(grid), P, 2N) row array per grid."""
+    split back into one (len(grid), P, 2N) row array per grid.  Every probe
+    is sampled by one such pass from its draw, on either engine, except
+    wave_attractor's, whose absorbed sample ``_resume`` continues."""
     grids = [np.asarray(g, dtype=float) for g in grids]
     union = np.unique(np.concatenate(grids))
     samples = system.sample(states, union)
@@ -616,27 +620,17 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     return headline, rows
 
 
-def _absorbed_probe(cfg: ExperimentConfig) -> np.ndarray:
-    """The seeded probe sample, evolved over burn_in + window on the wave
-    engine; the linear oracle's sample is used as drawn."""
-    probe, _fresh = draw_samples(cfg)
-    if not isinstance(cfg.system, WaveSystemConfig):
-        return probe
-    return cfg.system.sample(probe, [cfg.burn_in + cfg.window])[0]
-
-
 def _pipeline_quasistability(cfg: ExperimentConfig, out):
-    system, spec = cfg.system, cfg.metric
-    absorbed = _absorbed_probe(cfg)
+    system, spec, period = cfg.system, cfg.metric, cfg.period
+    probe, _fresh = draw_samples(cfg)
+    start = cfg.burn_in + cfg.window
+    (absorbed,), trajectory, period_rows = _sample_union(
+        system, probe, [start], start + system.sample_grid(period, _TRAJECTORY_SAMPLES),
+        start + period * np.arange(1, cfg.n_periods + 1),
+    )
     report = quasistability_estimate(
-        absorbed,
-        cfg.period,
-        cfg.n_periods,
-        cfg.low_mode_threshold,
-        cfg.closeness,
-        system,
-        spec,
-        m_clusters=cfg.m_clusters,
+        absorbed, trajectory, period_rows, period, system.l, cfg.low_mode_threshold,
+        cfg.closeness, spec, m_clusters=cfg.m_clusters,
     )
     rows = [[float(n), ratio, 2.0 * report.predicted_eta**n]
             for n, ratio in enumerate(report.per_period_alpha_ratios, start=1)]
@@ -655,8 +649,11 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
 
 def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
-    absorbed = _absorbed_probe(cfg)
-    rows, (candidate,) = _sample_union(system, absorbed, cfg.t_grid, [2.0 * cfg.t_orbit])
+    probe, _fresh = draw_samples(cfg)
+    start = cfg.burn_in + cfg.window
+    rows, (candidate,) = _sample_union(
+        system, probe, start + cfg.t_grid, [start + 2.0 * cfg.t_orbit]
+    )
 
     alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
     alpha.to_csv(out("trace_alpha.csv"))

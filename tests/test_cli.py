@@ -256,6 +256,11 @@ BAD_NUMBERS = {
     "a_cluster_per_point_in_the_criteria_suite": ("m_clusters", {
         "kind": "criteria_suite", "ensemble": {"count": 4, "radius": 4.0, "fresh_count": 8},
         "pipeline": {"m_clusters": 5}}),
+    "a_cluster_per_point_in_quasistability": ("m_clusters", {
+        "kind": "quasistability",
+        "system": {"type": "linear", "l": 1.0, "mode_eigenvalues": [1, 4, 9]},
+        "ensemble": {"count": 3, "radius": 4.0, "fresh_count": 8},
+        "pipeline": {"m_clusters": 3, "closeness": 1e6, "low_mode_threshold": 2}}),
     # a kind on an engine it does not run on
     "oracle_decay_on_the_wave_system": ("system", {"kind": "oracle_decay"}),
     "wave_attractor_on_the_linear_oracle": ("system", {"system": LINEAR_SYSTEM}),

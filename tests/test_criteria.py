@@ -27,6 +27,7 @@ from attractorlab.dynamics import (
     modal_evolve_states,
     wave_config_from_dict,
 )
+from attractorlab import experiments
 from attractorlab.experiments import ExperimentConfig, draw_samples
 from attractorlab.phase import MetricSpec, ensemble_radius
 
@@ -316,13 +317,22 @@ class TestContractiveCheck:
         assert report.pair_residual_mean[0] == pytest.approx(np.mean(raw), rel=1e-12)
 
 
+def period_samples(cfg, absorbed, period, n_periods):
+    """The trajectory of ``absorbed`` over one period and its samples at each
+    n * period, n = 1..n_periods, from one ``cfg.sample`` pass."""
+    grid = cfg.sample_grid(period, 32)
+    rows = cfg.sample(absorbed, np.concatenate([grid, period * np.arange(1, n_periods + 1)]))
+    return rows[: grid.size], rows[grid.size :]
+
+
 class TestQuasiStability:
     def test_linear_oracle_period_contraction(self, rng):
         spec = MetricSpec.dirichlet_1d(8)
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         absorbed = random_states(rng, spec, 20, scale=1.5)
         report = quasistability_estimate(
-            absorbed, 3.0, 8, 4, closeness=1e6, cfg=cfg, spec=spec
+            absorbed, *period_samples(cfg, absorbed, 3.0, 8), 3.0, cfg.l, 4,
+            closeness=1e6, spec=spec,
         )
         assert report.predicted_eta == 0.5
         assert report.eta_hat < 1.0
@@ -339,8 +349,10 @@ class TestQuasiStability:
         spec = MetricSpec.dirichlet_1d(6)
         cfg = LinearModalConfig(damping, spec.mode_eigenvalues)
         absorbed = random_states(rng, spec, 12)
+        period = 3.0 / damping
         report = quasistability_estimate(
-            absorbed, 3.0 / damping, 0, 3, closeness=1e6, cfg=cfg, spec=spec
+            absorbed, *period_samples(cfg, absorbed, period, 0), period, damping, 3,
+            closeness=1e6, spec=spec,
         )
         assert report.eta_hat < 1.0
         assert report.per_period_alpha_ratios == ()
@@ -351,7 +363,8 @@ class TestQuasiStability:
         base = random_states(rng, spec, 5)
         with_dup = np.vstack([base, base[:1]])
         report = quasistability_estimate(
-            with_dup, 3.0, 0, 2, closeness=1e6, cfg=cfg, spec=spec
+            with_dup, *period_samples(cfg, with_dup, 3.0, 0), 3.0, cfg.l, 2,
+            closeness=1e6, spec=spec,
         )
         assert report.excluded_pair_count >= 1
         assert np.isfinite(report.eta_hat)
@@ -361,7 +374,10 @@ class TestQuasiStability:
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         absorbed = random_states(rng, spec, 6)
         with pytest.raises(ThresholdTooTightError):
-            quasistability_estimate(absorbed, 3.0, 0, 2, closeness=1e-12, cfg=cfg, spec=spec)
+            quasistability_estimate(
+                absorbed, *period_samples(cfg, absorbed, 3.0, 0), 3.0, cfg.l, 2,
+                closeness=1e-12, spec=spec,
+            )
 
     def test_default_closeness_is_fraction_of_diameter(self, rng):
         spec = MetricSpec.dirichlet_1d(3)
@@ -370,11 +386,38 @@ class TestQuasiStability:
         center = random_states(rng, spec, 1)
         rows = center + 1e-3 * np.random.default_rng(5).standard_normal((8, 6))
         rows = np.vstack([rows, center + 2.0])
-        report = quasistability_estimate(rows, 1.0, 0, 2, None, cfg, spec)
+        report = quasistability_estimate(
+            rows, *period_samples(cfg, rows, 1.0, 0), 1.0, cfg.l, 2, None, spec
+        )
         emb = spec.embed(rows)
         assert report.pseudometric_threshold == pytest.approx(
             0.1 * float(np.max(cdist(emb, emb))), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("kind", ["quasistability", "criteria_suite"])
+@pytest.mark.parametrize("engine", ["linear", "wave"])
+def test_the_checked_sample_is_the_probe_after_the_window(kind, engine, tmp_path, monkeypatch):
+    # on either engine the checks start from the drawn probe evolved over
+    # burn_in + window: quasistability's absorbed sample, and the criteria
+    # checks' rows at t_grid[0] = 0
+    system = (LinearModalConfig(1.0, MetricSpec.dirichlet_1d(8).mode_eigenvalues)
+              if engine == "linear" else wave_config_from_dict(SMALL_WAVE_SYSTEM))
+    cfg = ExperimentConfig(kind=kind, system=system, output_dir=str(tmp_path), seed=7,
+                           ensemble_count=12, ensemble_radius=4.0, closeness=1e6)
+    name = "quasistability_estimate" if kind == "quasistability" else "tail_projection_decay"
+    checked, check = [], getattr(experiments, name)
+
+    def spy(evolved, *args, **kwargs):
+        checked.append(evolved if kind == "quasistability" else evolved[0])
+        return check(evolved, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, spy)
+    experiments.run_experiment(cfg)
+    assert cfg.t_grid[0] == 0.0
+    probe, _fresh = draw_samples(cfg)
+    expected = cfg.system.sample(probe, [cfg.burn_in + cfg.window])[0]
+    assert checked[0].tobytes() == expected.tobytes()
 
 
 class TestRepeatedLiminf:

@@ -28,10 +28,10 @@ REMOVED = {
                    "QUANT_FLOOR"),
     "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
     "decay": ("decay_eval",),
-    "criteria": ("_unique_points",),
+    "criteria": ("_unique_points", "TRAJECTORY_SAMPLES"),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
                     "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
-                    "EXPERIMENT_KINDS", "_PIPELINES"),
+                    "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe"),
 }
 
 
