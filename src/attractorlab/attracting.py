@@ -302,6 +302,9 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     every = _num(manifest.get("orbit_sample_every"), "orbit_sample_every")
     if not every > 0:
         raise ValueError(f"manifest field 'orbit_sample_every' must be positive, got {every!r}")
+    t_orbit = _num(manifest.get("t_orbit"), "t_orbit")
+    if not (t_orbit > 0 and math.isfinite(t_orbit)):
+        raise ValueError(f"manifest field 't_orbit' must be positive and finite, got {t_orbit!r}")
     t_star = manifest.get("t_star")
     if t_star is not None:
         t_star = _num(t_star, "t_star")
@@ -336,7 +339,7 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         attractor_proxy=Ensemble(read_matrix("proxy.csv")).states,
         law_used=law,
         m_range=tuple(_int(m, "m_range") for m in m_range),
-        t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),
+        t_orbit=t_orbit,
         orbit_sample_every=every,
         t_star=t_star,
     )

@@ -279,6 +279,8 @@ def alpha_proxy(states, m_clusters: int, spec: MetricSpec) -> float:
     """Max cluster diameter of the greedy cover of the (P, 2N) ``states`` by
     ``m_clusters`` clusters; deterministic."""
     points = spec.embed(states)
+    if m_clusters >= len(points) >= 1:
+        return 0.0  # a cluster per point: the greedy cover's diameters are all 0
     _centers, assignment, _radius = greedy_kcenter(points, m_clusters)
     return max_cluster_diameter(points, assignment)
 

@@ -242,29 +242,21 @@ class WaveSystemConfig:
 class LinearModalConfig:
     """Oracle system: uncoupled modes z'' + l z' + lam z = 0, solved exactly."""
 
-    damping: float
-    mode_eigenvalues: np.ndarray
+    l: float
+    eigenvalues: np.ndarray
 
     def __post_init__(self):
-        if not (self.damping > 0 and np.isfinite(self.damping)):
+        if not (self.l > 0 and np.isfinite(self.l)):
             raise ValueError("modal oracle needs strictly positive damping")
-        lam = np.asarray(self.mode_eigenvalues, dtype=float).ravel()
+        lam = np.asarray(self.eigenvalues, dtype=float).ravel()
         if lam.size == 0 or np.any(lam <= 0) or not np.all(np.isfinite(lam)):
             raise ValueError("mode eigenvalues must be positive and finite")
-        object.__setattr__(self, "damping", float(self.damping))
-        object.__setattr__(self, "mode_eigenvalues", lam)
+        object.__setattr__(self, "l", float(self.l))
+        object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def mode_count(self) -> int:
-        return self.mode_eigenvalues.size
-
-    @property
-    def l(self) -> float:
-        return self.damping
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.mode_eigenvalues
+        return self.eigenvalues.size
 
     def sample(self, states, times) -> np.ndarray:
         """Exact samples of a (..., 2N) state array at nonnegative,
@@ -277,8 +269,8 @@ class LinearModalConfig:
 
     def as_dict(self) -> dict:
         """The run file's ``system`` mapping of this config."""
-        return {"type": "linear", "l": self.damping,
-                "mode_eigenvalues": [float(v) for v in self.mode_eigenvalues]}
+        return {"type": "linear", "l": self.l,
+                "mode_eigenvalues": [float(v) for v in self.eigenvalues]}
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ def modal_evolve_states(y: np.ndarray, cfg: LinearModalConfig, t) -> np.ndarray:
     shape = np.shape(t)
     # one propagator for every time: t on the leading axes, modes on the last
     t = np.reshape(np.asarray(t, dtype=float), shape + (1,) * y.ndim)
-    m11, m12, m21, m22 = modal_propagator(cfg.damping, cfg.mode_eigenvalues, t)
+    m11, m12, m21, m22 = modal_propagator(cfg.l, cfg.eigenvalues, t)
     a, b = y[..., :n], y[..., n:]
     out = np.empty(shape + y.shape)
     # m11 a + m12 b and m21 a + m22 b: each product, then the in-place sum

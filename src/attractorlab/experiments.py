@@ -168,6 +168,10 @@ class ExperimentConfig:
         for key, value in self.thresholds.items():
             if not math.isfinite(value):
                 raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
+        # each sweep row's damping, so a bad row fails here and not in its run
+        if self.kind == "sweep_l" and not all(v >= 0 and math.isfinite(v) for v in self.l_values):
+            raise ValueError(f"config field 'l_values' entries must be finite and >= 0, "
+                             f"got {list(self.l_values)!r}")
         if self.n_periods < 0:
             raise ValueError(f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}")
         # the tail check needs a mode above the threshold; quasistability does not
@@ -439,25 +443,9 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
         "beta_hat_alpha": fit_alpha.rate,
         "rate_energy": bounds.rate_energy,
         "rate_contraction": bounds.rate_contraction,
-        "envelope_rate": modal_slow_rate(system.damping, system.mode_eigenvalues),
+        "envelope_rate": modal_slow_rate(system.l, system.eigenvalues),
     }
     return headline, []
-
-
-def _absorbing_ball(cfg: ExperimentConfig, probe, enter_grid, enter_steps):
-    """One probe pass over burn_in + window: the absorbing radius, the time
-    ``absorb_time`` at which the probe has entered the ball, and the probe's
-    rows at every orbit-cadence step up to the first at or past the horizon,
-    as (radius, absorb_time, steps, rows)."""
-    system, snap = cfg.system, cfg.orbit_sample_every
-    horizon = cfg.burn_in + cfg.window
-    snap_steps = system.steps(np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap)
-    probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
-    radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
-    # anchor the absorbing-ball sample at the probe's own entering time: later
-    # states are over-contracted and would miscalibrate the law's amplitude
-    absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
-    return radius, absorb_time, snap_steps, snap_rows
 
 
 def _norms_and_rows(system, states, enter_steps, cadence_steps):
@@ -470,42 +458,53 @@ def _norms_and_rows(system, states, enter_steps, cadence_steps):
 
 
 def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
-    """The alpha trace of the absorbed sample's ``rows`` (on ``t_grid``), its
-    fit and decay law, and the net with its orbits, as (alpha, fit, law,
-    set).  ``fit`` is None for a degenerate trace, and the set's omega-limit
-    proxy is None for the caller to fill in."""
+    """The alpha trace of the absorbed sample's ``rows`` (on ``t_grid``) with
+    its outcome: (alpha, (fit, law, set)), the trace's fit and decay law and
+    the net with its orbits, or (alpha, error) when the fit or the net
+    raised, so the trace is written either way.  A failed trace raises.
+    ``fit`` is None for a degenerate trace, and the set's omega-limit proxy
+    is None for the caller to fill in."""
     alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
-    if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
-        # sample spread never rises above the floor (e.g. an exact equilibrium);
-        # any positive envelope dominates, so use the predicted rate
-        fit = None
-        law = DecayLaw(
-            "exponential", 10.0 * cfg.fit_floor,
-            bounds.rate_energy if bounds else 1.0,
+    try:
+        if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
+            # sample spread never rises above the floor (e.g. an exact equilibrium);
+            # any positive envelope dominates, so use the predicted rate
+            fit = None
+            law = DecayLaw(
+                "exponential", 10.0 * cfg.fit_floor,
+                bounds.rate_energy if bounds else 1.0,
+            )
+        else:
+            fit = fit_exponential_rate(alpha, cfg.fit_floor)
+            law = fit_envelope_law(alpha, fit)
+        aset = build_attracting_set(
+            absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
+            cfg.system, spec,
         )
-    else:
-        fit = fit_exponential_rate(alpha, cfg.fit_floor)
-        law = fit_envelope_law(alpha, fit)
-    aset = build_attracting_set(
-        absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
-        cfg.system, spec,
-    )
-    return alpha, fit, law, aset
+    except Exception as exc:  # noqa: BLE001 - raised once the caller writes the trace
+        return alpha, exc
+    return alpha, (fit, law, aset)
 
 
 def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
+    horizon, snap = cfg.burn_in + cfg.window, cfg.orbit_sample_every
     probe, fresh = draw_samples(cfg)
-    enter_grid = system.sample_grid(cfg.burn_in + cfg.window, _ENTER_SAMPLES)
+    enter_grid = system.sample_grid(horizon, _ENTER_SAMPLES)
     enter_steps = system.steps(enter_grid)
     # the check times start after t_star: the fresh pass samples every
     # orbit-cadence time as well.  It needs nothing but the config, so it
     # runs in a child from here on (see the module docstring)
-    cadence_steps = system.steps(np.arange(0.0, cfg.t_orbit + 1e-9, cfg.orbit_sample_every))
+    cadence_steps = system.steps(np.arange(0.0, cfg.t_orbit + 1e-9, snap))
     with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
-        radius, absorb_time, snap_steps, snap_rows = _absorbing_ball(
-            cfg, probe, enter_grid, enter_steps
-        )
+        # one probe pass over the horizon: the absorbing radius, and the probe's
+        # rows at every orbit-cadence step up to the first at or past the horizon
+        snap_steps = system.steps(np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap)
+        probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
+        radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
+        # anchor the absorbing-ball sample at the probe's own entering time: later
+        # states are over-contracted and would miscalibrate the law's amplitude
+        absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
         absorb_step = int(system.steps(absorb_time))
         # the absorbed sample is the probe from absorb_time on: its pass
         # resumes the probe pass instead of integrating the probe's steps again
@@ -520,16 +519,13 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
         with _forked(_net_stage, cfg, spec, bounds, absorbed, rows, images) as net_stage:
             (proxy,), _ = _resume(system, *held, absorb_step, [2.0 * cfg.t_orbit])
             del held
-            try:
-                alpha, fit, law, aset = net_stage()
-            except Exception:
-                # the serial order writes the trace before the fit, so a failed
-                # fit or net leaves it; a failed trace fails here again, unwritten
-                decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec).to_csv(
-                    out("trace_alpha.csv")
-                )
-                raise
+            alpha, outcome = net_stage()
+        # the serial order writes the trace before the fit, so a failed fit or
+        # net leaves it
         alpha.to_csv(out("trace_alpha.csv"))
+        if isinstance(outcome, Exception):
+            raise outcome
+        fit, law, aset = outcome
         enter_norms, cadence_rows = fresh_pass()
     aset = replace(aset, attractor_proxy=proxy)
 

@@ -34,7 +34,7 @@ def certify(aset, fresh, t_star, t_grid, cfg, spec):
 
 def modal_preimage(cfg, targets, t):
     """Seeds whose exact evolution at time t hits the target states."""
-    m11, m12, m21, m22 = modal_propagator(cfg.damping, cfg.mode_eigenvalues, t)
+    m11, m12, m21, m22 = modal_propagator(cfg.l, cfg.eigenvalues, t)
     det = m11 * m22 - m12 * m21
     n = cfg.mode_count
     a, b = targets[:, :n], targets[:, n:]

@@ -85,13 +85,15 @@ MALFORMED_MANIFESTS = [
     ("m_range", lambda m: {**m, "m_range": 5}),
     ("t_star", lambda m: {**m, "t_star": "soon"}),
     ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": 0.0}),
+    ("t_orbit", lambda m: {**m, "t_orbit": float("inf")}),
+    ("t_orbit", lambda m: {**m, "t_orbit": float("nan")}),
 ]
 
 
 @pytest.mark.parametrize(
     "field,edit", MALFORMED_MANIFESTS,
     ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
-         "zero_orbit_cadence"],
+         "zero_orbit_cadence", "infinite_t_orbit", "nan_t_orbit"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -144,10 +146,19 @@ def test_fit_trace_without_a_time_column_exits_1(tmp_path):
     assert out == "" and err == f"error: trace file {trace} lacks the columns ['t']\n"
 
 
-def test_sweep_exits_0_for_each_value(tmp_path):
-    code, out, err = run_cli("sweep", write_config(tmp_path), "--values", "1,2")
+@pytest.mark.parametrize("kind", ["wave_attractor", "sweep_l"])
+def test_sweep_exits_0_for_each_value(tmp_path, kind):
+    # a sweep_l file with no l_values takes its values from the command line
+    code, out, err = run_cli("sweep", write_config(tmp_path, kind=kind), "--values", "1,2")
     assert code == EXIT_OK, err
     assert "l = 1:" in out and "l = 2:" in out and "FAILED" not in out
+
+
+def test_sweep_negative_value_exits_1_naming_l_values(tmp_path):
+    code, out, err = run_cli("sweep", write_config(tmp_path), "--values", "1,-1")
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error: config field 'l_values' ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path):
@@ -264,6 +275,9 @@ BAD_NUMBERS = {
     # a kind on an engine it does not run on
     "oracle_decay_on_the_wave_system": ("system", {"kind": "oracle_decay"}),
     "wave_attractor_on_the_linear_oracle": ("system", {"system": LINEAR_SYSTEM}),
+    # each sweep row's damping is checked when the config is read
+    "negative_l_value": ("l_values", {"kind": "sweep_l", "grids": {"l_values": [1.0, -1.0]}}),
+    "nan_l_value": ("l_values", {"kind": "sweep_l", "grids": {"l_values": [1.0, float("nan")]}}),
     "sweep_on_the_linear_oracle": ("system", {"kind": "sweep_l", "grids": {"l_values": [1.0]},
                                               "system": LINEAR_SYSTEM}),
 }

@@ -193,6 +193,16 @@ class TestAlphaProxy:
         assert alpha_proxy(repeated, 1, spec) == 0.0
         assert exact_alpha(repeated, 1, spec) == 0.0
 
+    @pytest.mark.parametrize("count,distinct,m", [(1, 1, 1), (4, 4, 4), (6, 3, 6), (30, 12, 45)])
+    def test_a_cluster_per_point_gives_the_greedy_cover_diameter(self, rng, count, distinct, m):
+        # with m >= P the cover is not built; the greedy one gives the same
+        # value, repeated points included
+        spec = MetricSpec.dirichlet_1d(3)
+        states = random_states(rng, spec, distinct)[rng.integers(0, distinct, count)]
+        points = spec.embed(states)
+        greedy = max_cluster_diameter(points, greedy_kcenter(points, m)[1])
+        assert alpha_proxy(states, m, spec) == greedy == 0.0
+
     def test_three_points_two_clusters(self):
         states = velocity_line_states([0.0, 1.0, 2.0])
         diameter, assign = exact_min_max_diameter(cdist(states, states), 2)

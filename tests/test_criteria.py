@@ -228,7 +228,7 @@ class TestTailProjection:
         grid = np.array([0.5, 1.0, 2.0, 4.0])
         trace = tail_projection_decay(cfg.sample(state[None, :], grid), 2, grid, spec)
         lam_top = spec.mode_eigenvalues[-1]
-        single = LinearModalConfig(cfg.damping, np.array([lam_top]))
+        single = LinearModalConfig(cfg.l, np.array([lam_top]))
         for t, value in zip(grid, trace.values):
             z = modal_evolve_states(np.array([0.0, 1.0]), single, t)
             expected = math.hypot(math.sqrt(lam_top) * z[0], z[1])

@@ -388,7 +388,7 @@ class TestLinearModalOracle:
         y0 = np.array([1.0, 0.0])
         ts = np.arange(0.0, 40.0, 0.25)
         norms = states_norms(
-            np.stack([modal_evolve_states(y0, cfg, t) for t in ts]), cfg.mode_eigenvalues
+            np.stack([modal_evolve_states(y0, cfg, t) for t in ts]), cfg.eigenvalues
         )
         slope = -np.polyfit(ts, np.log(norms), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.02)
@@ -424,7 +424,7 @@ class TestLinearModalOracle:
 
         def by_formula(t):
             # the per-time expression the array call replaced
-            m11, m12, m21, m22 = modal_propagator(cfg.damping, cfg.mode_eigenvalues, float(t))
+            m11, m12, m21, m22 = modal_propagator(cfg.l, cfg.eigenvalues, float(t))
             return np.concatenate([m11 * a + m12 * b, m21 * a + m22 * b], axis=-1)
 
         got = modal_evolve_states(y, cfg, ts)

@@ -192,6 +192,39 @@ def test_failed_run_ends_the_same_on_one_and_two_cpus(case, tmp_path, monkeypatc
     assert ends[1] == ends[2] == ("failed", error, files)
 
 
+def test_failed_fit_measures_the_alpha_trace_once(tmp_path, monkeypatch):
+    # the net stage hands back its trace with the fit's error: the run
+    # writes that trace and raises the error, and measures nothing again
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    traces = []
+    measure = experiments.decay_trace
+
+    def counted(*args):
+        traces.append(measure(*args))
+        return traces[-1]
+
+    def no_fit(*_args):
+        raise ValueError("no rate fits the trace")
+
+    monkeypatch.setattr(experiments, "decay_trace", counted)
+    monkeypatch.setattr(experiments, "fit_exponential_rate", no_fit)
+    cfg = ExperimentConfig(
+        kind="wave_attractor", system=wave_config_from_dict(SMALL_WAVE_SYSTEM),
+        output_dir=str(tmp_path / "out"), seed=7, ensemble_count=12, ensemble_radius=4.0,
+        fresh_count=8,
+    )
+    with pytest.raises(ValueError, match="no rate fits the trace"):
+        run_experiment(cfg)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"], sorted(os.listdir(cfg.output_dir))) == (
+        "failed", "ValueError: no rate fits the trace", ["manifest.json", "trace_alpha.csv"]
+    )
+    assert len(traces) == 1
+    traces[0].to_csv(tmp_path / "measured.csv")
+    assert (tmp_path / "measured.csv").read_bytes() == (
+        tmp_path / "out" / "trace_alpha.csv").read_bytes()
+
+
 @pytest.mark.parametrize("points", [1, 2])
 def test_failed_oracle_run_ends_the_same_on_one_and_two_cpus(points, tmp_path, monkeypatch):
     # a t_grid of 1 or 2 points leaves the earlier half of the alpha trace

@@ -11,7 +11,7 @@ import pytest
 import attractorlab
 from attractorlab.criteria import QuasiStabilityReport, RateBounds, RateFit
 from attractorlab.decay import DecayLaw
-from attractorlab.dynamics import WaveSystemConfig
+from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig
 from attractorlab.experiments import RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
@@ -31,7 +31,7 @@ REMOVED = {
     "criteria": ("_unique_points", "TRAJECTORY_SAMPLES"),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
                     "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
-                    "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe"),
+                    "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe", "_absorbing_ball"),
 }
 
 
@@ -86,6 +86,10 @@ def test_removed_members_are_gone():
     assert not hasattr(RateBounds, "as_dict")
     assert not hasattr(QuasiStabilityReport, "as_dict")
     assert not hasattr(RunManifest, "as_dict")
+    # the oracle's fields are the engine interface's names, l and eigenvalues
+    oracle = LinearModalConfig(1.0, [1.0, 4.0])
+    assert not hasattr(oracle, "damping")
+    assert not hasattr(oracle, "mode_eigenvalues")
 
 
 def test_benchmark_trace_points_are_bound():
