@@ -300,8 +300,6 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     if not (isinstance(m_range, list) and len(m_range) == 2):
         raise ValueError(f"manifest field 'm_range' must be a pair, got {m_range!r}")
     every = _num(manifest.get("orbit_sample_every"), "orbit_sample_every")
-    if not every > 0:
-        raise ValueError(f"manifest field 'orbit_sample_every' must be positive, got {every!r}")
     t_orbit = _num(manifest.get("t_orbit"), "t_orbit")
     if not (t_orbit > 0 and math.isfinite(t_orbit)):
         raise ValueError(f"manifest field 't_orbit' must be positive and finite, got {t_orbit!r}")
@@ -329,6 +327,10 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         and np.array_equal(orbits[:, 1], np.tile(orbit_times, count))
     ):
         raise ValueError("orbits.csv must list every net entry on one shared time grid")
+    if not (every > 0 and math.isfinite(every)) or (
+            steps > 1 and not math.isclose(orbit_times[1] - orbit_times[0], every, rel_tol=1e-9)):
+        raise ValueError(f"manifest field 'orbit_sample_every' must be positive, finite and the "
+                         f"spacing of the orbits.csv times, got {every!r}")
 
     return AttractingSetApprox(
         birth_times=net[:, 0].astype(int),

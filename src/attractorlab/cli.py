@@ -27,7 +27,7 @@ from .attracting import load_attracting_set, verification_grid, verify_attractio
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
 from .dynamics import BlowUpError, NonDissipativeError
-from .experiments import draw_samples, load_experiment_config, run_experiment
+from .experiments import SWEEP_MEASURED, draw_samples, load_experiment_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,12 +62,7 @@ def _run_and_report(cfg, strict: bool) -> int:
     rows = manifest.table if cfg.kind == "sweep_l" else []
     for row in rows:
         if row["status"] == "ok":
-            print(
-                f"l = {row['l']:g}: beta_hat = {row['beta_hat']:.6g}, "
-                f"rate_energy = {row['rate_energy']:.6g}, "
-                f"rate_contraction = {row['rate_contraction']:.6g}, "
-                f"satisfied_fraction = {row['satisfied_fraction']:.6g}"
-            )
+            print(f"l = {row['l']:g}: " + ", ".join(f"{k} = {row[k]:.6g}" for k in SWEEP_MEASURED))
         else:
             print(f"l = {row['l']:g}: FAILED ({row['error']})")
     if any(row["status"] != "ok" for row in rows):

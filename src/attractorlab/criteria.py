@@ -110,25 +110,24 @@ class RateBounds:
 
     ``rate_energy`` comes from the energy-multiplier route, min(sqrt(lam_1)/2,
     l/4); ``rate_contraction`` from the per-period contraction route, whose
-    per-period factor 1/sqrt(1 + l T) at T = 3/l gives (l/3) ln 2 in
-    natural-log units.  Both are lower bounds on attainable attraction rates,
-    directly comparable with fitted exponents.
+    per-period factor 1/sqrt(1 + l T) at T = 3/l, the default quasistability
+    period, gives (l/3) ln 2 in natural-log units.  Both are lower bounds on
+    attainable attraction rates, directly comparable with fitted exponents.
     """
 
     rate_energy: float
     rate_contraction: float
-    period: float
 
 
-def predicted_rate_bounds(cfg, spec: MetricSpec) -> RateBounds:
-    damping = float(cfg.l)
+def predicted_rate_bounds(system) -> RateBounds:
+    """The bounds at the engine's damping ``l`` and first eigenvalue lam_1."""
+    damping = float(system.l)
     if damping <= 0:
         raise ValueError("rate predictions require strictly positive linear damping l")
-    lam1 = float(spec.mode_eigenvalues[0])
+    lam1 = float(system.eigenvalues[0])
     return RateBounds(
         rate_energy=min(math.sqrt(lam1) / 2.0, damping / 4.0),
         rate_contraction=(damping / 3.0) * math.log(2.0),
-        period=3.0 / damping,
     )
 
 
@@ -152,7 +151,6 @@ class HausdorffCriterionReport:
     implied_alpha_bounds: np.ndarray  # 2 * bound, the cover-doubling consequence
     alpha_values: np.ndarray
     alpha_within_fraction: float
-    m_clusters: int
 
     def to_csv(self, path):
         write_csv(
@@ -191,7 +189,6 @@ def check_hausdorff_criterion(
         implied_alpha_bounds=implied,
         alpha_values=alpha.values,
         alpha_within_fraction=float(np.mean(within_bound(alpha.values, implied))),
-        m_clusters=alpha.m_clusters,
     )
 
 
@@ -301,14 +298,14 @@ class QuasiStabilityReport:
 
 
 def quasistability_estimate(
-    absorbed, trajectory, period_rows, period: float, damping: float,
+    trajectory, period_rows, period: float, damping: float,
     low_mode_threshold: int, closeness: float | None, spec: MetricSpec, m_clusters: int = 3,
 ) -> QuasiStabilityReport:
     """Estimate the one-period contraction factor of the (P, 2N) sample
-    ``absorbed`` and track its cluster measure period by period.
+    ``trajectory[0]`` and track its cluster measure period by period.
     ``trajectory`` (K, P, 2N) holds the sample on a time grid over [0, period]
-    that ends at ``period``, and ``period_rows[n - 1]`` the sample at
-    n * period; ``damping`` gives the predicted factor.
+    that starts at 0 and ends at ``period``, and ``period_rows[n - 1]`` the
+    sample at n * period; ``damping`` gives the predicted factor.
 
     Pseudometrics conditioning the contraction ratios: (i) the plain L2
     distance of the low-mode position coefficients at time 0, and (ii) the sup
@@ -316,15 +313,15 @@ def quasistability_estimate(
     ``closeness`` defaults to 10% of the sample diameter; pairs with zero
     initial separation are excluded and counted.
     """
-    if len(absorbed) < 2:
+    states = trajectory[0]
+    count = states.shape[0]
+    if count < 2:
         raise ValueError("need at least two points")
     if period <= 0:
         raise ValueError("period must be positive")
     n = spec.mode_count
     if not (0 < low_mode_threshold <= n):
         raise ValueError("low_mode_threshold must be in 1..mode_count")
-    states = np.asarray(absorbed, dtype=float)
-    count = states.shape[0]
 
     emb0 = spec.embed(states)
     d0 = _cdist(emb0, emb0)

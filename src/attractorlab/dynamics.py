@@ -60,6 +60,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .phase import MetricSpec
+
 __all__ = [
     "BlowUpError",
     "NonDissipativeError",
@@ -199,8 +201,7 @@ class WaveSystemConfig:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        j = np.arange(1, self.mode_count + 1, dtype=float)
-        return j**2
+        return MetricSpec.dirichlet_1d(self.mode_count).mode_eigenvalues
 
     def sample(self, states, times) -> np.ndarray:
         """RK4 samples of a (..., 2N) state array at dt-multiple times."""
@@ -677,7 +678,7 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
             lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
         elif "mode_count" in body:
             n = _int(body.pop("mode_count"), "mode_count")
-            lam = np.arange(1, n + 1, dtype=float) ** 2
+            lam = MetricSpec.dirichlet_1d(n).mode_eigenvalues
         else:
             raise ValueError("linear system needs mode_count or mode_eigenvalues")
         unknown = sorted(set(body) - {"l"})

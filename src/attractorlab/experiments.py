@@ -126,6 +126,7 @@ class ExperimentConfig:
     closeness: float | None = None
     quasi_period: float | None = None
     thresholds: dict = field(default_factory=dict)
+    metric: MetricSpec = field(init=False, repr=False)  # the energy metric of ``system``
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -135,6 +136,10 @@ class ExperimentConfig:
         if not isinstance(self.system, engines := _KINDS[self.kind][1]):
             raise ValueError(f"config field 'system' is a {type(self.system).__name__}, but kind "
                              f"{self.kind!r} runs on {' or '.join(e.__name__ for e in engines)}")
+        try:
+            object.__setattr__(self, "metric", MetricSpec(self.system.eigenvalues))
+        except ValueError as exc:
+            raise ValueError(f"config field 'system' defines no energy metric: {exc}") from None
         t = np.asarray(self.t_grid, dtype=float)
         if t.size == 0 or not np.isfinite(t).all() or t[0] < 0 or np.any(np.diff(t) <= 0):
             raise ValueError("config field 't_grid' must be nonempty, finite, nonnegative and "
@@ -206,10 +211,6 @@ class ExperimentConfig:
                 self.burn_in + self.window, _ENTER_SAMPLES)[-1] <= self.burn_in:
             raise ValueError(f"config field 'window' = {self.window:g} ends the absorbing "
                              f"window at or before burn_in = {self.burn_in:g} on the dt grid")
-
-    @property
-    def metric(self) -> MetricSpec:
-        return MetricSpec(self.system.eigenvalues)
 
     @property
     def period(self) -> float:
@@ -435,7 +436,7 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
 
     fit = fit_exponential_rate(semidist, cfg.fit_floor)
     fit_alpha = fit_exponential_rate(alpha, cfg.fit_floor)
-    bounds = predicted_rate_bounds(system, spec)
+    bounds = predicted_rate_bounds(system)
     headline = {
         "beta_hat": fit.rate,
         "c_hat": fit.amplitude,
@@ -457,14 +458,14 @@ def _norms_and_rows(system, states, enter_steps, cadence_steps):
     return norms, rows[np.searchsorted(steps, cadence_steps)]
 
 
-def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
+def _net_stage(cfg: ExperimentConfig, bounds, absorbed, rows, images):
     """The alpha trace of the absorbed sample's ``rows`` (on ``t_grid``) with
     its outcome: (alpha, (fit, law, set)), the trace's fit and decay law and
     the net with its orbits, or (alpha, error) when the fit or the net
     raised, so the trace is written either way.  A failed trace raises.
     ``fit`` is None for a degenerate trace, and the set's omega-limit proxy
     is None for the caller to fill in."""
-    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec)
+    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, cfg.metric)
     try:
         if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
             # sample spread never rises above the floor (e.g. an exact equilibrium);
@@ -479,7 +480,7 @@ def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
             law = fit_envelope_law(alpha, fit)
         aset = build_attracting_set(
             absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
-            cfg.system, spec,
+            cfg.system, cfg.metric,
         )
     except Exception as exc:  # noqa: BLE001 - raised once the caller writes the trace
         return alpha, exc
@@ -487,7 +488,7 @@ def _net_stage(cfg: ExperimentConfig, spec, bounds, absorbed, rows, images):
 
 
 def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
-    system, spec = cfg.system, cfg.metric
+    system = cfg.system
     horizon, snap = cfg.burn_in + cfg.window, cfg.orbit_sample_every
     probe, fresh = draw_samples(cfg)
     enter_grid = system.sample_grid(horizon, _ENTER_SAMPLES)
@@ -513,10 +514,10 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
             system, snap_steps, snap_rows, absorb_step, [0.0], cfg.t_grid, births,
         )
         del snap_rows
-        bounds = predicted_rate_bounds(system, spec) if system.l > 0 else None
+        bounds = predicted_rate_bounds(system) if system.l > 0 else None
         # a child fits the law and builds the net while this process
         # continues the same batch to 2 t_orbit, the omega-limit proxy
-        with _forked(_net_stage, cfg, spec, bounds, absorbed, rows, images) as net_stage:
+        with _forked(_net_stage, cfg, bounds, absorbed, rows, images) as net_stage:
             (proxy,), _ = _resume(system, *held, absorb_step, [2.0 * cfg.t_orbit])
             del held
             alpha, outcome = net_stage()
@@ -532,7 +533,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     t_star = max(_settle_times(enter_grid, enter_norms, radius))
     t_grid_verify = verification_grid(aset, t_star)
     verify_rows = cadence_rows[np.searchsorted(cadence_steps, system.steps(t_grid_verify))]
-    certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, spec)
+    certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, cfg.metric)
 
     save_attracting_set(
         aset,
@@ -561,21 +562,18 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     return headline, []
 
 
-_SWEEP_MEASURED = ["beta_hat", "rate_energy", "rate_contraction"]
+# a sweep row's headline numbers: its sweep.csv columns and its printed line
+SWEEP_MEASURED = ("beta_hat", "rate_energy", "rate_contraction", "satisfied_fraction")
 
 
 def _sweep_row(sub: ExperimentConfig) -> dict:
     """One row of a damping sweep: the wave_attractor run of ``sub`` and its
     headline numbers, or the error that stopped it.  The error is caught here,
     so a row child (``_forked``) sends back only floats and strings."""
-    row = {"l": sub.system.l,
-           **dict.fromkeys(_SWEEP_MEASURED + ["satisfied_fraction"], float("nan"))}
+    row = {"l": sub.system.l, **dict.fromkeys(SWEEP_MEASURED, float("nan"))}
     try:
         head = run_experiment(sub).headline
-        row.update(
-            {key: head.get(key, float("nan")) for key in _SWEEP_MEASURED},
-            satisfied_fraction=head["satisfied_fraction"], status="ok", error="",
-        )
+        row.update({k: head.get(k, float("nan")) for k in SWEEP_MEASURED}, status="ok", error="")
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
         row.update(status="failed", error=str(exc))
     return row
@@ -605,7 +603,7 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
                 row, result = window.pop(0)
                 with row:
                     rows.append(result())
-    columns = ["l", *_SWEEP_MEASURED, "satisfied_fraction", "status", "error"]
+    columns = ["l", *SWEEP_MEASURED, "status", "error"]
     write_csv(out("sweep.csv"), columns, ([r[c] for c in columns] for r in rows))
 
     ok = [r for r in rows if r["status"] == "ok"]
@@ -620,12 +618,12 @@ def _pipeline_quasistability(cfg: ExperimentConfig, out):
     system, spec, period = cfg.system, cfg.metric, cfg.period
     probe, _fresh = draw_samples(cfg)
     start = cfg.burn_in + cfg.window
-    (absorbed,), trajectory, period_rows = _sample_union(
-        system, probe, [start], start + system.sample_grid(period, _TRAJECTORY_SAMPLES),
+    trajectory, period_rows = _sample_union(
+        system, probe, start + system.sample_grid(period, _TRAJECTORY_SAMPLES),
         start + period * np.arange(1, cfg.n_periods + 1),
     )
     report = quasistability_estimate(
-        absorbed, trajectory, period_rows, period, system.l, cfg.low_mode_threshold,
+        trajectory, period_rows, period, system.l, cfg.low_mode_threshold,
         cfg.closeness, spec, m_clusters=cfg.m_clusters,
     )
     rows = [[float(n), ratio, 2.0 * report.predicted_eta**n]
@@ -741,7 +739,7 @@ def _parse_grid(raw, name: str) -> np.ndarray:
     if not isinstance(raw, dict):
         return np.array(_entries(raw, name), dtype=float)
     if set(raw) not in ({"start", "stop", "step"}, {"start", "stop", "count"}):
-        raise ValueError(f"{name} mapping must have keys start/stop/step or start/stop/count")
+        raise ValueError(f"config field {name!r} needs keys start/stop/step or start/stop/count")
     start, stop = _num(raw["start"], name), _num(raw["stop"], name)
     if "count" in raw:
         count = _int(raw["count"], name)
@@ -757,7 +755,7 @@ def _parse_grid(raw, name: str) -> np.ndarray:
 def _pair(raw, name: str) -> tuple:
     pair = tuple(_int(v, name) for v in _entries(raw, name))
     if len(pair) != 2:
-        raise ValueError(f"{name} must be a pair [m_min, m_max]")
+        raise ValueError(f"config field {name!r} must be a pair [m_min, m_max], got {raw!r}")
     return pair
 
 
@@ -823,6 +821,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             where = "config" if section is None else f"config section {section!r}"
             raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
     for f in fields(ExperimentConfig):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+        if f.init and f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
             raise ValueError(f"config needs a {f.name!r} entry")
     return ExperimentConfig(**kwargs)

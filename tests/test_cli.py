@@ -85,6 +85,9 @@ MALFORMED_MANIFESTS = [
     ("m_range", lambda m: {**m, "m_range": 5}),
     ("t_star", lambda m: {**m, "t_star": "soon"}),
     ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": 0.0}),
+    ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": float("inf")}),
+    # positive and finite, but not the spacing of the orbits.csv times
+    ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": 1e-300}),
     ("t_orbit", lambda m: {**m, "t_orbit": float("inf")}),
     ("t_orbit", lambda m: {**m, "t_orbit": float("nan")}),
 ]
@@ -93,7 +96,8 @@ MALFORMED_MANIFESTS = [
 @pytest.mark.parametrize(
     "field,edit", MALFORMED_MANIFESTS,
     ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
-         "zero_orbit_cadence", "infinite_t_orbit", "nan_t_orbit"],
+         "zero_orbit_cadence", "infinite_orbit_cadence", "tiny_orbit_cadence",
+         "infinite_t_orbit", "nan_t_orbit"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -104,6 +108,18 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     code, _out, err = run_cli("verify", attractor, config)
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("required,expected", [(1.0, EXIT_OK), (1.5, EXIT_THRESHOLD)])
+def test_strict_verify_checks_the_certificate(finished_run, tmp_path, required, expected):
+    # the run's file with another threshold replays the same fresh sample
+    _config, out_dir, _out = finished_run
+    config = write_config(tmp_path, thresholds={"satisfied_fraction": required})
+    code, out, err = run_cli("verify", out_dir / "attractor", config, "--strict")
+    assert code == expected, err
+    assert printed(out)["satisfied_fraction"] == "1"
+    if expected == EXIT_THRESHOLD:
+        assert err == "threshold failed: satisfied_fraction = 1.0 < required 1.5\n"
 
 
 @pytest.mark.parametrize("name", ["net.csv", "orbits.csv"])
@@ -161,6 +177,18 @@ def test_sweep_negative_value_exits_1_naming_l_values(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_without_damping_values_exits_1(tmp_path):
+    code, out, err = run_cli("sweep", write_config(tmp_path))
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: no damping values: pass --values or set grids.l_values\n"
+
+
+def test_run_of_a_sweep_without_l_values_exits_1(tmp_path):
+    code, out, err = run_cli("run", write_config(tmp_path, kind="sweep_l"))
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: sweep_l needs a nonempty l_values grid\n"
+
+
 def test_unknown_config_key_exits_1(tmp_path):
     code, _out, err = run_cli("run", write_config(tmp_path, bogus={"x": 1}))
     assert code == EXIT_CONFIG
@@ -200,6 +228,8 @@ BAD_NUMBERS = {
     "negative_seed": ("seed", {"seed": -1}),
     "negative_grid_count": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 12,
                                                             "count": -1}}}),
+    "t_grid_mapping_without_step": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 1}}}),
+    "m_range_of_three": ("m_range", {"grids": {"m_range": [1, 2, 3]}}),
     "zero_m_clusters": ("m_clusters", {"pipeline": {"m_clusters": 0}}),
     "m_range_from_zero": ("m_range", {"grids": {"m_range": [0, 4]}}),
     "m_range_reversed": ("m_range", {"grids": {"m_range": [3, 2]}}),
@@ -278,6 +308,10 @@ BAD_NUMBERS = {
     # each sweep row's damping is checked when the config is read
     "negative_l_value": ("l_values", {"kind": "sweep_l", "grids": {"l_values": [1.0, -1.0]}}),
     "nan_l_value": ("l_values", {"kind": "sweep_l", "grids": {"l_values": [1.0, float("nan")]}}),
+    # the oracle takes its modes in any order, but a run's energy metric does not
+    "unsorted_oracle_eigenvalues": ("system", {
+        "kind": "oracle_decay",
+        "system": {"type": "linear", "l": 1.0, "mode_eigenvalues": [4, 1, 9]}}),
     "sweep_on_the_linear_oracle": ("system", {"kind": "sweep_l", "grids": {"l_values": [1.0]},
                                               "system": LINEAR_SYSTEM}),
 }

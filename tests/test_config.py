@@ -101,6 +101,21 @@ def test_a_kind_refuses_an_engine_it_does_not_run_on(kind, system, engine, tmp_p
         ExperimentConfig(kind=kind, system=system, output_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("kind", ["oracle_decay", "criteria_suite", "quasistability"])
+def test_an_unsorted_oracle_spectrum_is_refused_for_every_oracle_kind(kind, tmp_path):
+    # the engine takes its modes in any order; the run's energy metric does not
+    with pytest.raises(ValueError, match="^config field 'system' defines no energy metric: "
+                                         "eigenvalues must be nondecreasing$"):
+        ExperimentConfig(kind=kind, system=LinearModalConfig(1.0, [4.0, 1.0, 9.0]),
+                         output_dir=str(tmp_path), low_mode_threshold=2)
+
+
+def test_a_count_grid_mapping_reads_as_linspace(tmp_path):
+    raw = config_to_dict(shipped_oracle(tmp_path / "out", "oracle_decay"))
+    raw["grids"]["t_grid"] = {"start": 0, "stop": 1, "count": 7}
+    assert np.array_equal(reloaded(raw, tmp_path).t_grid, np.linspace(0.0, 1.0, 7))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("case", sorted(RUNS))
 def test_a_non_finite_t_grid_entry_is_refused_for_every_kind(case, bad, tmp_path):
@@ -161,6 +176,8 @@ def test_every_field_survives_the_round_trip(tmp_path):
     for f in fields(ExperimentConfig):
         if f.name == "system":
             assert back.system.as_dict() == cfg.system.as_dict()
+        elif f.name == "metric":  # built from the system, not read from the file
+            assert np.array_equal(back.metric.mode_eigenvalues, cfg.metric.mode_eigenvalues)
         else:
             assert np.array_equal(getattr(back, f.name), getattr(cfg, f.name)), f.name
     assert config_to_dict(back) == config_to_dict(cfg)

@@ -100,36 +100,34 @@ class TestPredictedRateBounds:
     def test_balanced_damping(self):
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(2.0, spec.mode_eigenvalues)
-        bounds = predicted_rate_bounds(cfg, spec)
+        bounds = predicted_rate_bounds(cfg)
         assert bounds.rate_energy == 0.5
 
     def test_contraction_rate_and_period(self):
         spec = MetricSpec.dirichlet_1d(4)
         cfg = LinearModalConfig(3.0, spec.mode_eigenvalues)
-        bounds = predicted_rate_bounds(cfg, spec)
+        bounds = predicted_rate_bounds(cfg)
         assert bounds.rate_contraction == pytest.approx(math.log(2.0), rel=1e-15)
-        assert bounds.period == 1.0
 
     def test_saturation(self):
         spec = MetricSpec.dirichlet_1d(4)
-        bounds = predicted_rate_bounds(LinearModalConfig(100.0, spec.mode_eigenvalues), spec)
+        bounds = predicted_rate_bounds(LinearModalConfig(100.0, spec.mode_eigenvalues))
         assert bounds.rate_energy == 0.5
 
     def test_requires_positive_damping(self):
-        spec = MetricSpec.dirichlet_1d(2)
         cfg = WaveSystemConfig(mode_count=2, l=0.0, dt=0.2)
         with pytest.raises(ValueError):
-            predicted_rate_bounds(cfg, spec)
+            predicted_rate_bounds(cfg)
 
     def test_monotone_in_damping(self):
         spec = MetricSpec.dirichlet_1d(4)
         grid = np.linspace(0.1, 6.0, 40)
         energies = [
-            predicted_rate_bounds(LinearModalConfig(v, spec.mode_eigenvalues), spec).rate_energy
+            predicted_rate_bounds(LinearModalConfig(v, spec.mode_eigenvalues)).rate_energy
             for v in grid
         ]
         contractions = [
-            predicted_rate_bounds(LinearModalConfig(v, spec.mode_eigenvalues), spec).rate_contraction
+            predicted_rate_bounds(LinearModalConfig(v, spec.mode_eigenvalues)).rate_contraction
             for v in grid
         ]
         assert all(b >= a - 1e-15 for a, b in zip(energies, energies[1:]))
@@ -178,7 +176,6 @@ class TestHausdorffCriterion:
         )
         assert report.satisfied_fraction == 1.0
         assert report.alpha_within_fraction == 1.0
-        assert report.m_clusters == 1
 
     def test_unreachable_bound(self, rng, modal_pair):
         spec, cfg = modal_pair
@@ -331,7 +328,7 @@ class TestQuasiStability:
         cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
         absorbed = random_states(rng, spec, 20, scale=1.5)
         report = quasistability_estimate(
-            absorbed, *period_samples(cfg, absorbed, 3.0, 8), 3.0, cfg.l, 4,
+            *period_samples(cfg, absorbed, 3.0, 8), 3.0, cfg.l, 4,
             closeness=1e6, spec=spec,
         )
         assert report.predicted_eta == 0.5
@@ -351,7 +348,7 @@ class TestQuasiStability:
         absorbed = random_states(rng, spec, 12)
         period = 3.0 / damping
         report = quasistability_estimate(
-            absorbed, *period_samples(cfg, absorbed, period, 0), period, damping, 3,
+            *period_samples(cfg, absorbed, period, 0), period, damping, 3,
             closeness=1e6, spec=spec,
         )
         assert report.eta_hat < 1.0
@@ -363,7 +360,7 @@ class TestQuasiStability:
         base = random_states(rng, spec, 5)
         with_dup = np.vstack([base, base[:1]])
         report = quasistability_estimate(
-            with_dup, *period_samples(cfg, with_dup, 3.0, 0), 3.0, cfg.l, 2,
+            *period_samples(cfg, with_dup, 3.0, 0), 3.0, cfg.l, 2,
             closeness=1e6, spec=spec,
         )
         assert report.excluded_pair_count >= 1
@@ -375,7 +372,7 @@ class TestQuasiStability:
         absorbed = random_states(rng, spec, 6)
         with pytest.raises(ThresholdTooTightError):
             quasistability_estimate(
-                absorbed, *period_samples(cfg, absorbed, 3.0, 0), 3.0, cfg.l, 2,
+                *period_samples(cfg, absorbed, 3.0, 0), 3.0, cfg.l, 2,
                 closeness=1e-12, spec=spec,
             )
 
@@ -387,7 +384,7 @@ class TestQuasiStability:
         rows = center + 1e-3 * np.random.default_rng(5).standard_normal((8, 6))
         rows = np.vstack([rows, center + 2.0])
         report = quasistability_estimate(
-            rows, *period_samples(cfg, rows, 1.0, 0), 1.0, cfg.l, 2, None, spec
+            *period_samples(cfg, rows, 1.0, 0), 1.0, cfg.l, 2, None, spec
         )
         emb = spec.embed(rows)
         assert report.pseudometric_threshold == pytest.approx(
@@ -399,8 +396,8 @@ class TestQuasiStability:
 @pytest.mark.parametrize("engine", ["linear", "wave"])
 def test_the_checked_sample_is_the_probe_after_the_window(kind, engine, tmp_path, monkeypatch):
     # on either engine the checks start from the drawn probe evolved over
-    # burn_in + window: quasistability's absorbed sample, and the criteria
-    # checks' rows at t_grid[0] = 0
+    # burn_in + window: quasistability's trajectory and the criteria checks'
+    # rows, each at its first time 0
     system = (LinearModalConfig(1.0, MetricSpec.dirichlet_1d(8).mode_eigenvalues)
               if engine == "linear" else wave_config_from_dict(SMALL_WAVE_SYSTEM))
     cfg = ExperimentConfig(kind=kind, system=system, output_dir=str(tmp_path), seed=7,
@@ -409,7 +406,7 @@ def test_the_checked_sample_is_the_probe_after_the_window(kind, engine, tmp_path
     checked, check = [], getattr(experiments, name)
 
     def spy(evolved, *args, **kwargs):
-        checked.append(evolved if kind == "quasistability" else evolved[0])
+        checked.append(evolved[0])
         return check(evolved, *args, **kwargs)
 
     monkeypatch.setattr(experiments, name, spy)
@@ -472,7 +469,6 @@ def reference_hausdorff(candidate, evolved, t_grid, law, spec):
         satisfied_fraction=float(np.mean(semidists <= bounds * (1 + 1e-12))),
         implied_alpha_bounds=implied, alpha_values=alphas,
         alpha_within_fraction=float(np.mean(alphas <= implied * (1 + 1e-12))),
-        m_clusters=m_clusters,
     )
 
 

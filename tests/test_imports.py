@@ -5,11 +5,17 @@ import importlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import attractorlab
-from attractorlab.criteria import QuasiStabilityReport, RateBounds, RateFit
+from attractorlab.criteria import (
+    HausdorffCriterionReport,
+    QuasiStabilityReport,
+    RateBounds,
+    RateFit,
+)
 from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig
 from attractorlab.experiments import RunManifest
@@ -31,7 +37,8 @@ REMOVED = {
     "criteria": ("_unique_points", "TRAJECTORY_SAMPLES"),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
                     "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
-                    "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe", "_absorbing_ball"),
+                    "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe", "_absorbing_ball",
+                    "_SWEEP_MEASURED"),
 }
 
 
@@ -86,6 +93,9 @@ def test_removed_members_are_gone():
     assert not hasattr(RateBounds, "as_dict")
     assert not hasattr(QuasiStabilityReport, "as_dict")
     assert not hasattr(RunManifest, "as_dict")
+    # the period is ExperimentConfig.period; the cluster count is len(candidate)
+    assert "period" not in {f.name for f in fields(RateBounds)}
+    assert "m_clusters" not in {f.name for f in fields(HausdorffCriterionReport)}
     # the oracle's fields are the engine interface's names, l and eigenvalues
     oracle = LinearModalConfig(1.0, [1.0, 4.0])
     assert not hasattr(oracle, "damping")
