@@ -8,7 +8,8 @@ orbits of the net points over [0, t_orbit], together with a long-time evolved
 copy of the absorbed sample (the omega-limit surrogate), form the computable
 target set.  The attraction certificate then measures, for a held-out
 ensemble, the Hausdorff semidistance to that target against the bound
-``law.eval(t - t_star - 1)``.
+``law.eval(t - t_star - 1)`` at the set's own orbit times, the one time grid
+the certificate reads.
 
 The caller integrates the absorbed and held-out samples and passes their
 sampled rows in.  ``build_attracting_set`` is the only function here that
@@ -39,7 +40,6 @@ __all__ = [
     "AttractionCertificate",
     "build_net",
     "build_attracting_set",
-    "verification_grid",
     "verify_attraction",
     "save_attracting_set",
     "load_attracting_set",
@@ -149,7 +149,8 @@ def build_attracting_set(
     orbit_sample_every: float, cfg, spec: MetricSpec,
 ) -> AttractingSetApprox:
     """Union of nets over integer birth times in ``m_range`` with forward
-    orbits sampled on [0, t_orbit], plus the omega-limit proxy.
+    orbits sampled every ``orbit_sample_every`` on [0, t_orbit], a whole
+    number of cadences, plus the omega-limit proxy.
 
     ``states`` (P, 2N) is the absorbed sample, ``images[i]`` (P, 2N) its
     image at birth time ``m_range[0] + i``, and ``proxy_states`` its
@@ -173,9 +174,10 @@ def build_attracting_set(
         nets.append(net)
     net_states = np.concatenate(nets)
 
-    orbit_times = list(np.arange(0.0, t_orbit + 1e-12, orbit_sample_every))
+    orbit_times = np.arange(0.0, t_orbit + 1e-12, orbit_sample_every)
     if abs(orbit_times[-1] - t_orbit) > 1e-9 * max(1.0, t_orbit):
-        orbit_times.append(t_orbit)
+        raise ValueError(f"t_orbit = {t_orbit:g} is not a whole number of "
+                         f"orbit_sample_every = {orbit_sample_every:g} cadences")
     # the net is a new batch: rows of a larger batch differ in the last bits
     orbit_blocks = cfg.sample(net_states, orbit_times)  # (K, E, 2N)
 
@@ -184,7 +186,7 @@ def build_attracting_set(
         net_seeds=np.concatenate(seeds),
         net_states=net_states,
         orbit_states=np.ascontiguousarray(orbit_blocks.swapaxes(0, 1)),
-        orbit_times=np.array(orbit_times, dtype=float),
+        orbit_times=orbit_times,
         attractor_proxy=proxy_states,
         law_used=law,
         m_range=(m_min, m_max),
@@ -193,40 +195,30 @@ def build_attracting_set(
     )
 
 
-def verification_grid(aset: AttractingSetApprox, t_star: float) -> np.ndarray:
-    """Orbit-cadence check times on the covered window [t_star + 1 + m_min,
-    t_orbit], starting at the first cadence multiple inside it."""
-    step = aset.orbit_sample_every
-    t_lo = math.ceil((t_star + 1.0 + aset.m_range[0]) / step - 1e-9) * step
-    if t_lo > aset.t_orbit:
+def verify_attraction(
+    aset: AttractingSetApprox, evolved, t_star: float, spec: MetricSpec
+) -> AttractionCertificate:
+    """Measure dist(S(t) fresh, target) against law.eval(t - t_star - 1) at
+    the orbit times on the covered window [t_star + 1 + m_min, t_orbit],
+    from the first one at or after its start.
+
+    ``evolved[k]`` (P, 2N) is the held-out sample at ``aset.orbit_times[k]``.
+    """
+    if len(evolved) != aset.orbit_times.size:
+        raise ValueError(f"need one held-out block per orbit time: got {len(evolved)} "
+                         f"for {aset.orbit_times.size}")
+    first = max(0, math.ceil((t_star + 1.0 + aset.m_range[0]) / aset.orbit_sample_every - 1e-9))
+    times = aset.orbit_times[first:]
+    if times.size == 0:
         raise ValueError(
             f"verification window is empty: entering time {t_star:g} pushes the "
             f"first check past t_orbit = {aset.t_orbit:g}"
         )
-    return np.arange(t_lo, aset.t_orbit + 1e-9, step)
-
-
-def verify_attraction(
-    aset: AttractingSetApprox, evolved, t_star: float, t_grid, spec: MetricSpec
-) -> AttractionCertificate:
-    """Measure dist(S(t) fresh, target) against law.eval(t - t_star - 1) on the
-    covered window [t_star + 1 + m_min, t_orbit].
-
-    ``evolved[k]`` (P, 2N) is the held-out sample at time ``t_grid[k]``.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    lo = t_star + 1.0 + aset.m_range[0]
-    if np.any(t_grid < lo - 1e-9) or np.any(t_grid > aset.t_orbit + 1e-9):
-        raise ValueError(
-            f"t_grid outside orbit coverage [{lo:g}, {aset.t_orbit:g}]"
-        )
     target = spec.embed(aset.target_matrix())
-    measured = np.array([semidist_arrays(spec.embed(block), target) for block in evolved])
-    bounds = np.array([aset.law_used.eval(t - t_star - 1.0) for t in t_grid])
+    measured = np.array([semidist_arrays(spec.embed(block), target) for block in evolved[first:]])
+    bounds = np.array([aset.law_used.eval(t - t_star - 1.0) for t in times])
     satisfied = float(np.mean(within_bound(measured, bounds)))
-    return AttractionCertificate(t_grid, measured, bounds, satisfied)
+    return AttractionCertificate(times, measured, bounds, satisfied)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,8 @@ class WaveSystemConfig:
     (the structural stand-in for the dissipativity condition on f).
     ``kernel`` is a finite-rank velocity operator given as (weight, coeffs)
     pairs in the eigenbasis.  ``dt`` must respect the explicit stability
-    guard dt <= 0.5 / sqrt(lam_N), and defaults to that bound.
+    guard dt <= 0.5 / sqrt(lam_N), and defaults to that bound.  A refused
+    field is named as the run file's ``system`` section names it.
     """
 
     mode_count: int
@@ -142,27 +143,23 @@ class WaveSystemConfig:
     collocation_points: int = 0
 
     def __post_init__(self):
-        n = int(self.mode_count)
-        if n < 1:
-            raise ValueError("mode_count must be a positive integer")
+        n = _mode_count(self.mode_count)
         object.__setattr__(self, "mode_count", n)
         for name in ("k", "l"):
             v = float(getattr(self, name))
             if not (v >= 0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise ValueError(f"config field 'system.{name}' must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, v)
         if not (self.p > 0 and np.isfinite(self.p)):
-            raise ValueError("damping exponent p must be > 0")
+            raise ValueError(f"config field 'system.p' must be positive and finite, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
         f = _trim_poly(self.f_coeffs)
         if f.size:
             degree = f.size - 1
             if degree % 2 == 0 or f[-1] <= 0:
-                raise ValueError(
-                    "nonzero f must have odd top degree with positive leading "
-                    "coefficient (dissipative direction)"
-                )
+                raise ValueError("config field 'system.f_coeffs' must be 0 or have odd top degree "
+                                 "with positive leading coefficient (dissipative direction)")
         object.__setattr__(self, "f_coeffs", tuple(float(c) for c in f))
 
         kern = []
@@ -170,9 +167,9 @@ class WaveSystemConfig:
             weight, coeffs = entry
             coeffs = np.asarray(coeffs, dtype=float).ravel()
             if coeffs.size != n or not np.all(np.isfinite(coeffs)):
-                raise ValueError("kernel coefficient vectors must be finite with length mode_count")
+                raise ValueError("config field 'system.kernel.coeffs' must be finite, one per mode")
             if not np.isfinite(weight):
-                raise ValueError("kernel weights must be finite")
+                raise ValueError("config field 'system.kernel.weight' must be finite")
             kern.append((float(weight), tuple(float(c) for c in coeffs)))
         object.__setattr__(self, "kernel", tuple(kern))
 
@@ -180,23 +177,21 @@ class WaveSystemConfig:
         if h.size == 0:
             h = np.zeros(n)
         if h.size != n or not np.all(np.isfinite(h)):
-            raise ValueError("h_coeffs must be finite with length mode_count")
+            raise ValueError("config field 'system.h_coeffs' must be finite with length mode_count")
         object.__setattr__(self, "h_coeffs", tuple(float(c) for c in h))
 
         lam_max = float(n) ** 2
         dt_cap = 0.5 / np.sqrt(lam_max)
         dt = float(dt_cap if self.dt is None else self.dt)
         if not (0 < dt <= dt_cap * (1 + 1e-12)):
-            raise ValueError(
-                f"dt must satisfy 0 < dt <= 0.5/sqrt(lam_N) = {dt_cap:g}, got {dt:g}"
-            )
+            raise ValueError(f"config field 'system.dt' must satisfy 0 < dt <= 0.5/sqrt(lam_N) = "
+                             f"{dt_cap:g}, got {dt:g}")
         object.__setattr__(self, "dt", dt)
 
         g = int(self.collocation_points) if self.collocation_points else 2 * n + 1
         if g < 2 * n + 1:
-            raise ValueError(
-                f"collocation_points must be >= 2*mode_count+1 = {2 * n + 1}, got {g}"
-            )
+            raise ValueError(f"config field 'system.collocation_points' must be >= "
+                             f"2*mode_count+1 = {2 * n + 1}, got {g}")
         object.__setattr__(self, "collocation_points", g)
 
     @property
@@ -248,10 +243,12 @@ class LinearModalConfig:
 
     def __post_init__(self):
         if not (self.l > 0 and np.isfinite(self.l)):
-            raise ValueError("modal oracle needs strictly positive damping")
+            raise ValueError(f"config field 'system.l' must be positive and finite on the oracle, "
+                             f"got {self.l!r}")
         lam = np.asarray(self.eigenvalues, dtype=float).ravel()
         if lam.size == 0 or np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-            raise ValueError("mode eigenvalues must be positive and finite")
+            raise ValueError("config field 'system.mode_eigenvalues' must be nonempty, positive "
+                             "and finite")
         object.__setattr__(self, "l", float(self.l))
         object.__setattr__(self, "eigenvalues", lam)
 
@@ -623,17 +620,25 @@ def _int(value, name: str) -> int:
     return int(number)
 
 
+def _mode_count(value) -> int:
+    n = _int(value, "system.mode_count")
+    if n < 1:
+        raise ValueError(f"config field 'system.mode_count' must be a positive integer, got {n}")
+    return n
+
+
 def _padded(values, n: int, name: str) -> tuple:
-    arr = [_num(v, name) for v in np.atleast_1d(values)]
+    arr = tuple(_num(v, name) for v in np.atleast_1d(values))
     if len(arr) > n:
-        raise ValueError(f"{name} has {len(arr)} entries but mode_count is {n}")
-    return tuple(arr) + (0.0,) * (n - len(arr))
+        raise ValueError(f"config field {name!r} has {len(arr)} entries but mode_count is {n}")
+    return arr + (0.0,) * (n - len(arr))
 
 
 def _kernel_entry(entry, n: int) -> tuple:
     if not isinstance(entry, dict) or set(entry) != {"weight", "coeffs"}:
-        raise ValueError("kernel entries must be mappings with keys weight, coeffs")
-    return _num(entry["weight"], "kernel.weight"), _padded(entry["coeffs"], n, "kernel.coeffs")
+        raise ValueError("config field 'system.kernel' needs mappings of weight and coeffs")
+    return (_num(entry["weight"], "system.kernel.weight"),
+            _padded(entry["coeffs"], n, "system.kernel.coeffs"))
 
 
 def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
@@ -644,21 +649,22 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
     single-mode forcing is just ``h_coeffs: [4.0]``.
     """
     if not isinstance(raw, dict):
-        raise ValueError("wave config must be a mapping")
+        raise ValueError("config field 'system' must be a mapping")
     schema = fields(WaveSystemConfig)
     unknown = set(raw) - {f.name for f in schema}
     if unknown:
-        raise ValueError(f"unknown wave config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in config section 'system': {sorted(unknown)}")
     if "mode_count" not in raw:
-        raise ValueError("wave config needs mode_count")
-    n = _int(raw["mode_count"], "mode_count")
+        raise ValueError("config field 'system.mode_count' is missing")
+    n = _mode_count(raw["mode_count"])
     readers = {  # the coefficient fields; the rest are scalars of their type
-        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in v or ()),
-        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in v or ()),
+        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in np.atleast_1d(v or ())),
+        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in np.atleast_1d(v or ())),
         "h_coeffs": lambda v, name: _padded(v, n, name),
     }
     return WaveSystemConfig(**{
-        f.name: readers.get(f.name, _int if f.type == "int" else _num)(raw[f.name], f.name)
+        f.name: readers.get(f.name, _int if f.type == "int" else _num)(
+            raw[f.name], f"system.{f.name}")
         for f in schema if f.name in raw
     })
 
@@ -668,21 +674,23 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
     writes it: ``type: wave`` with the keys of ``wave_config_from_dict``, or
     ``type: linear`` with ``l`` and ``mode_count`` or ``mode_eigenvalues``."""
     if not isinstance(raw, dict) or "type" not in raw:
-        raise ValueError("system section must be a mapping with a 'type' key")
+        raise ValueError("config field 'system' must be a mapping with a 'type' key")
     kind = raw["type"]
     body = {k: v for k, v in raw.items() if k != "type"}
     if kind == "wave":
         return wave_config_from_dict(body)
     if kind == "linear":
         if "mode_eigenvalues" in body:
-            lam = np.array([_num(v, "mode_eigenvalues") for v in body.pop("mode_eigenvalues")])
+            lam = np.array([_num(v, "system.mode_eigenvalues")
+                            for v in np.atleast_1d(body.pop("mode_eigenvalues"))])
         elif "mode_count" in body:
-            n = _int(body.pop("mode_count"), "mode_count")
-            lam = MetricSpec.dirichlet_1d(n).mode_eigenvalues
+            lam = MetricSpec.dirichlet_1d(_mode_count(body.pop("mode_count"))).mode_eigenvalues
         else:
-            raise ValueError("linear system needs mode_count or mode_eigenvalues")
+            raise ValueError("config field 'system.mode_count' (or 'mode_eigenvalues') is missing")
         unknown = sorted(set(body) - {"l"})
         if unknown:
-            raise ValueError(f"unknown linear system keys: {unknown}")
-        return LinearModalConfig(_num(body.get("l"), "system.l"), lam)
-    raise ValueError(f"unknown system type {kind!r}, expected 'wave' or 'linear'")
+            raise ValueError(f"unknown keys in config section 'system': {unknown}")
+        if "l" not in body:
+            raise ValueError("config field 'system.l' is missing")
+        return LinearModalConfig(_num(body["l"], "system.l"), lam)
+    raise ValueError(f"config field 'system.type' is {kind!r}, expected 'wave' or 'linear'")

@@ -58,12 +58,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .attracting import (
-    build_attracting_set,
-    save_attracting_set,
-    verification_grid,
-    verify_attraction,
-)
+from .attracting import build_attracting_set, save_attracting_set, verify_attraction
 from .covering import DecayTrace, decay_trace, write_csv
 from .decay import DecayLaw
 from .criteria import (
@@ -198,11 +193,15 @@ class ExperimentConfig:
             if m_max > self.t_orbit:
                 raise ValueError(f"config field 'm_range' must end by t_orbit = "
                                  f"{self.t_orbit:g}, got {self.m_range!r}")
-            sampled.update({"'t_grid'": self.t_grid, "'m_range'": np.arange(m_min, m_max + 1),
-                            "'t_orbit'": self.t_orbit})
-            if self.system.steps(self.orbit_sample_every, "config field 'orbit_sample_every'") == 0:
+            sampled.update({"'t_grid'": self.t_grid, "'m_range'": np.arange(m_min, m_max + 1)})
+            cadence = self.system.steps(self.orbit_sample_every, "config field 'orbit_sample_every'")
+            if cadence == 0:
                 raise ValueError(f"config field 'orbit_sample_every' = {self.orbit_sample_every:g} "
                                  f"is shorter than one step dt = {self.system.dt:g}")
+            # the orbit grid, the one the certificate reads, ends at t_orbit
+            if self.system.steps(self.t_orbit, "config field 't_orbit'") % cadence:
+                raise ValueError(f"config field 't_orbit' = {self.t_orbit:g} is not a whole number "
+                                 f"of orbit_sample_every = {self.orbit_sample_every:g} cadences")
         if isinstance(self.system, WaveSystemConfig):
             for what, times in sampled.items():
                 self.system.steps(times, f"config field {what}")
@@ -493,9 +492,9 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     probe, fresh = draw_samples(cfg)
     enter_grid = system.sample_grid(horizon, _ENTER_SAMPLES)
     enter_steps = system.steps(enter_grid)
-    # the check times start after t_star: the fresh pass samples every
-    # orbit-cadence time as well.  It needs nothing but the config, so it
-    # runs in a child from here on (see the module docstring)
+    # the certificate reads the fresh sample at the set's orbit times, every
+    # orbit-cadence time up to t_orbit.  The pass needs nothing but the
+    # config, so it runs in a child from here on (see the module docstring)
     cadence_steps = system.steps(np.arange(0.0, cfg.t_orbit + 1e-9, snap))
     with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
         # one probe pass over the horizon: the absorbing radius, and the probe's
@@ -531,9 +530,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     aset = replace(aset, attractor_proxy=proxy)
 
     t_star = max(_settle_times(enter_grid, enter_norms, radius))
-    t_grid_verify = verification_grid(aset, t_star)
-    verify_rows = cadence_rows[np.searchsorted(cadence_steps, system.steps(t_grid_verify))]
-    certificate = verify_attraction(aset, verify_rows, t_star, t_grid_verify, cfg.metric)
+    certificate = verify_attraction(aset, cadence_rows, t_star, cfg.metric)
 
     save_attracting_set(
         aset,

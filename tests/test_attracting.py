@@ -27,9 +27,10 @@ def net(states, m, law, spec, cfg):
     return build_net(states, cfg.sample(states, [float(m)])[0], m, law, spec)
 
 
-def certify(aset, fresh, t_star, t_grid, cfg, spec):
-    """``verify_attraction`` on the fresh states integrated over ``t_grid``."""
-    return verify_attraction(aset, cfg.sample(fresh, t_grid), t_star, t_grid, spec)
+def certify(aset, fresh, t_star, cfg, spec):
+    """``verify_attraction`` on the fresh states integrated over the set's
+    orbit times."""
+    return verify_attraction(aset, cfg.sample(fresh, aset.orbit_times), t_star, spec)
 
 
 def modal_preimage(cfg, targets, t):
@@ -172,6 +173,15 @@ class TestBuildAttractingSet:
         with pytest.raises(ValueError):
             attracting_set(absorbed, (1, 5), law, 3.0, 0.5, cfg, spec)
 
+    def test_orbit_grid_ends_at_t_orbit(self, rng, modal_setup):
+        # the certificate reads the orbit grid, so it must reach t_orbit itself
+        spec, cfg = modal_setup
+        absorbed = random_states(rng, spec, 3)
+        law = DecayLaw("exponential", 1.0, 0.5)
+        assert attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec).orbit_times[-1] == 3.0
+        with pytest.raises(ValueError, match="^t_orbit = 3.25 is not a whole number of "):
+            attracting_set(absorbed, (1, 1), law, 3.25, 0.5, cfg, spec)
+
 
 class TestVerifyAttraction:
     def _build(self, rng, spec, cfg, law, absorbed, m_range=(1, 2), t_orbit=10.0):
@@ -183,7 +193,9 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
         m = 2
-        cert = certify(aset, absorbed, 0.0, [float(m)], cfg, spec)
+        # t_star + 1 + m_min = m: the first check time is the birth time m
+        cert = certify(aset, absorbed, 0.0, cfg, spec)
+        assert cert.times[0] == m
         assert cert.measured_semidist[0] <= law.eval(m) + 1e-12
 
     def test_linear_oracle_fitted_law_fully_satisfied(self, rng, modal_setup):
@@ -194,8 +206,8 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 2.0 * np.sqrt(3.0) * radius, 0.5)
         aset = self._build(rng, spec, cfg, law, absorbed)
         fresh = random_states(rng, spec, 6, scale=1.5)
-        t_grid = np.arange(2.0, 10.25, 0.25)
-        cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
+        cert = certify(aset, fresh, 0.0, cfg, spec)
+        assert np.array_equal(cert.times, np.arange(2.0, 10.25, 0.25))
         assert cert.satisfied_fraction == 1.0
 
     def test_contained_fresh_measures_zero(self, rng, modal_setup):
@@ -203,9 +215,9 @@ class TestVerifyAttraction:
         absorbed = random_states(rng, spec, 5)
         # tiny radius forces every evolved point into the net
         law = DecayLaw("exponential", 1e-9, 1e-6)
-        aset = self._build(rng, spec, cfg, law, absorbed)
-        t_grid = [2.0, 2.25, 3.0]
-        cert = certify(aset, absorbed, 0.0, t_grid, cfg, spec)
+        aset = self._build(rng, spec, cfg, law, absorbed, t_orbit=3.0)
+        cert = certify(aset, absorbed, 0.0, cfg, spec)
+        assert np.array_equal(cert.times, [2.0, 2.25, 2.5, 2.75, 3.0])
         assert np.all(cert.measured_semidist <= 1e-10)
 
     def test_window_validation(self, rng, modal_setup):
@@ -213,21 +225,29 @@ class TestVerifyAttraction:
         absorbed = random_states(rng, spec, 4)
         law = DecayLaw("exponential", 1.0, 0.3)
         aset = self._build(rng, spec, cfg, law, absorbed)
-        with pytest.raises(ValueError, match="coverage"):
-            certify(aset, absorbed, 0.0, [1.0], cfg, spec)  # below t*+1+m_min
-        with pytest.raises(ValueError, match="coverage"):
-            certify(aset, absorbed, 0.0, [11.0], cfg, spec)  # past t_orbit
+        # t_star + 1 + m_min = 10.25 is past t_orbit = 10
+        with pytest.raises(ValueError, match="^verification window is empty: entering time 8.25 "):
+            certify(aset, absorbed, 8.25, cfg, spec)
+        # one held-out block per orbit time, not per check time
+        blocks = cfg.sample(absorbed, aset.orbit_times[1:])
+        with pytest.raises(ValueError, match="^need one held-out block per orbit time: got 40 "
+                                             "for 41$"):
+            verify_attraction(aset, blocks, 0.0, spec)
+        # the last orbit time is a check time
+        assert certify(aset, absorbed, 8.0, cfg, spec).times.tolist() == [10.0]
 
     def test_monotone_refinement(self, rng, modal_setup):
         spec, cfg = modal_setup
         absorbed = random_states(rng, spec, 8)
         law = DecayLaw("exponential", 1.0, 0.3)
         fresh = random_states(rng, spec, 5)
-        t_grid = np.arange(4.0, 8.25, 0.5)
-        small = attracting_set(absorbed, (1, 2), law, 10.0, 0.25, cfg, spec)
-        big = attracting_set(absorbed, (1, 4), law, 10.0, 0.25, cfg, spec)
-        cert_small = certify(small, fresh, 0.0, t_grid, cfg, spec)
-        cert_big = certify(big, fresh, 0.0, t_grid, cfg, spec)
+        # t_star = 2 starts both windows at t = 4
+        small = attracting_set(absorbed, (1, 2), law, 8.0, 0.25, cfg, spec)
+        big = attracting_set(absorbed, (1, 4), law, 8.0, 0.25, cfg, spec)
+        cert_small = certify(small, fresh, 2.0, cfg, spec)
+        cert_big = certify(big, fresh, 2.0, cfg, spec)
+        assert np.array_equal(cert_small.times, np.arange(4.0, 8.25, 0.25))
+        assert np.array_equal(cert_big.times, cert_small.times)
         assert np.all(cert_big.measured_semidist <= cert_small.measured_semidist + 1e-12)
 
     def test_certificate_slope_matches_rate(self, rng, modal_setup):
@@ -238,8 +258,7 @@ class TestVerifyAttraction:
         law = DecayLaw("exponential", 2.0 * np.sqrt(3.0) * radius, beta)
         aset = self._build(rng, spec, cfg, law, absorbed)
         fresh = random_states(rng, spec, 6, scale=1.5)
-        t_grid = np.arange(2.0, 10.25, 0.25)
-        cert = certify(aset, fresh, 0.0, t_grid, cfg, spec)
+        cert = certify(aset, fresh, 0.0, cfg, spec)
         mask = cert.measured_semidist > 1e-8
         slope = np.polyfit(
             cert.times[mask], np.log(cert.measured_semidist[mask]), 1
@@ -252,11 +271,14 @@ class TestVerifyAttraction:
         spec, cfg = modal_setup
         law = DecayLaw("exponential", 1.0, 0.5)
         # the absorbed sample sits at the origin, so the target is the origin
-        aset = self._build(rng, spec, cfg, law, np.zeros((2, 4)), m_range=(1, 1))
-        bound = law.eval(3.0 - 0.0 - 1.0)
+        aset = self._build(rng, spec, cfg, law, np.zeros((2, 4)), m_range=(1, 1), t_orbit=3.0)
+        # t_star + 1 + m_min = t_orbit: the last orbit time is the one check time
+        bound = law.eval(3.0 - 1.0 - 1.0)
         distance = bound * (1 + 1e-13)
-        fresh = np.array([[[0.0, 0.0, distance, 0.0]]])  # one mode-1 velocity
-        cert = verify_attraction(aset, fresh, 0.0, [3.0], spec)
+        fresh = np.zeros((aset.orbit_times.size, 1, 4))
+        fresh[-1, 0, 2] = distance  # one mode-1 velocity
+        cert = verify_attraction(aset, fresh, 1.0, spec)
+        assert cert.times.tolist() == [3.0]
         assert cert.measured_semidist[0] == distance > cert.bound_values[0] == bound
         assert cert.satisfied_fraction == 1.0
         cert.to_csv(tmp_path / "certificate.csv")

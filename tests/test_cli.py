@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: every subcommand and exit code."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -90,6 +91,8 @@ MALFORMED_MANIFESTS = [
     ("orbit_sample_every", lambda m: {**m, "orbit_sample_every": 1e-300}),
     ("t_orbit", lambda m: {**m, "t_orbit": float("inf")}),
     ("t_orbit", lambda m: {**m, "t_orbit": float("nan")}),
+    ("t_star", lambda m: {k: v for k, v in m.items() if k != "t_star"}),
+    ("t_star", lambda m: {**m, "t_star": float("inf")}),
 ]
 
 
@@ -97,7 +100,7 @@ MALFORMED_MANIFESTS = [
     "field,edit", MALFORMED_MANIFESTS,
     ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
          "zero_orbit_cadence", "infinite_orbit_cadence", "tiny_orbit_cadence",
-         "infinite_t_orbit", "nan_t_orbit"],
+         "infinite_t_orbit", "nan_t_orbit", "t_star_removed", "infinite_t_star"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -108,6 +111,26 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     code, _out, err = run_cli("verify", attractor, config)
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+
+
+def csv_rows(path) -> list:
+    """The data rows of a CSV file, as the text of each cell."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_the_certificate_checks_the_orbit_times_after_the_entering_time(finished_run):
+    # the certificate reads the set's orbit grid: every orbit time from the
+    # first at or after t_star + 1 + m_min, up to t_orbit itself
+    _config, out_dir, _out = finished_run
+    attractor = out_dir / "attractor"
+    manifest = json.loads((attractor / "manifest.json").read_text())
+    orbit_times = [row[1] for row in csv_rows(attractor / "orbits.csv") if row[0] == "0"]
+    start = manifest["t_star"] + 1.0 + manifest["m_range"][0]
+    checked = [row[0] for row in csv_rows(out_dir / "certificate.csv")]
+    assert checked == [t for t in orbit_times if float(t) >= start - 1e-9]
+    assert float(checked[0]) < start + manifest["orbit_sample_every"]
+    assert float(checked[-1]) == manifest["t_orbit"]
 
 
 @pytest.mark.parametrize("required,expected", [(1.0, EXIT_OK), (1.5, EXIT_THRESHOLD)])
@@ -258,6 +281,10 @@ BAD_NUMBERS = {
     "orbit_cadence_off_the_step_grid": ("orbit_sample_every",
                                         {"pipeline": {"orbit_sample_every": 0.3}}),
     "t_orbit_off_the_step_grid": ("t_orbit", {"pipeline": {"t_orbit": 12.1}}),
+    # on the step grid, but the orbit grid, which the certificate reads, must end at t_orbit
+    "t_orbit_off_the_cadence": ("t_orbit", {"pipeline": {"t_orbit": 12.0625}}),
+    "sweep_t_orbit_off_the_cadence": ("t_orbit", {
+        "kind": "sweep_l", "grids": {"l_values": [1.0]}, "pipeline": {"t_orbit": 12.0625}}),
     "absorbing_horizon_off_the_step_grid": ("burn_in", {"pipeline": {"window": 2.01}}),
     "birth_times_off_the_step_grid": ("m_range", {
         "system": dict(SMALL_WAVE_SYSTEM, dt=0.06), "pipeline": {"orbit_sample_every": 0.24},
@@ -324,6 +351,52 @@ def test_bad_number_exits_1_naming_its_field(tmp_path, case):
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: config field '{field}' ") and err.count("\n") == 1
     # rejected when the config is read: no pass has run, no trace is written
+    assert not (tmp_path / "out").exists()
+
+
+# (key of the system section named in the error, system section) per system
+# that cannot be built; a linear system runs oracle_decay, a wave system
+# wave_attractor
+BAD_SYSTEMS = {
+    "oracle_without_modes": ("mode_count", {"type": "linear", "l": 1.0}),
+    "oracle_with_no_modes": ("mode_count", {"type": "linear", "l": 1.0, "mode_count": 0}),
+    "oracle_without_damping": ("l", {"type": "linear", "mode_count": 3}),
+    "undamped_oracle": ("l", {"type": "linear", "l": 0.0, "mode_count": 3}),
+    "oracle_with_infinite_damping": ("l", {"type": "linear", "l": float("inf"), "mode_count": 3}),
+    "negative_oracle_eigenvalue": ("mode_eigenvalues", {"type": "linear", "l": 1.0,
+                                                        "mode_eigenvalues": [1, -4]}),
+    "no_oracle_eigenvalues": ("mode_eigenvalues", {"type": "linear", "l": 1.0,
+                                                   "mode_eigenvalues": []}),
+    "unknown_system_type": ("type", {"type": "heat", "l": 1.0, "mode_count": 3}),
+    "wave_without_modes": ("mode_count", {
+        "type": "wave", **{k: v for k, v in SMALL_WAVE_SYSTEM.items() if k != "mode_count"}}),
+    # checked before the one-entry kernel and forcing are padded to mode_count
+    "wave_with_no_modes": ("mode_count", dict(SMALL_WAVE_SYSTEM, mode_count=0)),
+    "negative_k": ("k", dict(SMALL_WAVE_SYSTEM, k=-1)),
+    "negative_wave_damping": ("l", dict(SMALL_WAVE_SYSTEM, l=-1)),
+    "zero_damping_exponent": ("p", dict(SMALL_WAVE_SYSTEM, p=0)),
+    "dt_above_the_stability_cap": ("dt", dict(SMALL_WAVE_SYSTEM, dt=0.5)),
+    "too_few_collocation_points": ("collocation_points",
+                                   dict(SMALL_WAVE_SYSTEM, collocation_points=10)),
+    "even_degree_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=[0.0, 0.0, 1.0])),
+    "infinite_kernel_weight": ("kernel.weight", dict(
+        SMALL_WAVE_SYSTEM, kernel=[{"weight": float("inf"), "coeffs": [1.0]}])),
+    "forcing_past_the_modes": ("h_coeffs", dict(SMALL_WAVE_SYSTEM, h_coeffs=[1.0] * 9)),
+    # a scalar where a list belongs: one coefficient, as for h_coeffs
+    "scalar_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=5)),
+    "scalar_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SYSTEMS))
+def test_bad_system_exits_1_naming_its_key(tmp_path, case):
+    key, system = BAD_SYSTEMS[case]
+    kind = "oracle_decay" if system.get("type") == "linear" else "wave_attractor"
+    code, out, err = run_cli("run", write_config(tmp_path, system=system, kind=kind))
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith(f"error: config field 'system.{key}' ")
+    # one line, and a missing key is reported missing, not as a number None
+    assert err.count("\n") == 1 and "None" not in err
     assert not (tmp_path / "out").exists()
 
 

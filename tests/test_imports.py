@@ -31,7 +31,7 @@ REMOVED = {
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
                  "_sampled_norms", "_rk4_step", "_WAVE_KEYS", "_steps_for"),
     "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
-                   "QUANT_FLOOR"),
+                   "QUANT_FLOOR", "verification_grid"),
     "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points", "TRAJECTORY_SAMPLES"),
