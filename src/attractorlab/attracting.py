@@ -298,8 +298,8 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     t_star = manifest.get("t_star")
     if t_star is not None:
         t_star = _num(t_star, "t_star")
-        if not math.isfinite(t_star):
-            raise ValueError(f"manifest field 't_star' is not finite: {t_star!r}")
+        if not (t_star >= 0 and math.isfinite(t_star)):  # an entering time
+            raise ValueError(f"manifest field 't_star' must be finite and >= 0, got {t_star!r}")
 
     def read_matrix(name) -> np.ndarray:
         with open(os.path.join(directory, name), newline="") as fh:

@@ -2,10 +2,11 @@
 verify persisted attracting sets from the command line.
 
 ``sweep`` is ``run`` on the config with kind ``sweep_l`` and the given
-damping values: it writes the same outputs, manifest included, prints the
-same lines and exits by the same rules.  The sweep's rows run in row
-children (forked), at most one per CPU, oldest joined first; the outputs are
-the same as from a serial run, and a failed row is still recorded and printed.
+damping values, or the file's ``l_values``, which are checked when the file
+is read: it writes the same outputs, manifest included, prints the same
+lines and exits by the same rules.  The sweep's rows run in row children
+(forked), at most one per CPU, oldest joined first; the outputs are the same
+as from a serial run, and a failed row is still recorded and printed.
 
 Exit codes: 0 success; 1 config error (an unknown key in any section of the
 run file is one), missing input file, a system that is not dissipative (no
@@ -19,14 +20,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import yaml
 
 from .attracting import load_attracting_set, verify_attraction
 from .covering import DecayTrace
 from .criteria import fit_exponential_rate
-from .dynamics import BlowUpError, NonDissipativeError
+from .dynamics import BlowUpError, NonDissipativeError, _num
 from .experiments import SWEEP_MEASURED, draw_samples, load_experiment_config, run_experiment
 
 EXIT_OK = 0
@@ -77,11 +77,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_experiment_config(args.config)
-    values = tuple(float(v) for v in args.values.split(",")) if args.values else cfg.l_values
-    if not values:
-        raise ValueError("no damping values: pass --values or set grids.l_values")
-    return _run_and_report(replace(cfg, kind="sweep_l", l_values=values), args.strict)
+    given = {"kind": "sweep_l"}
+    if args.values:
+        given["l_values"] = tuple(_num(v, "l_values") for v in args.values.split(","))
+    return _run_and_report(load_experiment_config(args.config, **given), args.strict)
 
 
 def _cmd_fit(args) -> int:
@@ -96,6 +95,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_experiment_config(args.config)
+    # an oracle's flow, or a sweep's base l, is not the flow a set was built under
+    if cfg.kind != "wave_attractor":
+        raise ValueError(f"config field 'kind' must be wave_attractor for verify, got {cfg.kind!r}")
     aset = load_attracting_set(args.attractor_dir)
     t_star = aset.t_star
     if t_star is None:

@@ -39,8 +39,12 @@ its key, the ``ExperimentConfig`` attribute it sets and the reader of its
 value.  ``load_experiment_config`` reads a file by it and rejects any key it
 does not list; ``config_to_dict`` writes by it the config echo of each run
 manifest.  Defaults live on the dataclasses alone.  The table ``_KINDS``
-gives each kind its pipeline and the engines it runs on, and a config whose
-system is another engine is refused when it is read, before any pass runs.
+gives each kind its pipeline, its engines and the tags of what it needs, by
+which a config is checked when it is read, before any pass runs: ``alpha``
+(alpha of the probe: two points or more, fewer clusters), ``orbits`` (an
+absorbing ball, birth times, an orbit grid ending at t_orbit), ``sweep`` (a
+row per ``l_values`` entry), ``tail`` (the tail check, the 2 t_orbit proxy
+time) and ``period`` (the quasistability period).
 """
 
 from __future__ import annotations
@@ -128,7 +132,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment kind {self.kind!r}, expected one of {tuple(_KINDS)}"
             )
-        if not isinstance(self.system, engines := _KINDS[self.kind][1]):
+        _pipeline, engines, needs = _KINDS[self.kind]
+        if not isinstance(self.system, engines):
             raise ValueError(f"config field 'system' is a {type(self.system).__name__}, but kind "
                              f"{self.kind!r} runs on {' or '.join(e.__name__ for e in engines)}")
         try:
@@ -149,10 +154,9 @@ class ExperimentConfig:
         if self.m_clusters < 1:
             raise ValueError(f"config field 'm_clusters' must be >= 1, got {self.m_clusters!r}")
         # alpha is 0 on one point, or with a cluster per point
-        if self.kind in ("criteria_suite", "quasistability") and self.ensemble_count < 2:
+        if "alpha" in needs and self.ensemble_count < 2:
             raise ValueError(f"config field 'ensemble.count' must be >= 2 for a {self.kind} run")
-        if (self.kind in ("oracle_decay", "criteria_suite", "quasistability")
-                and self.m_clusters >= self.ensemble_count):
+        if "alpha" in needs and self.m_clusters >= self.ensemble_count:
             raise ValueError(f"config field 'm_clusters' must be below ensemble.count = "
                              f"{self.ensemble_count} for a {self.kind} run")
         m_min, m_max = self.m_range
@@ -169,15 +173,15 @@ class ExperimentConfig:
             if not math.isfinite(value):
                 raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
         # each sweep row's damping, so a bad row fails here and not in its run
-        if self.kind == "sweep_l" and not all(v >= 0 and math.isfinite(v) for v in self.l_values):
-            raise ValueError(f"config field 'l_values' entries must be finite and >= 0, "
+        if "sweep" in needs and not (self.l_values and all(
+                v >= 0 and math.isfinite(v) for v in self.l_values)):
+            raise ValueError(f"config field 'l_values' must be nonempty, finite and >= 0, "
                              f"got {list(self.l_values)!r}")
         if self.n_periods < 0:
             raise ValueError(f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}")
         # the tail check needs a mode above the threshold; quasistability does not
-        top = {"criteria_suite": self.system.mode_count - 1,
-               "quasistability": self.system.mode_count}.get(self.kind)
-        if top is not None and not 0 < self.low_mode_threshold <= top:
+        top = self.system.mode_count - ("tail" in needs)
+        if needs & {"tail", "period"} and not 0 < self.low_mode_threshold <= top:
             raise ValueError(
                 f"config field 'low_mode_threshold' must be in 1..{top} for a {self.kind} "
                 f"run, got {self.low_mode_threshold!r}"
@@ -185,11 +189,11 @@ class ExperimentConfig:
         # the times a pass samples straight from the fields: on the wave
         # engine each must be a step time
         sampled = {"'burn_in' + 'window'": self.burn_in + self.window}
-        if self.kind == "quasistability":
+        if "period" in needs:
             sampled["'quasi_period' (by default 3 / l)"] = self.period
-        if self.kind == "criteria_suite":
+        if "tail" in needs:
             sampled.update({"'t_grid'": self.t_grid, "'t_orbit' * 2": 2.0 * self.t_orbit})
-        if self.kind in ("wave_attractor", "sweep_l"):
+        if "orbits" in needs:
             if m_max > self.t_orbit:
                 raise ValueError(f"config field 'm_range' must end by t_orbit = "
                                  f"{self.t_orbit:g}, got {self.m_range!r}")
@@ -206,7 +210,7 @@ class ExperimentConfig:
             for what, times in sampled.items():
                 self.system.steps(times, f"config field {what}")
         # absorbing_radius needs a probe sample after burn_in
-        if self.kind in ("wave_attractor", "sweep_l") and self.system.sample_grid(
+        if "orbits" in needs and self.system.sample_grid(
                 self.burn_in + self.window, _ENTER_SAMPLES)[-1] <= self.burn_in:
             raise ValueError(f"config field 'window' = {self.window:g} ends the absorbing "
                              f"window at or before burn_in = {self.burn_in:g} on the dt grid")
@@ -582,13 +586,10 @@ def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     (``_forked``), at most one per CPU, oldest joined first.  A failed value
     is recorded in its row and the sweep continues; the headline's
     ``satisfied_fraction`` is the worst over the rows that ran."""
-    values = [float(v) for v in cfg.l_values]
-    if not values:
-        raise ValueError("sweep_l needs a nonempty l_values grid")
     subs = [
         replace(cfg, kind="wave_attractor", system=replace(cfg.system, l=val),
                 output_dir=out(f"l_{i}_{val:g}"), l_values=())
-        for i, val in enumerate(values)
+        for i, val in enumerate(map(float, cfg.l_values))
     ]
     rows, window, width = [], [], os.cpu_count() or 1
     with contextlib.ExitStack() as started:
@@ -677,13 +678,15 @@ def _pipeline_criteria_suite(cfg: ExperimentConfig, out):
     return headline, []
 
 
-# Each experiment kind: its pipeline and the engines it runs on.
+# Each experiment kind: its pipeline, its engines and its tags (module docstring).
 _KINDS = {
-    "oracle_decay": (_pipeline_oracle_decay, (LinearModalConfig,)),
-    "wave_attractor": (_pipeline_wave_attractor, (WaveSystemConfig,)),
-    "sweep_l": (_pipeline_sweep_l, (WaveSystemConfig,)),
-    "quasistability": (_pipeline_quasistability, (WaveSystemConfig, LinearModalConfig)),
-    "criteria_suite": (_pipeline_criteria_suite, (WaveSystemConfig, LinearModalConfig)),
+    "oracle_decay": (_pipeline_oracle_decay, (LinearModalConfig,), {"alpha"}),
+    "wave_attractor": (_pipeline_wave_attractor, (WaveSystemConfig,), {"orbits"}),
+    "sweep_l": (_pipeline_sweep_l, (WaveSystemConfig,), {"orbits", "sweep"}),
+    "quasistability": (_pipeline_quasistability, (WaveSystemConfig, LinearModalConfig),
+                       {"alpha", "period"}),
+    "criteria_suite": (_pipeline_criteria_suite, (WaveSystemConfig, LinearModalConfig),
+                       {"alpha", "tail"}),
 }
 
 
@@ -795,8 +798,9 @@ _SCHEMA = (
 )
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def load_experiment_config(path, **given) -> ExperimentConfig:
     """Read a run file (``_SCHEMA``); numbers may be strings such as '1e-3'.
+    The attributes ``given`` override the file's before the config is built.
     Errors name a field by its key, or by ``ensemble.<key>`` in that section."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -817,6 +821,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         if unknown:
             where = "config" if section is None else f"config section {section!r}"
             raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs.update(given)
     for f in fields(ExperimentConfig):
         if f.init and f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
             raise ValueError(f"config needs a {f.name!r} entry")

@@ -93,6 +93,8 @@ MALFORMED_MANIFESTS = [
     ("t_orbit", lambda m: {**m, "t_orbit": float("nan")}),
     ("t_star", lambda m: {k: v for k, v in m.items() if k != "t_star"}),
     ("t_star", lambda m: {**m, "t_star": float("inf")}),
+    # an entering time is never negative
+    ("t_star", lambda m: {**m, "t_star": -100.0}),
 ]
 
 
@@ -100,7 +102,8 @@ MALFORMED_MANIFESTS = [
     "field,edit", MALFORMED_MANIFESTS,
     ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
          "zero_orbit_cadence", "infinite_orbit_cadence", "tiny_orbit_cadence",
-         "infinite_t_orbit", "nan_t_orbit", "t_star_removed", "infinite_t_star"],
+         "infinite_t_orbit", "nan_t_orbit", "t_star_removed", "infinite_t_star",
+         "negative_t_star"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -111,6 +114,20 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     code, _out, err = run_cli("verify", attractor, config)
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, edit", [
+    # the 8-mode oracle: the set would be certified against the oracle's flow
+    ("oracle_decay", {"system": {"type": "linear", "l": 1.0, "mode_count": 8}}),
+    # the file's base l, where each row ran at its own
+    ("sweep_l", {"grids": {"l_values": [1.0]}}),
+], ids=["oracle_decay", "sweep_l"])
+def test_verify_refuses_another_kinds_config(finished_run, tmp_path, kind, edit):
+    _config, out_dir, _out = finished_run
+    code, out, err = run_cli("verify", out_dir / "attractor", write_config(tmp_path, kind=kind,
+                                                                           **edit))
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error: config field 'kind' ") and err.count("\n") == 1
 
 
 def csv_rows(path) -> list:
@@ -200,16 +217,25 @@ def test_sweep_negative_value_exits_1_naming_l_values(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_unparsable_value_exits_1_naming_l_values(tmp_path):
+    code, out, err = run_cli("sweep", write_config(tmp_path), "--values", "1,,2")
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: config field 'l_values' is not numeric: ''\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_without_damping_values_exits_1(tmp_path):
     code, out, err = run_cli("sweep", write_config(tmp_path))
     assert code == EXIT_CONFIG
-    assert out == "" and err == "error: no damping values: pass --values or set grids.l_values\n"
+    assert out == "" and err.startswith("error: config field 'l_values' ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_of_a_sweep_without_l_values_exits_1(tmp_path):
     code, out, err = run_cli("run", write_config(tmp_path, kind="sweep_l"))
     assert code == EXIT_CONFIG
-    assert out == "" and err == "error: sweep_l needs a nonempty l_values grid\n"
+    assert out == "" and err.startswith("error: config field 'l_values' ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path):
@@ -316,6 +342,9 @@ BAD_NUMBERS = {
     # a sample on which alpha is 0: one point, or a cluster per point
     "one_point_criteria_suite": ("ensemble.count", {
         "kind": "criteria_suite", "ensemble": {"count": 1, "radius": 4.0, "fresh_count": 8}}),
+    "one_point_oracle_decay": ("ensemble.count", {
+        "kind": "oracle_decay", "system": LINEAR_SYSTEM,
+        "ensemble": {"count": 1, "radius": 4.0, "fresh_count": 8}}),
     "one_point_quasistability": ("ensemble.count", {
         "kind": "quasistability", "ensemble": {"count": 1, "radius": 4.0, "fresh_count": 8}}),
     "a_cluster_per_point_on_the_oracle": ("m_clusters", {

@@ -13,6 +13,7 @@ import yaml
 from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, wave_config_from_dict
 from attractorlab.experiments import (
+    _KINDS,
     ExperimentConfig,
     config_to_dict,
     load_experiment_config,
@@ -110,6 +111,12 @@ def test_an_unsorted_oracle_spectrum_is_refused_for_every_oracle_kind(kind, tmp_
                          output_dir=str(tmp_path), low_mode_threshold=2)
 
 
+def test_the_kinds_use_the_known_requirement_tags():
+    # a misspelt tag would switch its checks off without a word
+    assert set().union(*(needs for _pipeline, _engines, needs in _KINDS.values())) == {
+        "alpha", "orbits", "sweep", "tail", "period"}
+
+
 def test_a_count_grid_mapping_reads_as_linspace(tmp_path):
     raw = config_to_dict(shipped_oracle(tmp_path / "out", "oracle_decay"))
     raw["grids"]["t_grid"] = {"start": 0, "stop": 1, "count": 7}
@@ -166,7 +173,9 @@ def off_default_config(out) -> ExperimentConfig:
 
 def test_every_field_survives_the_round_trip(tmp_path):
     cfg = off_default_config(tmp_path / "out")
-    defaults = ExperimentConfig(kind=cfg.kind, system=cfg.system, output_dir="")
+    # a sweep_l config needs l_values, so the defaults are read off the
+    # wave_attractor row it sweeps
+    defaults = ExperimentConfig(kind="wave_attractor", system=cfg.system, output_dir="")
     for f in fields(ExperimentConfig):
         # every field off its default, so a field the file format leaves out
         # comes back at its default and fails below

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from attractorlab.criteria import (
 )
 from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig
-from attractorlab.experiments import RunManifest
+from attractorlab.experiments import ExperimentConfig, RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
 from conftest import load_bench
@@ -100,6 +101,13 @@ def test_removed_members_are_gone():
     oracle = LinearModalConfig(1.0, [1.0, 4.0])
     assert not hasattr(oracle, "damping")
     assert not hasattr(oracle, "mode_eigenvalues")
+
+
+def test_config_checks_read_the_kind_table_not_kind_names():
+    # what a kind needs is a tag of its ``_KINDS`` row, so a new kind adds a
+    # row and no branch of its own
+    source = inspect.getsource(ExperimentConfig.__post_init__)
+    assert "self.kind ==" not in source and "self.kind in" not in source
 
 
 def test_benchmark_trace_points_are_bound():
