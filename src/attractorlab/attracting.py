@@ -17,6 +17,11 @@ calls the engine: it integrates the net orbits, a batch it creates.
 
 Everything here truncates: birth times to [m_min, m_max] and orbits to
 [0, t_orbit]; the certificate only claims the covered window.
+
+``AttractingSetApprox`` checks its own record when it is made, so a set that
+is built, given its proxy by ``dataclasses.replace`` or loaded passes one
+gate: ``build_attracting_set`` keeps only the checks its loop needs, and
+``load_attracting_set`` only parsing and the file layout.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .covering import farthest_point_traversal, semidist_arrays, write_csv
 from .decay import DecayLaw, within_bound
 from .dynamics import _int, _num
-from .phase import Ensemble, MetricSpec
+from .phase import MetricSpec
 
 __all__ = [
     "DegenerateRadiusError",
@@ -63,6 +68,14 @@ class AttractingSetApprox:
     ``orbit_states[e, k]`` is that image advanced by ``orbit_times[k]``.
     ``t_star``, the held-out sample's entering time that a run certified the
     set from, is known only for a set loaded from a manifest that records it.
+
+    The record refuses, naming the field: ``t_orbit`` or
+    ``orbit_sample_every`` not positive and finite; an ``m_range`` outside
+    1 <= m_min <= m_max <= t_orbit; orbit times other than
+    k * orbit_sample_every up to t_orbit (within 1e-9 * max(1, t_orbit)),
+    which ``verify_attraction``'s window index relies on; a ``t_star`` not
+    finite and >= 0; and net seeds, net states, orbits or a proxy that are
+    not finite or not as wide as the net states.
     """
 
     birth_times: np.ndarray  # (E,) int
@@ -70,12 +83,43 @@ class AttractingSetApprox:
     net_states: np.ndarray  # (E, 2N)
     orbit_states: np.ndarray  # (E, K, 2N), entry-major
     orbit_times: np.ndarray  # (K,)
-    attractor_proxy: np.ndarray  # (Q, 2N)
+    attractor_proxy: np.ndarray | None  # (Q, 2N); None until the net stage's caller fills it in
     law_used: DecayLaw
     m_range: tuple
     t_orbit: float
     orbit_sample_every: float
     t_star: float | None = None
+
+    def __post_init__(self):
+        every, t_orbit, times = self.orbit_sample_every, self.t_orbit, self.orbit_times
+        if not (every > 0 and math.isfinite(every)):
+            raise ValueError(f"attracting set field 'orbit_sample_every' must be positive and "
+                             f"finite, got {every!r}")
+        if not (t_orbit > 0 and math.isfinite(t_orbit)):
+            raise ValueError(f"attracting set field 't_orbit' must be positive and finite, "
+                             f"got {t_orbit!r}")
+        if not 1 <= self.m_range[0] <= self.m_range[1] <= t_orbit:
+            raise ValueError(f"attracting set field 'm_range' must satisfy 1 <= m_min <= m_max "
+                             f"<= t_orbit = {t_orbit:g}, got {self.m_range!r}")
+        tol = 1e-9 * max(1.0, t_orbit)
+        off = np.flatnonzero(np.abs(times - every * np.arange(times.size)) > tol)
+        if off.size:
+            raise ValueError(f"attracting set field 'orbit_sample_every' = {every:g} must be the "
+                             f"spacing of the orbit times from 0, but orbit time {off[0]} is "
+                             f"{times[off[0]]:g}")
+        if abs(times[-1] - t_orbit) > tol:
+            raise ValueError(f"t_orbit = {t_orbit:g} is not a whole number of orbit_sample_every "
+                             f"= {every:g} cadences: field 't_orbit' must be the last orbit time, "
+                             f"{times[-1]:g}")
+        if self.t_star is not None and not (self.t_star >= 0 and math.isfinite(self.t_star)):
+            raise ValueError(f"attracting set field 't_star' must be finite and >= 0, "
+                             f"got {self.t_star!r}")
+        width = self.net_states.shape[-1]
+        for name in ("net_seeds", "net_states", "orbit_states", "attractor_proxy"):
+            rows = getattr(self, name)
+            if rows is not None and not (rows.shape[-1] == width and np.all(np.isfinite(rows))):
+                raise ValueError(f"attracting set field {name!r} must be finite and as wide as "
+                                 f"the net states, {width}, got shape {rows.shape}")
 
     def target_matrix(self) -> np.ndarray:
         """Raw (Q, 2N) coefficients of orbit samples plus proxy points."""
@@ -149,22 +193,18 @@ def build_attracting_set(
     orbit_sample_every: float, cfg, spec: MetricSpec,
 ) -> AttractingSetApprox:
     """Union of nets over integer birth times in ``m_range`` with forward
-    orbits sampled every ``orbit_sample_every`` on [0, t_orbit], a whole
-    number of cadences, plus the omega-limit proxy.
+    orbits sampled every ``orbit_sample_every`` on [0, t_orbit], plus the
+    omega-limit proxy.  The record refuses an orbit grid that misses t_orbit.
 
     ``states`` (P, 2N) is the absorbed sample, ``images[i]`` (P, 2N) its
     image at birth time ``m_range[0] + i``, and ``proxy_states`` its
     long-time image.  The net orbits are the only integration done here.
     """
     m_min, m_max = int(m_range[0]), int(m_range[1])
-    if m_min < 1 or m_max < m_min:
-        raise ValueError("m_range must satisfy 1 <= m_min <= m_max")
+    if m_max < m_min:
+        raise ValueError(f"m_range must satisfy m_min <= m_max, got {(m_min, m_max)}")
     if len(images) != m_max - m_min + 1:
         raise ValueError("need one image of the absorbed sample per birth time")
-    if t_orbit < m_max:
-        raise ValueError("t_orbit must reach at least m_max")
-    if orbit_sample_every <= 0:
-        raise ValueError("orbit_sample_every must be positive")
 
     births, seeds, nets = [], [], []
     for m, image in zip(range(m_min, m_max + 1), images):
@@ -175,9 +215,6 @@ def build_attracting_set(
     net_states = np.concatenate(nets)
 
     orbit_times = np.arange(0.0, t_orbit + 1e-12, orbit_sample_every)
-    if abs(orbit_times[-1] - t_orbit) > 1e-9 * max(1.0, t_orbit):
-        raise ValueError(f"t_orbit = {t_orbit:g} is not a whole number of "
-                         f"orbit_sample_every = {orbit_sample_every:g} cadences")
     # the net is a new batch: rows of a larger batch differ in the last bits
     orbit_blocks = cfg.sample(net_states, orbit_times)  # (K, E, 2N)
 
@@ -280,9 +317,13 @@ def _manifest_law(raw) -> DecayLaw:
 
 
 def load_attracting_set(directory) -> AttractingSetApprox:
-    """Read a directory written by ``save_attracting_set``; a malformed
-    manifest field, or a CSV file with no data rows, raises ValueError
-    naming the field or the file."""
+    """Read a directory written by ``save_attracting_set``: birth times, net
+    seeds and net states from net.csv, orbit times and states from
+    orbits.csv and the proxy from proxy.csv.  A manifest field or CSV cell
+    that does not parse, a CSV file with no data rows, or orbits that are
+    not every net entry on one time grid raises ValueError naming the field
+    or the file; the record then checks the set as it checks a built one,
+    naming its fields."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -291,22 +332,17 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     m_range = manifest.get("m_range")
     if not (isinstance(m_range, list) and len(m_range) == 2):
         raise ValueError(f"manifest field 'm_range' must be a pair, got {m_range!r}")
-    every = _num(manifest.get("orbit_sample_every"), "orbit_sample_every")
-    t_orbit = _num(manifest.get("t_orbit"), "t_orbit")
-    if not (t_orbit > 0 and math.isfinite(t_orbit)):
-        raise ValueError(f"manifest field 't_orbit' must be positive and finite, got {t_orbit!r}")
     t_star = manifest.get("t_star")
-    if t_star is not None:
-        t_star = _num(t_star, "t_star")
-        if not (t_star >= 0 and math.isfinite(t_star)):  # an entering time
-            raise ValueError(f"manifest field 't_star' must be finite and >= 0, got {t_star!r}")
 
     def read_matrix(name) -> np.ndarray:
         with open(os.path.join(directory, name), newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         if not rows:
             raise ValueError(f"attractor file {name} has no data rows")
-        return np.array([[float(v) for v in row] for row in rows])
+        try:
+            return np.array([[float(v) for v in row] for row in rows])
+        except ValueError as exc:  # a cell that is not a number, or a ragged row
+            raise ValueError(f"attractor file {name}: {exc}") from None
 
     net = read_matrix("net.csv")
     width = (net.shape[1] - 1) // 2
@@ -319,10 +355,6 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         and np.array_equal(orbits[:, 1], np.tile(orbit_times, count))
     ):
         raise ValueError("orbits.csv must list every net entry on one shared time grid")
-    if not (every > 0 and math.isfinite(every)) or (
-            steps > 1 and not math.isclose(orbit_times[1] - orbit_times[0], every, rel_tol=1e-9)):
-        raise ValueError(f"manifest field 'orbit_sample_every' must be positive, finite and the "
-                         f"spacing of the orbits.csv times, got {every!r}")
 
     return AttractingSetApprox(
         birth_times=net[:, 0].astype(int),
@@ -330,10 +362,10 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         net_states=net[:, 1 + width :],
         orbit_states=orbits[:, 2:].reshape(count, steps, -1),
         orbit_times=orbit_times,
-        attractor_proxy=Ensemble(read_matrix("proxy.csv")).states,
+        attractor_proxy=read_matrix("proxy.csv"),
         law_used=law,
         m_range=tuple(_int(m, "m_range") for m in m_range),
-        t_orbit=t_orbit,
-        orbit_sample_every=every,
-        t_star=t_star,
+        t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),
+        orbit_sample_every=_num(manifest.get("orbit_sample_every"), "orbit_sample_every"),
+        t_star=None if t_star is None else _num(t_star, "t_star"),
     )

@@ -99,6 +99,10 @@ def _cmd_verify(args) -> int:
     if cfg.kind != "wave_attractor":
         raise ValueError(f"config field 'kind' must be wave_attractor for verify, got {cfg.kind!r}")
     aset = load_attracting_set(args.attractor_dir)
+    modes = aset.net_states.shape[1] / 2
+    if cfg.system.mode_count != modes:
+        raise ValueError(f"config field 'system.mode_count' is {cfg.system.mode_count}, but the "
+                         f"attracting set has {modes:g} modes")
     t_star = aset.t_star
     if t_star is None:
         raise ValueError("attractor manifest field 't_star' is missing")

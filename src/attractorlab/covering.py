@@ -129,9 +129,14 @@ class DecayTrace:
         missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"trace file {path} lacks the columns {missing}")
-        times = np.array([float(r["t"]) for r in rows])
-        values = np.array([float(r["value"]) for r in rows])
-        return cls(times, values, rows[0]["quantity"], int(rows[0]["m_clusters"]))
+
+        def column(name) -> np.ndarray:
+            try:
+                return np.array([float(r[name]) for r in rows])
+            except (TypeError, ValueError) as exc:  # not a number, or a short row
+                raise ValueError(f"trace file {path} column {name!r}: {exc}") from None
+
+        return cls(column("t"), column("value"), rows[0]["quantity"], int(rows[0]["m_clusters"]))
 
 
 # ---------------------------------------------------------------------------

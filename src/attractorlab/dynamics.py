@@ -56,7 +56,6 @@ pipeline integrates each ensemble once and hands every consumer its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,20 +95,20 @@ class NonDissipativeError(RuntimeError):
     """Raised when probe norms are still growing at the absorbing horizon."""
 
 
-@lru_cache(maxsize=32)
 def _sine_collocation(n_modes: int, n_points: int):
     """Synthesis matrix and quadrature weight of the interior grid for the
     orthonormal sine basis sqrt(2/pi) sin(j x) on (0, pi).
 
     With G interior equispaced nodes the discrete sine transform is exactly
-    orthogonal for modes j <= G, so analyze(synthesize(a)) == a.
+    orthogonal for modes j <= G, so analyze(synthesize(a)) == a.  Each
+    stepper and each ``lyapunov`` call builds its own table, uncached: a wave
+    run builds five, against thousands of RK4 steps.
     """
     g = np.arange(1, n_points + 1, dtype=float)
     x = g * np.pi / (n_points + 1)
     j = np.arange(1, n_modes + 1, dtype=float)
     synth = np.sqrt(2.0 / np.pi) * np.sin(np.outer(x, j))
     weight = np.pi / (n_points + 1)
-    synth.setflags(write=False)
     return synth, weight
 
 

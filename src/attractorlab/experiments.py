@@ -130,7 +130,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(
-                f"unknown experiment kind {self.kind!r}, expected one of {tuple(_KINDS)}"
+                f"config field 'kind' must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
         _pipeline, engines, needs = _KINDS[self.kind]
         if not isinstance(self.system, engines):

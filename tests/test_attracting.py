@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from attractorlab.attracting import (
     AttractingSetApprox,
     DegenerateRadiusError,
+    build_attracting_set,
     build_net,
     load_attracting_set,
     save_attracting_set,
@@ -181,6 +184,44 @@ class TestBuildAttractingSet:
         assert attracting_set(absorbed, (1, 1), law, 3.0, 0.5, cfg, spec).orbit_times[-1] == 3.0
         with pytest.raises(ValueError, match="^t_orbit = 3.25 is not a whole number of "):
             attracting_set(absorbed, (1, 1), law, 3.25, 0.5, cfg, spec)
+
+    def test_m_range_out_of_order_is_refused_before_the_loop(self, rng, modal_setup):
+        # no birth time, so no image to miss and no net to join
+        spec, cfg = modal_setup
+        absorbed = random_states(rng, spec, 3)
+        law = DecayLaw("exponential", 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^m_range must satisfy m_min <= m_max, got \(3, "):
+            build_attracting_set(absorbed, (3, 2), [], None, law, 4.0, 0.5, cfg, spec)
+
+
+class TestRecord:
+    """The record checks itself, so a ``replace`` is checked as a build is."""
+
+    @pytest.fixture
+    def aset(self, rng, modal_setup):
+        spec, cfg = modal_setup
+        law = DecayLaw("exponential", 1.0, 0.5)
+        return attracting_set(random_states(rng, spec, 4), (1, 2), law, 4.0, 0.5, cfg, spec)
+
+    def test_the_net_stage_leaves_the_proxy_to_its_caller(self, aset):
+        assert replace(aset, attractor_proxy=None).attractor_proxy is None
+
+    @pytest.mark.parametrize("field, change", [
+        ("t_star", lambda a: {"t_star": -1.0}),
+        ("t_orbit", lambda a: {"t_orbit": 0.0}),
+        ("orbit_sample_every", lambda a: {"orbit_sample_every": float("nan")}),
+        ("m_range", lambda a: {"m_range": (1, 5)}),
+        ("orbit_sample_every", lambda a: {"orbit_times": a.orbit_times + 0.1}),
+        ("t_orbit", lambda a: {"orbit_times": a.orbit_times[:-1]}),
+        ("attractor_proxy", lambda a: {"attractor_proxy": np.full((2, 4), np.inf)}),
+        ("attractor_proxy", lambda a: {"attractor_proxy": np.zeros((2, 6))}),
+        ("net_seeds", lambda a: {"net_seeds": a.net_seeds[:, :2]}),
+    ], ids=["negative_t_star", "zero_t_orbit", "nan_cadence", "m_range_past_t_orbit",
+            "shifted_orbit_grid", "orbit_grid_short_of_t_orbit", "infinite_proxy",
+            "wide_proxy", "narrow_seeds"])
+    def test_replace_is_checked(self, aset, field, change):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            replace(aset, **change(aset))
 
 
 class TestVerifyAttraction:

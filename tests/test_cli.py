@@ -95,6 +95,12 @@ MALFORMED_MANIFESTS = [
     ("t_star", lambda m: {**m, "t_star": float("inf")}),
     # an entering time is never negative
     ("t_star", lambda m: {**m, "t_star": -100.0}),
+    # birth times run from 1 up, and no later than t_orbit
+    ("m_range", lambda m: {**m, "m_range": [4, 1]}),
+    ("m_range", lambda m: {**m, "m_range": [0, 4]}),
+    ("m_range", lambda m: {**m, "m_range": [1, 40]}),
+    # a whole number of cadences, but past the end of the 12-long orbit grid
+    ("t_orbit", lambda m: {**m, "t_orbit": 24.0}),
 ]
 
 
@@ -103,7 +109,8 @@ MALFORMED_MANIFESTS = [
     ids=["unknown_law_key", "law_not_a_mapping", "law_amplitude", "m_range", "t_star",
          "zero_orbit_cadence", "infinite_orbit_cadence", "tiny_orbit_cadence",
          "infinite_t_orbit", "nan_t_orbit", "t_star_removed", "infinite_t_star",
-         "negative_t_star"],
+         "negative_t_star", "m_range_reversed", "m_range_from_zero", "m_range_past_t_orbit",
+         "t_orbit_past_the_orbit_grid"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -114,6 +121,70 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     code, _out, err = run_cli("verify", attractor, config)
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+
+
+def test_verify_manifest_that_is_not_a_mapping_exits_1(finished_run, tmp_path):
+    config, out_dir, _out = finished_run
+    attractor = tmp_path / "attractor"
+    shutil.copytree(out_dir / "attractor", attractor)
+    (attractor / "manifest.json").write_text("[1, 2]")
+    code, out, err = run_cli("verify", attractor, config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: attractor manifest must be a mapping\n"
+
+
+def csv_rows(path, header=False) -> list:
+    """The data rows of a CSV file, after its header row if ``header``, as
+    the text of each cell."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[0 if header else 1:]
+
+
+def set_cell(row, column, text):
+    """``edit`` of a CSV's rows: cell ``column`` of data row ``row`` set to ``text``."""
+    def edit(rows):
+        rows[1 + row][column] = text
+        return rows
+    return edit
+
+
+# (file, edit of its rows with the header first, field or file named in the error)
+CORRUPTED_FILES = {
+    "nan_orbit_state": ("orbits.csv", set_cell(3, -1, "nan"), "'orbit_states'"),
+    "nan_net_state": ("net.csv", set_cell(0, -1, "nan"), "'net_states'"),
+    "proxy_two_columns_short": ("proxy.csv", lambda rows: [row[:-2] for row in rows],
+                                "'attractor_proxy'"),
+    "proxy_cell_not_a_number": ("proxy.csv", set_cell(0, 0, "abc"), "proxy.csv"),
+    # orbit time 0.5 moved to 0.6 in every entry: still one shared grid, but
+    # not the orbit cadence
+    "orbit_time_off_the_cadence": ("orbits.csv", lambda rows: [
+        [row[0], "0.6" if row[1] == "0.5" else row[1], *row[2:]] for row in rows],
+        "'orbit_sample_every'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_FILES))
+def test_verify_corrupted_file_exits_1(finished_run, tmp_path, case):
+    name, edit, named = CORRUPTED_FILES[case]
+    config, out_dir, _out = finished_run
+    attractor = tmp_path / "attractor"
+    shutil.copytree(out_dir / "attractor", attractor)
+    rows = edit(csv_rows(attractor / name, header=True))
+    with open(attractor / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, out, err = run_cli("verify", attractor, config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error:") and named in err and err.count("\n") == 1
+
+
+def test_verify_with_a_config_of_another_mode_count_exits_1(finished_run, tmp_path):
+    _config, out_dir, _out = finished_run
+    system = dict(SMALL_WAVE_SYSTEM, mode_count=16, dt=0.03125, collocation_points=48)
+    config = write_config(tmp_path, system=system)
+    code, out, err = run_cli("verify", out_dir / "attractor", config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == ("error: config field 'system.mode_count' is 16, but the "
+                                 "attracting set has 8 modes\n")
 
 
 @pytest.mark.parametrize("kind, edit", [
@@ -128,12 +199,6 @@ def test_verify_refuses_another_kinds_config(finished_run, tmp_path, kind, edit)
                                                                            **edit))
     assert code == EXIT_CONFIG
     assert out == "" and err.startswith("error: config field 'kind' ") and err.count("\n") == 1
-
-
-def csv_rows(path) -> list:
-    """The data rows of a CSV file, as the text of each cell."""
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))[1:]
 
 
 def test_the_certificate_checks_the_orbit_times_after_the_entering_time(finished_run):
@@ -192,6 +257,23 @@ def test_fit_negative_floor_exits_1(tmp_path):
     code, out, err = run_cli("fit", trace, "--floor", "-1")
     assert code == EXIT_CONFIG
     assert out == "" and err == "error: fit floor must be nonnegative and finite, got -1.0\n"
+
+
+def test_fit_trace_value_that_is_not_a_number_exits_1(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,value,quantity,m_clusters\n0.0,1.0,semidist,0\n1.0,abc,semidist,0\n")
+    code, out, err = run_cli("fit", trace)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == (f"error: trace file {trace} column 'value': could not convert "
+                                 "string to float: 'abc'\n")
+
+
+def test_fit_empty_trace_file_exits_1(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("")
+    code, out, err = run_cli("fit", trace)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == f"error: empty trace file {trace}\n"
 
 
 def test_fit_trace_without_a_time_column_exits_1(tmp_path):
@@ -370,6 +452,7 @@ BAD_NUMBERS = {
         "system": {"type": "linear", "l": 1.0, "mode_eigenvalues": [4, 1, 9]}}),
     "sweep_on_the_linear_oracle": ("system", {"kind": "sweep_l", "grids": {"l_values": [1.0]},
                                               "system": LINEAR_SYSTEM}),
+    "unknown_kind": ("kind", {"kind": "bogus"}),
 }
 
 
@@ -426,6 +509,25 @@ def test_bad_system_exits_1_naming_its_key(tmp_path, case):
     assert out == "" and err.startswith(f"error: config field 'system.{key}' ")
     # one line, and a missing key is reported missing, not as a number None
     assert err.count("\n") == 1 and "None" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_file_that_is_not_a_mapping_exits_1(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("- kind\n- seed\n")
+    code, out, err = run_cli("run", config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: experiment config must be a mapping\n"
+
+
+def test_run_file_without_a_kind_exits_1(tmp_path):
+    config = write_config(tmp_path)
+    raw = yaml.safe_load(config.read_text())
+    del raw["kind"]
+    config.write_text(yaml.safe_dump(raw))
+    code, out, err = run_cli("run", config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == "error: config needs a 'kind' entry\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from dataclasses import fields
 import pytest
 
 import attractorlab
+from attractorlab import attracting
 from attractorlab.criteria import (
     HausdorffCriterionReport,
     QuasiStabilityReport,
@@ -18,7 +19,7 @@ from attractorlab.criteria import (
     RateFit,
 )
 from attractorlab.decay import DecayLaw
-from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig
+from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, _sine_collocation
 from attractorlab.experiments import ExperimentConfig, RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
@@ -85,6 +86,7 @@ def test_removed_members_are_gone():
     assert not hasattr(DecayLaw, "with_shift")
     assert not hasattr(DecayLaw, "invert")
     assert not hasattr(WaveSystemConfig, "_tables")
+    assert not hasattr(_sine_collocation, "cache_info")
     assert not hasattr(Ensemble, "points")
     assert not hasattr(Ensemble, "label")
     assert not hasattr(Ensemble, "embed")
@@ -108,6 +110,15 @@ def test_config_checks_read_the_kind_table_not_kind_names():
     # row and no branch of its own
     source = inspect.getsource(ExperimentConfig.__post_init__)
     assert "self.kind ==" not in source and "self.kind in" not in source
+
+
+def test_the_attracting_set_record_owns_its_checks():
+    # AttractingSetApprox.__post_init__ checks the grid, the times and the
+    # arrays of a built set and a loaded one alike
+    for func in (attracting.build_attracting_set, attracting.load_attracting_set):
+        source = inspect.getsource(func)
+        assert "isfinite" not in source and "whole number" not in source
+    assert "Ensemble" not in vars(attracting)
 
 
 def test_benchmark_trace_points_are_bound():
