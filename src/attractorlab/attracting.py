@@ -71,7 +71,8 @@ class AttractingSetApprox:
 
     The record refuses, naming the field: ``t_orbit`` or
     ``orbit_sample_every`` not positive and finite; an ``m_range`` outside
-    1 <= m_min <= m_max <= t_orbit; orbit times other than
+    1 <= m_min <= m_max <= t_orbit; birth times that are not whole numbers
+    in ``m_range``; orbit times other than
     k * orbit_sample_every up to t_orbit (within 1e-9 * max(1, t_orbit)),
     which ``verify_attraction``'s window index relies on; a ``t_star`` not
     finite and >= 0; and net seeds, net states, orbits or a proxy that are
@@ -101,6 +102,12 @@ class AttractingSetApprox:
         if not 1 <= self.m_range[0] <= self.m_range[1] <= t_orbit:
             raise ValueError(f"attracting set field 'm_range' must satisfy 1 <= m_min <= m_max "
                              f"<= t_orbit = {t_orbit:g}, got {self.m_range!r}")
+        births, (m_min, m_max) = np.asarray(self.birth_times), self.m_range
+        bad = births[~((births == np.round(births)) & (m_min <= births) & (births <= m_max))]
+        if bad.size:
+            raise ValueError(f"attracting set field 'birth_times' must be whole numbers in "
+                             f"m_range [{m_min}, {m_max}], got {bad[0]:g}")
+        object.__setattr__(self, "birth_times", births.astype(int))
         tol = 1e-9 * max(1.0, t_orbit)
         off = np.flatnonzero(np.abs(times - every * np.arange(times.size)) > tol)
         if off.size:
@@ -142,7 +149,8 @@ class AttractionCertificate:
             ["t", "measured_semidist", "bound", "satisfied"],
             (
                 [t, m, b, int(within_bound(m, b))]
-                for t, m, b in zip(self.times, self.measured_semidist, self.bound_values)
+                for t, m, b in zip(self.times.tolist(), self.measured_semidist.tolist(),
+                                   self.bound_values.tolist())
             ),
         )
 
@@ -277,8 +285,9 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
         os.path.join(directory, "net.csv"),
         ["m"] + _coeff_header("seed_a", "seed_b", n) + _coeff_header("a", "b", n),
         (
-            [int(m), *seed, *state]
-            for m, seed, state in zip(aset.birth_times, aset.net_seeds, aset.net_states)
+            [m, *seed, *state]
+            for m, seed, state in zip(aset.birth_times.tolist(), aset.net_seeds.tolist(),
+                                      aset.net_states.tolist())
         ),
     )
     write_csv(
@@ -287,11 +296,12 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
         (
             [e_pos, tau, *state]
             for e_pos, orbit in enumerate(aset.orbit_states)
-            for tau, state in zip(aset.orbit_times, orbit)
+            for tau, state in zip(aset.orbit_times.tolist(), orbit.tolist())
         ),
     )
     write_csv(
-        os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n), aset.attractor_proxy
+        os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n),
+        aset.attractor_proxy.tolist(),
     )
 
     manifest = {
@@ -334,20 +344,25 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         raise ValueError(f"manifest field 'm_range' must be a pair, got {m_range!r}")
     t_star = manifest.get("t_star")
 
-    def read_matrix(name) -> np.ndarray:
+    def read_rows(name) -> list:
         with open(os.path.join(directory, name), newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         if not rows:
             raise ValueError(f"attractor file {name} has no data rows")
-        try:
-            return np.array([[float(v) for v in row] for row in rows])
-        except ValueError as exc:  # a cell that is not a number, or a ragged row
-            raise ValueError(f"attractor file {name}: {exc}") from None
+        return rows
 
-    net = read_matrix("net.csv")
-    width = (net.shape[1] - 1) // 2
-    orbits = read_matrix("orbits.csv")
-    entries = orbits[:, 0].astype(int)
+    def parse(rows, where, number=float) -> np.ndarray:
+        try:
+            return np.array([[number(v) for v in row] for row in rows])
+        except ValueError as exc:  # a cell that is not a number, or a ragged row
+            raise ValueError(f"attractor file {where}: {exc}") from None
+
+    net_rows = read_rows("net.csv")
+    births = parse([row[:1] for row in net_rows], "net.csv column 'm'", int)
+    net = parse([row[1:] for row in net_rows], "net.csv")
+    width = net.shape[1] // 2
+    orbits = parse(read_rows("orbits.csv"), "orbits.csv")
+    entries = orbits[:, 0]  # compared as read, so an entry of 1.5 is not entry 1
     orbit_times = orbits[entries == 0, 1]
     count, steps = net.shape[0], orbit_times.size
     if not (
@@ -357,12 +372,12 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         raise ValueError("orbits.csv must list every net entry on one shared time grid")
 
     return AttractingSetApprox(
-        birth_times=net[:, 0].astype(int),
-        net_seeds=net[:, 1 : 1 + width],
-        net_states=net[:, 1 + width :],
+        birth_times=births[:, 0],
+        net_seeds=net[:, :width],
+        net_states=net[:, width:],
         orbit_states=orbits[:, 2:].reshape(count, steps, -1),
         orbit_times=orbit_times,
-        attractor_proxy=read_matrix("proxy.csv"),
+        attractor_proxy=parse(read_rows("proxy.csv"), "proxy.csv"),
         law_used=law,
         m_range=tuple(_int(m, "m_range") for m in m_range),
         t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),

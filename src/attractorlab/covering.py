@@ -79,15 +79,14 @@ _cdist = _load_cdist()
 
 
 def write_csv(path, header, rows):
-    """Write a header and rows; every float goes through repr, the shortest
-    round-trip form, so identical runs give byte-identical files."""
+    """Write a header and rows of Python numbers and strings, such as an
+    array's ``tolist()`` rows.  The csv writer writes a float as its repr, the
+    shortest round-trip form, so identical runs give byte-identical files (a
+    numpy float's repr is ``np.float64(...)``, so callers convert first)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,8 @@ class DecayTrace:
         object.__setattr__(self, "values", v)
 
     def to_csv(self, path):
-        rows = ([t, v, self.quantity, self.m_clusters] for t, v in zip(self.times, self.values))
+        rows = ([t, v, self.quantity, self.m_clusters]
+                for t, v in zip(self.times.tolist(), self.values.tolist()))
         write_csv(path, TRACE_COLUMNS, rows)
 
     @classmethod
@@ -130,13 +130,14 @@ class DecayTrace:
         if missing:
             raise ValueError(f"trace file {path} lacks the columns {missing}")
 
-        def column(name) -> np.ndarray:
+        def column(name, number=float) -> np.ndarray:
             try:
-                return np.array([float(r[name]) for r in rows])
+                return np.array([number(r[name]) for r in rows])
             except (TypeError, ValueError) as exc:  # not a number, or a short row
                 raise ValueError(f"trace file {path} column {name!r}: {exc}") from None
 
-        return cls(column("t"), column("value"), rows[0]["quantity"], int(rows[0]["m_clusters"]))
+        return cls(column("t"), column("value"), rows[0]["quantity"],
+                   int(column("m_clusters", int)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ class HausdorffCriterionReport:
             path,
             ["t", "semidist", "bound", "implied_alpha_bound", "alpha_value"],
             zip(
-                self.times, self.semidist, self.bounds,
-                self.implied_alpha_bounds, self.alpha_values,
+                self.times.tolist(), self.semidist.tolist(), self.bounds.tolist(),
+                self.implied_alpha_bounds.tolist(), self.alpha_values.tolist(),
             ),
         )
 
@@ -232,8 +232,9 @@ class ContractiveCheckReport:
             ["t", "residual_max", "residual_mean", "alpha_value",
              "alpha_bound", "liminf_diag"],
             zip(
-                self.times, self.pair_residual_max, self.pair_residual_mean,
-                self.alpha_values, self.alpha_bounds, self.liminf_diagnostics,
+                self.times.tolist(), self.pair_residual_max.tolist(),
+                self.pair_residual_mean.tolist(), self.alpha_values.tolist(),
+                self.alpha_bounds.tolist(), self.liminf_diagnostics.tolist(),
             ),
         )
 

@@ -27,6 +27,12 @@ other layout.  It allocates its stage arrays once and writes every stage in
 place, but it repeats the operands, order and association of the plain
 reference expressions exactly (numpy's polynomial evaluation order
 included), and that order is what keeps every output byte-identical to them.
+Its matrix products go through ``np.dot`` for a single state or a (P, 2N)
+batch: on the same operands ``np.dot`` reaches the same BLAS routines as the
+reference's ``@``, and gives its bits, with less dispatch per call.  A batch
+with two or more leading axes keeps ``np.matmul``, since ``np.dot`` could
+reach it only flattened to (P, 2N), and a flattened batch's products differ
+in the last bits.
 
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
 ``LinearModalConfig`` (the closed-form oracle) provide the same four
@@ -310,6 +316,13 @@ class _Stepper:
 
     element by element, so their results are byte-identical to those
     expressions; only the buffers and their layout differ.
+
+    The constructor sets up once what every step reads besides the state:
+    the mode rows ``neg_lam`` and ``h`` at the batch's shape, so each use is
+    a same-shape ufunc; the finiteness mask ``finite`` that ``evolve_states``
+    fills after each step; and ``dot``, the product function for the batch's
+    rank (``np.dot`` up to one leading axis, ``np.matmul`` beyond; see the
+    module docstring).
     """
 
     def __init__(self, cfg: WaveSystemConfig, shape):
@@ -317,24 +330,27 @@ class _Stepper:
         if len(shape) == 0 or shape[-1] != 2 * n:
             raise ValueError(f"state shape {tuple(shape)} does not match {n} config modes")
         self.n, self.dt = n, cfg.dt
-        self.neg_lam = -cfg.eigenvalues
-        self.h = np.asarray(cfg.h_coeffs)
+        lead = tuple(shape[:-1])
+        self.dot = np.dot if len(lead) <= 1 else np.matmul
+        self.neg_lam = np.ascontiguousarray(np.broadcast_to(-cfg.eigenvalues, lead + (n,)))
+        self.h = np.ascontiguousarray(np.broadcast_to(cfg.h_coeffs, lead + (n,)))
         self.k, self.p_half = cfg.k, cfg.p / 2.0
         self.l = cfg.l + 0.0  # the reference's k = 0 damping (an l of -0.0 becomes 0.0)
-        self.f = np.asarray(cfg.f_coeffs) if cfg.f_coeffs else None
+        self.f = cfg.f_coeffs or None
         self.synth, self.weight = _sine_collocation(n, cfg.collocation_points)
         self.synth_t = self.synth.T
         self.kw = np.array([w for w, _ in cfg.kernel]) if cfg.kernel else None
         self.kv = np.array([c for _, c in cfg.kernel]) if cfg.kernel else None
-        lead = tuple(shape[:-1])
         self.y = np.empty((2,) + lead + (n,))
         self.stages = [np.empty_like(self.y) for _ in range(5)]  # k1..k4, stage state
+        self.finite = np.empty(self.y.shape, dtype=bool)
         self.scratch = np.empty(lead + (n,))
         self.sq = np.empty(lead + (1,))
         if self.f is not None:
             self.u = np.empty(lead + (self.synth.shape[0],))
             self.acc = np.empty_like(self.u)
         if self.kv is not None:
+            self.kv_t = self.kv.T
             self.proj = np.empty(lead + (self.kv.shape[0],))
 
     def load(self, y0: np.ndarray) -> None:
@@ -364,13 +380,13 @@ class _Stepper:
         np.subtract(db, np.multiply(damp, b, out=tmp), out=db)
         np.add(db, self.h, out=db)
         if self.f is not None:
-            u = np.matmul(a, self.synth_t, out=self.u)
+            u = self.dot(a, self.synth_t, out=self.u)
             f_vals = _horner(self.f, u, out=self.acc)
-            np.matmul(f_vals, self.synth, out=tmp)
+            self.dot(f_vals, self.synth, out=tmp)
             np.subtract(db, np.multiply(tmp, self.weight, out=tmp), out=db)
         if self.kv is not None:
-            proj = np.matmul(b, self.kv.T, out=self.proj)
-            np.matmul(np.multiply(proj, self.kw, out=proj), self.kv, out=tmp)
+            proj = self.dot(b, self.kv_t, out=self.proj)
+            self.dot(np.multiply(proj, self.kw, out=proj), self.kv, out=tmp)
             np.add(db, tmp, out=db)
         return out
 
@@ -427,20 +443,18 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     stepper = _Stepper(cfg, y0.shape)
     stepper.load(y0)
-    y = stepper.y
+    y, finite = stepper.y, stepper.finite
     out = np.empty((times.size,) + y0.shape)
-    next_mark = 0
+    step = 0
     # finiteness is checked every step, so let overflow reach the check silently
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(marks[-1] + 1):
-            while next_mark < len(marks) and marks[next_mark] == step:
-                stepper.store(y, out[next_mark])
-                next_mark += 1
-            if step == marks[-1]:
-                break
-            stepper.step()
-            if not np.isfinite(y).all():
-                raise BlowUpError((step + 1) * cfg.dt)
+        for row, mark in zip(out, marks):
+            while step < mark:
+                stepper.step()
+                step += 1
+                if not np.isfinite(y, out=finite).all():
+                    raise BlowUpError(step * cfg.dt)
+            stepper.store(y, row)
     return out
 
 

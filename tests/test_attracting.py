@@ -216,9 +216,14 @@ class TestRecord:
         ("attractor_proxy", lambda a: {"attractor_proxy": np.full((2, 4), np.inf)}),
         ("attractor_proxy", lambda a: {"attractor_proxy": np.zeros((2, 6))}),
         ("net_seeds", lambda a: {"net_seeds": a.net_seeds[:, :2]}),
+        ("birth_times", lambda a: {"birth_times": a.birth_times + 0.5}),
+        ("birth_times", lambda a: {"birth_times": np.full(a.birth_times.shape, np.nan)}),
+        ("birth_times", lambda a: {"birth_times": np.full_like(a.birth_times, 3)}),
+        ("birth_times", lambda a: {"birth_times": np.zeros_like(a.birth_times)}),
     ], ids=["negative_t_star", "zero_t_orbit", "nan_cadence", "m_range_past_t_orbit",
             "shifted_orbit_grid", "orbit_grid_short_of_t_orbit", "infinite_proxy",
-            "wide_proxy", "narrow_seeds"])
+            "wide_proxy", "narrow_seeds", "half_birth_time", "nan_birth_time",
+            "birth_time_past_m_max", "birth_time_before_m_min"])
     def test_replace_is_checked(self, aset, field, change):
         with pytest.raises(ValueError, match=f"'{field}'"):
             replace(aset, **change(aset))

@@ -152,6 +152,11 @@ def set_cell(row, column, text):
 CORRUPTED_FILES = {
     "nan_orbit_state": ("orbits.csv", set_cell(3, -1, "nan"), "'orbit_states'"),
     "nan_net_state": ("net.csv", set_cell(0, -1, "nan"), "'net_states'"),
+    "nan_birth_time": ("net.csv", set_cell(0, 0, "nan"), "net.csv column 'm'"),
+    "fractional_birth_time": ("net.csv", set_cell(0, 0, "1.5"), "net.csv column 'm'"),
+    "birth_time_outside_m_range": ("net.csv", set_cell(0, 0, "99"), "'birth_times'"),
+    "fractional_orbit_entry": ("orbits.csv", lambda rows: [
+        ["1.5" if row[0] == "1" else row[0], *row[1:]] for row in rows], "orbits.csv"),
     "proxy_two_columns_short": ("proxy.csv", lambda rows: [row[:-2] for row in rows],
                                 "'attractor_proxy'"),
     "proxy_cell_not_a_number": ("proxy.csv", set_cell(0, 0, "abc"), "proxy.csv"),
@@ -266,6 +271,27 @@ def test_fit_trace_value_that_is_not_a_number_exits_1(tmp_path):
     assert code == EXIT_CONFIG
     assert out == "" and err == (f"error: trace file {trace} column 'value': could not convert "
                                  "string to float: 'abc'\n")
+
+
+# (column, bad cell in the second row, parse error); every other cell is good
+BAD_TRACE_CELLS = {
+    "m_clusters_not_a_number": ("m_clusters", "x", "invalid literal for int() with base 10: 'x'"),
+    "fractional_m_clusters": ("m_clusters", "1.5",
+                              "invalid literal for int() with base 10: '1.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACE_CELLS))
+def test_fit_bad_trace_cell_exits_1_naming_file_and_column(tmp_path, case):
+    column, cell, reason = BAD_TRACE_CELLS[case]
+    good = {"t": "1.0", "value": "0.5", "quantity": "semidist", "m_clusters": "0"}
+    bad = {**good, column: cell}
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,value,quantity,m_clusters\n0.0,1.0,semidist,0\n"
+                     + ",".join(bad.values()) + "\n")
+    code, out, err = run_cli("fit", trace)
+    assert code == EXIT_CONFIG
+    assert out == "" and err == f"error: trace file {trace} column {column!r}: {reason}\n"
 
 
 def test_fit_empty_trace_file_exits_1(tmp_path):

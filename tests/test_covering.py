@@ -376,3 +376,17 @@ class TestDecayTrace:
         assert np.array_equal(back.times, trace.times)
         assert np.array_equal(back.values, trace.values)
         assert back.quantity == trace.quantity and back.m_clusters == trace.m_clusters
+
+
+def test_write_csv_writes_each_float_as_its_repr(rng, tmp_path):
+    # the csv writer formats a Python float as repr(float(v)) does, edge values included
+    edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1 / 3]
+    table = np.concatenate([edges, rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)])
+    table = table.reshape(-1, 5)
+    path = tmp_path / "table.csv"
+    covering.write_csv(path, ["c1", "c2", "c3", "c4", "c5"], table.tolist())
+    lines = path.read_text().splitlines()
+    assert lines[0] == "c1,c2,c3,c4,c5"
+    assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in table]
+    assert lines[1] == "nan,inf,-inf,-0.0,0.0"
+    assert lines[2] == "5e-324,1e+16,1e-05,0.0001,0.3333333333333333"

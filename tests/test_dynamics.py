@@ -299,6 +299,40 @@ class TestKernelMatchesReference:
         times = np.arange(21) * cfg.dt
         assert evolve_states(y0, cfg, times).tobytes() == np.stack(want).tobytes()
 
+    # 9 and 7 are the benchmark's net sizes; (64,) and (1, 64) reach np.dot's
+    # one-row cases, and (2, 7, 64) the stacked batch that keeps np.matmul
+    @pytest.mark.parametrize("shape", [(64,), (1, 64), (2, 64), (7, 64), (9, 64), (13, 64),
+                                       (14, 64), (30, 64), (2, 7, 64)])
+    @pytest.mark.parametrize("start", ["random", "zero_row_signed_zeros"])
+    @pytest.mark.parametrize("kernel", ["rank_one", "dense_rank_two"])
+    def test_benchmark_system_batch_shapes_are_byte_identical(self, shape, start, kernel):
+        system = dict(BENCH_SYSTEM)
+        rng = np.random.default_rng(6)
+        if kernel == "dense_rank_two":
+            system["kernel"] = tuple((w, tuple(rng.standard_normal(32) / 8)) for w in (0.1, -0.05))
+        cfg = WaveSystemConfig(**system)
+        y0 = 0.3 * rng.standard_normal(shape)
+        if start == "zero_row_signed_zeros":
+            y0.reshape(-1, 64)[0] = 0.0
+            y0[..., ::5] = -0.0
+        assert wave_rhs(y0, cfg).tobytes() == reference_rhs(y0, cfg).tobytes()
+        want = [y0]
+        for _ in range(20):
+            want.append(reference_rk4_step(want[-1], cfg))
+        times = np.arange(21) * cfg.dt
+        assert evolve_states(y0, cfg, times).tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 64), (2, 7, 64)])
+    def test_one_row_blow_up_time_matches_the_reference(self, shape):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        y0 = 0.05 * np.random.default_rng(8).standard_normal(shape)
+        y0.reshape(-1, 64)[3, 32:] *= 1e3  # only this row's damping is too stiff for dt
+        with pytest.raises(BlowUpError) as err:
+            evolve_states(y0, cfg, [100 * cfg.dt])
+        assert err.value.time == reference_blow_up_time(y0, cfg, 100)
+        assert np.all(np.isfinite(evolve_states(np.delete(y0.reshape(-1, 64), 3, axis=0), cfg,
+                                                [100 * cfg.dt])))
+
     @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
     def test_non_contiguous_start_is_copied_exactly(self, layout):
         cfg = WaveSystemConfig(mode_count=6, dt=0.5 / 6, **KERNEL_SYSTEMS["all_terms_p1"])
@@ -324,6 +358,10 @@ class TestKernelMatchesReference:
         for planar in [stepper.y, *stepper.stages]:
             assert planar.shape == (2, 30, 32)
             assert all(block.flags.c_contiguous for block in planar)
+        # the finiteness mask and the batch-shaped mode rows are set up once
+        assert stepper.finite.shape == (2, 30, 32) and stepper.finite.dtype == bool
+        for row in (stepper.neg_lam, stepper.h):
+            assert row.shape == (30, 32) and row.flags.c_contiguous
 
     def test_blow_up_time_matches_the_reference(self):
         cfg = WaveSystemConfig(mode_count=1, l=0.0, kernel=((200.0, (1.0,)),), dt=0.5)
