@@ -15,18 +15,24 @@ test oracles the greedy measure is checked against.  Both take a distance
 matrix and are capped at 12 points.
 
 All geometry runs on (P, 2N) state arrays, embedded by ``MetricSpec.embed``
-into flat coordinates where the energy metric is Euclidean.
+into flat coordinates where the energy metric is Euclidean; the cover measure
+also takes stacks (..., P, 2N) of them, as the engines do.
 
-``_cdist`` is the package's one distance kernel.  It is scipy's compiled
-Euclidean kernel, ``cdist_euclidean`` of the private extension module
-``scipy.spatial._distance_pybind``, which the public
-``scipy.spatial.distance.cdist(a, b)`` calls for the Euclidean metric.  The
-extension file is loaded directly from scipy's package directory, so neither
-``scipy/__init__.py`` nor ``scipy/spatial/__init__.py`` runs: importing
-``scipy.spatial`` also imports ``scipy.sparse``, the KD-tree and the array-API
-layer, and costs more time than most runs spend computing.  Where the file or
-its ``cdist_euclidean`` is missing (another scipy version), ``_cdist`` is the
-public ``cdist``, which gives the same distances.
+The package has two distance kernels, scipy's compiled Euclidean ones in the
+private extension module ``scipy.spatial._distance_pybind``.  ``_cdist``
+(``cdist_euclidean``, which the public ``cdist(a, b)`` calls) gives the
+distances between two point sets, and ``_pdist`` (``pdist_euclidean``, which
+the public ``pdist(x)`` calls) the condensed upper triangle of one set's
+distance matrix.  A cluster's diameter reads only that half: the full matrix
+is symmetric with a zero diagonal, and its upper triangle equals ``pdist``
+bit for bit, so ``cdist`` would compute each pair twice, and the diagonal,
+for the same maximum.  The extension file is loaded directly from
+scipy's package directory, so neither ``scipy/__init__.py`` nor
+``scipy/spatial/__init__.py`` runs: importing ``scipy.spatial`` also imports
+``scipy.sparse``, the KD-tree and the array-API layer, and costs more time
+than most runs spend computing.  Where the file or one of its kernels is
+missing (another scipy version), the kernels are the public ``cdist`` and
+``pdist``, which give the same distances.
 
 ``write_csv`` is the one writer of every output table in the package.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 import csv
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -55,10 +62,10 @@ EXACT_POINT_CAP = 12
 TRACE_COLUMNS = ("t", "value", "quantity", "m_clusters")  # a trace file's header
 
 
-def _load_cdist():
-    """scipy's Euclidean ``cdist`` kernel, loaded from its extension file
-    without importing ``scipy.spatial``; the public ``cdist`` if the file or
-    its kernel is missing (see the module docstring)."""
+def _load_kernels():
+    """scipy's Euclidean (``cdist``, ``pdist``) kernels, loaded from their
+    extension file without importing ``scipy.spatial``; the public functions
+    if the file or one of its kernels is missing (see the module docstring)."""
     for location in importlib.util.find_spec("scipy").submodule_search_locations:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(location, "spatial", "_distance_pybind" + suffix)
@@ -67,15 +74,19 @@ def _load_cdist():
             spec = importlib.util.spec_from_file_location("scipy.spatial._distance_pybind", path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            kernel = getattr(module, "cdist_euclidean", None)
-            if kernel is not None:
-                return kernel
-    from scipy.spatial.distance import cdist
+            kernels = (getattr(module, "cdist_euclidean", None),
+                       getattr(module, "pdist_euclidean", None))
+            if None not in kernels:
+                return kernels
+    from scipy.spatial.distance import cdist, pdist
 
-    return cdist
+    return cdist, pdist
 
 
-_cdist = _load_cdist()
+_cdist, _pdist = _load_kernels()
+# embedded coordinates the cover measure holds at once: with the traversal's
+# one buffer of the same size, a chunk leaves a run's peak memory in place
+_CHUNK_BYTES = 1 << 18
 
 
 def write_csv(path, header, rows):
@@ -136,8 +147,17 @@ class DecayTrace:
             except (TypeError, ValueError) as exc:  # not a number, or a short row
                 raise ValueError(f"trace file {path} column {name!r}: {exc}") from None
 
-        return cls(column("t"), column("value"), rows[0]["quantity"],
-                   int(column("m_clusters", int)[0]))
+        def constant(name, values):
+            """The one value of a column that every row repeats."""
+            for line, value in enumerate(values[1:], start=3):
+                if value != values[0]:
+                    raise ValueError(f"trace file {path} column {name!r}: line {line} reads "
+                                     f"{value!r} where line 2 reads {values[0]!r}")
+            return values[0]
+
+        return cls(column("t"), column("value"),
+                   constant("quantity", [r["quantity"] for r in rows]),
+                   constant("m_clusters", column("m_clusters", int).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +174,32 @@ def semidist_arrays(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def farthest_point_traversal(points: np.ndarray):
-    """Farthest-point (Gonzalez) order of the rows of ``points``.
+    """Farthest-point (Gonzalez) order of the rows of each (P, D) block of
+    ``points`` (..., P, D).
 
-    Yields (center, dist) for each new center, where ``dist`` holds every
-    point's distance to the centers chosen so far.  The first center is the
-    point of largest norm, each next one the point farthest from all chosen;
-    ties break to the lowest index.  The caller decides when to stop.
+    Yields (center, dist) for each new center: ``center`` (...) holds each
+    block's new center index and ``dist`` (..., P) every point's distance to
+    the centers chosen so far in its block.  The first center is the point of
+    largest norm, each next one the point farthest from all chosen; ties break
+    to the lowest index.  Every block of a stack gives the bits it gives
+    alone.  The caller decides when to stop; nothing past the last center it
+    takes is computed.
     """
-    center = int(np.argmax(np.linalg.norm(points, axis=1)))
-    dist = np.linalg.norm(points - points[center], axis=1)
+    lead = np.indices(points.shape[:-2], sparse=True)
+    squares = np.empty_like(points)  # the one buffer of every pass
+
+    def norms(rows):  # np.linalg.norm(rows, axis=-1), bit for bit
+        return np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares), axis=-1))
+
+    def offsets(center):  # each block's rows minus its row ``center``
+        return np.subtract(points, points[(*lead, center)][..., None, :], out=squares)
+
+    center = np.argmax(norms(points), axis=-1)
+    dist = norms(offsets(center))
     while True:
         yield center, dist
-        center = int(np.argmax(dist))
-        dist = np.minimum(dist, np.linalg.norm(points - points[center], axis=1))
+        center = np.argmax(dist, axis=-1)
+        dist = np.minimum(dist, norms(offsets(center)))
 
 
 def greedy_kcenter(points: np.ndarray, m: int):
@@ -178,7 +211,7 @@ def greedy_kcenter(points: np.ndarray, m: int):
         raise ValueError("cluster budget must be >= 1")
     centers = []
     for center, dist in farthest_point_traversal(points):
-        centers.append(center)
+        centers.append(int(center))
         if len(centers) >= min(m, points.shape[0]) or np.max(dist) == 0.0:
             break
     to_centers = _cdist(points, points[centers])
@@ -189,13 +222,13 @@ def greedy_kcenter(points: np.ndarray, m: int):
 
 def max_cluster_diameter(points: np.ndarray, assignment) -> float:
     """Largest distance between two rows of ``points`` in one cluster; only
-    the distances inside each cluster are computed."""
+    the half matrix of the distances inside each cluster is computed."""
     assignment = np.asarray(assignment)
     worst = 0.0
     for c in np.unique(assignment):
         block = points[assignment == c]
         if block.shape[0] > 1:
-            worst = max(worst, float(np.max(_cdist(block, block))))
+            worst = max(worst, float(np.max(_pdist(block))))
     return worst
 
 
@@ -281,18 +314,42 @@ def exact_kcenter_radius(dist_matrix: np.ndarray, m: int) -> float:
 # the cover measure
 
 
-def alpha_proxy(states, m_clusters: int, spec: MetricSpec) -> float:
-    """Max cluster diameter of the greedy cover of the (P, 2N) ``states`` by
-    ``m_clusters`` clusters; deterministic."""
-    points = spec.embed(states)
-    if m_clusters >= len(points) >= 1:
-        return 0.0  # a cluster per point: the greedy cover's diameters are all 0
-    _centers, assignment, _radius = greedy_kcenter(points, m_clusters)
-    return max_cluster_diameter(points, assignment)
+def alpha_proxy(states, m_clusters: int, spec: MetricSpec) -> float | np.ndarray:
+    """Max cluster diameter of the greedy cover of each (P, 2N) block of
+    ``states`` (..., P, 2N) by ``m_clusters`` clusters; deterministic.
+
+    One block gives a float, a stack an array of its leading shape, and each
+    block of a stack gives the bits it gives alone.  Blocks are embedded and
+    traversed a chunk of at most ``_CHUNK_BYTES`` at a time; each block is
+    then assigned by ``_cdist`` to its centers, and each cluster's diameter
+    read from ``_pdist``.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    *lead, count, width = states.shape
+    if count == 0:
+        raise ValueError(f"alpha_proxy of an empty block: states of shape {states.shape} "
+                         f"hold (0, {width}) blocks")
+    if m_clusters < 1:
+        raise ValueError("cluster budget must be >= 1")
+    blocks = states.reshape(int(np.prod(lead)), count, width)
+    values = np.zeros(blocks.shape[0])
+    if m_clusters < count:  # else a cluster per point: the diameters are all 0
+        chunk = max(1, _CHUNK_BYTES // (count * 2 * spec.mode_count * 8))  # embedded bytes
+        for start in range(0, blocks.shape[0], chunk):
+            points = spec.embed(blocks[start : start + chunk])
+            # greedy_kcenter stops a block once all its distances are zero;
+            # every point is then at distance zero from an earlier center,
+            # which argmin prefers to any later one, so later ones change nothing
+            traversal = itertools.islice(farthest_point_traversal(points), m_clusters)
+            centers = np.stack([center for center, _dist in traversal], axis=-1)
+            for i, (block, chosen) in enumerate(zip(points, centers), start):
+                assignment = np.argmin(_cdist(block, block[chosen]), axis=1)
+                values[i] = max_cluster_diameter(block, assignment)
+    return values.reshape(lead) if lead else float(values[0])
 
 
 def decay_trace(times, states, m_clusters: int, spec: MetricSpec) -> DecayTrace:
-    """``alpha_proxy`` of each (P, 2N) block ``states[k]``, taken at the
-    strictly increasing ``times[k]``."""
-    values = [alpha_proxy(block, m_clusters, spec) for block in states]
-    return DecayTrace(times, values, "alpha_proxy", m_clusters)
+    """``alpha_proxy`` of each (P, 2N) block ``states[k]`` of the (T, P, 2N)
+    ``states``, taken at the strictly increasing ``times[k]``: one
+    ``alpha_proxy`` call on the whole stack."""
+    return DecayTrace(times, alpha_proxy(states, m_clusters, spec), "alpha_proxy", m_clusters)

@@ -273,11 +273,17 @@ def test_fit_trace_value_that_is_not_a_number_exits_1(tmp_path):
                                  "string to float: 'abc'\n")
 
 
-# (column, bad cell in the second row, parse error); every other cell is good
+# (column, bad cell in the second row, error); every other cell is good, and
+# a trace file has one quantity and one cluster budget, read from every row
 BAD_TRACE_CELLS = {
     "m_clusters_not_a_number": ("m_clusters", "x", "invalid literal for int() with base 10: 'x'"),
     "fractional_m_clusters": ("m_clusters", "1.5",
                               "invalid literal for int() with base 10: '1.5'"),
+    "m_clusters_unlike_the_first_row": ("m_clusters", "7", "line 3 reads 7 where line 2 reads 0"),
+    "unknown_quantity_after_the_first_row": (
+        "quantity", "bogus", "line 3 reads 'bogus' where line 2 reads 'semidist'"),
+    "quantity_unlike_the_first_row": (
+        "quantity", "alpha_proxy", "line 3 reads 'alpha_proxy' where line 2 reads 'semidist'"),
 }
 
 

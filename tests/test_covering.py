@@ -1,9 +1,11 @@
 import importlib.machinery
 import itertools
+import re
+import types
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from attractorlab import covering
 from attractorlab.covering import (
@@ -108,10 +110,58 @@ class TestDistanceKernel:
             spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
             spec.submodule_search_locations = [str(tmp_path)]
             monkeypatch.setattr(covering.importlib.util, "find_spec", lambda name: spec)
-        kernel = covering._load_cdist()
+        kernel, _pdist = covering._load_kernels()
         assert kernel is cdist
         x = rng.standard_normal((12, 6))
         assert same_bytes_as_cdist(x, x[:, ::-1], kernel)
+
+
+def same_bytes_as_pdist(x, kernel=covering._pdist):
+    """The kernel's condensed distances equal the public ``pdist`` and the
+    upper triangle of ``_cdist``, byte for byte."""
+    got = kernel(x)
+    upper = covering._cdist(x, x)[np.triu_indices(x.shape[0], k=1)]
+    return got.tobytes() == pdist(x).tobytes() == upper.tobytes()
+
+
+class TestHalfMatrixKernel:
+    """``covering._pdist`` against the public ``pdist`` and the ``_cdist``
+    upper triangle, bit for bit."""
+
+    def test_random_shapes_and_scales(self, rng):
+        for _ in range(60):
+            rows, dim = rng.integers(2, 90), rng.integers(1, 70)
+            scale = 10.0 ** rng.uniform(-8, 3)
+            assert same_bytes_as_pdist(scale * rng.standard_normal((rows, dim)))
+
+    def test_repeated_rows_and_one_column(self, rng):
+        x = rng.standard_normal((9, 5))
+        assert same_bytes_as_pdist(np.vstack([x, x[::2]]))
+        assert same_bytes_as_pdist(rng.standard_normal((11, 1)))
+        assert same_bytes_as_pdist(np.zeros((4, 3)))
+        assert covering._pdist(x[:2]).shape == (1,)
+
+    def test_strided_views(self, rng):
+        x = rng.standard_normal((40, 18))
+        assert not x[:, :7].flags.c_contiguous
+        assert same_bytes_as_pdist(x[:, :7])
+        assert same_bytes_as_pdist(x[::3])
+        assert same_bytes_as_pdist(x[1::2, ::-2])
+
+    def test_missing_extension_kernel_falls_back_to_the_public_pdist(self, rng, monkeypatch):
+        # an extension module without pdist_euclidean: both kernels are public
+        stub = types.ModuleType("scipy.spatial._distance_pybind")
+        stub.cdist_euclidean = covering._cdist
+        monkeypatch.setattr(covering.importlib.util, "module_from_spec", lambda spec: stub)
+        kernels = covering._load_kernels()
+        assert kernels == (cdist, pdist)
+        assert same_bytes_as_pdist(rng.standard_normal((15, 6)), kernels[1])
+        # the cluster diameters read the same through either kernel
+        points = rng.standard_normal((40, 6))
+        assignment = greedy_kcenter(points, 3)[1]
+        extension = max_cluster_diameter(points, assignment)
+        monkeypatch.setattr(covering, "_pdist", pdist)
+        assert max_cluster_diameter(points, assignment) == extension
 
 
 class TestSemidist:
@@ -220,6 +270,39 @@ class TestAlphaProxy:
         spec = MetricSpec.dirichlet_1d(2)
         with pytest.raises(ValueError, match=">= 1"):
             alpha_proxy(random_states(rng, spec, 3), 0, spec)
+
+    def test_centers_past_zero_distance_change_nothing(self):
+        # 1e-170 squares to zero: after two centers every distance is zero, so
+        # greedy_kcenter stops, while alpha_proxy takes a third center
+        spec = MetricSpec.dirichlet_1d(1)
+        states = np.array([[1.0, 1e-170], [5.0, 0.0], [1.0, 0.0], [5.0, 1e-170], [1.0, 0.0]])
+        points = spec.embed(states)
+        centers, assignment, radius = greedy_kcenter(points, 3)
+        assert (centers, radius) == ((1, 0), 0.0)
+        assert alpha_proxy(states, 3, spec) == max_cluster_diameter(points, assignment) == 0.0
+        stack = np.stack([states, 2.0 * states, states[::-1]])
+        assert alpha_proxy(stack, 3, spec).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 4), (2, 2, 0, 4)])
+    def test_empty_block_is_refused(self, shape):
+        spec = MetricSpec.dirichlet_1d(2)
+        with pytest.raises(ValueError, match=r"empty block: states of shape "
+                                             + re.escape(str(shape))):
+            alpha_proxy(np.zeros(shape), 2, spec)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 6)])
+    def test_state_width_must_match_the_metric(self, shape):
+        with pytest.raises(ValueError, match="does not match 2 metric eigenvalues"):
+            alpha_proxy(np.ones(shape), 1, MetricSpec.dirichlet_1d(2))
+
+    def test_one_block_gives_a_float_and_a_stack_its_leading_shape(self, rng):
+        # the values themselves are checked block by block in test_properties
+        spec = MetricSpec.dirichlet_1d(2)
+        stack = random_states(rng, spec, 36).reshape(2, 3, 6, 4)
+        assert type(alpha_proxy(stack[0, 0], 2, spec)) is float
+        for m in (2, 6):
+            assert alpha_proxy(stack, m, spec).shape == (2, 3)
+        assert alpha_proxy(stack[:0], 2, spec).shape == (0, 3)
 
     def test_exact_cap(self, rng):
         spec = MetricSpec.dirichlet_1d(2)

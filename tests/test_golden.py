@@ -314,12 +314,12 @@ FORKED_BLOCKS = {
 @pytest.mark.parametrize("case", sorted(FORKED_BLOCKS))
 def test_forked_oracle_trace_matches_the_in_process_run(case, tmp_path, monkeypatch):
     # one CPU covers every t_grid block here; two CPUs cover oracle_decay's
-    # later half in a child, so this process calls alpha_proxy for fewer blocks
+    # later half in a child, so this process measures fewer blocks
     calls = []
     alpha = covering.alpha_proxy
 
     def counted(states, m_clusters, spec):
-        calls.append(1)
+        calls.append(int(np.prod(np.shape(states)[:-2])))  # the blocks of this call
         return alpha(states, m_clusters, spec)
 
     monkeypatch.setattr(covering, "alpha_proxy", counted)
@@ -331,7 +331,7 @@ def test_forked_oracle_trace_matches_the_in_process_run(case, tmp_path, monkeypa
         cfg = CASES[case](tmp_path / f"cpus_{cpus}")
         run_experiment(cfg)
         assert output_hashes(cfg.output_dir) == GOLDEN[case]
-        here[cpus] = len(calls)
+        here[cpus] = sum(calls)
     assert here[1] - here[2] == FORKED_BLOCKS[case]
     if case == "oracle_decay":
         assert here[1] == cfg.t_grid.size == 101
