@@ -87,6 +87,10 @@ _cdist, _pdist = _load_kernels()
 # embedded coordinates the cover measure holds at once: with the traversal's
 # one buffer of the same size, a chunk leaves a run's peak memory in place
 _CHUNK_BYTES = 1 << 18
+# state rows one side of an oracle_decay split samples and measures at once
+# (experiments._oracle_half): a few sample times, so that each side's chunk
+# stays in cache while the other side streams its own
+_TRACE_CHUNK_BYTES = 1 << 19
 
 
 def write_csv(path, header, rows):

@@ -28,11 +28,12 @@ before the fresh pass's), the same files are left, ``trace_alpha.csv`` is
 written only once the continuation has succeeded, and every child is joined
 before ``run_experiment`` returns or raises.
 
-An oracle_decay run splits its alpha trace the same way: a forked child
-covers the later half of ``t_grid`` while this process takes the
-semidistance trace, then the earlier half, and the two halves join into one
-trace.  With one CPU the later half is covered here after the earlier one,
-the serial order, and a failed run ends with the same error and files.
+An oracle_decay run splits ``t_grid`` the same way: a forked child samples
+the later half and takes its semidistance and alpha values while this
+process does the same for the earlier half, each a few times at a time
+(``_oracle_half``), and the halves join into the two traces.  With one CPU
+the later half is taken here after the earlier one, the serial order, and a
+failed run ends with the same error and files.
 
 The run file format is the table ``_SCHEMA``, one row per field: its section,
 its key, the ``ExperimentConfig`` attribute it sets and the reader of its
@@ -61,7 +62,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, covering
 from .attracting import build_attracting_set, save_attracting_set, verify_attraction
 from .covering import DecayTrace, decay_trace, write_csv
 from .decay import DecayLaw
@@ -417,23 +418,42 @@ def _reply(receive, send, fn, args):
 # pipelines
 
 
+def _oracle_half(system, probe, times, m_clusters: int, spec: MetricSpec):
+    """The semidistance and alpha values of ``probe`` at ``times``, one side
+    of an oracle_decay split (see the module docstring).
+
+    The times are sampled and measured a chunk at a time, a chunk being the
+    times whose rows fit in ``covering._TRACE_CHUNK_BYTES``: the rows held at
+    once do not grow with the grid, and a chunk stays in cache while the
+    other side streams its own.  No value depends on the chunk: the oracle
+    gives each time the bits a call at that time alone gives,
+    ``ensemble_radius`` reads one block, and a stacked ``alpha_proxy`` gives
+    each block the bits it gives alone.  Empty ``times`` never reach
+    ``system.sample``, which refuses an empty grid.
+    """
+    chunk = max(1, covering._TRACE_CHUNK_BYTES // probe.nbytes)
+    radii, alphas = np.empty(times.size), np.empty(times.size)
+    for start in range(0, times.size, chunk):
+        rows = system.sample(probe, times[start : start + chunk])
+        at = slice(start, start + rows.shape[0])
+        radii[at] = [ensemble_radius(block, spec) for block in rows]
+        # through the module, which the tests and the benchmark rebind
+        alphas[at] = covering.alpha_proxy(rows, m_clusters, spec)
+    return radii, alphas
+
+
 def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     system, spec = cfg.system, cfg.metric
     probe, _fresh = draw_samples(cfg)
-    rows = system.sample(probe, cfg.t_grid)
 
-    # a child covers the later half of the grid while this process takes the
-    # semidistance trace and the earlier half (see the module docstring)
+    # a child takes the later half of the grid while this process takes the
+    # earlier one, each sampling its own times (see the module docstring)
     half = cfg.t_grid.size // 2
-    with _forked(decay_trace, cfg.t_grid[half:], rows[half:], cfg.m_clusters, spec) as later:
-        semidist = DecayTrace(
-            cfg.t_grid, np.array([ensemble_radius(block, spec) for block in rows]), "semidist"
-        )
-        earlier = decay_trace(cfg.t_grid[:half], rows[:half], cfg.m_clusters, spec)
-        alpha = DecayTrace(
-            cfg.t_grid, np.concatenate([earlier.values, later().values]), "alpha_proxy",
-            cfg.m_clusters,
-        )
+    with _forked(_oracle_half, system, probe, cfg.t_grid[half:], cfg.m_clusters, spec) as later:
+        earlier = _oracle_half(system, probe, cfg.t_grid[:half], cfg.m_clusters, spec)
+        radii, alphas = (np.concatenate(halves) for halves in zip(earlier, later()))
+    semidist = DecayTrace(cfg.t_grid, radii, "semidist")
+    alpha = DecayTrace(cfg.t_grid, alphas, "alpha_proxy", cfg.m_clusters)
     semidist.to_csv(out("trace_semidist.csv"))
     alpha.to_csv(out("trace_alpha.csv"))
 

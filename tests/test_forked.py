@@ -11,13 +11,15 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from attractorlab import experiments
+from attractorlab import covering, dynamics, experiments
 from attractorlab.cli import EXIT_CONFIG, main
+from attractorlab.covering import DecayTrace, decay_trace
 from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_from_dict
 from attractorlab.experiments import (
     ExperimentConfig,
@@ -26,6 +28,7 @@ from attractorlab.experiments import (
     config_to_dict,
     run_experiment,
 )
+from attractorlab.phase import ensemble_radius
 
 from conftest import SMALL_WAVE_SYSTEM
 
@@ -248,3 +251,85 @@ def test_failed_oracle_run_ends_the_same_on_one_and_two_cpus(points, tmp_path, m
     assert ends[2][:3] == (
         "failed", error, ["manifest.json", "trace_alpha.csv", "trace_semidist.csv"],
     )
+
+
+def oracle_run(out, points, modes, times):
+    """An oracle_decay run of ``points`` probe points and ``modes`` modes on
+    ``times`` sample times, 0.25 apart."""
+    return ExperimentConfig(
+        kind="oracle_decay", system=LinearModalConfig(1.0, np.arange(1.0, modes + 1.0) ** 2),
+        output_dir=str(out), seed=7, ensemble_count=points, t_grid=0.25 * np.arange(times),
+    )
+
+
+def chunk_times(points, modes) -> int:
+    """The sample times one side of an oracle split takes at once."""
+    return covering._TRACE_CHUNK_BYTES // (points * 2 * modes * 8)
+
+
+def whole_grid_traces(cfg, out):
+    """The two trace files of ``cfg`` from one sample of its whole grid."""
+    spec = cfg.metric
+    probe, _fresh = experiments.draw_samples(cfg)
+    rows = cfg.system.sample(probe, cfg.t_grid)
+    radii = np.array([ensemble_radius(block, spec) for block in rows])
+    DecayTrace(cfg.t_grid, radii, "semidist").to_csv(out / "trace_semidist.csv")
+    decay_trace(cfg.t_grid, rows, cfg.m_clusters, spec).to_csv(out / "trace_alpha.csv")
+
+
+ORACLE_POINTS, ORACLE_MODES = 100, 8
+EDGE_CHUNK = chunk_times(ORACLE_POINTS, ORACLE_MODES)
+
+
+# grids at the chunk edges: each side takes half, so from 2C + 1 times on
+# a side takes a second chunk, and 3C + 1 times fill it as well
+@pytest.mark.parametrize("times", sorted({1, 2, EDGE_CHUNK - 1, EDGE_CHUNK, EDGE_CHUNK + 1,
+                                          2 * EDGE_CHUNK, 2 * EDGE_CHUNK + 1, 2 * EDGE_CHUNK + 2,
+                                          3 * EDGE_CHUNK + 1}))
+def test_oracle_traces_across_chunk_edges_match_the_whole_grid(times, tmp_path, monkeypatch):
+    assert EDGE_CHUNK >= 5  # so that C - 1 times still fit a rate
+    reference = tmp_path / "whole"
+    reference.mkdir()
+    whole_grid_traces(oracle_run(reference, ORACLE_POINTS, ORACLE_MODES, times), reference)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        out = tmp_path / f"cpus_{cpus}"
+        # fewer than 4 times fit no rate, once both traces are written
+        fails = pytest.raises(ValueError) if times < 4 else contextlib.nullcontext()
+        with fails:
+            run_experiment(oracle_run(out, ORACLE_POINTS, ORACLE_MODES, times))
+        for name in ("trace_semidist.csv", "trace_alpha.csv"):
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), (cpus, name)
+
+
+def test_oracle_sides_sample_their_own_times_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # P = 200 points of 16 modes on 401 times: the whole grid's rows are 20.5 MB
+    points, modes, times = 200, 16, 401
+    row_bytes = times * points * 2 * modes * 8
+    chunk = chunk_times(points, modes)
+    sampled = []
+    evolve = dynamics.modal_evolve_states
+
+    def recorded(y, cfg, t):
+        sampled.append(np.array(t, dtype=float))
+        return evolve(y, cfg, t)
+
+    monkeypatch.setattr(dynamics, "modal_evolve_states", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    cfg = oracle_run(tmp_path / "cpus_1", points, modes, times)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < row_bytes / 4
+    assert np.array_equal(np.concatenate(sampled), cfg.t_grid)
+    assert max(t.size for t in sampled) <= chunk
+
+    # with two CPUs this process samples the earlier half alone
+    sampled.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = oracle_run(tmp_path / "cpus_2", points, modes, times)
+    run_experiment(cfg)
+    assert np.array_equal(np.concatenate(sampled), cfg.t_grid[: times // 2])
