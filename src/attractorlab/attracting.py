@@ -45,6 +45,7 @@ __all__ = [
     "AttractionCertificate",
     "build_net",
     "build_attracting_set",
+    "orbit_grid",
     "verify_attraction",
     "save_attracting_set",
     "load_attracting_set",
@@ -196,13 +197,21 @@ def build_net(states, evolved, m: int, law: DecayLaw, spec: MetricSpec) -> tuple
     return states[chosen], evolved[chosen]
 
 
+def orbit_grid(t_orbit: float, every: float) -> np.ndarray:
+    """Orbit times k * ``every`` for k = 0..K, K = t_orbit / every rounded
+    half to even as ``WaveSystemConfig.steps`` rounds: the one grid of the
+    net orbits and of the held-out sample the certificate reads."""
+    return np.arange(int(np.rint(t_orbit / every)) + 1) * every
+
+
 def build_attracting_set(
     states, m_range: tuple, images, proxy_states, law: DecayLaw, t_orbit: float,
     orbit_sample_every: float, cfg, spec: MetricSpec,
 ) -> AttractingSetApprox:
     """Union of nets over integer birth times in ``m_range`` with forward
-    orbits sampled every ``orbit_sample_every`` on [0, t_orbit], plus the
-    omega-limit proxy.  The record refuses an orbit grid that misses t_orbit.
+    orbits sampled on ``orbit_grid``, every ``orbit_sample_every`` up to the
+    multiple of it nearest t_orbit, plus the omega-limit proxy.  The record
+    refuses that grid if its last time misses t_orbit beyond round-off.
 
     ``states`` (P, 2N) is the absorbed sample, ``images[i]`` (P, 2N) its
     image at birth time ``m_range[0] + i``, and ``proxy_states`` its
@@ -222,7 +231,7 @@ def build_attracting_set(
         nets.append(net)
     net_states = np.concatenate(nets)
 
-    orbit_times = np.arange(0.0, t_orbit + 1e-12, orbit_sample_every)
+    orbit_times = orbit_grid(t_orbit, orbit_sample_every)
     # the net is a new batch: rows of a larger batch differ in the last bits
     orbit_blocks = cfg.sample(net_states, orbit_times)  # (K, E, 2N)
 

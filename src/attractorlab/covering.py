@@ -3,10 +3,12 @@ semidistance and decay traces.
 
 The noncompactness of a finite sample is measured by the max cluster diameter
 of a cover by ``m`` clusters.  ``alpha_proxy`` is the one measure the
-pipelines use: farthest-point (Gonzalez) seeding followed by nearest-center
-assignment.  Its covering *radius* is within a factor 2 of the optimal
-k-center radius; the reported max diameter carries no such guarantee and is
-simply what the greedy partition achieves.
+pipelines use: its seeding is ``farthest_point_traversal`` (Gonzalez), the
+one greedy cover in the package, followed by nearest-center assignment.  The
+covering *radius* is the traversal's last distance, the largest entry of
+``dist`` after ``m`` centers, and is within a factor 2 of the optimal k-center
+radius; the reported max diameter carries no such guarantee and is simply
+what the greedy partition achieves.
 
 ``exact_min_max_diameter`` (the true minimum max diameter over partitions into
 at most ``m`` blocks, by thresholding the pairwise distances and testing
@@ -87,10 +89,6 @@ _cdist, _pdist = _load_kernels()
 # embedded coordinates the cover measure holds at once: with the traversal's
 # one buffer of the same size, a chunk leaves a run's peak memory in place
 _CHUNK_BYTES = 1 << 18
-# state rows one side of an oracle_decay split samples and measures at once
-# (experiments._oracle_half): a few sample times, so that each side's chunk
-# stays in cache while the other side streams its own
-_TRACE_CHUNK_BYTES = 1 << 19
 
 
 def write_csv(path, header, rows):
@@ -204,24 +202,6 @@ def farthest_point_traversal(points: np.ndarray):
         yield center, dist
         center = np.argmax(dist, axis=-1)
         dist = np.minimum(dist, norms(offsets(center)))
-
-
-def greedy_kcenter(points: np.ndarray, m: int):
-    """The first ``m`` farthest-point centers (fewer once all distances are
-    zero), the nearest-center assignment and the covering radius, returned
-    as (center_indices, assignment, radius)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if m < 1:
-        raise ValueError("cluster budget must be >= 1")
-    centers = []
-    for center, dist in farthest_point_traversal(points):
-        centers.append(int(center))
-        if len(centers) >= min(m, points.shape[0]) or np.max(dist) == 0.0:
-            break
-    to_centers = _cdist(points, points[centers])
-    assignment = np.argmin(to_centers, axis=1)
-    radius = float(np.max(np.min(to_centers, axis=1)))
-    return tuple(centers), assignment, radius
 
 
 def max_cluster_diameter(points: np.ndarray, assignment) -> float:
@@ -341,9 +321,9 @@ def alpha_proxy(states, m_clusters: int, spec: MetricSpec) -> float | np.ndarray
         chunk = max(1, _CHUNK_BYTES // (count * 2 * spec.mode_count * 8))  # embedded bytes
         for start in range(0, blocks.shape[0], chunk):
             points = spec.embed(blocks[start : start + chunk])
-            # greedy_kcenter stops a block once all its distances are zero;
-            # every point is then at distance zero from an earlier center,
-            # which argmin prefers to any later one, so later ones change nothing
+            # every block takes m centers; once a block's distances are all
+            # zero, each point is at distance zero from an earlier center,
+            # which argmin prefers to any later one, so later ones take no point
             traversal = itertools.islice(farthest_point_traversal(points), m_clusters)
             centers = np.stack([center for center, _dist in traversal], axis=-1)
             for i, (block, chosen) in enumerate(zip(points, centers), start):

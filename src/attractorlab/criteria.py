@@ -7,9 +7,10 @@ The checks take a sample of the absorbing ball evolved by the caller, as
 measured on it, and compare both with a decay law; the envelope law lifts a
 rate fit the caller made.  No check calls the engine: the caller samples each
 ensemble in one pass.  Only ``quasistability_estimate`` calls the cover
-measure ``covering.alpha_proxy``, on the rows at each period.  The checks
-report satisfied fractions, not booleans: finite samples cannot certify the
-underlying hypotheses, only fail to falsify them.
+measure ``covering.alpha_proxy``, once on the sample and once on the stack of
+its rows at every period.  The checks report satisfied fractions, not
+booleans: finite samples cannot certify the underlying hypotheses, only fail
+to falsify them.
 """
 
 from __future__ import annotations
@@ -305,8 +306,9 @@ def quasistability_estimate(
     """Estimate the one-period contraction factor of the (P, 2N) sample
     ``trajectory[0]`` and track its cluster measure period by period.
     ``trajectory`` (K, P, 2N) holds the sample on a time grid over [0, period]
-    that starts at 0 and ends at ``period``, and ``period_rows[n - 1]`` the
-    sample at n * period; ``damping`` gives the predicted factor.
+    that starts at 0 and ends at ``period``, and ``period_rows`` (n_periods,
+    P, 2N) the sample at n * period in row n - 1; ``damping`` gives the
+    predicted factor.
 
     Pseudometrics conditioning the contraction ratios: (i) the plain L2
     distance of the low-mode position coefficients at time 0, and (ii) the sup
@@ -348,17 +350,16 @@ def quasistability_estimate(
     eta_hat = float(np.percentile(ratios, 95))
 
     base_alpha = alpha_proxy(states, m_clusters, spec)
-    per_period = tuple(
-        alpha_proxy(rows, m_clusters, spec) / base_alpha if base_alpha > 0 else 0.0
-        for rows in period_rows
-    )
+    # one stacked call: each period's block gives the bits it gives alone
+    alphas = alpha_proxy(period_rows, m_clusters, spec)
+    alpha_ratios = alphas / base_alpha if base_alpha > 0 else np.zeros_like(alphas)
 
     return QuasiStabilityReport(
         period=float(period),
         eta_hat=eta_hat,
         pair_count=int(conditioned.sum()),
         pseudometric_threshold=float(closeness),
-        per_period_alpha_ratios=per_period,
+        per_period_alpha_ratios=tuple(alpha_ratios.tolist()),
         excluded_pair_count=excluded,
         predicted_eta=predicted_contraction(float(damping), float(period)),
     )

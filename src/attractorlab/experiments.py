@@ -63,7 +63,7 @@ import numpy as np
 import yaml
 
 from . import __version__, covering
-from .attracting import build_attracting_set, save_attracting_set, verify_attraction
+from .attracting import build_attracting_set, orbit_grid, save_attracting_set, verify_attraction
 from .covering import DecayTrace, decay_trace, write_csv
 from .decay import DecayLaw
 from .criteria import (
@@ -417,21 +417,26 @@ def _reply(receive, send, fn, args):
 # ---------------------------------------------------------------------------
 # pipelines
 
+# state rows one side of an oracle_decay split samples and measures at once
+# (_oracle_half): a few sample times, so that each side's chunk stays in cache
+# while the other side streams its own
+_TRACE_CHUNK_BYTES = 1 << 19
+
 
 def _oracle_half(system, probe, times, m_clusters: int, spec: MetricSpec):
     """The semidistance and alpha values of ``probe`` at ``times``, one side
     of an oracle_decay split (see the module docstring).
 
     The times are sampled and measured a chunk at a time, a chunk being the
-    times whose rows fit in ``covering._TRACE_CHUNK_BYTES``: the rows held at
-    once do not grow with the grid, and a chunk stays in cache while the
-    other side streams its own.  No value depends on the chunk: the oracle
-    gives each time the bits a call at that time alone gives,
-    ``ensemble_radius`` reads one block, and a stacked ``alpha_proxy`` gives
-    each block the bits it gives alone.  Empty ``times`` never reach
-    ``system.sample``, which refuses an empty grid.
+    times whose rows fit in ``_TRACE_CHUNK_BYTES``: the rows held at once do
+    not grow with the grid, and a chunk stays in cache while the other side
+    streams its own.  No value depends on the chunk: the oracle gives each
+    time the bits a call at that time alone gives, ``ensemble_radius`` reads
+    one block, and a stacked ``alpha_proxy`` gives each block the bits it
+    gives alone.  Empty ``times`` never reach ``system.sample``, which
+    refuses an empty grid.
     """
-    chunk = max(1, covering._TRACE_CHUNK_BYTES // probe.nbytes)
+    chunk = max(1, _TRACE_CHUNK_BYTES // probe.nbytes)
     radii, alphas = np.empty(times.size), np.empty(times.size)
     for start in range(0, times.size, chunk):
         rows = system.sample(probe, times[start : start + chunk])
@@ -519,7 +524,7 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     # the certificate reads the fresh sample at the set's orbit times, every
     # orbit-cadence time up to t_orbit.  The pass needs nothing but the
     # config, so it runs in a child from here on (see the module docstring)
-    cadence_steps = system.steps(np.arange(0.0, cfg.t_orbit + 1e-9, snap))
+    cadence_steps = system.steps(orbit_grid(cfg.t_orbit, snap))
     with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
         # one probe pass over the horizon: the absorbing radius, and the probe's
         # rows at every orbit-cadence step up to the first at or past the horizon

@@ -74,6 +74,30 @@ def test_low_mode_threshold_range_follows_the_pipeline(kind, top, tmp_path):
     assert small_wave(tmp_path, "wave_attractor", low_mode_threshold=0).low_mode_threshold == 0
 
 
+ORBIT_GRID_FILES = ("attractor/orbits.csv", "certificate.csv", "attractor/net.csv",
+                    "attractor/proxy.csv", "trace_alpha.csv")
+
+
+def test_a_t_orbit_within_round_off_of_the_cadence_runs_on_the_grid_ending_there(tmp_path):
+    # the read accepts a t_orbit within 1e-9 * max(1, t) of the step grid, and
+    # the net orbits and the held-out sample then share the grid that ends at
+    # the cadence nearest it: the files are those of t_orbit = 12 itself
+    raw = config_to_dict(small_wave(tmp_path, "wave_attractor"))
+    outputs = []
+    for i, t_orbit in enumerate((12.0, 12.0 - 5e-10, 12.0 + 5e-10)):
+        raw.update(output_dir=str(tmp_path / f"out_{i}"))
+        raw["pipeline"]["t_orbit"] = t_orbit
+        cfg = reloaded(raw, tmp_path)
+        assert cfg.t_orbit == t_orbit
+        assert run_experiment(cfg).status == "ok"
+        outputs.append([(tmp_path / f"out_{i}" / name).read_bytes() for name in ORBIT_GRID_FILES])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # a t_orbit on the step grid but off the cadence is still refused when read
+    raw["pipeline"]["t_orbit"] = 12.0625
+    with pytest.raises(ValueError, match="^config field 't_orbit' = 12.0625 is not a whole "):
+        reloaded(raw, tmp_path)
+
+
 @pytest.mark.parametrize("minimum", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_threshold_exits_1_when_read(minimum, tmp_path, capsys):
     # no headline value is below NaN, so a NaN threshold could never fail

@@ -14,7 +14,7 @@ from attractorlab.covering import (
     decay_trace,
     exact_kcenter_radius,
     exact_min_max_diameter,
-    greedy_kcenter,
+    farthest_point_traversal,
     max_cluster_diameter,
     semidist_arrays,
 )
@@ -64,6 +64,16 @@ def full_matrix_max_cluster_diameter(dist_matrix, assignment):
         if idx.size > 1:
             worst = max(worst, float(np.max(dist_matrix[np.ix_(idx, idx)])))
     return worst
+
+
+def greedy_cover(points, m):
+    """The first ``m`` centers of the farthest-point traversal of one (P, D)
+    block, its nearest-center assignment and its covering radius, the
+    largest distance to the centers: (centers, assignment, radius)."""
+    centers, dists = zip(*itertools.islice(farthest_point_traversal(points), m))
+    centers = [int(c) for c in centers]
+    assignment = np.argmin(cdist(points, points[centers]), axis=1)
+    return centers, assignment, float(np.max(dists[-1]))
 
 
 def same_bytes_as_cdist(a, b, kernel=covering._cdist):
@@ -158,7 +168,7 @@ class TestHalfMatrixKernel:
         assert same_bytes_as_pdist(rng.standard_normal((15, 6)), kernels[1])
         # the cluster diameters read the same through either kernel
         points = rng.standard_normal((40, 6))
-        assignment = greedy_kcenter(points, 3)[1]
+        assignment = greedy_cover(points, 3)[1]
         extension = max_cluster_diameter(points, assignment)
         monkeypatch.setattr(covering, "_pdist", pdist)
         assert max_cluster_diameter(points, assignment) == extension
@@ -213,7 +223,7 @@ class TestMaxClusterDiameter:
             points = spec.embed(states)
             dist = cdist(points, points)
             assignments = [
-                greedy_kcenter(points, m)[1] for m in (1, 3, len(points))
+                greedy_cover(points, m)[1] for m in (1, 3, len(points))
             ] + [
                 # random labels: a spread of cluster sizes, singletons included
                 rng.integers(0, max(1, len(points) // 2), len(points)),
@@ -228,7 +238,7 @@ class TestMaxClusterDiameter:
         spec = MetricSpec.dirichlet_1d(3)
         states = random_states(rng, spec, 9)
         points = spec.embed(states)
-        _centers, assignment, _radius = greedy_kcenter(points, 3)
+        _centers, assignment, _radius = greedy_cover(points, 3)
         assert alpha_proxy(states, 3, spec) == max_cluster_diameter(points, assignment)
 
 
@@ -250,7 +260,7 @@ class TestAlphaProxy:
         spec = MetricSpec.dirichlet_1d(3)
         states = random_states(rng, spec, distinct)[rng.integers(0, distinct, count)]
         points = spec.embed(states)
-        greedy = max_cluster_diameter(points, greedy_kcenter(points, m)[1])
+        greedy = max_cluster_diameter(points, greedy_cover(points, m)[1])
         assert alpha_proxy(states, m, spec) == greedy == 0.0
 
     def test_three_points_two_clusters(self):
@@ -272,13 +282,17 @@ class TestAlphaProxy:
             alpha_proxy(random_states(rng, spec, 3), 0, spec)
 
     def test_centers_past_zero_distance_change_nothing(self):
-        # 1e-170 squares to zero: after two centers every distance is zero, so
-        # greedy_kcenter stops, while alpha_proxy takes a third center
+        # 1e-170 squares to zero: after two centers every distance is zero,
+        # and the traversal's third center repeats the first
         spec = MetricSpec.dirichlet_1d(1)
         states = np.array([[1.0, 1e-170], [5.0, 0.0], [1.0, 0.0], [5.0, 1e-170], [1.0, 0.0]])
         points = spec.embed(states)
-        centers, assignment, radius = greedy_kcenter(points, 3)
-        assert (centers, radius) == ((1, 0), 0.0)
+        two_centers, two_assignment, two_radius = greedy_cover(points, 2)
+        centers, assignment, radius = greedy_cover(points, 3)
+        assert (two_centers, two_radius) == ([1, 0], 0.0)
+        assert (centers, radius) == ([1, 0, 0], 0.0)
+        # the third center takes no point
+        assert np.array_equal(assignment, two_assignment)
         assert alpha_proxy(states, 3, spec) == max_cluster_diameter(points, assignment) == 0.0
         stack = np.stack([states, 2.0 * states, states[::-1]])
         assert alpha_proxy(stack, 3, spec).tolist() == [0.0, 0.0, 0.0]
@@ -341,17 +355,17 @@ class TestAlphaProxy:
         spec = MetricSpec.dirichlet_1d(3)
         for _ in range(25):
             points = spec.embed(random_states(rng, spec, 10))
-            _, _, radius = greedy_kcenter(points, 3)
+            _, _, radius = greedy_cover(points, 3)
             optimal = exact_kcenter_radius(cdist(points, points), 3)
             assert radius <= 2.0 * optimal + 1e-12
 
     def test_greedy_deterministic_and_seeded_at_max_norm(self, rng):
         spec = MetricSpec.dirichlet_1d(2)
         points = spec.embed(random_states(rng, spec, 7))
-        centers, assign, _ = greedy_kcenter(points, 3)
+        centers, assign, radius = greedy_cover(points, 3)
         assert centers[0] == int(np.argmax(np.linalg.norm(points, axis=1)))
-        again = greedy_kcenter(points, 3)
-        assert again[0] == centers and np.array_equal(again[1], assign)
+        again = greedy_cover(points, 3)
+        assert again[0] == centers and np.array_equal(again[1], assign) and again[2] == radius
 
     def test_scaling_equivariance(self, rng):
         spec = MetricSpec.dirichlet_1d(3)

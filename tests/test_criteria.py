@@ -27,7 +27,7 @@ from attractorlab.dynamics import (
     modal_evolve_states,
     wave_config_from_dict,
 )
-from attractorlab import experiments
+from attractorlab import criteria, experiments
 from attractorlab.experiments import ExperimentConfig, draw_samples
 from attractorlab.phase import MetricSpec, ensemble_radius
 
@@ -390,6 +390,61 @@ class TestQuasiStability:
         assert report.pseudometric_threshold == pytest.approx(
             0.1 * float(np.max(cdist(emb, emb))), rel=1e-12
         )
+
+
+def per_row_alpha_ratios(states, period_rows, m, spec) -> tuple:
+    """The per-period alpha ratios taken one period row at a time: the
+    reference for the stacked call."""
+    base = alpha_proxy(states, m, spec)
+    return tuple(alpha_proxy(rows, m, spec) / base if base > 0 else 0.0 for rows in period_rows)
+
+
+def counted_alpha_proxy(monkeypatch) -> list:
+    """The shapes of the stacks ``criteria.alpha_proxy`` is called on, from now on."""
+    calls = []
+
+    def counting(states, m, spec):
+        calls.append(np.shape(states))
+        return alpha_proxy(states, m, spec)
+
+    monkeypatch.setattr(criteria, "alpha_proxy", counting)
+    return calls
+
+
+class TestStackedPeriodAlpha:
+    """One ``alpha_proxy`` call on the sample and one on the stack of its
+    period rows give the ratios the per-row calls gave, bit for bit."""
+
+    @pytest.mark.parametrize("n_periods", [0, 1, 8])
+    def test_ratios_equal_the_per_row_ones_bit_for_bit(self, rng, monkeypatch, n_periods):
+        spec = MetricSpec.dirichlet_1d(6)
+        cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
+        trajectory, period_rows = period_samples(cfg, random_states(rng, spec, 15), 3.0,
+                                                 n_periods)
+        expected = per_row_alpha_ratios(trajectory[0], period_rows, 3, spec)
+        calls = counted_alpha_proxy(monkeypatch)
+        ratios = quasistability_estimate(trajectory, period_rows, 3.0, cfg.l, 3, closeness=1e6,
+                                         spec=spec).per_period_alpha_ratios
+        assert calls == [(15, 12), (n_periods, 15, 12)]
+        assert len(ratios) == n_periods and all(type(r) is float for r in ratios)
+        assert np.array(ratios).tobytes() == np.array(expected).tobytes()
+
+    def test_a_sample_whose_alpha_is_zero_gives_zero_ratios(self, rng, monkeypatch):
+        # two points, each repeated: two clusters of coincident points, so the
+        # sample's alpha is 0, while the period rows given here spread out
+        spec = MetricSpec.dirichlet_1d(4)
+        cfg = LinearModalConfig(1.0, spec.mode_eigenvalues)
+        trajectory, _rows = period_samples(
+            cfg, np.repeat(random_states(rng, spec, 2), 3, axis=0), 3.0, 0)
+        period_rows = np.stack([random_states(rng, spec, 6) for _ in range(4)])
+        assert alpha_proxy(trajectory[0], 2, spec) == 0.0
+        assert np.all(alpha_proxy(period_rows, 2, spec) > 0.0)
+        calls = counted_alpha_proxy(monkeypatch)
+        ratios = quasistability_estimate(trajectory, period_rows, 3.0, cfg.l, 2, closeness=1e6,
+                                         spec=spec, m_clusters=2).per_period_alpha_ratios
+        assert len(calls) == 2
+        assert ratios == per_row_alpha_ratios(trajectory[0], period_rows, 2, spec)
+        assert np.array(ratios).tobytes() == np.zeros(4).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["quasistability", "criteria_suite"])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from attractorlab import covering, dynamics, experiments
+from attractorlab import dynamics, experiments
 from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.covering import DecayTrace, decay_trace
 from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_from_dict
@@ -264,7 +264,7 @@ def oracle_run(out, points, modes, times):
 
 def chunk_times(points, modes) -> int:
     """The sample times one side of an oracle split takes at once."""
-    return covering._TRACE_CHUNK_BYTES // (points * 2 * modes * 8)
+    return experiments._TRACE_CHUNK_BYTES // (points * 2 * modes * 8)
 
 
 def whole_grid_traces(cfg, out):

@@ -34,7 +34,8 @@ REMOVED = {
                  "_sampled_norms", "_rk4_step", "_WAVE_KEYS", "_steps_for"),
     "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
                    "QUANT_FLOOR", "verification_grid"),
-    "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist"),
+    "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist", "greedy_kcenter",
+                 "_TRACE_CHUNK_BYTES"),
     "decay": ("decay_eval",),
     "criteria": ("_unique_points", "TRAJECTORY_SAMPLES"),
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",

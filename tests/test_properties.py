@@ -1,5 +1,7 @@
 """Property tests of the covering invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from attractorlab.covering import (
     exact_kcenter_radius,
     exact_min_max_diameter,
     farthest_point_traversal,
-    greedy_kcenter,
     semidist_arrays,
 )
 from attractorlab.decay import DecayLaw
@@ -49,8 +50,10 @@ def test_greedy_alpha_proxy_dominates_exact(points, m):
 
 @PROPERTY
 @given(points=point_sets(), m=st.integers(1, 4))
-def test_greedy_kcenter_radius_within_twice_optimal(points, m):
-    _centers, _assignment, radius = greedy_kcenter(points, m)
+def test_traversal_radius_within_twice_optimal(points, m):
+    # the covering radius of m farthest-point centers: their last distances
+    *_, (_center, dist) = itertools.islice(farthest_point_traversal(points), m)
+    radius = float(np.max(dist))
     optimal = exact_kcenter_radius(cdist(points, points), m)
     assert radius <= 2.0 * optimal * (1 + 1e-12) + 1e-12
 
