@@ -204,6 +204,12 @@ def orbit_grid(t_orbit: float, every: float) -> np.ndarray:
     return np.arange(int(np.rint(t_orbit / every)) + 1) * every
 
 
+def cadence_index(t: float, every: float) -> int:
+    """The index k of the first cadence time k * ``every`` at or after ``t``,
+    a time within round-off of a cadence time counting as on it."""
+    return math.ceil(t / every - 1e-9)
+
+
 def build_attracting_set(
     states, m_range: tuple, images, proxy_states, law: DecayLaw, t_orbit: float,
     orbit_sample_every: float, cfg, spec: MetricSpec,
@@ -261,7 +267,7 @@ def verify_attraction(
     if len(evolved) != aset.orbit_times.size:
         raise ValueError(f"need one held-out block per orbit time: got {len(evolved)} "
                          f"for {aset.orbit_times.size}")
-    first = max(0, math.ceil((t_star + 1.0 + aset.m_range[0]) / aset.orbit_sample_every - 1e-9))
+    first = max(0, cadence_index(t_star + 1.0 + aset.m_range[0], aset.orbit_sample_every))
     times = aset.orbit_times[first:]
     if times.size == 0:
         raise ValueError(

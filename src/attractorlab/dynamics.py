@@ -616,7 +616,10 @@ def modal_slow_rate(damping: float, lam) -> float:
 
 
 def _num(value, name: str) -> float:
-    """Numeric config field; strings are accepted so '1e-3' works in YAML."""
+    """Numeric config field; strings are accepted so '1e-3' works in YAML,
+    booleans are not, though Python counts YAML's true as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"config field {name!r} is not numeric: {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -625,7 +628,7 @@ def _num(value, name: str) -> float:
 
 def _int(value, name: str) -> int:
     """Integer config field: a whole number, given as for ``_num``."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)  # exact, even past float precision (large seeds)
     number = _num(value, name)
     if not number.is_integer():

@@ -18,7 +18,8 @@ and run only their main thread, so their own forks are safe.
 
 Inside one wave_attractor run, two passes run in forked children
 (``_forked``) while this process integrates: the held-out fresh sample's
-pass, which needs only the config, from the start of the run; and the fit,
+pass, which needs only the config, from the start of the run; and, once
+this process has measured the alpha trace of the absorbed sample, the fit,
 net and net orbits, while this process continues the absorbed sample to
 2 t_orbit for the omega-limit proxy.  A child sends back only what the run
 reads and writes no file.  With one CPU nothing is forked, and every pass
@@ -63,7 +64,13 @@ import numpy as np
 import yaml
 
 from . import __version__, covering
-from .attracting import build_attracting_set, orbit_grid, save_attracting_set, verify_attraction
+from .attracting import (
+    build_attracting_set,
+    cadence_index,
+    orbit_grid,
+    save_attracting_set,
+    verify_attraction,
+)
 from .covering import DecayTrace, decay_trace, write_csv
 from .decay import DecayLaw
 from .criteria import (
@@ -78,6 +85,7 @@ from .criteria import (
 from .dynamics import (
     BlowUpError,
     LinearModalConfig,
+    MAX_STEPS,
     WaveSystemConfig,
     absorbing_radius,
     modal_slow_rate,
@@ -486,33 +494,27 @@ def _norms_and_rows(system, states, enter_steps, cadence_steps):
     return norms, rows[np.searchsorted(steps, cadence_steps)]
 
 
-def _net_stage(cfg: ExperimentConfig, bounds, absorbed, rows, images):
-    """The alpha trace of the absorbed sample's ``rows`` (on ``t_grid``) with
-    its outcome: (alpha, (fit, law, set)), the trace's fit and decay law and
-    the net with its orbits, or (alpha, error) when the fit or the net
-    raised, so the trace is written either way.  A failed trace raises.
-    ``fit`` is None for a degenerate trace, and the set's omega-limit proxy
-    is None for the caller to fill in."""
-    alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, cfg.metric)
-    try:
-        if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
-            # sample spread never rises above the floor (e.g. an exact equilibrium);
-            # any positive envelope dominates, so use the predicted rate
-            fit = None
-            law = DecayLaw(
-                "exponential", 10.0 * cfg.fit_floor,
-                bounds.rate_energy if bounds else 1.0,
-            )
-        else:
-            fit = fit_exponential_rate(alpha, cfg.fit_floor)
-            law = fit_envelope_law(alpha, fit)
-        aset = build_attracting_set(
-            absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
-            cfg.system, cfg.metric,
+def _net_stage(cfg: ExperimentConfig, bounds, absorbed, alpha, images):
+    """The fit and decay law of the absorbed sample's ``alpha`` trace (on
+    ``t_grid``) and the net with its orbits: (fit, law, set).  ``fit`` is
+    None for a degenerate trace, and the set's omega-limit proxy is None for
+    the caller to fill in."""
+    if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
+        # sample spread never rises above the floor (e.g. an exact equilibrium);
+        # any positive envelope dominates, so use the predicted rate
+        fit = None
+        law = DecayLaw(
+            "exponential", 10.0 * cfg.fit_floor,
+            bounds.rate_energy if bounds else 1.0,
         )
-    except Exception as exc:  # noqa: BLE001 - raised once the caller writes the trace
-        return alpha, exc
-    return alpha, (fit, law, aset)
+    else:
+        fit = fit_exponential_rate(alpha, cfg.fit_floor)
+        law = fit_envelope_law(alpha, fit)
+    aset = build_attracting_set(
+        absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
+        cfg.system, cfg.metric,
+    )
+    return fit, law, aset
 
 
 def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
@@ -528,12 +530,12 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
         # one probe pass over the horizon: the absorbing radius, and the probe's
         # rows at every orbit-cadence step up to the first at or past the horizon
-        snap_steps = system.steps(np.arange(math.ceil(horizon / snap - 1e-9) + 1) * snap)
+        snap_steps = system.steps(np.arange(cadence_index(horizon, snap) + 1) * snap)
         probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
         radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
         # anchor the absorbing-ball sample at the probe's own entering time: later
         # states are over-contracted and would miscalibrate the law's amplitude
-        absorb_time = math.ceil(max(t_enter) / snap - 1e-9) * snap
+        absorb_time = cadence_index(max(t_enter), snap) * snap
         absorb_step = int(system.steps(absorb_time))
         # the absorbed sample is the probe from absorb_time on: its pass
         # resumes the probe pass instead of integrating the probe's steps again
@@ -542,19 +544,18 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
             system, snap_steps, snap_rows, absorb_step, [0.0], cfg.t_grid, births,
         )
         del snap_rows
+        alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, cfg.metric)
+        del rows
         bounds = predicted_rate_bounds(system) if system.l > 0 else None
         # a child fits the law and builds the net while this process
         # continues the same batch to 2 t_orbit, the omega-limit proxy
-        with _forked(_net_stage, cfg, bounds, absorbed, rows, images) as net_stage:
+        with _forked(_net_stage, cfg, bounds, absorbed, alpha, images) as net_stage:
             (proxy,), _ = _resume(system, *held, absorb_step, [2.0 * cfg.t_orbit])
             del held
-            alpha, outcome = net_stage()
-        # the serial order writes the trace before the fit, so a failed fit or
-        # net leaves it
-        alpha.to_csv(out("trace_alpha.csv"))
-        if isinstance(outcome, Exception):
-            raise outcome
-        fit, law, aset = outcome
+            # the serial order writes the trace before the fit, so a failed
+            # fit or net leaves it
+            alpha.to_csv(out("trace_alpha.csv"))
+            fit, law, aset = net_stage()
         enter_norms, cadence_rows = fresh_pass()
     aset = replace(aset, attractor_proxy=proxy)
 
@@ -766,14 +767,22 @@ def _parse_grid(raw, name: str) -> np.ndarray:
     if set(raw) not in ({"start", "stop", "step"}, {"start", "stop", "count"}):
         raise ValueError(f"config field {name!r} needs keys start/stop/step or start/stop/count")
     start, stop = _num(raw["start"], name), _num(raw["stop"], name)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"config field {name!r} start and stop must be finite, "
+                         f"got {start!r} and {stop!r}")
+    # a grid past the step cap is refused before numpy allocates it
     if "count" in raw:
         count = _int(raw["count"], name)
-        if count < 1:
-            raise ValueError(f"config field {name!r} count must be positive, got {count!r}")
+        if not 1 <= count <= MAX_STEPS:
+            raise ValueError(f"config field {name!r} count must be in 1..{MAX_STEPS}, "
+                             f"got {count!r}")
         return np.linspace(start, stop, count)
     step = _num(raw["step"], name)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"config field {name!r} step must be positive and finite, got {step!r}")
+    if (stop - start) / step > MAX_STEPS:
+        raise ValueError(f"config field {name!r} must hold at most {MAX_STEPS} times, got "
+                         f"{start!r} to {stop!r} in steps of {step!r}")
     return np.arange(start, stop + 1e-9 * max(1.0, abs(stop)), step)
 
 
@@ -791,6 +800,13 @@ def _mapping(raw, name: str) -> dict:
     return raw or {}
 
 
+def _directory(raw, name: str) -> str:
+    """The output directory: a nonempty path, never a null read as 'None'."""
+    if not (isinstance(raw, str) and raw):
+        raise ValueError(f"config field {name!r} must be a nonempty string, got {raw!r}")
+    return raw
+
+
 def _optional(read):
     return lambda raw, name: None if raw is None else read(raw, name)
 
@@ -798,7 +814,7 @@ def _optional(read):
 # The run file format (see the module docstring); section None is the top level.
 _SCHEMA = (
     (None, "kind", "kind", lambda raw, _name: str(raw)),
-    (None, "output_dir", "output_dir", lambda raw, _name: str(raw)),
+    (None, "output_dir", "output_dir", _directory),
     (None, "seed", "seed", _int),
     ("ensemble", "count", "ensemble_count", _int),
     ("ensemble", "radius", "ensemble_radius", _num),

@@ -8,6 +8,7 @@ from attractorlab.attracting import (
     DegenerateRadiusError,
     build_attracting_set,
     build_net,
+    cadence_index,
     load_attracting_set,
     save_attracting_set,
     verify_attraction,
@@ -23,6 +24,12 @@ from attractorlab.dynamics import (
 from attractorlab.phase import MetricSpec, ensemble_radius
 
 from conftest import attracting_set, random_states
+
+
+@pytest.mark.parametrize("t, index", [(0.0, 0), (0.1, 1), (0.25, 1), (0.25 + 1e-12, 1),
+                                      (0.25 - 1e-12, 1), (0.26, 2), (12.0, 48)])
+def test_cadence_index_is_the_first_cadence_time_at_or_after_t(t, index):
+    assert cadence_index(t, 0.25) == index
 
 
 def net(states, m, law, spec, cfg):

@@ -485,6 +485,19 @@ BAD_NUMBERS = {
     "sweep_on_the_linear_oracle": ("system", {"kind": "sweep_l", "grids": {"l_values": [1.0]},
                                               "system": LINEAR_SYSTEM}),
     "unknown_kind": ("kind", {"kind": "bogus"}),
+    # YAML's true is 1 to Python, but no number to a run file
+    "true_burn_in": ("burn_in", {"pipeline": {"burn_in": True}}),
+    # grid ends and lengths that numpy cannot build a grid from
+    "nan_t_grid_stop": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": float("nan"),
+                                                        "step": 0.25}}}),
+    "infinite_t_grid_stop": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": float("inf"),
+                                                             "step": 0.25}}}),
+    "nan_t_grid_start": ("t_grid", {"grids": {"t_grid": {"start": float("nan"), "stop": 1,
+                                                         "count": 5}}}),
+    "t_grid_count_past_memory": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 1,
+                                                                 "count": 10**12}}}),
+    "t_grid_steps_past_memory": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 1e15,
+                                                                 "step": 1}}}),
 }
 
 
@@ -529,6 +542,7 @@ BAD_SYSTEMS = {
     # a scalar where a list belongs: one coefficient, as for h_coeffs
     "scalar_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=5)),
     "scalar_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=5)),
+    "true_damping": ("l", dict(SMALL_WAVE_SYSTEM, l=True)),
 }
 
 
@@ -676,12 +690,23 @@ INTEGER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value", [None, [2], 2.5])
+@pytest.mark.parametrize("value", [None, [2], 2.5, True])
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
 def test_integer_field_that_is_not_an_integer_exits_1(tmp_path, field, value):
     code, _out, err = run_cli("run", write_config(tmp_path, **INTEGER_FIELDS[field](value)))
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: config field '{field}' is not ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [None, "", [1]])
+def test_output_dir_that_is_not_a_nonempty_string_exits_1(tmp_path, monkeypatch, value):
+    # a null output_dir would otherwise run into a directory named None
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("run", write_config(tmp_path, output_dir=value))
+    assert code == EXIT_CONFIG
+    assert out == "" and err == (
+        f"error: config field 'output_dir' must be a nonempty string, got {value!r}\n")
+    assert os.listdir(tmp_path) == ["config.yaml"]
 
 
 def test_shipped_wave_config_absorbs_and_meets_its_threshold(tmp_path):

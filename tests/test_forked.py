@@ -145,8 +145,9 @@ def fresh_scaled_up(monkeypatch):
 
 
 def net_orbits_blow_up(monkeypatch):
-    # the net stage fails after its alpha trace; the proxy continuation to
-    # 2 t_orbit = 40 and the fresh pass to t_orbit stay finite
+    # the net stage fails once this process has measured the alpha trace;
+    # the proxy continuation to 2 t_orbit = 40 and the fresh pass to t_orbit
+    # stay finite
     def blow_up(*_args):
         raise BlowUpError(42.0)
 
@@ -195,10 +196,13 @@ def test_failed_run_ends_the_same_on_one_and_two_cpus(case, tmp_path, monkeypatc
     assert ends[1] == ends[2] == ("failed", error, files)
 
 
-def test_failed_fit_measures_the_alpha_trace_once(tmp_path, monkeypatch):
-    # the net stage hands back its trace with the fit's error: the run
-    # writes that trace and raises the error, and measures nothing again
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+@pytest.mark.parametrize("fit_fails", [True, False], ids=["failed_fit", "fit"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wave_run_measures_the_alpha_trace_once_here(cpus, fit_fails, tmp_path, monkeypatch):
+    # this process measures the trace and writes it, and the net stage fits
+    # it, here or in a child: a failed fit raises its error after the trace
+    # is written, and nothing is measured again
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     traces = []
     measure = experiments.decay_trace
 
@@ -210,22 +214,27 @@ def test_failed_fit_measures_the_alpha_trace_once(tmp_path, monkeypatch):
         raise ValueError("no rate fits the trace")
 
     monkeypatch.setattr(experiments, "decay_trace", counted)
-    monkeypatch.setattr(experiments, "fit_exponential_rate", no_fit)
+    if fit_fails:
+        monkeypatch.setattr(experiments, "fit_exponential_rate", no_fit)
     cfg = ExperimentConfig(
         kind="wave_attractor", system=wave_config_from_dict(SMALL_WAVE_SYSTEM),
         output_dir=str(tmp_path / "out"), seed=7, ensemble_count=12, ensemble_radius=4.0,
         fresh_count=8,
     )
-    with pytest.raises(ValueError, match="no rate fits the trace"):
-        run_experiment(cfg)
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert (manifest["status"], manifest["error"], sorted(os.listdir(cfg.output_dir))) == (
-        "failed", "ValueError: no rate fits the trace", ["manifest.json", "trace_alpha.csv"]
-    )
+    if fit_fails:
+        with pytest.raises(ValueError, match="no rate fits the trace"):
+            run_experiment(cfg)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"], sorted(os.listdir(cfg.output_dir))) == (
+            "failed", "ValueError: no rate fits the trace", ["manifest.json", "trace_alpha.csv"]
+        )
+    else:
+        assert run_experiment(cfg).status == "ok"
     assert len(traces) == 1
     traces[0].to_csv(tmp_path / "measured.csv")
     assert (tmp_path / "measured.csv").read_bytes() == (
         tmp_path / "out" / "trace_alpha.csv").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("points", [1, 2])
