@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import farthest_point_traversal, semidist_arrays, write_csv
+from .covering import farthest_point_traversal, semidist_arrays, write_columns, write_csv
 from .decay import DecayLaw, within_bound
 from .dynamics import _int, _num
 from .phase import MetricSpec
@@ -145,15 +145,9 @@ class AttractionCertificate:
     satisfied_fraction: float
 
     def to_csv(self, path):
-        write_csv(
-            path,
-            ["t", "measured_semidist", "bound", "satisfied"],
-            (
-                [t, m, b, int(within_bound(m, b))]
-                for t, m, b in zip(self.times.tolist(), self.measured_semidist.tolist(),
-                                   self.bound_values.tolist())
-            ),
-        )
+        satisfied = within_bound(self.measured_semidist, self.bound_values).astype(int)
+        write_columns(path, t=self.times, measured_semidist=self.measured_semidist,
+                      bound=self.bound_values, satisfied=satisfied)
 
 
 def _cover_indices(embedded: np.ndarray, radius: float) -> list[int]:

@@ -10,9 +10,10 @@ as from a serial run, and a failed row is still recorded and printed.
 
 Exit codes: 0 success; 1 config error (an unknown key in any section of the
 run file is one), missing input file, a system that is not dissipative (no
-absorbing ball found) or a failed sweep row; 2 numerical blow-up; 3
-unsatisfied acceptance thresholds under --strict.  Every failure prints one
-line to stderr, never a traceback.
+absorbing ball found), a failed sweep row or an array too large for memory
+(``error: out of memory: ...``); 2 numerical blow-up; 3 unsatisfied
+acceptance thresholds under --strict.  Every failure prints one line to
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def main(argv=None) -> int:
         return EXIT_BLOWUP
     except (ValueError, KeyError, OSError, yaml.YAMLError, NonDissipativeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

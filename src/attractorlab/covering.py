@@ -36,7 +36,8 @@ than most runs spend computing.  Where the file or one of its kernels is
 missing (another scipy version), the kernels are the public ``cdist`` and
 ``pdist``, which give the same distances.
 
-``write_csv`` is the one writer of every output table in the package.
+``write_csv`` is the one writer of every output table in the package;
+``write_columns`` feeds it a table given as named columns.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "DecayTrace",
     "alpha_proxy",
     "decay_trace",
+    "write_columns",
     "write_csv",
     "EXACT_POINT_CAP",
 ]
@@ -100,6 +102,13 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_columns(path, **columns):
+    """``write_csv`` a table given as named columns: the keywords are the
+    header, in order, and columns of unequal length raise ``ValueError``."""
+    write_csv(path, columns,
+              zip(*(np.asarray(c).tolist() for c in columns.values()), strict=True))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import DecayTrace, _cdist, alpha_proxy, semidist_arrays, write_csv
+from .covering import DecayTrace, _cdist, alpha_proxy, semidist_arrays, write_columns
 from .decay import DecayLaw, within_bound
 from .dynamics import states_norms
 from .phase import MetricSpec
@@ -154,14 +154,9 @@ class HausdorffCriterionReport:
     alpha_within_fraction: float
 
     def to_csv(self, path):
-        write_csv(
-            path,
-            ["t", "semidist", "bound", "implied_alpha_bound", "alpha_value"],
-            zip(
-                self.times.tolist(), self.semidist.tolist(), self.bounds.tolist(),
-                self.implied_alpha_bounds.tolist(), self.alpha_values.tolist(),
-            ),
-        )
+        write_columns(path, t=self.times, semidist=self.semidist, bound=self.bounds,
+                      implied_alpha_bound=self.implied_alpha_bounds,
+                      alpha_value=self.alpha_values)
 
 
 def check_hausdorff_criterion(
@@ -228,16 +223,9 @@ class ContractiveCheckReport:
     liminf_diagnostics: np.ndarray
 
     def to_csv(self, path):
-        write_csv(
-            path,
-            ["t", "residual_max", "residual_mean", "alpha_value",
-             "alpha_bound", "liminf_diag"],
-            zip(
-                self.times.tolist(), self.pair_residual_max.tolist(),
-                self.pair_residual_mean.tolist(), self.alpha_values.tolist(),
-                self.alpha_bounds.tolist(), self.liminf_diagnostics.tolist(),
-            ),
-        )
+        write_columns(path, t=self.times, residual_max=self.pair_residual_max,
+                      residual_mean=self.pair_residual_mean, alpha_value=self.alpha_values,
+                      alpha_bound=self.alpha_bounds, liminf_diag=self.liminf_diagnostics)
 
 
 def contractive_inequality_check(

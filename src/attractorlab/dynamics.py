@@ -209,14 +209,18 @@ class WaveSystemConfig:
 
     def steps(self, times, what: str = "sample time") -> np.ndarray:
         """The RK4 step index of each of ``times``, rounded half to even, as an
-        int array; a time off the dt grid by more than 1e-9 max(1, |t|) raises,
-        named as ``what``."""
+        int array; a time off the dt grid by more than 1e-9 max(1, |t|), or of
+        2**63 steps or more, raises, named as ``what``."""
         t = np.asarray(times, dtype=float)
         k = np.rint(t / self.dt)
         with np.errstate(invalid="ignore"):  # a NaN or infinite time fails as NaN
             off = ~(np.abs(k * self.dt - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))
         if off.any():
             raise ValueError(f"{what} = {t[off].flat[0]:g} is not a multiple of dt = {self.dt:g}")
+        far = np.abs(k) >= 2.0**63  # past the int64 step index
+        if far.any():
+            raise ValueError(f"{what} = {t[far].flat[0]:g} needs {k[far].flat[0]:g} steps of "
+                             f"dt = {self.dt:g}, at least 2**63")
         return k.astype(int)
 
     def sample_grid(self, horizon: float, count: int) -> np.ndarray:
@@ -643,8 +647,15 @@ def _mode_count(value) -> int:
     return n
 
 
+def _entries(value) -> list:
+    """A list field's entries as given, for ``_num`` to read one by one (so
+    a boolean among numbers is refused): a list or tuple is its entries, any
+    other value is one entry."""
+    return value if isinstance(value, (list, tuple)) else [value]
+
+
 def _padded(values, n: int, name: str) -> tuple:
-    arr = tuple(_num(v, name) for v in np.atleast_1d(values))
+    arr = tuple(_num(v, name) for v in _entries(values))
     if len(arr) > n:
         raise ValueError(f"config field {name!r} has {len(arr)} entries but mode_count is {n}")
     return arr + (0.0,) * (n - len(arr))
@@ -674,8 +685,8 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
         raise ValueError("config field 'system.mode_count' is missing")
     n = _mode_count(raw["mode_count"])
     readers = {  # the coefficient fields; the rest are scalars of their type
-        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in np.atleast_1d(v or ())),
-        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in np.atleast_1d(v or ())),
+        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in _entries(v or [])),
+        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in _entries(v or [])),
         "h_coeffs": lambda v, name: _padded(v, n, name),
     }
     return WaveSystemConfig(**{
@@ -698,7 +709,7 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
     if kind == "linear":
         if "mode_eigenvalues" in body:
             lam = np.array([_num(v, "system.mode_eigenvalues")
-                            for v in np.atleast_1d(body.pop("mode_eigenvalues"))])
+                            for v in _entries(body.pop("mode_eigenvalues"))])
         elif "mode_count" in body:
             lam = MetricSpec.dirichlet_1d(_mode_count(body.pop("mode_count"))).mode_eigenvalues
         else:

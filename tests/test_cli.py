@@ -498,6 +498,13 @@ BAD_NUMBERS = {
                                                                  "count": 10**12}}}),
     "t_grid_steps_past_memory": ("t_grid", {"grids": {"t_grid": {"start": 0, "stop": 1e15,
                                                                  "step": 1}}}),
+    # finite times of 2**63 steps or more, past an integer step index
+    "burn_in_past_the_step_index": ("burn_in", {"pipeline": {"burn_in": 1e300}}),
+    "t_orbit_past_the_step_index": ("t_orbit", {"pipeline": {"t_orbit": 1e300}}),
+    "quasi_period_past_the_step_index": ("quasi_period", {
+        "kind": "quasistability", "pipeline": {"quasi_period": 1e300}}),
+    "default_quasi_period_past_the_step_index": ("quasi_period", {
+        "kind": "quasistability", "system": dict(SMALL_WAVE_SYSTEM, l=1e-300)}),
 }
 
 
@@ -543,6 +550,13 @@ BAD_SYSTEMS = {
     "scalar_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=5)),
     "scalar_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=5)),
     "true_damping": ("l", dict(SMALL_WAVE_SYSTEM, l=True)),
+    # a true among the numbers of a list, read entry by entry
+    "true_forcing_coefficient": ("h_coeffs", dict(SMALL_WAVE_SYSTEM, h_coeffs=[1.0, True])),
+    "true_f_coefficient": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=[0, True, 0, 1])),
+    "true_kernel_coefficient": ("kernel.coeffs", dict(
+        SMALL_WAVE_SYSTEM, kernel=[{"weight": 0.1, "coeffs": [1.0, True]}])),
+    "true_oracle_eigenvalue": ("mode_eigenvalues", {"type": "linear", "l": 1.0,
+                                                    "mode_eigenvalues": [1.0, True]}),
 }
 
 
@@ -556,6 +570,24 @@ def test_bad_system_exits_1_naming_its_key(tmp_path, case):
     # one line, and a missing key is reported missing, not as a number None
     assert err.count("\n") == 1 and "None" not in err
     assert not (tmp_path / "out").exists()
+
+
+# sizes no machine can allocate (10**12 rows or modes); the count and
+# collocation cases fail only once the run has started
+PAST_MEMORY = {
+    "count": {"ensemble": {"count": 10**12, "radius": 4.0, "fresh_count": 8}},
+    "fresh_count": {"ensemble": {"count": 12, "radius": 4.0, "fresh_count": 10**12}},
+    "collocation_points": {"system": dict(SMALL_WAVE_SYSTEM, collocation_points=10**12)},
+    "mode_count": {"system": dict(SMALL_WAVE_SYSTEM, mode_count=10**12)},  # no message
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_MEMORY))
+def test_size_past_memory_exits_1_on_one_line(tmp_path, case):
+    code, _out, err = run_cli("run", write_config(tmp_path, **PAST_MEMORY[case]))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and err.strip() != "error: out of memory:"
 
 
 def test_run_file_that_is_not_a_mapping_exits_1(tmp_path):

@@ -475,15 +475,37 @@ class TestDecayTrace:
         assert back.quantity == trace.quantity and back.m_clusters == trace.m_clusters
 
 
-def test_write_csv_writes_each_float_as_its_repr(rng, tmp_path):
+WRITERS = {  # a table's rows, or its named columns
+    "write_csv": lambda path, table: covering.write_csv(
+        path, ["c1", "c2", "c3", "c4", "c5"], table.tolist()),
+    "write_columns": lambda path, table: covering.write_columns(
+        path, **{f"c{i + 1}": column for i, column in enumerate(table.T)}),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_csv_writes_each_float_as_its_repr(rng, tmp_path, writer):
     # the csv writer formats a Python float as repr(float(v)) does, edge values included
     edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1 / 3]
     table = np.concatenate([edges, rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)])
     table = table.reshape(-1, 5)
     path = tmp_path / "table.csv"
-    covering.write_csv(path, ["c1", "c2", "c3", "c4", "c5"], table.tolist())
+    WRITERS[writer](path, table)
     lines = path.read_text().splitlines()
     assert lines[0] == "c1,c2,c3,c4,c5"
     assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in table]
     assert lines[1] == "nan,inf,-inf,-0.0,0.0"
     assert lines[2] == "5e-324,1e+16,1e-05,0.0001,0.3333333333333333"
+
+
+def test_write_columns_writes_an_int_column_as_ints(tmp_path):
+    # the certificate's satisfied column: a bool array as int, written 0 and 1
+    path = tmp_path / "table.csv"
+    satisfied = np.array([True, False]).astype(int)
+    covering.write_columns(path, t=np.array([0.5, 1.0]), satisfied=satisfied)
+    assert path.read_text().splitlines() == ["t,satisfied", "0.5,1", "1.0,0"]
+
+
+def test_write_columns_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        covering.write_columns(tmp_path / "table.csv", t=np.zeros(3), bound=np.zeros(2))

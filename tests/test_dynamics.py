@@ -200,6 +200,9 @@ class TestEvolve:
             cfg.steps([0.0, 1e6 + 1.01e-3], "t_orbit")
         with pytest.raises(ValueError, match=r"^sample time = inf is not a multiple"):
             cfg.steps([0.1, np.inf])
+        # on the dt grid, but past an integer step index
+        with pytest.raises(ValueError, match=r"^t_orbit = 1e\+300 needs 1e\+301 steps .*2\*\*63$"):
+            cfg.steps(1e300, "t_orbit")
 
     def test_rk4_order_against_oracle(self, rng):
         lam = np.arange(1.0, 5.0) ** 2
