@@ -4,9 +4,9 @@ verify persisted attracting sets from the command line.
 ``sweep`` is ``run`` on the config with kind ``sweep_l`` and the given
 damping values, or the file's ``l_values``, which are checked when the file
 is read: it writes the same outputs, manifest included, prints the same
-lines and exits by the same rules.  The sweep's rows run in row children
-(forked), at most one per CPU, oldest joined first; the outputs are the same
-as from a serial run, and a failed row is still recorded and printed.
+lines and exits by the same rules.  The sweep's rows run as one stacked
+batch in one forked child; the outputs are the same as from a serial run,
+and a failed row is still recorded and printed.
 
 Exit codes: 0 success; 1 config error (an unknown key in any section of the
 run file is one), missing input file, a system that is not dissipative (no

@@ -34,6 +34,14 @@ with two or more leading axes keeps ``np.matmul``, since ``np.dot`` could
 reach it only flattened to (P, 2N), and a flattened batch's products differ
 in the last bits.
 
+A ``DampingStack`` runs an (L, P, 2N) stack of samples under L systems that
+differ only in the damping l, which the stepper reads as an (L, 1, 1)
+array.  ``np.matmul`` takes a stacked batch's products with one gemm per
+(P, 2N) slice, and each slice gets the bits ``np.dot`` gives it alone, so
+each row of the stack is bit for bit the row stepped alone under its own
+system.  A one-row stack would get them too, but it steps slower than its
+slice, so ``DampingStack.sample`` steps it as its (P, 2N) slice.
+
 Engine interface.  ``WaveSystemConfig`` (the RK4 engine) and
 ``LinearModalConfig`` (the closed-form oracle) provide the same four
 members, so no caller needs to know which engine it runs:
@@ -61,7 +69,7 @@ pipeline integrates each ensemble once and hands every consumer its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -72,6 +80,7 @@ __all__ = [
     "NonDissipativeError",
     "WaveSystemConfig",
     "LinearModalConfig",
+    "DampingStack",
     "wave_rhs",
     "evolve_states",
     "modal_propagator",
@@ -93,7 +102,7 @@ class BlowUpError(RuntimeError):
 
     def __reduce__(self):
         # rebuilt from the time, not from ``args`` (the message), so the
-        # error survives pickling, e.g. out of a forked child (a pass or a sweep row)
+        # error survives pickling, e.g. out of a forked child (a pass or the sweep's)
         return type(self), (self.time,)
 
 
@@ -280,6 +289,48 @@ class LinearModalConfig:
                 "mode_eigenvalues": [float(v) for v in self.eigenvalues]}
 
 
+@dataclass(frozen=True, eq=False)
+class DampingStack:
+    """The wave engine of an (L, P, 2N) stack of samples whose row i runs
+    under ``systems[i]``, wave systems that differ only in the damping l.
+
+    ``l`` is the rows' dampings as an (L, 1, 1) array, which broadcasts over
+    the stack's (L, P, N) blocks; every other member (``eigenvalues``,
+    ``steps``, ``sample_grid``, ``dt`` and the fields ``_Stepper`` reads) is
+    the systems' shared one.  ``sample`` steps a stack of two or more rows
+    as one batch, and a one-row stack as its (P, 2N) slice under its own
+    system, with a leading axis of one row put back on the samples (see the
+    module docstring).
+    """
+
+    systems: tuple
+
+    def __post_init__(self):
+        shared = [replace(s, l=0.0).as_dict() for s in self.systems]
+        if not shared or any(d != shared[0] for d in shared):
+            raise ValueError("a damping stack needs wave systems that differ only in l")
+
+    def __getattr__(self, name):
+        if name.startswith("__") or name == "systems":  # looked up before systems is set
+            raise AttributeError(name)
+        return getattr(self.systems[0], name)
+
+    @property
+    def l(self) -> np.ndarray:
+        return np.array([s.l for s in self.systems]).reshape(-1, 1, 1)
+
+    def sample(self, states, times) -> np.ndarray:
+        """RK4 samples of the (L, P, 2N) stack ``states``, shape
+        (len(times), L, P, 2N)."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 3 or states.shape[0] != len(self.systems):
+            raise ValueError(f"a stack of {len(self.systems)} rows needs (L, P, 2N) states, "
+                             f"got shape {states.shape}")
+        if len(self.systems) == 1:
+            return evolve_states(states[0], self.systems[0], times)[:, None]
+        return evolve_states(states, self, times)
+
+
 # ---------------------------------------------------------------------------
 # wave system right-hand side and RK4 integration
 
@@ -339,7 +390,9 @@ class _Stepper:
         self.neg_lam = np.ascontiguousarray(np.broadcast_to(-cfg.eigenvalues, lead + (n,)))
         self.h = np.ascontiguousarray(np.broadcast_to(cfg.h_coeffs, lead + (n,)))
         self.k, self.p_half = cfg.k, cfg.p / 2.0
-        self.l = cfg.l + 0.0  # the reference's k = 0 damping (an l of -0.0 becomes 0.0)
+        # the reference's k = 0 damping (an l of -0.0 becomes 0.0); a
+        # DampingStack's (L, 1, 1) array gives each row of the stack its own
+        self.l = cfg.l + 0.0
         self.f = cfg.f_coeffs or None
         self.synth, self.weight = _sine_collocation(n, cfg.collocation_points)
         self.synth_t = self.synth.T
@@ -684,9 +737,10 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
     if "mode_count" not in raw:
         raise ValueError("config field 'system.mode_count' is missing")
     n = _mode_count(raw["mode_count"])
-    readers = {  # the coefficient fields; the rest are scalars of their type
-        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in _entries(v or [])),
-        "kernel": lambda v, name: tuple(_kernel_entry(e, n) for e in _entries(v or [])),
+    readers = {  # the coefficient fields, null for none; the rest are scalars of their type
+        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in _entries([] if v is None else v)),
+        "kernel": lambda v, name: tuple(_kernel_entry(e, n)
+                                        for e in _entries([] if v is None else v)),
         "h_coeffs": lambda v, name: _padded(v, n, name),
     }
     return WaveSystemConfig(**{

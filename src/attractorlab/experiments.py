@@ -10,24 +10,29 @@ unit sphere of the energy metric is drawn by normalizing a standard Gaussian
 in embedded coordinates, then scaled by ``radius * U**(1 / (2N))`` with U
 uniform on (0, 1); this is uniform in the energy-metric ball.
 
-A ``sweep_l`` run's rows are independent wave_attractor runs.  They run at
-the same time in row children (``_forked``), at most one per CPU, oldest
-joined first.  The outputs are the same as from one row after another, and
-a failed row is still recorded in its row.  Row children are not daemonic
-and run only their main thread, so their own forks are safe.
+A ``sweep_l`` run's rows are wave_attractor runs that differ only in the
+damping l.  One forked child (``_forked``) runs them as one stack
+(``_sweep_rows``): the wave stages below step every row's samples as one
+(L, P, 2N) batch with a per-row damping (``dynamics.DampingStack``), which
+gives each row the bits its own run gives, and loop over the rows for each
+row's own steps.  If the stacked run fails, the child runs every row alone
+in turn, so the outputs are the same as from one row after another and a
+failed row is still recorded in its row.  The sweep child is not daemonic
+and runs only its main thread, so its own forks are safe.
 
-Inside one wave_attractor run, two passes run in forked children
-(``_forked``) while this process integrates: the held-out fresh sample's
-pass, which needs only the config, from the start of the run; and, once
-this process has measured the alpha trace of the absorbed sample, the fit,
-net and net orbits, while this process continues the absorbed sample to
-2 t_orbit for the omega-limit proxy.  A child sends back only what the run
-reads and writes no file.  With one CPU nothing is forked, and every pass
-runs here in the serial order.  A failed run ends as the serial one does:
-the same error wins (the proxy continuation's before the net stage's, both
-before the fresh pass's), the same files are left, ``trace_alpha.csv`` is
-written only once the continuation has succeeded, and every child is joined
-before ``run_experiment`` returns or raises.
+Inside the wave stages (``_wave_rows``; a wave_attractor run is its one-row
+case), two passes run in forked children (``_forked``) while this process
+integrates: the held-out fresh sample's pass, which needs only the config,
+from the start of the run; and, once this process has measured the alpha
+traces of the absorbed samples, the fits, nets and net orbits, while this
+process continues the absorbed samples to 2 t_orbit for the omega-limit
+proxy.  A child sends back only what the run reads and writes no file.
+With one CPU nothing is forked, and every pass runs here in the serial
+order.  A failed run ends as the serial one does: the same error wins (the
+proxy continuation's before the net stage's, both before the fresh
+pass's), the same files are left, ``trace_alpha.csv`` is written only once
+the continuation has succeeded, and every child is joined before
+``run_experiment`` returns or raises.
 
 An oracle_decay run splits ``t_grid`` the same way: a forked child samples
 the later half and takes its semidistance and alpha values while this
@@ -84,6 +89,7 @@ from .criteria import (
 )
 from .dynamics import (
     BlowUpError,
+    DampingStack,
     LinearModalConfig,
     MAX_STEPS,
     WaveSystemConfig,
@@ -333,35 +339,40 @@ def _sample_union(system, states, *grids) -> list:
     return [samples[np.searchsorted(union, g)] for g in grids]
 
 
-def _resume(system, steps, rows, start: int, *grids) -> list:
-    """``_sample_union`` on the wave engine of the trajectory whose states at
-    the sorted step indices ``steps`` (``steps[0] <= start``) are ``rows``,
-    with the grids' times counted from step ``start``.  After the grids' row
-    arrays comes this call's own table (steps, rows), which holds a row at
-    every grid time, for a later call to resume from.
+def _resume(system, steps, rows, starts, *grids) -> list:
+    """``_sample_union`` on the wave engine of an (L, P, 2N) stack whose
+    states at the sorted step indices ``steps`` are ``rows`` (S, L, P, 2N),
+    with row i's grid times counted from its step ``starts[i]`` (each at or
+    after ``steps[0]``).  Each grid gives a (len(grid), L, P, 2N) array.
+    After them comes this call's own table (steps, rows), which holds every
+    row at each of the steps any row read, for a later call to resume from.
 
-    Rows the trajectory holds are read from it.  The rest come from one pass
-    that resumes at its last held row before the first time it lacks, so the
-    steps up to that row are not integrated again.  Each row is bit for bit
-    the one a pass from the state at ``start`` gives: the same batch takes
-    the same steps.  A blow-up's time is counted from ``start`` too, so it
-    does not depend on the row the pass resumed from.
+    Every row reads its own steps from the union of the rows' steps.  Those
+    the table holds are read from it; the rest come from one pass of the
+    whole stack that resumes at the last held step before the first one the
+    table lacks, so the steps up to it are not integrated again.  Each row
+    is bit for bit the one a pass from its state at its start gives: it
+    takes the same steps.  A blow-up's time is counted from the earliest
+    start, so a one-row stack's does not depend on the step the pass
+    resumed from.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     union = _sample_times(np.unique(np.concatenate(grids)))
-    want = start + system.steps(union)
-    held = np.isin(want, steps)
-    first = want.size if held.all() else int(np.argmin(held))
-    samples = rows[np.searchsorted(steps, want[:first])]
-    if first < want.size:
-        base = np.searchsorted(steps, want[first]) - 1
+    want = np.add.outer(starts, system.steps(union))  # (L, U): each row's steps
+    need = np.unique(want)
+    held = np.isin(need, steps)
+    first = need.size if held.all() else int(np.argmin(held))
+    samples = rows[np.searchsorted(steps, need[:first])]
+    if first < need.size:
+        base = np.searchsorted(steps, need[first]) - 1
         try:
-            later = system.sample(rows[base], (want[first:] - steps[base]) * system.dt)
+            later = system.sample(rows[base], (need[first:] - steps[base]) * system.dt)
         except BlowUpError as exc:
-            lost = system.steps(exc.time, "blow-up time") + steps[base] - start
+            lost = system.steps(exc.time, "blow-up time") + steps[base] - min(starts)
             raise BlowUpError(lost * system.dt) from None
         samples = np.concatenate([samples, later])
-    return [samples[np.searchsorted(union, g)] for g in grids] + [(want, samples)]
+    at, stack = np.searchsorted(need, want), np.arange(want.shape[0])
+    return [samples[at[:, np.searchsorted(union, g)].T, stack] for g in grids] + [(need, samples)]
 
 
 @contextlib.contextmanager
@@ -494,33 +505,52 @@ def _norms_and_rows(system, states, enter_steps, cadence_steps):
     return norms, rows[np.searchsorted(steps, cadence_steps)]
 
 
-def _net_stage(cfg: ExperimentConfig, bounds, absorbed, alpha, images):
-    """The fit and decay law of the absorbed sample's ``alpha`` trace (on
-    ``t_grid``) and the net with its orbits: (fit, law, set).  ``fit`` is
-    None for a degenerate trace, and the set's omega-limit proxy is None for
-    the caller to fill in."""
-    if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
-        # sample spread never rises above the floor (e.g. an exact equilibrium);
-        # any positive envelope dominates, so use the predicted rate
-        fit = None
-        law = DecayLaw(
-            "exponential", 10.0 * cfg.fit_floor,
-            bounds.rate_energy if bounds else 1.0,
+def _net_stages(subs, bounds, absorbed, alphas, images) -> list:
+    """For each row of a stack in turn, the fit and decay law of its absorbed
+    sample's alpha trace ``alphas[i]`` (on ``t_grid``) and the net with its
+    orbits: (fit, law, set).  Row i's absorbed sample is ``absorbed[i]`` and
+    its images ``images[:, i]``.  ``fit`` is None for a degenerate trace, and
+    the set's omega-limit proxy is None for the caller to fill in."""
+    nets = []
+    for i, (cfg, alpha) in enumerate(zip(subs, alphas)):
+        if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
+            # sample spread never rises above the floor (e.g. an exact equilibrium);
+            # any positive envelope dominates, so use the predicted rate
+            fit = None
+            law = DecayLaw(
+                "exponential", 10.0 * cfg.fit_floor,
+                bounds[i].rate_energy if bounds[i] else 1.0,
+            )
+        else:
+            fit = fit_exponential_rate(alpha, cfg.fit_floor)
+            law = fit_envelope_law(alpha, fit)
+        aset = build_attracting_set(
+            absorbed[i], cfg.m_range, images[:, i], None, law, cfg.t_orbit,
+            cfg.orbit_sample_every, cfg.system, cfg.metric,
         )
-    else:
-        fit = fit_exponential_rate(alpha, cfg.fit_floor)
-        law = fit_envelope_law(alpha, fit)
-    aset = build_attracting_set(
-        absorbed, cfg.m_range, images, None, law, cfg.t_orbit, cfg.orbit_sample_every,
-        cfg.system, cfg.metric,
-    )
-    return fit, law, aset
+        nets.append((fit, law, aset))
+    return nets
 
 
-def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
-    system = cfg.system
+def _wave_rows(subs: list) -> list:
+    """The wave_attractor stages of ``subs``, configs that differ only in
+    the damping l and the output directory, and each row's headline.
+
+    Every pass steps the rows' samples as one (L, P, 2N) stack under a
+    ``DampingStack`` (a one-row stack as its (P, 2N) slice).  The rows share
+    the draws, since they share the seed and the ensembles.  Each per-row
+    step (absorbing radius, alpha trace, fit, net, certificate, files) loops
+    over the rows, and a stage ends for every row before the next begins, so
+    a run stops at the earliest stage at which any row fails.
+    """
+    cfg, count = subs[0], len(subs)
+    system = DampingStack(tuple(sub.system for sub in subs))
     horizon, snap = cfg.burn_in + cfg.window, cfg.orbit_sample_every
-    probe, fresh = draw_samples(cfg)
+
+    def out(i: int, name: str) -> str:
+        return os.path.join(subs[i].output_dir, name)
+
+    probe, fresh = (np.broadcast_to(s, (count,) + s.shape) for s in draw_samples(cfg))
     enter_grid = system.sample_grid(horizon, _ENTER_SAMPLES)
     enter_steps = system.steps(enter_grid)
     # the certificate reads the fresh sample at the set's orbit times, every
@@ -528,64 +558,76 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
     # config, so it runs in a child from here on (see the module docstring)
     cadence_steps = system.steps(orbit_grid(cfg.t_orbit, snap))
     with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
-        # one probe pass over the horizon: the absorbing radius, and the probe's
+        # one probe pass over the horizon: the absorbing radii, and the probe's
         # rows at every orbit-cadence step up to the first at or past the horizon
         snap_steps = system.steps(np.arange(cadence_index(horizon, snap) + 1) * snap)
         probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
-        radius, t_enter = absorbing_radius(enter_grid, probe_norms, cfg.burn_in)
-        # anchor the absorbing-ball sample at the probe's own entering time: later
+        radii, t_enters = zip(*(absorbing_radius(enter_grid, probe_norms[:, i], cfg.burn_in)
+                                for i in range(count)))
+        # anchor each absorbing-ball sample at the probe's own entering time: later
         # states are over-contracted and would miscalibrate the law's amplitude
-        absorb_time = cadence_index(max(t_enter), snap) * snap
-        absorb_step = int(system.steps(absorb_time))
-        # the absorbed sample is the probe from absorb_time on: its pass
-        # resumes the probe pass instead of integrating the probe's steps again
+        absorb_times = [cadence_index(max(t_enter), snap) * snap for t_enter in t_enters]
+        absorb_steps = system.steps(absorb_times)
+        # the absorbed samples are the probe from each absorb time on: their
+        # pass resumes the probe pass instead of integrating its steps again
         births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
         (absorbed,), rows, images, held = _resume(
-            system, snap_steps, snap_rows, absorb_step, [0.0], cfg.t_grid, births,
+            system, snap_steps, snap_rows, absorb_steps, [0.0], cfg.t_grid, births,
         )
         del snap_rows
-        alpha = decay_trace(cfg.t_grid, rows, cfg.m_clusters, cfg.metric)
+        alphas = [decay_trace(cfg.t_grid, rows[:, i], cfg.m_clusters, cfg.metric)
+                  for i in range(count)]
         del rows
-        bounds = predicted_rate_bounds(system) if system.l > 0 else None
-        # a child fits the law and builds the net while this process
-        # continues the same batch to 2 t_orbit, the omega-limit proxy
-        with _forked(_net_stage, cfg, bounds, absorbed, alpha, images) as net_stage:
-            (proxy,), _ = _resume(system, *held, absorb_step, [2.0 * cfg.t_orbit])
+        bounds = [predicted_rate_bounds(sub.system) if sub.system.l > 0 else None for sub in subs]
+        # a child fits the laws and builds the nets while this process
+        # continues the same stack to 2 t_orbit, the omega-limit proxy
+        with _forked(_net_stages, subs, bounds, absorbed, alphas, images) as net_stages:
+            (proxy,), _ = _resume(system, *held, absorb_steps, [2.0 * cfg.t_orbit])
             del held
-            # the serial order writes the trace before the fit, so a failed
-            # fit or net leaves it
-            alpha.to_csv(out("trace_alpha.csv"))
-            fit, law, aset = net_stage()
+            # the serial order writes the traces before the fits, so a failed
+            # fit or net leaves them
+            for i, alpha in enumerate(alphas):
+                alpha.to_csv(out(i, "trace_alpha.csv"))
+            nets = net_stages()
         enter_norms, cadence_rows = fresh_pass()
-    aset = replace(aset, attractor_proxy=proxy)
 
-    t_star = max(_settle_times(enter_grid, enter_norms, radius))
-    certificate = verify_attraction(aset, cadence_rows, t_star, cfg.metric)
+    certified = []
+    for i, (fit, law, aset) in enumerate(nets):
+        aset = replace(aset, attractor_proxy=proxy[i])
+        t_star = max(_settle_times(enter_grid, enter_norms[:, i], radii[i]))
+        certificate = verify_attraction(aset, cadence_rows[:, i], t_star, cfg.metric)
+        certified.append((fit, law, aset, t_star, certificate))
+    headlines = []
+    for i, (fit, law, aset, t_star, certificate) in enumerate(certified):
+        save_attracting_set(
+            aset,
+            out(i, "attractor"),
+            extra={"absorbing_radius": radii[i], "t_star": t_star,
+                   "burn_in": cfg.burn_in, "window": cfg.window},
+        )
+        certificate.to_csv(out(i, "certificate.csv"))
+        headline = {
+            "c_env": law.amplitude,
+            "satisfied_fraction": certificate.satisfied_fraction,
+            "absorbing_radius": radii[i],
+            "absorb_time": absorb_times[i],
+            "t_star": t_star,
+            "net_size": float(len(aset.birth_times)),
+            "orbit_sample_count": float(aset.orbit_states.shape[0] * aset.orbit_states.shape[1]),
+            "degenerate_trace": float(fit is None),
+        }
+        if fit is not None:
+            headline["beta_hat"] = fit.rate
+            headline["r_squared"] = fit.r_squared
+        if bounds[i] is not None:
+            headline["rate_energy"] = bounds[i].rate_energy
+            headline["rate_contraction"] = bounds[i].rate_contraction
+        headlines.append(headline)
+    return headlines
 
-    save_attracting_set(
-        aset,
-        out("attractor"),
-        extra={"absorbing_radius": radius, "t_star": t_star,
-               "burn_in": cfg.burn_in, "window": cfg.window},
-    )
-    certificate.to_csv(out("certificate.csv"))
 
-    headline = {
-        "c_env": law.amplitude,
-        "satisfied_fraction": certificate.satisfied_fraction,
-        "absorbing_radius": radius,
-        "absorb_time": absorb_time,
-        "t_star": t_star,
-        "net_size": float(len(aset.birth_times)),
-        "orbit_sample_count": float(aset.orbit_states.shape[0] * aset.orbit_states.shape[1]),
-        "degenerate_trace": float(fit is None),
-    }
-    if fit is not None:
-        headline["beta_hat"] = fit.rate
-        headline["r_squared"] = fit.r_squared
-    if bounds is not None:
-        headline["rate_energy"] = bounds.rate_energy
-        headline["rate_contraction"] = bounds.rate_contraction
+def _pipeline_wave_attractor(cfg: ExperimentConfig, _out):
+    (headline,) = _wave_rows([cfg])
     return headline, []
 
 
@@ -593,40 +635,56 @@ def _pipeline_wave_attractor(cfg: ExperimentConfig, out):
 SWEEP_MEASURED = ("beta_hat", "rate_energy", "rate_contraction", "satisfied_fraction")
 
 
-def _sweep_row(sub: ExperimentConfig) -> dict:
-    """One row of a damping sweep: the wave_attractor run of ``sub`` and its
-    headline numbers, or the error that stopped it.  The error is caught here,
-    so a row child (``_forked``) sends back only floats and strings."""
+def _sweep_row(sub: ExperimentConfig, headline: dict | None = None) -> dict:
+    """One row of a damping sweep: the headline numbers of the wave_attractor
+    run of ``sub`` (``headline``, or else those of ``run_experiment(sub)``
+    run here), or the error that stopped the run."""
     row = {"l": sub.system.l, **dict.fromkeys(SWEEP_MEASURED, float("nan"))}
     try:
-        head = run_experiment(sub).headline
+        head = run_experiment(sub).headline if headline is None else headline
         row.update({k: head.get(k, float("nan")) for k in SWEEP_MEASURED}, status="ok", error="")
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
         row.update(status="failed", error=str(exc))
     return row
 
 
+def _sweep_rows(subs: list, start: float) -> list:
+    """Every row of a damping sweep, as ``_sweep_row`` gives it.
+
+    The rows run as one stack (``_wave_rows``), and each row's manifest is
+    then written as ``run_experiment(sub)`` writes it, but with
+    ``duration_s`` counted from ``start``, the sweep's start.  If the stacked
+    run raises, every row runs alone in turn through ``_sweep_row``, with
+    ``duration_s`` from its own start, and a failed row is recorded in its
+    row.  No file of the stacked run outlives it: the run stops at the
+    earliest stage at which any row fails, and every file it wrote before
+    that stage is one that the row's own run writes again, with the same
+    bytes, before it stops or ends."""
+    try:
+        for sub in subs:
+            os.makedirs(sub.output_dir, exist_ok=True)
+        headlines = _wave_rows(subs)
+        for sub, headline in zip(subs, headlines):
+            _record(sub, start, headline, [], None)
+    except Exception:  # noqa: BLE001 - each row's own run records its error
+        return [_sweep_row(sub) for sub in subs]
+    return [_sweep_row(sub, headline) for sub, headline in zip(subs, headlines)]
+
+
 def _pipeline_sweep_l(cfg: ExperimentConfig, out):
     """One wave_attractor run per damping value in ``l_values``, each in its
-    own ``l_<i>_<value>`` directory, and sweep.csv over them, in row children
-    (``_forked``), at most one per CPU, oldest joined first.  A failed value
-    is recorded in its row and the sweep continues; the headline's
+    own ``l_<i>_<value>`` directory, and sweep.csv over them; the rows run
+    as one stack in one forked child (``_sweep_rows``).  A failed value is
+    recorded in its row and the sweep continues; the headline's
     ``satisfied_fraction`` is the worst over the rows that ran."""
+    start = time.perf_counter()
     subs = [
         replace(cfg, kind="wave_attractor", system=replace(cfg.system, l=val),
                 output_dir=out(f"l_{i}_{val:g}"), l_values=())
         for i, val in enumerate(map(float, cfg.l_values))
     ]
-    rows, window, width = [], [], os.cpu_count() or 1
-    with contextlib.ExitStack() as started:
-        for i, sub in enumerate(subs, 1):
-            row = started.enter_context(contextlib.ExitStack())
-            window.append((row, row.enter_context(_forked(_sweep_row, sub))))
-            # the window is full, or every row is forked: join the oldest, freeing its process
-            while window and (len(window) == width or i == len(subs)):
-                row, result = window.pop(0)
-                with row:
-                    rows.append(result())
+    with _forked(_sweep_rows, subs, start) as sweep:
+        rows = sweep()
     columns = ["l", *SWEEP_MEASURED, "status", "error"]
     write_csv(out("sweep.csv"), columns, ([r[c] for c in columns] for r in rows))
 
@@ -733,6 +791,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         headline, table = _KINDS[cfg.kind][0](cfg, out)
     except Exception as exc:
         failure = exc
+    return _record(cfg, start, headline, table, failure)
+
+
+def _record(cfg: ExperimentConfig, start: float, headline: dict, table: list,
+            failure: Exception | None) -> RunManifest:
+    """Write the manifest of the run of ``cfg`` that began at ``start``
+    (``time.perf_counter``) and return it, or re-raise its ``failure``."""
     manifest = RunManifest(
         kind=cfg.kind,
         config=config_to_dict(cfg),
@@ -744,7 +809,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         error="" if failure is None else f"{type(failure).__name__}: {failure}",
         table=table,
     )
-    manifest.save(out("manifest.json"))
+    manifest.save(os.path.join(cfg.output_dir, "manifest.json"))
     if failure is not None:
         raise failure
     return manifest

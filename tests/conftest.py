@@ -11,7 +11,7 @@ from attractorlab.attracting import build_attracting_set
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running: the forked passes of
-    a run and the sweep's workers are joined before ``run_experiment``
+    a run and the sweep's child are joined before ``run_experiment``
     returns or raises.  A child left behind is killed, so later tests start
     clean."""
     yield

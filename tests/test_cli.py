@@ -549,6 +549,10 @@ BAD_SYSTEMS = {
     # a scalar where a list belongs: one coefficient, as for h_coeffs
     "scalar_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=5)),
     "scalar_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=5)),
+    # only null means no coefficients: a false or a 0 is one entry, refused
+    "false_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=False)),
+    "false_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=False)),
+    "zero_kernel": ("kernel", dict(SMALL_WAVE_SYSTEM, kernel=0)),
     "true_damping": ("l", dict(SMALL_WAVE_SYSTEM, l=True)),
     # a true among the numbers of a list, read entry by entry
     "true_forcing_coefficient": ("h_coeffs", dict(SMALL_WAVE_SYSTEM, h_coeffs=[1.0, True])),
@@ -570,6 +574,16 @@ def test_bad_system_exits_1_naming_its_key(tmp_path, case):
     # one line, and a missing key is reported missing, not as a number None
     assert err.count("\n") == 1 and "None" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["f_coeffs", "kernel"])
+def test_null_coefficient_field_runs_as_no_coefficients(tmp_path, field):
+    # criteria_suite needs no absorbing ball, which the system without f lacks
+    system = dict(SMALL_WAVE_SYSTEM, **{field: None})
+    code, _out, err = run_cli("run", write_config(tmp_path, system=system, kind="criteria_suite"))
+    assert (code, err) == (EXIT_OK, "")
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        assert json.load(fh)["config"]["system"][field] == []
 
 
 # sizes no machine can allocate (10**12 rows or modes); the count and

@@ -1,12 +1,15 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from attractorlab import dynamics
 from attractorlab.attracting import save_attracting_set
 from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import (
     BlowUpError,
+    DampingStack,
     LinearModalConfig,
     NonDissipativeError,
     WaveSystemConfig,
@@ -388,6 +391,107 @@ class TestKernelMatchesReference:
         got_e, got_l = lyapunov(y, cfg)
         assert got_e.tobytes() == e_val.tobytes()
         assert got_l.tobytes() == l_val.tobytes()
+
+
+def stack_systems(modes, k, p, kernel, dampings) -> list:
+    """The benchmark's f and h on ``modes`` modes with the given damping
+    terms and kernel, one system per damping l."""
+    rng = np.random.default_rng(modes)
+    kernels = {
+        "none": (),
+        "rank_one": ((0.1, (1.0,) + (0.0,) * (modes - 1)),),
+        "dense_rank_two": tuple((w, tuple(rng.standard_normal(modes) / 8)) for w in (0.1, -0.05)),
+    }
+    return [WaveSystemConfig(mode_count=modes, k=k, p=p, l=damping, f_coeffs=(0.0, -1.0, 0.0, 1.0),
+                             kernel=kernels[kernel], h_coeffs=(4.0,) + (0.0,) * (modes - 1),
+                             collocation_points=3 * modes)
+            for damping in dampings]
+
+
+def stepped(cfg, y0, steps=10) -> np.ndarray:
+    """``y0`` after ``steps`` RK4 steps of ``cfg``, with no finiteness check,
+    so a blow-up's non-finite values are kept."""
+    stepper = _Stepper(cfg, y0.shape)
+    stepper.load(y0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            stepper.step()
+    return stepper.store(stepper.y, np.empty_like(y0))
+
+
+class TestDampingStack:
+    # N = 32 is the benchmark's size; P = 9 and 7 its net sizes, 30 its probe
+    @pytest.mark.parametrize("batch", [1, 2, 7, 9, 13, 30])
+    @pytest.mark.parametrize("kernel", ["none", "rank_one", "dense_rank_two"])
+    @pytest.mark.parametrize("k, p", [(0.0, 2.0), (1.0, 2.0), (0.5, 3.0)])
+    @pytest.mark.parametrize("modes", [8, 32])
+    def test_each_row_of_a_stack_is_byte_identical_to_the_row_alone(self, modes, k, p, kernel,
+                                                                     batch):
+        systems = stack_systems(modes, k, p, kernel, (0.0, 1.0, 2.5, 4.0))
+        y0 = 0.3 * np.random.default_rng(batch).standard_normal((4, batch, 2 * modes))
+        stack = stepped(DampingStack(tuple(systems)), y0)
+        for row, cfg, start in zip(stack, systems, y0):
+            alone = stepped(cfg, start)
+            assert row.tobytes() == alone.tobytes()
+            # a one-row stack steps through np.matmul, and gives the same bits
+            assert stepped(DampingStack((cfg,)), start[None])[0].tobytes() == alone.tobytes()
+
+    def test_a_row_that_blows_up_keeps_its_non_finite_values_in_its_slice(self):
+        # l = 10000 is too stiff for dt = 0.0625
+        systems = stack_systems(8, 1.0, 2.0, "rank_one", (1.0, 1e4, 2.0))
+        stack = DampingStack(tuple(systems))
+        y0 = 0.3 * np.random.default_rng(0).standard_normal((3, 7, 16))
+        rows = stepped(stack, y0, 40)
+        assert [bool(np.isfinite(row).all()) for row in rows] == [True, False, True]
+        for row, cfg, start in zip(rows, systems, y0):
+            assert row.tobytes() == stepped(cfg, start, 40).tobytes()
+        with pytest.raises(BlowUpError) as alone:
+            systems[1].sample(y0[1], [40 * stack.dt])
+        with pytest.raises(BlowUpError) as stacked:
+            stack.sample(y0, [40 * stack.dt])
+        assert stacked.value.time == alone.value.time
+
+    def test_sample_steps_a_one_row_stack_as_its_slice(self, monkeypatch):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        y0 = 0.3 * np.random.default_rng(2).standard_normal((9, 64))
+        times = np.arange(0, 21, 5) * cfg.dt
+        calls = []
+        evolve = dynamics.evolve_states
+
+        def recorded(states, engine, grid):
+            calls.append((engine, np.shape(states)))
+            return evolve(states, engine, grid)
+
+        monkeypatch.setattr(dynamics, "evolve_states", recorded)
+        samples = DampingStack((cfg,)).sample(y0[None], times)
+        assert calls == [(cfg, (9, 64))]
+        assert samples.tobytes() == evolve(y0, cfg, times).tobytes()
+        assert samples.shape == (times.size, 1, 9, 64)
+
+    def test_members_are_the_shared_system_but_the_damping(self):
+        systems = stack_systems(8, 1.0, 2.0, "rank_one", (1.0, 2.0, 4.0))
+        stack = DampingStack(tuple(systems))
+        assert stack.l.tobytes() == np.array([[[1.0]], [[2.0]], [[4.0]]]).tobytes()
+        assert (stack.dt, stack.mode_count) == (0.0625, 8)
+        assert stack.eigenvalues.tobytes() == systems[0].eigenvalues.tobytes()
+        assert stack.steps([0.5]).tolist() == [8]
+        with pytest.raises(AttributeError):
+            stack.no_such_member
+
+    @pytest.mark.parametrize("change", [dict(k=2.0), dict(h_coeffs=(1.0,) * 8), dict(dt=0.03125)])
+    def test_systems_that_differ_beyond_the_damping_are_refused(self, change):
+        systems = stack_systems(8, 1.0, 2.0, "rank_one", (1.0, 2.0))
+        other = replace(systems[1], **change)
+        with pytest.raises(ValueError, match="differ only in l"):
+            DampingStack((systems[0], other))
+        with pytest.raises(ValueError, match="differ only in l"):
+            DampingStack(())
+
+    def test_states_not_stacked_row_by_row_are_refused(self):
+        stack = DampingStack(tuple(stack_systems(8, 1.0, 2.0, "none", (1.0, 2.0))))
+        for shape in [(7, 16), (3, 7, 16), (2, 1, 7, 16)]:
+            with pytest.raises(ValueError, match="a stack of 2 rows"):
+                stack.sample(np.zeros(shape), [0.0])
 
 
 class TestLinearModalOracle:

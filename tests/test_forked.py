@@ -1,17 +1,19 @@
 """The forked passes of wave_attractor and oracle_decay and the sweep's
-row children: the helper, and failed runs that end the same way whether the
-passes run in children (two CPUs) or here (one CPU)."""
+child: the helper, and failed runs that end the same way whether the passes
+run in children (two CPUs) or here (one CPU)."""
 
 import contextlib
-import functools
+import glob
 import io
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_fr
 from attractorlab.experiments import (
     ExperimentConfig,
     _forked,
+    _inventory,
     _reply,
     config_to_dict,
     run_experiment,
@@ -101,33 +104,152 @@ def test_reply_with_no_reader_left_ends_instead_of_blocking():
     assert not replying.is_alive()
 
 
-def test_killed_sweep_row_exits_1_with_one_line(tmp_path, monkeypatch):
-    # the first row dies without a result while the second runs: the second
-    # is killed, and the sweep ends as a failed run with one error line
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    row = experiments._sweep_row
-
-    @functools.wraps(row)
-    def killed_at_l_1(sub):
-        if sub.system.l == 1.0:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return row(sub)
-
-    monkeypatch.setattr(experiments, "_sweep_row", killed_at_l_1)
-    cfg = ExperimentConfig(
-        kind="sweep_l", system=wave_config_from_dict(SMALL_WAVE_SYSTEM),
-        output_dir=str(tmp_path / "out"), seed=7, ensemble_count=12, ensemble_radius=4.0,
-        fresh_count=8, l_values=(1.0, 2.0),
+def sweep_run(out, system, l_values, seed=7):
+    return ExperimentConfig(
+        kind="sweep_l", system=wave_config_from_dict(system), output_dir=str(out), seed=seed,
+        ensemble_count=12, ensemble_radius=4.0, fresh_count=8, l_values=l_values,
     )
+
+
+def test_killed_sweep_child_exits_1_with_one_line(tmp_path, monkeypatch):
+    # the sweep child dies without a result while its fresh pass runs in a
+    # child of its own: the sweep ends as a failed run with one error line
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def killed(*_args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(experiments, "decay_trace", killed)
+    cfg = sweep_run(tmp_path / "out", SMALL_WAVE_SYSTEM, (1.0, 2.0))
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(config_to_dict(cfg)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["sweep", str(config)])
-    error = "_sweep_row exited with code -9 and sent no result"
+    error = "_sweep_rows exited with code -9 and sent no result"
     assert (code, out.getvalue(), err.getvalue()) == (EXIT_CONFIG, "", f"error: {error}\n")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert (manifest["status"], manifest["error"]) == ("failed", f"ChildProcessError: {error}")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_rows_that_absorb_at_different_steps_match_their_own_runs(cpus, tmp_path,
+                                                                        monkeypatch):
+    # at seed 5 the rows absorb at t = 0.75, 0.75 and 0.5, so the stack's
+    # absorbed samples start at different steps of its probe pass
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = sweep_run(tmp_path / "sweep", SMALL_WAVE_SYSTEM, (1.0, 2.0, 4.0), seed=5)
+    assert run_experiment(cfg).status == "ok"
+    absorb_times = []
+    for i, damping in enumerate(cfg.l_values):
+        row = tmp_path / "sweep" / f"l_{i}_{damping:g}"
+        alone_dir = tmp_path / f"alone_{i}"
+        alone = run_experiment(replace(
+            cfg, kind="wave_attractor", system=replace(cfg.system, l=damping),
+            output_dir=str(alone_dir), l_values=(),
+        ))
+        row_manifest = json.loads((row / "manifest.json").read_text())
+        assert _inventory(row) == _inventory(alone_dir) == row_manifest["files"]
+        assert row_manifest["headline"] == alone.headline
+        assert (row_manifest["kind"], row_manifest["status"]) == ("wave_attractor", "ok")
+        absorb_times.append(alone.headline["absorb_time"])
+    assert absorb_times == [0.75, 0.75, 0.5]
+
+
+def row_by_row(monkeypatch):
+    """Run every sweep row alone, the path a failed stacked run takes."""
+    stacked = experiments._wave_rows
+
+    def one_row_only(subs):
+        if len(subs) > 1:
+            raise RuntimeError("row by row")
+        return stacked(subs)
+
+    monkeypatch.setattr(experiments, "_wave_rows", one_row_only)
+
+
+def net_fails_at_l_2(monkeypatch):
+    build = experiments.build_attracting_set
+
+    def fails_at_l_2(*args):
+        if args[7].l == 2.0:  # the system the net orbits run under
+            raise BlowUpError(42.0)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "build_attracting_set", fails_at_l_2)
+
+
+def save_fails_in_row_1(monkeypatch):
+    save = experiments.save_attracting_set
+
+    def fails_in_row_1(aset, directory, extra=None):
+        if os.path.basename(os.path.dirname(directory)).startswith("l_1_"):
+            raise OSError("disk full")
+        return save(aset, directory, extra)
+
+    monkeypatch.setattr(experiments, "save_attracting_set", fails_in_row_1)
+
+
+# (system, l_values, setup, the failed row's files) per sweep whose middle
+# row fails
+MIDDLE_ROW_FAILURES = {
+    # without the nonlinear damping, l = 0 leaves the kernel's gain on mode 1
+    "non_dissipative": (dict(SMALL_WAVE_SYSTEM, k=0.0), (1.0, 0.0, 2.0), None, []),
+    # l = 1000 is too stiff for dt = 0.0625: the probe pass blows up
+    "blow_up": (SMALL_WAVE_SYSTEM, (1.0, 1000.0, 2.0), None, []),
+    # every trace is written, then the middle row's net fails
+    "net_stage": (SMALL_WAVE_SYSTEM, (1.0, 2.0, 4.0), net_fails_at_l_2, ["trace_alpha.csv"]),
+    # the first row's set is written, then the middle row's save fails
+    "save": (SMALL_WAVE_SYSTEM, (1.0, 2.0, 4.0), save_fails_in_row_1, ["trace_alpha.csv"]),
+}
+
+
+def sweep_end(cfg, config) -> tuple:
+    """The CLI sweep of ``config`` into ``cfg.output_dir``: exit code, printed
+    lines, the hashes of every output file but the timed manifests, and
+    those manifests without ``duration_s``."""
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", str(config)])
+    manifests = {}
+    for path in sorted(glob.glob(os.path.join(cfg.output_dir, "**", "manifest.json"),
+                                 recursive=True)):
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if "duration_s" in manifest:
+            manifest.pop("duration_s")
+            manifests[os.path.relpath(path, cfg.output_dir)] = json.dumps(manifest, sort_keys=True)
+    return code, out.getvalue(), err.getvalue(), _inventory(cfg.output_dir), manifests
+
+
+@pytest.mark.parametrize("case", sorted(MIDDLE_ROW_FAILURES))
+def test_failed_middle_row_ends_as_the_row_by_row_sweep(case, tmp_path, monkeypatch):
+    # the stacked run fails, and every row runs again alone: no file of the
+    # stacked run is left that the rows' own runs do not write
+    system, l_values, setup, left = MIDDLE_ROW_FAILURES[case]
+    if setup is not None:
+        setup(monkeypatch)
+    cfg = sweep_run(tmp_path / "out", system, l_values)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(config_to_dict(cfg)))
+    ends = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        with monkeypatch.context() as patch:
+            row_by_row(patch)
+            ends[cpus, "row_by_row"] = sweep_end(cfg, config)
+        ends[cpus, "stacked"] = sweep_end(cfg, config)
+    code, printed, _err, files, manifests = ends[1, "row_by_row"]
+    assert all(end == ends[1, "row_by_row"] for end in ends.values())
+    assert code == EXIT_CONFIG
+    rows = [line for line in printed.splitlines() if line.startswith("l = ")]
+    assert ["FAILED" in line for line in rows] == [False, True, False]
+    middle = f"l_1_{l_values[1]:g}"
+    assert json.loads(manifests[os.path.join(middle, "manifest.json")])["status"] == "failed"
+    assert sorted(os.path.relpath(name, middle) for name in files
+                  if name.startswith(middle + os.sep)) == left
     assert multiprocessing.active_children() == []
 
 

@@ -6,9 +6,7 @@ change that alters numerics on purpose must re-record them and say so.  The
 same cases check that no pipeline integrates an ensemble twice.
 """
 
-import contextlib
 import hashlib
-import itertools
 import os
 from collections import Counter
 from dataclasses import replace
@@ -166,7 +164,8 @@ def test_outputs_match_golden_digests(case, tmp_path):
 # the passes each case makes: the linear oracle is evaluated in closed form;
 # quasistability and criteria_suite sample their probe in one pass from the
 # draw; wave_attractor makes five (probe, absorbed sample, proxy continuation,
-# net orbits and fresh sample), and sweep_l five per row
+# net orbits and fresh sample), and sweep_l's L rows 4 + L: the same four
+# stacked passes, and one net pass per row
 PASSES = {
     "oracle_decay": 0,
     "quasistability_oracle": 0,
@@ -174,7 +173,7 @@ PASSES = {
     "criteria_suite": 1,
     "wave_attractor": 5,
     "wave_attractor_unabsorbed": 5,
-    "sweep_l": 10,
+    "sweep_l": 6,
 }
 
 
@@ -182,7 +181,7 @@ PASSES = {
 def test_no_start_array_is_integrated_twice(case, tmp_path, monkeypatch):
     # each pipeline integrates each ensemble once, to its longest horizon.
     # One CPU keeps every pass in this process, where the counter sees it: the
-    # sweep's rows and wave_attractor's fresh pass and net stage
+    # sweep's stacked run and the fresh pass and net stage of a wave run
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     starts = Counter()
     evolve = dynamics.evolve_states
@@ -223,59 +222,41 @@ def test_sweep_manifest_files_are_stable_across_reruns(tmp_path):
     )
 
 
-# the row contexts entered (+l) and left (-l), in order: one CPU runs each
-# row here in turn; two keep two rows open and join the oldest before the
-# next row is forked
-ROW_WINDOWS = {
-    (1.0, 2.0): {1: [1.0, -1.0, 2.0, -2.0], 2: [1.0, 2.0, -1.0, -2.0]},
-    (1.0, 2.0, 4.0): {
-        1: [1.0, -1.0, 2.0, -2.0, 4.0, -4.0],
-        2: [1.0, 2.0, -1.0, 4.0, -2.0, -4.0],
-    },
-}
-
-
-@pytest.mark.parametrize("l_values", sorted(ROW_WINDOWS), ids=lambda v: f"{len(v)}_rows")
+@pytest.mark.parametrize("l_values", [(1.0, 2.0), (1.0, 2.0, 4.0)], ids=lambda v: f"{len(v)}_rows")
 def test_forked_sweep_matches_the_in_process_run(l_values, tmp_path, monkeypatch):
-    # two CPUs run every row in a row child, so this process integrates
-    # nothing; one CPU runs the rows here
-    in_process, windows = [], []
+    # two CPUs run the stacked rows in one sweep child, so this process
+    # integrates nothing; one CPU runs them here
+    in_process, children = [], []
     evolve, forked = dynamics.evolve_states, experiments._forked
 
     def counted(y0, cfg, times):
         in_process.append(1)
         return evolve(y0, cfg, times)
 
-    @contextlib.contextmanager
     def recorded(fn, *args):
-        # a row's own passes are forked here only on one CPU; they are not rows
-        damping = args[0].system.l if fn is experiments._sweep_row else None
-        with forked(fn, *args) as result:
-            windows.append(damping)
-            try:
-                yield result
-            finally:
-                windows.append(None if damping is None else -damping)
+        # only the children this process forks; a sweep child's own passes
+        # are forked in the child
+        children.append(fn.__name__)
+        return forked(fn, *args)
 
     monkeypatch.setattr(dynamics, "evolve_states", counted)
     monkeypatch.setattr(experiments, "_forked", recorded)
-    hashes, tables, integrations, rows = {}, {}, {}, {}
+    hashes, tables, integrations, forks = {}, {}, {}, {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
         in_process.clear()
-        windows.clear()
+        children.clear()
         cfg = small_wave(tmp_path / f"cpus_{cpus}", "sweep_l", l_values=l_values)
         tables[cpus] = run_experiment(cfg).table
         hashes[cpus] = output_hashes(cfg.output_dir)
         integrations[cpus] = len(in_process)
-        rows[cpus] = [damping for damping in windows if damping is not None]
+        forks[cpus] = list(children)
     assert hashes[2] == hashes[1]
     if l_values == (1.0, 2.0):  # the golden sweep_l case
         assert hashes[2] == GOLDEN["sweep_l"]
     assert tables[2] == tables[1]
-    assert integrations[1] > 0 and integrations[2] == 0
-    assert rows == ROW_WINDOWS[l_values]
-    assert max(itertools.accumulate(np.sign(rows[2]))) == 2
+    assert integrations[1] == 4 + len(l_values) and integrations[2] == 0
+    assert forks[2] == ["_sweep_rows"]
 
 
 @pytest.mark.parametrize("case", ["wave_attractor", "wave_attractor_unabsorbed"])

@@ -138,7 +138,7 @@ def test_benchmark_trace_points_are_bound():
 def test_cli_import_leaves_scipy_spatial_out():
     # the distance kernel is loaded from its extension file; importing
     # scipy.spatial (and with it scipy.sparse) costs more than most runs.
-    # The sweep's rows run in ``_forked`` children, so no pool module is needed
+    # The sweep runs in a ``_forked`` child, so no pool module is needed
     src = os.path.dirname(os.path.dirname(attractorlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
