@@ -19,22 +19,36 @@ Everything here truncates: birth times to [m_min, m_max] and orbits to
 [0, t_orbit]; the certificate only claims the covered window.
 
 ``AttractingSetApprox`` checks its own record when it is made, so a set that
-is built, given its proxy by ``dataclasses.replace`` or loaded passes one
-gate: ``build_attracting_set`` keeps only the checks its loop needs, and
+is built, given its proxy (``with_proxy``) or loaded passes one gate:
+``build_attracting_set`` keeps only the checks its loop needs, and
 ``load_attracting_set`` only parsing and the file layout.
+
+A set renders its net.csv and orbits.csv text once, when first asked
+(``net_tables``), and carries it through pickling and the proxy fill, so the
+process that builds the set can render them and the one that saves it only
+writes them.  ``save_attracting_set`` writes that text, then proxy.csv and
+manifest.json; it is the only writer of a set's files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covering import farthest_point_traversal, semidist_arrays, write_columns, write_csv
+from .covering import (
+    csv_text,
+    farthest_point_traversal,
+    semidist_arrays,
+    write_columns,
+    write_csv,
+    write_text,
+)
 from .decay import DecayLaw, within_bound
 from .dynamics import _int, _num
 from .phase import MetricSpec
@@ -53,6 +67,7 @@ __all__ = [
 
 RADIUS_FLOOR = 1e-10
 LAW_KEYS = ("kind", "amplitude", "rate", "shift")
+MANIFEST = "attractor manifest"  # the file a loaded set's refused fields are named in
 
 
 class DegenerateRadiusError(ValueError):
@@ -69,6 +84,12 @@ class AttractingSetApprox:
     ``orbit_states[e, k]`` is that image advanced by ``orbit_times[k]``.
     ``t_star``, the held-out sample's entering time that a run certified the
     set from, is known only for a set loaded from a manifest that records it.
+
+    ``net_tables`` is the net.csv and orbits.csv text of the set, rendered
+    on first use and kept in the instance ``__dict__``: pickling carries it,
+    and ``with_proxy``, the fill of the omega-limit proxy that those tables
+    do not read, keeps it.  Every other new record, such as a
+    ``dataclasses.replace`` of any field, renders its own.
 
     The record refuses, naming the field: ``t_orbit`` or
     ``orbit_sample_every`` not positive and finite; an ``m_range`` outside
@@ -128,6 +149,36 @@ class AttractingSetApprox:
             if rows is not None and not (rows.shape[-1] == width and np.all(np.isfinite(rows))):
                 raise ValueError(f"attracting set field {name!r} must be finite and as wide as "
                                  f"the net states, {width}, got shape {rows.shape}")
+
+    @functools.cached_property
+    def net_tables(self) -> tuple:
+        """(file name, text) of net.csv (birth time, seed and state per net
+        entry) and of orbits.csv (entry, time and state per orbit sample), in
+        the order ``save_attracting_set`` writes them."""
+        n = self.net_states.shape[1] // 2
+        net = (
+            [m, *seed, *state]
+            for m, seed, state in zip(self.birth_times.tolist(), self.net_seeds.tolist(),
+                                      self.net_states.tolist())
+        )
+        orbits = (
+            [e_pos, tau, *state]
+            for e_pos, orbit in enumerate(self.orbit_states)
+            for tau, state in zip(self.orbit_times.tolist(), orbit.tolist())
+        )
+        return (
+            ("net.csv", csv_text(["m"] + _coeff_header("seed_a", "seed_b", n)
+                                 + _coeff_header("a", "b", n), net)),
+            ("orbits.csv", csv_text(["entry", "t"] + _coeff_header("a", "b", n), orbits)),
+        )
+
+    def with_proxy(self, proxy) -> "AttractingSetApprox":
+        """This set with the omega-limit proxy ``proxy``, keeping the net
+        tables if they are rendered (they do not read the proxy)."""
+        filled = replace(self, attractor_proxy=proxy)
+        if "net_tables" in self.__dict__:
+            filled.__dict__["net_tables"] = self.net_tables
+        return filled
 
     def target_matrix(self) -> np.ndarray:
         """Raw (Q, 2N) coefficients of orbit samples plus proxy points."""
@@ -286,28 +337,13 @@ def _coeff_header(prefix_a: str, prefix_b: str, n: int) -> list[str]:
 
 
 def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None = None):
-    """Write net.csv, orbits.csv, proxy.csv and manifest.json to a directory."""
+    """Write the set's ``net_tables`` (net.csv and orbits.csv, rendered here
+    unless the set carries them), proxy.csv and manifest.json, with ``extra``
+    in the manifest, to a directory."""
     os.makedirs(directory, exist_ok=True)
     n = aset.attractor_proxy.shape[1] // 2
-
-    write_csv(
-        os.path.join(directory, "net.csv"),
-        ["m"] + _coeff_header("seed_a", "seed_b", n) + _coeff_header("a", "b", n),
-        (
-            [m, *seed, *state]
-            for m, seed, state in zip(aset.birth_times.tolist(), aset.net_seeds.tolist(),
-                                      aset.net_states.tolist())
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "orbits.csv"),
-        ["entry", "t"] + _coeff_header("a", "b", n),
-        (
-            [e_pos, tau, *state]
-            for e_pos, orbit in enumerate(aset.orbit_states)
-            for tau, state in zip(aset.orbit_times.tolist(), orbit.tolist())
-        ),
-    )
+    for name, text in aset.net_tables:
+        write_text(os.path.join(directory, name), text)
     write_csv(
         os.path.join(directory, "proxy.csv"), _coeff_header("a", "b", n),
         aset.attractor_proxy.tolist(),
@@ -331,8 +367,9 @@ def save_attracting_set(aset: AttractingSetApprox, directory, extra: dict | None
 def _manifest_law(raw) -> DecayLaw:
     """The manifest's ``law`` entry: its kind and numeric parameters."""
     if not (isinstance(raw, dict) and {"kind", "amplitude", "rate"} <= set(raw) <= set(LAW_KEYS)):
-        raise ValueError(f"manifest field 'law' must be a mapping of {LAW_KEYS}, got {raw!r}")
-    return DecayLaw(**{k: v if k == "kind" else _num(v, f"law.{k}") for k, v in raw.items()})
+        raise ValueError(f"{MANIFEST} field 'law' must be a mapping of {LAW_KEYS}, got {raw!r}")
+    return DecayLaw(**{k: v if k == "kind" else _num(v, f"law.{k}", MANIFEST)
+                       for k, v in raw.items()})
 
 
 def load_attracting_set(directory) -> AttractingSetApprox:
@@ -346,11 +383,11 @@ def load_attracting_set(directory) -> AttractingSetApprox:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
-        raise ValueError("attractor manifest must be a mapping")
+        raise ValueError(f"{MANIFEST} must be a mapping")
     law = _manifest_law(manifest.get("law"))
     m_range = manifest.get("m_range")
     if not (isinstance(m_range, list) and len(m_range) == 2):
-        raise ValueError(f"manifest field 'm_range' must be a pair, got {m_range!r}")
+        raise ValueError(f"{MANIFEST} field 'm_range' must be a pair, got {m_range!r}")
     t_star = manifest.get("t_star")
 
     def read_rows(name) -> list:
@@ -388,8 +425,9 @@ def load_attracting_set(directory) -> AttractingSetApprox:
         orbit_times=orbit_times,
         attractor_proxy=parse(read_rows("proxy.csv"), "proxy.csv"),
         law_used=law,
-        m_range=tuple(_int(m, "m_range") for m in m_range),
-        t_orbit=_num(manifest.get("t_orbit"), "t_orbit"),
-        orbit_sample_every=_num(manifest.get("orbit_sample_every"), "orbit_sample_every"),
-        t_star=None if t_star is None else _num(t_star, "t_star"),
+        m_range=tuple(_int(m, "m_range", MANIFEST) for m in m_range),
+        t_orbit=_num(manifest.get("t_orbit"), "t_orbit", MANIFEST),
+        orbit_sample_every=_num(manifest.get("orbit_sample_every"), "orbit_sample_every",
+                                MANIFEST),
+        t_star=None if t_star is None else _num(t_star, "t_star", MANIFEST),
     )

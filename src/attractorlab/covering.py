@@ -36,8 +36,11 @@ than most runs spend computing.  Where the file or one of its kernels is
 missing (another scipy version), the kernels are the public ``cdist`` and
 ``pdist``, which give the same distances.
 
-``write_csv`` is the one writer of every output table in the package;
-``write_columns`` feeds it a table given as named columns.
+``csv_text`` is the one renderer of every output table in the package: it
+gives a table's CSV text, which ``write_csv`` writes to a file and
+``write_columns`` feeds with a table given as named columns.  A table
+rendered ahead of its file (``AttractingSetApprox.net_tables``) comes from
+the same renderer, so its bytes are the file's.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import csv
 import importlib.machinery
 import importlib.util
+import io
 import itertools
 import os
 from dataclasses import dataclass
@@ -56,9 +60,11 @@ from .phase import MetricSpec
 __all__ = [
     "DecayTrace",
     "alpha_proxy",
+    "csv_text",
     "decay_trace",
     "write_columns",
     "write_csv",
+    "write_text",
     "EXACT_POINT_CAP",
 ]
 
@@ -93,15 +99,28 @@ _cdist, _pdist = _load_kernels()
 _CHUNK_BYTES = 1 << 18
 
 
-def write_csv(path, header, rows):
-    """Write a header and rows of Python numbers and strings, such as an
-    array's ``tolist()`` rows.  The csv writer writes a float as its repr, the
-    shortest round-trip form, so identical runs give byte-identical files (a
-    numpy float's repr is ``np.float64(...)``, so callers convert first)."""
+def csv_text(header, rows) -> str:
+    """The CSV text of a header and rows of Python numbers and strings, such
+    as an array's ``tolist()`` rows.  The csv writer writes a float as its
+    repr, the shortest round-trip form, so identical runs give byte-identical
+    text (a numpy float's repr is ``np.float64(...)``, so callers convert
+    first)."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def write_text(path, text: str):
+    """Write a table's ``csv_text`` to a file, its line ends as rendered."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
+
+
+def write_csv(path, header, rows):
+    """Write the ``csv_text`` of a header and rows to a file."""
+    write_text(path, csv_text(header, rows))
 
 
 def write_columns(path, **columns):

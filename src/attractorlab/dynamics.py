@@ -672,24 +672,25 @@ def modal_slow_rate(damping: float, lam) -> float:
 # config-file loading
 
 
-def _num(value, name: str) -> float:
-    """Numeric config field; strings are accepted so '1e-3' works in YAML,
-    booleans are not, though Python counts YAML's true as 1."""
+def _num(value, name: str, source: str = "config") -> float:
+    """Numeric field ``name`` of a ``source`` file, named so when refused;
+    strings are accepted so '1e-3' works in YAML, booleans are not, though
+    Python counts YAML's true as 1."""
     if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"config field {name!r} is not numeric: {value!r}")
+        raise ValueError(f"{source} field {name!r} is not numeric: {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"config field {name!r} is not numeric: {value!r}") from None
+        raise ValueError(f"{source} field {name!r} is not numeric: {value!r}") from None
 
 
-def _int(value, name: str) -> int:
-    """Integer config field: a whole number, given as for ``_num``."""
+def _int(value, name: str, source: str = "config") -> int:
+    """Integer field: a whole number, given and named as for ``_num``."""
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)  # exact, even past float precision (large seeds)
-    number = _num(value, name)
+    number = _num(value, name, source)
     if not number.is_integer():
-        raise ValueError(f"config field {name!r} is not an integer: {value!r}")
+        raise ValueError(f"{source} field {name!r} is not an integer: {value!r}")
     return int(number)
 
 

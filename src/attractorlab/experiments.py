@@ -24,9 +24,12 @@ Inside the wave stages (``_wave_rows``; a wave_attractor run is its one-row
 case), two passes run in forked children (``_forked``) while this process
 integrates: the held-out fresh sample's pass, which needs only the config,
 from the start of the run; and, once this process has measured the alpha
-traces of the absorbed samples, the fits, nets and net orbits, while this
+traces of the absorbed samples, the fits, nets and net orbits, with each
+set's net.csv and orbits.csv text rendered (``_net_stages``), while this
 process continues the absorbed samples to 2 t_orbit for the omega-limit
-proxy.  A child sends back only what the run reads and writes no file.
+proxy.  A child sends back only what the run reads and writes no file:
+this process fills each set's proxy in, keeping its rendered tables, and
+writes every file, in the serial order.
 With one CPU nothing is forked, and every pass runs here in the serial
 order.  A failed run ends as the serial one does: the same error wins (the
 proxy continuation's before the net stage's, both before the fresh
@@ -510,7 +513,10 @@ def _net_stages(subs, bounds, absorbed, alphas, images) -> list:
     sample's alpha trace ``alphas[i]`` (on ``t_grid``) and the net with its
     orbits: (fit, law, set).  Row i's absorbed sample is ``absorbed[i]`` and
     its images ``images[:, i]``.  ``fit`` is None for a degenerate trace, and
-    the set's omega-limit proxy is None for the caller to fill in."""
+    the set's omega-limit proxy is None for the caller to fill in
+    (``with_proxy``).  Each set's ``net_tables`` are rendered here, so that
+    in a forked child they are rendered while the caller continues the
+    proxy, and its save only writes them."""
     nets = []
     for i, (cfg, alpha) in enumerate(zip(subs, alphas)):
         if int(np.sum(alpha.values > cfg.fit_floor)) < 4:
@@ -528,6 +534,7 @@ def _net_stages(subs, bounds, absorbed, alphas, images) -> list:
             absorbed[i], cfg.m_range, images[:, i], None, law, cfg.t_orbit,
             cfg.orbit_sample_every, cfg.system, cfg.metric,
         )
+        aset.net_tables  # noqa: B018 - rendered here, carried back with the set
         nets.append((fit, law, aset))
     return nets
 
@@ -593,7 +600,7 @@ def _wave_rows(subs: list) -> list:
 
     certified = []
     for i, (fit, law, aset) in enumerate(nets):
-        aset = replace(aset, attractor_proxy=proxy[i])
+        aset = aset.with_proxy(proxy[i])
         t_star = max(_settle_times(enter_grid, enter_norms[:, i], radii[i]))
         certificate = verify_attraction(aset, cadence_rows[:, i], t_star, cfg.metric)
         certified.append((fit, law, aset, t_star, certificate))

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -356,6 +357,47 @@ class TestPersistence:
         assert np.array_equal(aset.target_matrix(), back.target_matrix())
         assert np.array_equal(back.orbit_times, aset.orbit_times)
         assert back.orbit_states.shape == aset.orbit_states.shape
+
+    @staticmethod
+    def _saved(aset, directory) -> dict:
+        """The bytes of every file ``save_attracting_set`` writes, by name."""
+        save_attracting_set(aset, directory, extra={"t_star": 1.0})
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_set_carried_through_pickle_and_the_proxy_fill_saves_the_same_bytes(
+        self, rng, modal_setup, tmp_path
+    ):
+        # the net stage renders the tables of a set without its proxy, the set
+        # is pickled back and this process fills the proxy in: the files are
+        # those of an equal set saved afresh
+        spec, cfg = modal_setup
+        absorbed = random_states(rng, spec, 5)
+        law = DecayLaw("exponential", 1.2, 0.35)
+        built = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        bare = replace(built, attractor_proxy=None)
+        rendered = bare.net_tables
+        carried = pickle.loads(pickle.dumps(bare))
+        filled = carried.with_proxy(built.attractor_proxy)
+        assert filled.__dict__["net_tables"] == rendered
+        assert filled.attractor_proxy is built.attractor_proxy
+        fresh = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        assert "net_tables" not in fresh.__dict__
+        assert self._saved(filled, tmp_path / "filled") == self._saved(fresh, tmp_path / "fresh")
+
+    @pytest.mark.parametrize("field", ["orbit_states", "net_states"])
+    def test_replaced_set_saves_its_new_arrays(self, rng, modal_setup, tmp_path, field):
+        # tables rendered before a replace are not the new set's: its files
+        # follow its own arrays
+        spec, cfg = modal_setup
+        absorbed = random_states(rng, spec, 5)
+        law = DecayLaw("exponential", 1.2, 0.35)
+        built = attracting_set(absorbed, (1, 2), law, 4.0, 0.5, cfg, spec)
+        built.net_tables
+        changed = replace(built, **{field: 0.5 * getattr(built, field)})
+        save_attracting_set(changed, tmp_path / "changed")
+        back = load_attracting_set(tmp_path / "changed")
+        assert np.array_equal(getattr(back, field), getattr(changed, field))
+        assert not np.array_equal(getattr(back, field), getattr(built, field))
 
     def test_load_rejects_ragged_orbits(self, rng, modal_setup, tmp_path):
         spec, cfg = modal_setup

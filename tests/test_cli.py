@@ -101,6 +101,9 @@ MALFORMED_MANIFESTS = [
     ("m_range", lambda m: {**m, "m_range": [1, 40]}),
     # a whole number of cadences, but past the end of the 12-long orbit grid
     ("t_orbit", lambda m: {**m, "t_orbit": 24.0}),
+    ("t_orbit", lambda m: {k: v for k, v in m.items() if k != "t_orbit"}),
+    # YAML's and JSON's true is no birth time, though Python counts it as 1
+    ("m_range", lambda m: {**m, "m_range": [1, True]}),
 ]
 
 
@@ -110,7 +113,7 @@ MALFORMED_MANIFESTS = [
          "zero_orbit_cadence", "infinite_orbit_cadence", "tiny_orbit_cadence",
          "infinite_t_orbit", "nan_t_orbit", "t_star_removed", "infinite_t_star",
          "negative_t_star", "m_range_reversed", "m_range_from_zero", "m_range_past_t_orbit",
-         "t_orbit_past_the_orbit_grid"],
+         "t_orbit_past_the_orbit_grid", "t_orbit_removed", "boolean_m_max"],
 )
 def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     config, out_dir, _out = finished_run
@@ -121,6 +124,8 @@ def test_verify_malformed_manifest_exits_1(finished_run, tmp_path, field, edit):
     code, _out, err = run_cli("verify", attractor, config)
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and f"'{field}'" in err and err.count("\n") == 1
+    # the field is the attractor manifest's, not the run config's
+    assert "config field" not in err
 
 
 def test_verify_manifest_that_is_not_a_mapping_exits_1(finished_run, tmp_path):

@@ -475,7 +475,9 @@ class TestDecayTrace:
         assert back.quantity == trace.quantity and back.m_clusters == trace.m_clusters
 
 
-WRITERS = {  # a table's rows, or its named columns
+WRITERS = {  # a table's rows rendered or written, or its named columns
+    "csv_text": lambda path, table: path.write_bytes(covering.csv_text(
+        ["c1", "c2", "c3", "c4", "c5"], table.tolist()).encode()),
     "write_csv": lambda path, table: covering.write_csv(
         path, ["c1", "c2", "c3", "c4", "c5"], table.tolist()),
     "write_columns": lambda path, table: covering.write_columns(

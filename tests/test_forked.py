@@ -3,6 +3,7 @@ child: the helper, and failed runs that end the same way whether the passes
 run in children (two CPUs) or here (one CPU)."""
 
 import contextlib
+import csv
 import glob
 import io
 import json
@@ -155,6 +156,71 @@ def test_sweep_rows_that_absorb_at_different_steps_match_their_own_runs(cpus, tm
         assert (row_manifest["kind"], row_manifest["status"]) == ("wave_attractor", "ok")
         absorb_times.append(alone.headline["absorb_time"])
     assert absorb_times == [0.75, 0.75, 0.5]
+
+
+NET_HEADER, ORBITS_HEADER = ["m", "seed_a_1"], ["entry", "t"]  # their first columns
+
+
+def logged_renders_and_saves(log, monkeypatch):
+    """Append to ``log`` a line for each set table rendered and each set
+    saved, in whichever process, with that process's id: the tables by the
+    header the csv writer is given, the saves through the name the run
+    calls."""
+    def note(*entry):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *entry]) + "\n")
+
+    writer, save = csv.writer, experiments.save_attracting_set
+
+    class HeaderSpy:
+        def __init__(self, fh, *args, **kwargs):
+            self._writer = writer(fh, *args, **kwargs)
+
+        def writerow(self, row):
+            row = list(row)  # a header may be a dict of columns
+            if row[:2] in (NET_HEADER, ORBITS_HEADER):
+                note("render", row[0])
+            return self._writer.writerow(row)
+
+        def writerows(self, rows):
+            return self._writer.writerows(rows)
+
+    def noted_save(aset, directory, extra=None):
+        note("save", str(directory))
+        return save(aset, directory, extra)
+
+    monkeypatch.setattr(csv, "writer", HeaderSpy)
+    monkeypatch.setattr(experiments, "save_attracting_set", noted_save)
+
+
+@pytest.mark.parametrize("kind", ["wave_attractor", "sweep_l"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_set_tables_are_rendered_once_and_not_where_they_are_saved(kind, cpus, tmp_path,
+                                                                   monkeypatch):
+    # on two CPUs the net stage's child renders each set's net.csv and
+    # orbits.csv, and the process that saves the set only writes them; on
+    # one CPU this process renders each once: a lost render is done again
+    # by the save, and a render left to the save is done where it saves
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    log = tmp_path / "log"
+    logged_renders_and_saves(log, monkeypatch)
+    cfg = sweep_run(tmp_path / "out", SMALL_WAVE_SYSTEM, (1.0, 2.0))
+    if kind == "wave_attractor":
+        cfg = replace(cfg, kind=kind, l_values=())
+    assert run_experiment(cfg).status == "ok"
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    renders = [(pid, table) for pid, what, table in entries if what == "render"]
+    savers = {pid for pid, what, _ in entries if what == "save"}
+    rows = len(cfg.l_values) or 1
+    assert sum(what == "save" for _, what, _ in entries) == rows
+    assert sorted(table for _, table in renders) == ["entry"] * rows + ["m"] * rows
+    here = os.getpid()
+    if cpus == 1:
+        assert {pid for pid, _ in renders} == savers == {here}
+    else:
+        assert not savers & {pid for pid, _ in renders}
+        assert here not in {pid for pid, _ in renders}
+    assert multiprocessing.active_children() == []
 
 
 def row_by_row(monkeypatch):
