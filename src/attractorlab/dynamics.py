@@ -34,6 +34,17 @@ with two or more leading axes keeps ``np.matmul``, since ``np.dot`` could
 reach it only flattened to (P, 2N), and a flattened batch's products differ
 in the last bits.
 
+At these sizes a step's cost is mostly numpy's fixed cost per call, so the
+stepper trims calls without changing what they compute.  Every ufunc,
+product and reduction takes its output by position, which numpy dispatches
+faster than the keyword.  The (position, velocity) views of the state and
+of each stage buffer are made once, in the constructor.  A monic f starts
+Horner's rule past the operations that cannot change a bit
+(``_horner``), so f = u^3 - u takes four ufuncs, not six.  And
+``evolve_states`` checks finiteness once per sample mark, not per step; a
+failed check replays the segment step by step to find the first
+non-finite step, so a blow-up is reported at the same time as before.
+
 A ``DampingStack`` runs an (L, P, 2N) stack of samples under L systems that
 differ only in the damping l, which the stepper reads as an (L, 1, 1)
 array.  ``np.matmul`` takes a stacked batch's products with one gemm per
@@ -335,20 +346,41 @@ class DampingStack:
 # wave system right-hand side and RK4 integration
 
 
-def _horner(coeffs, x, out=None) -> np.ndarray:
-    """The polynomial with coefficients ``coeffs`` (lowest degree first) at
-    x, by Horner's rule in the operation order of numpy's power-series
-    evaluator, so the result is bit for bit the one numpy gives.
+def _horner_start(coeffs) -> int:
+    """The start ``_horner`` takes for ``coeffs``: 2 when the polynomial is
+    monic with a zero second-highest and a nonzero third-highest
+    coefficient, 1 when it is monic otherwise, else 0."""
+    if coeffs[-1] != 1.0:
+        return 0
+    return 2 if len(coeffs) > 2 and coeffs[-2] == 0.0 and coeffs[-3] != 0.0 else 1
 
-    numpy starts from ``c[-1] + x*0``; this starts from ``c[-1]*x``, one step
-    on.  The two agree exactly for finite x when ``c[-1] > 0`` (both callers'
-    leading coefficients are), and both are non-finite otherwise.
+
+def _horner(coeffs, x, out=None, start=0) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (lowest degree first, at
+    least two, the leading one finite and nonzero) at x, by Horner's rule in
+    the operation order of numpy's power-series evaluator, so the result is
+    bit for bit the one numpy gives.  ``start`` is ``_horner_start(coeffs)``
+    or 0, decided once by the caller.
+
+    numpy starts from ``c[-1] + x*0``; start 0 starts from ``c[-1]*x``, one
+    step on.  The two agree exactly for finite x, since ``c[-1] + x*0`` is
+    ``c[-1]`` for a nonzero ``c[-1]``, and both are non-finite otherwise.
+
+    The monic starts drop operations that cannot change a bit.  Start 1
+    takes x for ``x*1.0``, which is x bit for bit.  Start 2 also takes
+    ``x*x`` for ``(x + 0.0)*x``: the two differ only at x = -0.0, where one
+    is +0.0 and the other -0.0, and adding the nonzero ``c[-3]`` to either
+    zero gives ``c[-3]``.  So f = u^3 - u takes four ufuncs, not six.
     """
-    acc = np.multiply(x, coeffs[-1], out=out)
-    np.add(acc, coeffs[-2], out=acc)
-    for c in coeffs[-3::-1]:
-        np.multiply(acc, x, out=acc)
-        np.add(acc, c, out=acc)
+    if start == 2:
+        acc = np.add(np.multiply(x, x, out), coeffs[-3], out)
+        rest = coeffs[-4::-1]
+    else:
+        acc = np.add(x if start else np.multiply(x, coeffs[-1], out), coeffs[-2], out)
+        rest = coeffs[-3::-1]
+    for c in rest:
+        np.multiply(acc, x, acc)
+        np.add(acc, c, acc)
     return acc
 
 
@@ -362,7 +394,7 @@ class _Stepper:
     (..., 2N) row.  ``load`` copies a (..., 2N) state in and ``store`` copies
     it back out; only those two copies see the interleaved layout.
 
-    ``rhs`` writes the time derivative into a caller's buffer and ``step``
+    ``rhs`` writes the time derivative into a caller's blocks and ``step``
     advances ``y`` in place.  Both repeat the operands, order and association
     of the plain expressions
 
@@ -373,11 +405,14 @@ class _Stepper:
     expressions; only the buffers and their layout differ.
 
     The constructor sets up once what every step reads besides the state:
-    the mode rows ``neg_lam`` and ``h`` at the batch's shape, so each use is
-    a same-shape ufunc; the finiteness mask ``finite`` that ``evolve_states``
-    fills after each step; and ``dot``, the product function for the batch's
-    rank (``np.dot`` up to one leading axis, ``np.matmul`` beyond; see the
-    module docstring).
+    the (positions, velocities) views ``blocks`` of ``y`` and of each stage
+    buffer; the mode rows ``neg_lam`` and ``h`` at the batch's shape, so each
+    use is a same-shape ufunc; f's Horner start (``_horner_start``); the
+    finiteness mask ``finite`` that ``evolve_states`` fills at its checks;
+    and ``dot``, the product function for the batch's rank (``np.dot`` up to
+    one leading axis, ``np.matmul`` beyond; see the module docstring).
+    Every ufunc, product and reduction takes its output by position, which
+    numpy dispatches faster than the keyword.
     """
 
     def __init__(self, cfg: WaveSystemConfig, shape):
@@ -385,6 +420,7 @@ class _Stepper:
         if len(shape) == 0 or shape[-1] != 2 * n:
             raise ValueError(f"state shape {tuple(shape)} does not match {n} config modes")
         self.n, self.dt = n, cfg.dt
+        self.half, self.sixth = 0.5 * cfg.dt, cfg.dt / 6.0
         lead = tuple(shape[:-1])
         self.dot = np.dot if len(lead) <= 1 else np.matmul
         self.neg_lam = np.ascontiguousarray(np.broadcast_to(-cfg.eigenvalues, lead + (n,)))
@@ -394,12 +430,14 @@ class _Stepper:
         # DampingStack's (L, 1, 1) array gives each row of the stack its own
         self.l = cfg.l + 0.0
         self.f = cfg.f_coeffs or None
+        self.f_start = _horner_start(self.f) if self.f else 0
         self.synth, self.weight = _sine_collocation(n, cfg.collocation_points)
         self.synth_t = self.synth.T
         self.kw = np.array([w for w, _ in cfg.kernel]) if cfg.kernel else None
         self.kv = np.array([c for _, c in cfg.kernel]) if cfg.kernel else None
         self.y = np.empty((2,) + lead + (n,))
         self.stages = [np.empty_like(self.y) for _ in range(5)]  # k1..k4, stage state
+        self.blocks = [tuple(planar) for planar in (self.y, *self.stages)]
         self.finite = np.empty(self.y.shape, dtype=bool)
         self.scratch = np.empty(lead + (n,))
         self.sq = np.empty(lead + (1,))
@@ -420,47 +458,48 @@ class _Stepper:
         """Copy a planar (2, ..., N) array into the (..., 2N) array ``out``."""
         return np.concatenate(planar, axis=-1, out=out)
 
-    def rhs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the time derivative of the planar ``y`` into the planar
-        ``out`` (no overlap)."""
-        tmp = self.scratch
-        a, b = y
-        np.copyto(out[0], b)
-        db = out[1]
+    def rhs(self, a, b, da, db) -> None:
+        """Write the time derivative of the state with positions ``a`` and
+        velocities ``b`` into the blocks ``da`` and ``db`` (no overlap)."""
+        tmp, sq = self.scratch, self.sq
+        np.copyto(da, b)
         damp = self.l
         if self.k:
-            np.add.reduce(np.multiply(b, b, out=tmp), axis=-1, keepdims=True, out=self.sq)
-            # x**1 == x exactly, so p = 2 skips the power
-            pw = self.sq if self.p_half == 1.0 else self.sq**self.p_half
-            damp = np.add(np.multiply(pw, self.k, out=self.sq), self.l, out=self.sq)
-        np.multiply(self.neg_lam, a, out=db)
-        np.subtract(db, np.multiply(damp, b, out=tmp), out=db)
-        np.add(db, self.h, out=db)
+            np.add.reduce(np.multiply(b, b, tmp), -1, None, sq, True)
+            # x**1 == x exactly, so p = 2 skips the power; ``**=`` takes the
+            # ufunc that the reference's ``**`` takes (np.sqrt at p = 1)
+            if self.p_half != 1.0:
+                sq **= self.p_half
+            damp = np.add(np.multiply(sq, self.k, sq), self.l, sq)
+        np.multiply(self.neg_lam, a, db)
+        np.subtract(db, np.multiply(damp, b, tmp), db)
+        np.add(db, self.h, db)
         if self.f is not None:
-            u = self.dot(a, self.synth_t, out=self.u)
-            f_vals = _horner(self.f, u, out=self.acc)
-            self.dot(f_vals, self.synth, out=tmp)
-            np.subtract(db, np.multiply(tmp, self.weight, out=tmp), out=db)
+            u = self.dot(a, self.synth_t, self.u)
+            f_vals = _horner(self.f, u, self.acc, self.f_start)
+            self.dot(f_vals, self.synth, tmp)
+            np.subtract(db, np.multiply(tmp, self.weight, tmp), db)
         if self.kv is not None:
-            proj = self.dot(b, self.kv_t, out=self.proj)
-            self.dot(np.multiply(proj, self.kw, out=proj), self.kv, out=tmp)
-            np.add(db, tmp, out=db)
-        return out
+            proj = self.dot(b, self.kv_t, self.proj)
+            self.dot(np.multiply(proj, self.kw, proj), self.kv, tmp)
+            np.add(db, tmp, db)
 
     def step(self) -> None:
         """Advance ``y`` by one RK4 step of size dt, in place."""
-        y = self.y
+        y, rhs, dt, half = self.y, self.rhs, self.dt, self.half
         k1, k2, k3, k4, ys = self.stages
-        dt = self.dt
-        half = 0.5 * dt
-        self.rhs(y, k1)
-        self.rhs(np.add(y, np.multiply(k1, half, out=ys), out=ys), k2)
-        self.rhs(np.add(y, np.multiply(k2, half, out=ys), out=ys), k3)
-        self.rhs(np.add(y, np.multiply(k3, dt, out=ys), out=ys), k4)
-        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
-        np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        np.add(y, np.multiply(k1, dt / 6.0, out=k1), out=y)
+        (a, b), (k1a, k1b), (k2a, k2b), (k3a, k3b), (k4a, k4b), (sa, sb) = self.blocks
+        rhs(a, b, k1a, k1b)
+        np.add(y, np.multiply(k1, half, ys), ys)
+        rhs(sa, sb, k2a, k2b)
+        np.add(y, np.multiply(k2, half, ys), ys)
+        rhs(sa, sb, k3a, k3b)
+        np.add(y, np.multiply(k3, dt, ys), ys)
+        rhs(sa, sb, k4a, k4b)
+        np.add(k1, np.multiply(k2, 2.0, k2), k1)
+        np.add(k1, np.multiply(k3, 2.0, k3), k1)
+        np.add(k1, k4, k1)
+        np.add(y, np.multiply(k1, self.sixth, k1), y)
 
 
 def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
@@ -468,8 +507,8 @@ def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     stepper = _Stepper(cfg, y.shape)
     stepper.load(y)
-    dy = stepper.rhs(stepper.y, stepper.stages[0])
-    return stepper.store(dy, np.empty_like(y))
+    stepper.rhs(*stepper.blocks[0], *stepper.blocks[1])
+    return stepper.store(stepper.stages[0], np.empty_like(y))
 
 
 def _sample_times(times) -> np.ndarray:
@@ -490,6 +529,14 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
 
     Times must be nonnegative, nondecreasing multiples of dt.  Returns an
     array of shape (len(times),) + y0.shape.
+
+    Raises ``BlowUpError`` at the time of the first step whose state is not
+    finite.  The state is checked once at each sample mark that took steps,
+    not after every step: a step adds to y, so an entry that is not finite
+    stays so, and a finite mark means that every step before it was finite.
+    When a check fails, the segment is replayed from the last stored row (or
+    ``y0``), checking every step.  The stepper is deterministic, so the
+    replay repeats the same bits and finds the first non-finite step.
     """
     times = _sample_times(times)
     marks = cfg.steps(times).tolist()
@@ -502,16 +549,22 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     stepper.load(y0)
     y, finite = stepper.y, stepper.finite
     out = np.empty((times.size,) + y0.shape)
-    step = 0
-    # finiteness is checked every step, so let overflow reach the check silently
+    step, last = 0, y0
+    # finiteness is checked at the marks, so let overflow reach the check silently
     with np.errstate(over="ignore", invalid="ignore"):
         for row, mark in zip(out, marks):
-            while step < mark:
-                stepper.step()
-                step += 1
-                if not np.isfinite(y, out=finite).all():
+            if mark > step:
+                for _ in range(mark - step):
+                    stepper.step()
+                if not np.isfinite(y, finite).all():
+                    stepper.load(last)
+                    for step in range(step + 1, mark + 1):
+                        stepper.step()
+                        if not np.isfinite(y, finite).all():
+                            break
                     raise BlowUpError(step * cfg.dt)
-            stepper.store(y, row)
+                step = mark
+            last = stepper.store(y, row)
     return out
 
 
@@ -605,7 +658,13 @@ def lyapunov(states, cfg: WaveSystemConfig):
 
     E = (||u_t||^2 + ||grad u||^2) / 2;  L adds the collocation quadrature of
     the potential F(u) (F' = f, F(0) = 0) and subtracts the forcing term
-    (h, u).  With h = 0 and no kernel, L is nonincreasing along trajectories.
+    (h, u).  Along a trajectory dL/dt = -(k ||u_t||^p + l) ||u_t||^2 +
+    (K u_t, u_t), with the forcing and any kernel, so L is nonincreasing
+    whenever l is at least the largest eigenvalue of the kernel's symmetric
+    part (always without a kernel).  The quadrature of F is the one the
+    stepper applies f with, so the identity is exact for the semi-discrete
+    system; on the shipped system an RK4 step at dt raises L by round-off
+    at most.
     """
     y = np.asarray(states, dtype=float)
     n = cfg.mode_count

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attractorlab import dynamics
 from attractorlab.attracting import save_attracting_set
@@ -26,7 +29,10 @@ from attractorlab.dynamics import (
     _settle_times,
     _sine_collocation,
     _Stepper,
+    _horner,
+    _horner_start,
 )
+from attractorlab.experiments import sample_phase_ball
 from attractorlab.phase import MetricSpec
 
 from conftest import attracting_set, random_point, random_states
@@ -393,6 +399,61 @@ class TestKernelMatchesReference:
         assert got_l.tobytes() == l_val.tobytes()
 
 
+# the short starts of _horner against numpy's evaluator, on coefficient
+# tuples that mix signed zeros and ones with arbitrary finite values
+COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+# signed zeros, infinities, subnormals and values whose powers overflow
+EDGE_X = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-310, -1.1e-308,
+                   1.7e308, -1.7e308, 1e154, -1e154, 1e103, -1e103, 1.0, -1.0])
+
+
+@st.composite
+def horner_cases(draw):
+    """Coefficients (lowest degree first, a finite nonzero leading one) and
+    points x; most tuples are monic, with a zero second-highest coefficient
+    and a zero or nonzero third-highest one."""
+    coeffs = draw(st.lists(COEFF, min_size=2, max_size=7))
+    form = draw(st.sampled_from(["as_drawn", "monic", "monic_zero_second",
+                                 "monic_zero_second_and_third"]))
+    if form != "as_drawn":
+        coeffs[-1] = 1.0
+    if form.startswith("monic_zero"):
+        coeffs[-2] = draw(st.sampled_from([0.0, -0.0]))
+    if form == "monic_zero_second_and_third" and len(coeffs) > 2:
+        coeffs[-3] = draw(st.sampled_from([0.0, -0.0]))
+    if coeffs[-1] == 0.0:
+        coeffs[-1] = draw(st.sampled_from([2.0, -0.5]))
+    x = draw(arrays(np.float64, draw(st.integers(0, 12)), elements=st.floats(allow_nan=False)))
+    return tuple(coeffs), np.concatenate([EDGE_X, x])
+
+
+class TestHorner:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=horner_cases())
+    def test_every_start_gives_numpys_bits(self, case):
+        coeffs, x = case
+        finite = np.isfinite(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.polynomial.polynomial.polyval(x, np.array(coeffs), tensor=False)
+            for start in {0, _horner_start(coeffs)}:
+                got = _horner(coeffs, x, None, start)
+                assert got[finite].tobytes() == want[finite].tobytes()
+                # numpy's c[-1] + x*0 is NaN at an infinite x; each start is non-finite there
+                assert not np.isfinite(got[~finite]).any()
+
+    def test_start_rules(self):
+        assert _horner_start((0.0, -1.0, 0.0, 1.0)) == 2  # the benchmark's f: four ufuncs
+        assert _horner_start((0.5, -1.0, 0.0, 1.0)) == 2
+        assert _horner_start((0.5, 0.0, 0.0, 1.0)) == 1  # zero third: no x*x start
+        assert _horner_start((0.5, -0.0, 0.0, 1.0)) == 1
+        assert _horner_start((0.0, 1.0)) == 1
+        assert _horner_start((0.0, 1.0, 0.5, 1.0)) == 1
+        assert _horner_start((0.0, -1.0, 0.0, 2.0)) == 0
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        assert _Stepper(cfg, (9, 64)).f_start == 2
+
+
 def stack_systems(modes, k, p, kernel, dampings) -> list:
     """The benchmark's f and h on ``modes`` modes with the given damping
     terms and kernel, one system per damping l."""
@@ -492,6 +553,79 @@ class TestDampingStack:
         for shape in [(7, 16), (3, 7, 16), (2, 1, 7, 16)]:
             with pytest.raises(ValueError, match="a stack of 2 rows"):
                 stack.sample(np.zeros(shape), [0.0])
+
+
+class TestSparseFinitenessChecks:
+    """``evolve_states`` checks finiteness at the sample marks only, and
+    replays a failed segment to find the first non-finite step."""
+
+    # sparse marks: the mid-segment case blows up inside the last, 140-step segment
+    MARKS = (0, 20, 60, 200)
+
+    @staticmethod
+    def blow_up_case(engine, case):
+        """(engine, start, the start and system of the row that blows up)."""
+        rng = np.random.default_rng(8)
+        if engine == "single":
+            # l dt = 2.81 is past RK4's stability limit on the real axis (2.79),
+            # so a start near rest grows for about 90 steps before it blows up
+            cfg = WaveSystemConfig(**BENCH_SYSTEM)
+            if case == "mid_segment":
+                cfg = replace(cfg, l=180.0)
+            y0 = (1e-3 if case == "mid_segment" else 0.05) * rng.standard_normal((9, 64))
+            row = y0.reshape(-1, 64)[3]
+        else:
+            systems = stack_systems(32, 1.0, 2.0, "rank_one",
+                                    (1.0, 180.0 if case == "mid_segment" else 2.5, 2.0))
+            cfg = DampingStack(tuple(systems))
+            y0 = 0.05 * rng.standard_normal((3, 9, 64))
+            if case == "mid_segment":
+                y0[1] *= 1e-3 / 0.05
+            row = y0[1, 3]
+        if case == "first_step":
+            row[32:] = 1e160  # ||u_t||^2 overflows in the first stage
+        elif case == "non_finite_start":
+            row[0] = np.inf
+        if engine == "single":
+            return cfg, y0, (y0, cfg)
+        return cfg, y0, (y0[1], systems[1])
+
+    @pytest.mark.parametrize("with_zero", [True, False])
+    @pytest.mark.parametrize("case", ["mid_segment", "first_step", "non_finite_start"])
+    @pytest.mark.parametrize("engine", ["single", "stacked_row"])
+    def test_blow_up_time_matches_the_reference(self, engine, case, with_zero):
+        cfg, y0, (ref_start, ref_cfg) = self.blow_up_case(engine, case)
+        marks = self.MARKS if with_zero else self.MARKS[1:]
+        want = reference_blow_up_time(ref_start, ref_cfg, marks[-1])
+        expected = {"mid_segment": (60 * cfg.dt, 200 * cfg.dt)}.get(case, (0.0, cfg.dt))
+        assert expected[0] < want <= expected[1]
+        with pytest.raises(BlowUpError) as err:
+            evolve_states(y0, cfg, np.array(marks) * cfg.dt)
+        assert err.value.time == want
+        assert str(err.value) == str(BlowUpError(want))
+
+    def test_a_non_finite_start_with_no_steps_is_sampled(self):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        y0 = np.zeros((2, 64))
+        y0[1, 5] = np.nan
+        assert evolve_states(y0, cfg, [0.0, 0.0]).tobytes() == np.stack([y0, y0]).tobytes()
+
+    def test_finiteness_is_checked_once_per_mark_that_took_steps(self, monkeypatch):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        y0 = 0.3 * np.random.default_rng(1).standard_normal((9, 64))
+        times = np.array([0, 0, 5, 5, 40, 41, 100]) * cfg.dt  # steps taken at 4 marks
+        checked = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == (2, 9, 32):  # the stepper's planar state
+                checked.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        samples = evolve_states(y0, cfg, times)
+        assert len(checked) == 4
+        assert isfinite(samples).all()
 
 
 class TestLinearModalOracle:
@@ -623,6 +757,31 @@ class TestDissipation:
             l_vals = lyapunov(states, cfg)[1]
             tol = 1e-8 * (1.0 + abs(l_vals[0]))
             assert np.all(np.diff(l_vals) <= tol)
+
+    @pytest.mark.parametrize("kernel", ["benchmark_rank_one", "dense"])
+    def test_lyapunov_nonincreasing_with_forcing_and_kernel(self, kernel):
+        # dL/dt = -(k ||u_t||^p + l) ||u_t||^2 + (K u_t, u_t) <= 0 once l is at
+        # least the largest eigenvalue of K's symmetric part
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)  # h_1 = 4, rank-one K of weight 0.1, l = 2
+        if kernel == "dense":
+            rng = np.random.default_rng(1)
+            pairs = tuple((w, tuple(rng.standard_normal(32) / np.sqrt(32)))
+                          for w in (1.5, 1.0, -0.5))
+            sym = sum(w * np.outer(v, v) for w, v in pairs)
+            top = float(np.linalg.eigvalsh(sym).max())
+            cfg = replace(cfg, k=0.0, l=1.05 * top, kernel=pairs)
+        # the benchmark's 30-point probe at radius 4, stepped at dt to t = 12
+        probe = sample_phase_ball(np.random.default_rng(7), 30, 4.0, MetricSpec.dirichlet_1d(32))
+
+        def largest_rise(system):
+            states = evolve_states(probe.states, system, np.arange(769) * system.dt)
+            l_vals = lyapunov(states, system)[1]
+            return float(np.max(np.diff(l_vals, axis=0) / np.maximum(1.0, np.abs(l_vals[:-1]))))
+
+        assert largest_rise(cfg) <= 1e-12
+        if kernel == "dense":
+            # below the kernel's top eigenvalue L rises, so the bound has teeth
+            assert largest_rise(replace(cfg, l=0.5 * cfg.l)) > 1e-6
 
     def test_positive_invariance_linear_modal(self, rng):
         spec = MetricSpec.dirichlet_1d(4)
