@@ -148,8 +148,8 @@ def _trim_poly(coeffs) -> np.ndarray:
 class WaveSystemConfig:
     """All coefficients of the damped wave system plus discretization knobs.
 
-    ``f_coeffs`` are polynomial coefficients of f, lowest degree first; a
-    nonzero f must have odd top degree with positive leading coefficient
+    ``f_coeffs`` are finite polynomial coefficients of f, lowest degree
+    first; a nonzero f must have odd top degree with positive leading coefficient
     (the structural stand-in for the dissipativity condition on f).
     ``kernel`` is a finite-rank velocity operator given as (weight, coeffs)
     pairs in the eigenbasis.  ``dt`` must respect the explicit stability
@@ -180,6 +180,8 @@ class WaveSystemConfig:
         object.__setattr__(self, "p", float(self.p))
 
         f = _trim_poly(self.f_coeffs)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"config field 'system.f_coeffs' must be finite, got {f.tolist()!r}")
         if f.size:
             degree = f.size - 1
             if degree % 2 == 0 or f[-1] <= 0:

@@ -35,7 +35,11 @@ order.  A failed run ends as the serial one does: the same error wins (the
 proxy continuation's before the net stage's, both before the fresh
 pass's), the same files are left, ``trace_alpha.csv`` is written only once
 the continuation has succeeded, and every child is joined before
-``run_experiment`` returns or raises.
+``run_experiment`` returns or raises.  The probe pass and the fresh pass
+walk their entering grid and orbit-cadence steps a chunk of marks at a time
+(``_norms_and_rows``, by the oracle's ``_TRACE_CHUNK_BYTES`` rule) and keep
+only the norms and the cadence rows, so what they hold does not grow with
+the grid, and each gives the bits one pass gives.
 
 An oracle_decay run splits ``t_grid`` the same way: a forked child samples
 the later half and takes its semidistance and alpha values while this
@@ -441,7 +445,8 @@ def _reply(receive, send, fn, args):
 
 # state rows one side of an oracle_decay split samples and measures at once
 # (_oracle_half): a few sample times, so that each side's chunk stays in cache
-# while the other side streams its own
+# while the other side streams its own; a wave entering-grid pass samples its
+# marks by the same rule (_norms_and_rows)
 _TRACE_CHUNK_BYTES = 1 << 19
 
 
@@ -500,12 +505,41 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
 
 
 def _norms_and_rows(system, states, enter_steps, cadence_steps):
-    """The energy norms of a (P, 2N) sample at the entering-grid steps and its
-    rows at the orbit-cadence steps, from one pass over both."""
+    """The energy norms of an (L, P, 2N) stack at the sorted entering-grid
+    steps, shape (len(enter_steps), L, P), and its rows at the sorted
+    orbit-cadence steps, (len(cadence_steps), L, P, 2N), from one walk over
+    the union of both.
+
+    The union is sampled a chunk of marks at a time, a chunk being the marks
+    whose rows fit in ``_TRACE_CHUNK_BYTES`` (the oracle's rule), and only
+    each chunk's norms and cadence rows are kept: the rows held at once do
+    not grow with the grid.  Each chunk resumes from the last row of the one
+    before, so it takes the steps, and gives the bits, of one pass over the
+    union.  The last step is checked against ``MAX_STEPS`` before any step
+    runs, and a blow-up's time is counted from step 0, as one pass's is.
+    """
     steps = np.union1d(enter_steps, cadence_steps)
-    rows = system.sample(states, steps * system.dt)
-    norms = states_norms(rows, system.eigenvalues)[np.searchsorted(steps, enter_steps)]
-    return norms, rows[np.searchsorted(steps, cadence_steps)]
+    if steps[-1] > MAX_STEPS:
+        raise ValueError(f"horizon needs {steps[-1]} steps, above the cap of {MAX_STEPS}")
+    chunk = max(1, _TRACE_CHUNK_BYTES // states.nbytes)
+    norms_at, rows_at = np.searchsorted(steps, enter_steps), np.searchsorted(steps, cadence_steps)
+    norms = np.empty((enter_steps.size,) + states.shape[:-1])
+    rows = np.empty((cadence_steps.size,) + states.shape)
+    at = 0
+    for first in range(0, steps.size, chunk):
+        part = steps[first : first + chunk]
+        try:
+            sampled = system.sample(states, (part - at) * system.dt)
+        except BlowUpError as exc:
+            lost = system.steps(exc.time, "blow-up time") + at
+            raise BlowUpError(lost * system.dt) from None
+        new = (norms_at >= first) & (norms_at < first + part.size)
+        norms[new] = states_norms(sampled, system.eigenvalues)[norms_at[new] - first]
+        new = (rows_at >= first) & (rows_at < first + part.size)
+        rows[new] = sampled[rows_at[new] - first]
+        states, at = sampled[-1].copy(), part[-1]
+        del sampled  # so that a chunk's rows are freed before the next chunk's
+    return norms, rows
 
 
 def _net_stages(subs, bounds, absorbed, alphas, images) -> list:

@@ -548,6 +548,11 @@ BAD_SYSTEMS = {
     "too_few_collocation_points": ("collocation_points",
                                    dict(SMALL_WAVE_SYSTEM, collocation_points=10)),
     "even_degree_f": ("f_coeffs", dict(SMALL_WAVE_SYSTEM, f_coeffs=[0.0, 0.0, 1.0])),
+    # refused when read, not met as a blow-up of the first step
+    "infinite_f_coefficient": ("f_coeffs", dict(SMALL_WAVE_SYSTEM,
+                                                f_coeffs=[0.0, -1.0, 0.0, float("inf")])),
+    "nan_f_coefficient": ("f_coeffs", dict(SMALL_WAVE_SYSTEM,
+                                           f_coeffs=[float("nan"), -1.0, 0.0, 1.0])),
     "infinite_kernel_weight": ("kernel.weight", dict(
         SMALL_WAVE_SYSTEM, kernel=[{"weight": float("inf"), "coeffs": [1.0]}])),
     "forcing_past_the_modes": ("h_coeffs", dict(SMALL_WAVE_SYSTEM, h_coeffs=[1.0] * 9)),
@@ -771,6 +776,23 @@ def test_shipped_wave_config_absorbs_and_meets_its_threshold(tmp_path):
     headline = printed(out)
     assert float(headline["absorb_time"]) > 0.0
     assert float(headline["satisfied_fraction"]) >= raw["thresholds"]["satisfied_fraction"]
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+def test_shipped_wave_config_with_a_non_finite_f_coefficient_exits_1(tmp_path, value):
+    # refused when read, naming the field, not run into a blow-up (exit 2)
+    with open(os.path.join(CONFIG_DIR, "wave_attractor.yaml")) as fh:
+        text = fh.read()
+    shipped = "f_coeffs: [0.0, -1.0, 0.0, 1.0]"
+    assert shipped in text
+    text = text.replace(shipped, f"f_coeffs: [0.0, -1.0, 0.0, {value}]")
+    config = tmp_path / "config.yaml"
+    config.write_text(text.replace("output_dir: runs/wave_attractor",
+                                   f"output_dir: {tmp_path / 'out'}"))
+    code, out, err = run_cli("run", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: config field 'system.f_coeffs' must be finite")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section", ["ensemble", "grids", "pipeline", "thresholds"])

@@ -95,6 +95,21 @@ class TestWaveConfig:
         assert cfg.h_coeffs == (4.0, 0.0, 0.0, 0.0)
         assert cfg.kernel[0][1] == (1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["f_coeffs", "h_coeffs", "kernel.coeffs", "kernel.weight"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_from_dict_refuses_a_non_finite_coefficient(self, field, bad):
+        # a string read as a number, as '1e-3' is
+        raw = {"mode_count": 2, "dt": 0.2, "f_coeffs": [0.0, -1.0, 0.0, 1.0],
+               "h_coeffs": [1.0, 0.0], "kernel": [{"weight": 0.1, "coeffs": [1.0, 0.0]}]}
+        if field.startswith("kernel."):
+            key = field.split(".")[1]
+            entry = raw["kernel"][0]
+            entry[key] = bad if key == "weight" else [1.0, bad]
+        else:
+            raw[field] = [bad] + raw[field][1:]
+        with pytest.raises(ValueError, match=rf"^config field 'system\.{field}' must be finite"):
+            wave_config_from_dict(raw)
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             wave_config_from_dict({"mode_count": 2, "dt":  0.1, "gamma": 1.0})

@@ -21,9 +21,16 @@ import pytest
 import yaml
 
 from attractorlab import dynamics, experiments
+from attractorlab.attracting import cadence_index, orbit_grid
 from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.covering import DecayTrace, decay_trace
-from attractorlab.dynamics import BlowUpError, LinearModalConfig, wave_config_from_dict
+from attractorlab.dynamics import (
+    BlowUpError,
+    DampingStack,
+    LinearModalConfig,
+    states_norms,
+    wave_config_from_dict,
+)
 from attractorlab.experiments import (
     ExperimentConfig,
     _forked,
@@ -34,6 +41,8 @@ from attractorlab.experiments import (
 )
 from attractorlab.phase import ensemble_radius
 
+import test_dynamics
+import test_golden
 from conftest import SMALL_WAVE_SYSTEM
 
 # One stiff mode: RK4 at dt = 0.5 multiplies its fast component by about
@@ -530,3 +539,132 @@ def test_oracle_sides_sample_their_own_times_a_chunk_at_a_time(tmp_path, monkeyp
     cfg = oracle_run(tmp_path / "cpus_2", points, modes, times)
     run_experiment(cfg)
     assert np.array_equal(np.concatenate(sampled), cfg.t_grid[: times // 2])
+
+
+# ---------------------------------------------------------------------------
+# the entering-grid passes of the wave stages, a chunk of marks at a time
+
+def pass_marks(cfg) -> dict:
+    """The marks each entering-grid pass of the wave run ``cfg`` samples, and
+    the bytes of its (L, P, 2N) start: the probe pass (the entering grid and
+    the orbit-cadence steps up to the horizon) and the fresh pass (the
+    entering grid and the orbit grid)."""
+    system, snap = cfg.system, cfg.orbit_sample_every
+    horizon, stack = cfg.burn_in + cfg.window, 2 * system.mode_count * 8 * (len(cfg.l_values) or 1)
+    enter = system.steps(system.sample_grid(horizon, experiments._ENTER_SAMPLES))
+    snaps = system.steps(np.arange(cadence_index(horizon, snap) + 1) * snap)
+    cadence = system.steps(orbit_grid(cfg.t_orbit, snap))
+    return {"probe": (np.union1d(enter, snaps).size, cfg.ensemble_count * stack),
+            "fresh": (np.union1d(enter, cadence).size, cfg.fresh_count * stack)}
+
+
+# marks per chunk of one pass, against its C marks: one, or at the edge
+CHUNK_MARKS = {"1": lambda c: 1, "C-1": lambda c: c - 1, "C": lambda c: c, "C+1": lambda c: c + 1}
+
+
+@pytest.mark.parametrize("marks", sorted(CHUNK_MARKS))
+@pytest.mark.parametrize("edge", ["probe", "fresh"])
+@pytest.mark.parametrize("case", ["wave_attractor", "sweep_l"])
+def test_entering_grid_chunks_match_the_golden_outputs(case, edge, marks, tmp_path, monkeypatch):
+    # the chunk bytes give the pass ``edge`` chunks of 1, C - 1, C or C + 1
+    # of its C marks; the other pass gets what those bytes give it
+    counts = pass_marks(test_golden.CASES[case](tmp_path / "unused"))
+    size, nbytes = counts[edge]
+    monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", CHUNK_MARKS[marks](size) * nbytes)
+    chunks = sum(-(-c // max(1, experiments._TRACE_CHUNK_BYTES // b)) for c, b in counts.values())
+    calls = []
+    evolve = dynamics.evolve_states
+
+    def counted(y0, cfg, times):
+        calls.append(len(times))
+        return evolve(y0, cfg, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", counted)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        calls.clear()
+        cfg = test_golden.CASES[case](tmp_path / f"cpus_{cpus}")
+        assert run_experiment(cfg).status == "ok"
+        assert test_golden.output_hashes(cfg.output_dir) == test_golden.GOLDEN[case], cpus
+        if cpus == 1:  # every pass here: the two chunked ones and the others whole
+            assert len(calls) == test_golden.PASSES[case] - 2 + chunks
+    assert multiprocessing.active_children() == []
+
+
+def damping_stack(dampings):
+    return DampingStack(tuple(replace(wave_config_from_dict(SMALL_WAVE_SYSTEM), l=damping)
+                              for damping in dampings))
+
+
+def test_entering_grid_pass_samples_a_chunk_of_marks_at_a_time(monkeypatch):
+    # two rows of P = 200 over 24 time units: the whole sample of the union's
+    # 193 marks is 9.9 MB, at least 16 chunks
+    system = damping_stack((1.0, 2.0))
+    states = 0.5 * np.random.default_rng(3).standard_normal((2, 200, 16))
+    enter = system.steps(system.sample_grid(24.0, experiments._ENTER_SAMPLES))
+    cadence = system.steps(orbit_grid(12.0, 0.25))
+    union = np.union1d(enter, cadence)
+    whole = union.size * states.nbytes
+    chunk = experiments._TRACE_CHUNK_BYTES // states.nbytes
+    assert whole >= 16 * experiments._TRACE_CHUNK_BYTES
+    sampled = []
+    evolve = dynamics.evolve_states
+
+    def recorded(y0, cfg, times):
+        sampled.append(np.asarray(times, dtype=float))
+        return evolve(y0, cfg, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", recorded)
+    tracemalloc.start()
+    try:
+        norms, rows = experiments._norms_and_rows(system, states, enter, cadence)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - norms.nbytes - rows.nbytes < whole / 4
+    assert max(t.size for t in sampled) <= chunk
+    # each chunk's times count from the last mark of the one before it
+    at, marks = 0, []
+    for times in sampled:
+        marks.append(at + system.steps(times))
+        at = marks[-1][-1]
+    assert np.array_equal(np.concatenate(marks), union)
+    monkeypatch.undo()
+    whole_rows = system.sample(states, union * system.dt)
+    assert norms.tobytes() == states_norms(
+        whole_rows[np.searchsorted(union, enter)], system.eigenvalues).tobytes()
+    assert rows.tobytes() == whole_rows[np.searchsorted(union, cadence)].tobytes()
+
+
+def test_a_blow_up_in_a_later_chunk_raises_at_the_time_of_one_pass(monkeypatch):
+    # the l = 180 row of the stacked mid-segment case blows up between steps
+    # 60 and 200, so past the first chunks of 16 marks
+    cfg, y0, _reference = test_dynamics.TestSparseFinitenessChecks.blow_up_case(
+        "stacked_row", "mid_segment")
+    enter, cadence = np.arange(0, 201, 2), np.arange(0, 201, 25)
+    union = np.union1d(enter, cadence)
+    with pytest.raises(BlowUpError) as whole:
+        cfg.sample(y0, union * cfg.dt)
+    monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", 16 * y0.nbytes)
+    with pytest.raises(BlowUpError) as chunked:
+        experiments._norms_and_rows(cfg, y0, enter, cadence)
+    assert whole.value.time > union[16] * cfg.dt
+    assert chunked.value.time == whole.value.time
+    assert str(chunked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_horizon_past_the_step_cap_is_refused_before_any_step(cpus, tmp_path, monkeypatch):
+    # burn_in + window = 400002 is 6400032 steps of dt = 0.0625 over about
+    # 200 entering marks: each chunk of them is under the cap, the pass is not
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    steps = []
+    monkeypatch.setattr(dynamics, "evolve_states", lambda *args: steps.append(args))
+    cfg = replace(test_golden.CASES["wave_attractor"](tmp_path / "out"), burn_in=400000.0)
+    message = f"horizon needs 6400032 steps, above the cap of {dynamics.MAX_STEPS}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment(cfg)
+    assert steps == []
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", f"ValueError: {message}")
+    assert multiprocessing.active_children() == []
