@@ -35,11 +35,14 @@ order.  A failed run ends as the serial one does: the same error wins (the
 proxy continuation's before the net stage's, both before the fresh
 pass's), the same files are left, ``trace_alpha.csv`` is written only once
 the continuation has succeeded, and every child is joined before
-``run_experiment`` returns or raises.  The probe pass and the fresh pass
-walk their entering grid and orbit-cadence steps a chunk of marks at a time
-(``_norms_and_rows``, by the oracle's ``_TRACE_CHUNK_BYTES`` rule) and keep
-only the norms and the cadence rows, so what they hold does not grow with
-the grid, and each gives the bits one pass gives.
+``run_experiment`` returns or raises.  The fresh, probe and absorbed
+passes and the proxy continuation are each one walk (``_walk``): the first
+two from the draw, the absorbed pass from the probe's table of its
+orbit-cadence rows, the continuation from the absorbed pass's table.  A
+walk steps a chunk of marks at a time, by the oracle's
+``_TRACE_CHUNK_BYTES`` rule, and keeps only the norms and the rows its
+grids read, so what it holds does not grow with its marks, and each pass
+gives the bits one pass from the draw gives.
 
 An oracle_decay run splits ``t_grid`` the same way: a forked child samples
 the later half and takes its semidistance and alpha values while this
@@ -106,7 +109,6 @@ from .dynamics import (
     system_from_dict,
     _int,
     _num,
-    _sample_times,
     _settle_times,
 )
 from .phase import Ensemble, MetricSpec, ensemble_radius
@@ -190,7 +192,8 @@ class ExperimentConfig:
                      "fit_floor", "closeness", "quasi_period"):
             value = getattr(self, name)  # closeness and quasi_period may be None: unset
             if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"config field {name!r} must be positive and finite, got {value!r}")
+                key = name.replace("ensemble_", "ensemble.")  # the run file's key
+                raise ValueError(f"config field {key!r} must be positive and finite, got {value!r}")
         for key, value in self.thresholds.items():
             if not math.isfinite(value):
                 raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
@@ -228,9 +231,13 @@ class ExperimentConfig:
             if self.system.steps(self.t_orbit, "config field 't_orbit'") % cadence:
                 raise ValueError(f"config field 't_orbit' = {self.t_orbit:g} is not a whole number "
                                  f"of orbit_sample_every = {self.orbit_sample_every:g} cadences")
+            sampled["'t_orbit'"] = self.t_orbit
         if isinstance(self.system, WaveSystemConfig):
             for what, times in sampled.items():
-                self.system.steps(times, f"config field {what}")
+                last = self.system.steps(times, f"config field {what}").max()
+                if last > MAX_STEPS:
+                    raise ValueError(f"config field {what} = {np.max(times):g} needs {last} steps "
+                                     f"of dt = {self.system.dt:g}, above the cap of {MAX_STEPS}")
         # absorbing_radius needs a probe sample after burn_in
         if "orbits" in needs and self.system.sample_grid(
                 self.burn_in + self.window, _ENTER_SAMPLES)[-1] <= self.burn_in:
@@ -339,47 +346,11 @@ def _sample_union(system, states, *grids) -> list:
     """One ``system.sample`` pass of ``states`` over the union of ``grids``,
     split back into one (len(grid), P, 2N) row array per grid.  Every probe
     is sampled by one such pass from its draw, on either engine, except
-    wave_attractor's, whose absorbed sample ``_resume`` continues."""
+    wave_attractor's, which ``_walk`` walks."""
     grids = [np.asarray(g, dtype=float) for g in grids]
     union = np.unique(np.concatenate(grids))
     samples = system.sample(states, union)
     return [samples[np.searchsorted(union, g)] for g in grids]
-
-
-def _resume(system, steps, rows, starts, *grids) -> list:
-    """``_sample_union`` on the wave engine of an (L, P, 2N) stack whose
-    states at the sorted step indices ``steps`` are ``rows`` (S, L, P, 2N),
-    with row i's grid times counted from its step ``starts[i]`` (each at or
-    after ``steps[0]``).  Each grid gives a (len(grid), L, P, 2N) array.
-    After them comes this call's own table (steps, rows), which holds every
-    row at each of the steps any row read, for a later call to resume from.
-
-    Every row reads its own steps from the union of the rows' steps.  Those
-    the table holds are read from it; the rest come from one pass of the
-    whole stack that resumes at the last held step before the first one the
-    table lacks, so the steps up to it are not integrated again.  Each row
-    is bit for bit the one a pass from its state at its start gives: it
-    takes the same steps.  A blow-up's time is counted from the earliest
-    start, so a one-row stack's does not depend on the step the pass
-    resumed from.
-    """
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    union = _sample_times(np.unique(np.concatenate(grids)))
-    want = np.add.outer(starts, system.steps(union))  # (L, U): each row's steps
-    need = np.unique(want)
-    held = np.isin(need, steps)
-    first = need.size if held.all() else int(np.argmin(held))
-    samples = rows[np.searchsorted(steps, need[:first])]
-    if first < need.size:
-        base = np.searchsorted(steps, need[first]) - 1
-        try:
-            later = system.sample(rows[base], (need[first:] - steps[base]) * system.dt)
-        except BlowUpError as exc:
-            lost = system.steps(exc.time, "blow-up time") + steps[base] - min(starts)
-            raise BlowUpError(lost * system.dt) from None
-        samples = np.concatenate([samples, later])
-    at, stack = np.searchsorted(need, want), np.arange(want.shape[0])
-    return [samples[at[:, np.searchsorted(union, g)].T, stack] for g in grids] + [(need, samples)]
 
 
 @contextlib.contextmanager
@@ -445,8 +416,8 @@ def _reply(receive, send, fn, args):
 
 # state rows one side of an oracle_decay split samples and measures at once
 # (_oracle_half): a few sample times, so that each side's chunk stays in cache
-# while the other side streams its own; a wave entering-grid pass samples its
-# marks by the same rule (_norms_and_rows)
+# while the other side streams its own; a wave walk steps its marks by the
+# same rule (_walk)
 _TRACE_CHUNK_BYTES = 1 << 19
 
 
@@ -504,42 +475,62 @@ def _pipeline_oracle_decay(cfg: ExperimentConfig, out):
     return headline, []
 
 
-def _norms_and_rows(system, states, enter_steps, cadence_steps):
-    """The energy norms of an (L, P, 2N) stack at the sorted entering-grid
-    steps, shape (len(enter_steps), L, P), and its rows at the sorted
-    orbit-cadence steps, (len(cadence_steps), L, P, 2N), from one walk over
-    the union of both.
+def _walk(system, held, starts, grids, norm_grid=()) -> list:
+    """The wave-engine walk of an (L, P, 2N) stack whose states at the
+    sorted steps of the table ``held`` are its (S, L, P, 2N) rows; a stack
+    at its draw is the table ``([0], states[None])``.  Row i counts the step
+    offsets of ``grids`` and ``norm_grid`` from its step ``starts[i]``, at or
+    after the table's first step.  The walk returns one (len(grid), L, P, 2N)
+    array per grid, then the energy norms at ``norm_grid``, (len(norm_grid),
+    L, P), then its own table of every row at each step a grid read, for a
+    later walk to resume from.
 
-    The union is sampled a chunk of marks at a time, a chunk being the marks
-    whose rows fit in ``_TRACE_CHUNK_BYTES`` (the oracle's rule), and only
-    each chunk's norms and cadence rows are kept: the rows held at once do
-    not grow with the grid.  Each chunk resumes from the last row of the one
-    before, so it takes the steps, and gives the bits, of one pass over the
-    union.  The last step is checked against ``MAX_STEPS`` before any step
-    runs, and a blow-up's time is counted from step 0, as one pass's is.
+    The table's steps are read up to the first it lacks.  From the last held
+    step before that one, the stack is walked a chunk of marks at a time, a
+    chunk being the marks whose rows fit in ``_TRACE_CHUNK_BYTES``, and only
+    the grids' rows and the norms are kept, so what the walk holds does not
+    grow with its marks.  Each chunk resumes from the last row of the one
+    before, so every row has the bits of one pass from its start.  The last
+    step is checked against ``MAX_STEPS`` before any step runs, and a
+    blow-up's time is counted from the earliest start, whatever step the
+    walk resumed from.
     """
-    steps = np.union1d(enter_steps, cadence_steps)
-    if steps[-1] > MAX_STEPS:
-        raise ValueError(f"horizon needs {steps[-1]} steps, above the cap of {MAX_STEPS}")
-    chunk = max(1, _TRACE_CHUNK_BYTES // states.nbytes)
-    norms_at, rows_at = np.searchsorted(steps, enter_steps), np.searchsorted(steps, cadence_steps)
-    norms = np.empty((enter_steps.size,) + states.shape[:-1])
-    rows = np.empty((cadence_steps.size,) + states.shape)
-    at = 0
-    for first in range(0, steps.size, chunk):
-        part = steps[first : first + chunk]
+    steps, rows = held
+    starts = np.asarray(starts, dtype=int)
+    want = [np.add.outer(starts, np.asarray(g, dtype=int)) for g in (*grids, norm_grid)]
+    need = np.unique(np.concatenate([w.ravel() for w in want[:-1]]))
+    norm_steps = np.unique(want[-1])
+    marks = np.union1d(need, norm_steps)
+    if marks[-1] > MAX_STEPS:
+        raise ValueError(f"horizon needs {marks[-1]} steps, above the cap of {MAX_STEPS}")
+    kept = np.empty((need.size,) + rows.shape[1:])
+    norms = np.empty((norm_steps.size,) + rows.shape[1:-1])
+    kept_at, norms_at = np.searchsorted(marks, need), np.searchsorted(marks, norm_steps)
+
+    def keep(first, block):  # the kept rows and norms among the marks from ``first``
+        new = (kept_at >= first) & (kept_at < first + len(block))
+        kept[new] = block[kept_at[new] - first]
+        new = (norms_at >= first) & (norms_at < first + len(block))
+        norms[new] = states_norms(block[norms_at[new] - first], system.eigenvalues)
+
+    first = int(np.cumprod(np.isin(marks, steps)).sum())  # the first mark the table lacks
+    keep(0, rows[np.searchsorted(steps, marks[:first])])
+    if first < marks.size:
+        base = np.searchsorted(steps, marks[first]) - 1
+        state, at = rows[base], steps[base]
+        chunk = max(1, _TRACE_CHUNK_BYTES // state.nbytes)
         try:
-            sampled = system.sample(states, (part - at) * system.dt)
+            for i in range(first, marks.size, chunk):
+                block = system.sample(state, (marks[i : i + chunk] - at) * system.dt)
+                keep(i, block)
+                state, at = block[-1].copy(), marks[i + len(block) - 1]
+                del block  # so that a chunk's rows are freed before the next chunk's
         except BlowUpError as exc:
-            lost = system.steps(exc.time, "blow-up time") + at
+            lost = system.steps(exc.time, "blow-up time") + at - starts.min()
             raise BlowUpError(lost * system.dt) from None
-        new = (norms_at >= first) & (norms_at < first + part.size)
-        norms[new] = states_norms(sampled, system.eigenvalues)[norms_at[new] - first]
-        new = (rows_at >= first) & (rows_at < first + part.size)
-        rows[new] = sampled[rows_at[new] - first]
-        states, at = sampled[-1].copy(), part[-1]
-        del sampled  # so that a chunk's rows are freed before the next chunk's
-    return norms, rows
+    stack = np.arange(starts.size)
+    return ([kept[np.searchsorted(need, w).T, stack] for w in want[:-1]]
+            + [norms[np.searchsorted(norm_steps, want[-1]).T, stack], (need, kept)])
 
 
 def _net_stages(subs, bounds, absorbed, alphas, images) -> list:
@@ -592,17 +583,22 @@ def _wave_rows(subs: list) -> list:
         return os.path.join(subs[i].output_dir, name)
 
     probe, fresh = (np.broadcast_to(s, (count,) + s.shape) for s in draw_samples(cfg))
+    drawn = np.zeros(count, dtype=int)  # every row's start: its draw, at step 0
     enter_grid = system.sample_grid(horizon, _ENTER_SAMPLES)
     enter_steps = system.steps(enter_grid)
     # the certificate reads the fresh sample at the set's orbit times, every
     # orbit-cadence time up to t_orbit.  The pass needs nothing but the
     # config, so it runs in a child from here on (see the module docstring)
     cadence_steps = system.steps(orbit_grid(cfg.t_orbit, snap))
-    with _forked(_norms_and_rows, system, fresh, enter_steps, cadence_steps) as fresh_pass:
-        # one probe pass over the horizon: the absorbing radii, and the probe's
-        # rows at every orbit-cadence step up to the first at or past the horizon
+
+    def fresh_walk():  # its rows and norms: the run reads nothing of its table
+        return _walk(system, ([0], fresh[None]), drawn, [cadence_steps], enter_steps)[:2]
+
+    with _forked(fresh_walk) as fresh_pass:
+        # one probe pass over the horizon: the absorbing radii, and a table of
+        # the probe at every orbit-cadence step up to the first at or past it
         snap_steps = system.steps(np.arange(cadence_index(horizon, snap) + 1) * snap)
-        probe_norms, snap_rows = _norms_and_rows(system, probe, enter_steps, snap_steps)
+        probe_norms, held = _walk(system, ([0], probe[None]), drawn, [snap_steps], enter_steps)[1:]
         radii, t_enters = zip(*(absorbing_radius(enter_grid, probe_norms[:, i], cfg.burn_in)
                                 for i in range(count)))
         # anchor each absorbing-ball sample at the probe's own entering time: later
@@ -611,11 +607,10 @@ def _wave_rows(subs: list) -> list:
         absorb_steps = system.steps(absorb_times)
         # the absorbed samples are the probe from each absorb time on: their
         # pass resumes the probe pass instead of integrating its steps again
-        births = np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float)
-        (absorbed,), rows, images, held = _resume(
-            system, snap_steps, snap_rows, absorb_steps, [0.0], cfg.t_grid, births,
+        births = system.steps(np.arange(cfg.m_range[0], cfg.m_range[1] + 1, dtype=float))
+        (absorbed,), rows, images, _norms, held = _walk(
+            system, held, absorb_steps, [[0], system.steps(cfg.t_grid), births],
         )
-        del snap_rows
         alphas = [decay_trace(cfg.t_grid, rows[:, i], cfg.m_clusters, cfg.metric)
                   for i in range(count)]
         del rows
@@ -623,14 +618,14 @@ def _wave_rows(subs: list) -> list:
         # a child fits the laws and builds the nets while this process
         # continues the same stack to 2 t_orbit, the omega-limit proxy
         with _forked(_net_stages, subs, bounds, absorbed, alphas, images) as net_stages:
-            (proxy,), _ = _resume(system, *held, absorb_steps, [2.0 * cfg.t_orbit])
+            (proxy,), *_ = _walk(system, held, absorb_steps, [system.steps([2.0 * cfg.t_orbit])])
             del held
             # the serial order writes the traces before the fits, so a failed
             # fit or net leaves them
             for i, alpha in enumerate(alphas):
                 alpha.to_csv(out(i, "trace_alpha.csv"))
             nets = net_stages()
-        enter_norms, cadence_rows = fresh_pass()
+        cadence_rows, enter_norms = fresh_pass()
 
     certified = []
     for i, (fit, law, aset) in enumerate(nets):

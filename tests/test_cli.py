@@ -510,6 +510,11 @@ BAD_NUMBERS = {
         "kind": "quasistability", "pipeline": {"quasi_period": 1e300}}),
     "default_quasi_period_past_the_step_index": ("quasi_period", {
         "kind": "quasistability", "system": dict(SMALL_WAVE_SYSTEM, l=1e-300)}),
+    # on the step grid, but past the cap of steps a pass may take
+    "horizon_past_the_step_cap": ("burn_in", {"pipeline": {"burn_in": 400000.0}}),
+    "t_orbit_past_the_step_cap": ("t_orbit", {"pipeline": {"t_orbit": 400000.0}}),
+    "zero_ensemble_radius": ("ensemble.radius", {"ensemble": {"count": 12, "radius": 0.0,
+                                                              "fresh_count": 8}}),
 }
 
 

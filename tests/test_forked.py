@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 from attractorlab import dynamics, experiments
-from attractorlab.attracting import cadence_index, orbit_grid
+from attractorlab.attracting import orbit_grid
 from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.covering import DecayTrace, decay_trace
 from attractorlab.dynamics import (
@@ -542,36 +542,52 @@ def test_oracle_sides_sample_their_own_times_a_chunk_at_a_time(tmp_path, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# the entering-grid passes of the wave stages, a chunk of marks at a time
+# the walks of the wave stages, a chunk of marks at a time
 
-def pass_marks(cfg) -> dict:
-    """The marks each entering-grid pass of the wave run ``cfg`` samples, and
-    the bytes of its (L, P, 2N) start: the probe pass (the entering grid and
-    the orbit-cadence steps up to the horizon) and the fresh pass (the
-    entering grid and the orbit grid)."""
-    system, snap = cfg.system, cfg.orbit_sample_every
-    horizon, stack = cfg.burn_in + cfg.window, 2 * system.mode_count * 8 * (len(cfg.l_values) or 1)
-    enter = system.steps(system.sample_grid(horizon, experiments._ENTER_SAMPLES))
-    snaps = system.steps(np.arange(cadence_index(horizon, snap) + 1) * snap)
-    cadence = system.steps(orbit_grid(cfg.t_orbit, snap))
-    return {"probe": (np.union1d(enter, snaps).size, cfg.ensemble_count * stack),
-            "fresh": (np.union1d(enter, cadence).size, cfg.fresh_count * stack)}
+WALKS = ("probe", "absorbed", "proxy", "fresh")  # in the order they run with one CPU
 
 
-# marks per chunk of one pass, against its C marks: one, or at the edge
+@pytest.fixture(scope="module")
+def walk_marks(tmp_path_factory):
+    """For each wave case and each of its walks (``WALKS``): the marks the
+    walk takes past the leading ones its held table holds, and the bytes of
+    its (L, P, 2N) stack, read off the walk's arguments in a run at the
+    default chunk size."""
+    marks = {}
+    walk = experiments._walk
+
+    def recorded(system, held, starts, grids, norm_grid=()):
+        offsets = np.concatenate([np.asarray(g, dtype=int) for g in (*grids, norm_grid)])
+        union = np.unique(np.add.outer(starts, offsets))
+        leading = int(np.cumprod(np.isin(union, held[0])).sum())
+        taken.append((union.size - leading, held[1][0].nbytes))
+        return walk(system, held, starts, grids, norm_grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_walk", recorded)
+        patch.setattr(os, "cpu_count", lambda: 1)
+        for case in ("wave_attractor", "sweep_l"):
+            taken = []
+            run_experiment(test_golden.CASES[case](tmp_path_factory.mktemp(case)))
+            marks[case] = dict(zip(WALKS, taken, strict=True))
+    return marks
+
+
+# marks per chunk of one walk, against its C marks: one, or at the edge
 CHUNK_MARKS = {"1": lambda c: 1, "C-1": lambda c: c - 1, "C": lambda c: c, "C+1": lambda c: c + 1}
 
 
 @pytest.mark.parametrize("marks", sorted(CHUNK_MARKS))
-@pytest.mark.parametrize("edge", ["probe", "fresh"])
+@pytest.mark.parametrize("edge", ["probe", "absorbed", "fresh"])
 @pytest.mark.parametrize("case", ["wave_attractor", "sweep_l"])
-def test_entering_grid_chunks_match_the_golden_outputs(case, edge, marks, tmp_path, monkeypatch):
-    # the chunk bytes give the pass ``edge`` chunks of 1, C - 1, C or C + 1
-    # of its C marks; the other pass gets what those bytes give it
-    counts = pass_marks(test_golden.CASES[case](tmp_path / "unused"))
-    size, nbytes = counts[edge]
+def test_entering_grid_chunks_match_the_golden_outputs(case, edge, marks, walk_marks, tmp_path,
+                                                       monkeypatch):
+    # the chunk bytes give the walk ``edge`` chunks of 1, C - 1, C or C + 1
+    # of its C marks; the other walks get what those bytes give them
+    walks = walk_marks[case]
+    size, nbytes = walks[edge]
     monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", CHUNK_MARKS[marks](size) * nbytes)
-    chunks = sum(-(-c // max(1, experiments._TRACE_CHUNK_BYTES // b)) for c, b in counts.values())
+    chunks = sum(-(-c // max(1, experiments._TRACE_CHUNK_BYTES // b)) for c, b in walks.values())
     calls = []
     evolve = dynamics.evolve_states
 
@@ -586,14 +602,19 @@ def test_entering_grid_chunks_match_the_golden_outputs(case, edge, marks, tmp_pa
         cfg = test_golden.CASES[case](tmp_path / f"cpus_{cpus}")
         assert run_experiment(cfg).status == "ok"
         assert test_golden.output_hashes(cfg.output_dir) == test_golden.GOLDEN[case], cpus
-        if cpus == 1:  # every pass here: the two chunked ones and the others whole
-            assert len(calls) == test_golden.PASSES[case] - 2 + chunks
+        if cpus == 1:  # every pass here: the four walks in chunks, the net orbits whole
+            assert len(calls) == test_golden.PASSES[case] - len(WALKS) + chunks
     assert multiprocessing.active_children() == []
 
 
 def damping_stack(dampings):
     return DampingStack(tuple(replace(wave_config_from_dict(SMALL_WAVE_SYSTEM), l=damping)
                               for damping in dampings))
+
+
+def drawn(states):
+    """The table of a stack at its draw, from which a walk starts."""
+    return [0], states[None]
 
 
 def test_entering_grid_pass_samples_a_chunk_of_marks_at_a_time(monkeypatch):
@@ -617,54 +638,98 @@ def test_entering_grid_pass_samples_a_chunk_of_marks_at_a_time(monkeypatch):
     monkeypatch.setattr(dynamics, "evolve_states", recorded)
     tracemalloc.start()
     try:
-        norms, rows = experiments._norms_and_rows(system, states, enter, cadence)
+        rows, norms, (steps, kept) = experiments._walk(system, drawn(states), [0, 0], [cadence],
+                                                       enter)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - norms.nbytes - rows.nbytes < whole / 4
+    assert peak - norms.nbytes - rows.nbytes - kept.nbytes < whole / 4
     assert max(t.size for t in sampled) <= chunk
-    # each chunk's times count from the last mark of the one before it
+    # step 0 is read from the table; each chunk's times count from the last
+    # mark of the one before it
     at, marks = 0, []
     for times in sampled:
         marks.append(at + system.steps(times))
         at = marks[-1][-1]
-    assert np.array_equal(np.concatenate(marks), union)
+    assert np.array_equal(np.concatenate(marks), union[1:])
     monkeypatch.undo()
     whole_rows = system.sample(states, union * system.dt)
     assert norms.tobytes() == states_norms(
         whole_rows[np.searchsorted(union, enter)], system.eigenvalues).tobytes()
     assert rows.tobytes() == whole_rows[np.searchsorted(union, cadence)].tobytes()
+    # the table holds every row at the steps the grid read, for a later walk
+    assert np.array_equal(steps, cadence) and kept.tobytes() == rows.tobytes()
+
+
+def mid_segment_blow_up():
+    """The stacked mid-segment case, whose l = 180 row blows up between
+    steps 60 and 200, and the error of one pass over every other step to
+    200 from its start."""
+    cfg, y0, _reference = test_dynamics.TestSparseFinitenessChecks.blow_up_case(
+        "stacked_row", "mid_segment")
+    with pytest.raises(BlowUpError) as whole:
+        cfg.sample(y0, np.arange(0, 201, 2) * cfg.dt)
+    return cfg, y0, whole.value
 
 
 def test_a_blow_up_in_a_later_chunk_raises_at_the_time_of_one_pass(monkeypatch):
-    # the l = 180 row of the stacked mid-segment case blows up between steps
-    # 60 and 200, so past the first chunks of 16 marks
-    cfg, y0, _reference = test_dynamics.TestSparseFinitenessChecks.blow_up_case(
-        "stacked_row", "mid_segment")
+    # past the first chunks of 16 marks
+    cfg, y0, whole = mid_segment_blow_up()
     enter, cadence = np.arange(0, 201, 2), np.arange(0, 201, 25)
     union = np.union1d(enter, cadence)
-    with pytest.raises(BlowUpError) as whole:
-        cfg.sample(y0, union * cfg.dt)
     monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", 16 * y0.nbytes)
     with pytest.raises(BlowUpError) as chunked:
-        experiments._norms_and_rows(cfg, y0, enter, cadence)
-    assert whole.value.time > union[16] * cfg.dt
-    assert chunked.value.time == whole.value.time
-    assert str(chunked.value) == str(whole.value)
+        experiments._walk(cfg, drawn(y0), [0] * len(y0), [cadence], enter)
+    assert whole.time > union[16] * cfg.dt
+    assert chunked.value.time == whole.time
+    assert str(chunked.value) == str(whole)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_horizon_past_the_step_cap_is_refused_before_any_step(cpus, tmp_path, monkeypatch):
-    # burn_in + window = 400002 is 6400032 steps of dt = 0.0625 over about
-    # 200 entering marks: each chunk of them is under the cap, the pass is not
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def test_a_blow_up_after_a_resume_is_timed_from_the_earliest_start(monkeypatch):
+    # the table holds the pass at steps 0, 10 and 12, and the rows start at
+    # steps 10 and 12: the walk resumes at step 12, past the earliest start
+    cfg, y0, whole = mid_segment_blow_up()
+    steps = np.array([0, 10, 12])
+    table = steps, cfg.sample(y0, steps * cfg.dt)
+    monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", 16 * y0.nbytes)
+    sampled = []
+    evolve = dynamics.evolve_states
+
+    def recorded(start, system, times):
+        sampled.append(np.asarray(start).tobytes())
+        return evolve(start, system, times)
+
+    monkeypatch.setattr(dynamics, "evolve_states", recorded)
+    with pytest.raises(BlowUpError) as chunked:
+        experiments._walk(cfg, table, [10, 12, 10], [np.arange(0, 189, 2)])
+    assert sampled[0] == table[1][2].tobytes() and len(sampled) > 1
+    lost = (cfg.steps(whole.time) - 10) * cfg.dt
+    assert chunked.value.time == lost
+    assert str(chunked.value) == str(BlowUpError(lost))
+
+
+def test_a_horizon_past_the_step_cap_is_refused_before_any_step(tmp_path, monkeypatch):
+    # burn_in + window = 400002 is 6400032 steps of dt = 0.0625: refused when
+    # the config is read, before any pass runs or any file is written
     steps = []
     monkeypatch.setattr(dynamics, "evolve_states", lambda *args: steps.append(args))
-    cfg = replace(test_golden.CASES["wave_attractor"](tmp_path / "out"), burn_in=400000.0)
-    message = f"horizon needs 6400032 steps, above the cap of {dynamics.MAX_STEPS}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        run_experiment(cfg)
+    message = (f"config field 'burn_in' + 'window' = 400002 needs 6400032 steps of dt = 0.0625, "
+               f"above the cap of {dynamics.MAX_STEPS}")
+    with pytest.raises(ValueError) as refused:
+        replace(test_golden.CASES["wave_attractor"](tmp_path / "out"), burn_in=400000.0)
+    assert str(refused.value) == message
+    assert steps == [] and not (tmp_path / "out").exists()
+
+
+def test_a_walk_past_the_step_cap_is_refused_before_any_step(monkeypatch):
+    # the rows start at step 2, so the last mark is one step past the cap,
+    # though each chunk of one mark counts fewer steps from where it resumes
+    cap, system = dynamics.MAX_STEPS, damping_stack((1.0,))
+    table = [0, 2], np.zeros((2, 1, 4, 16))
+    steps = []
+    monkeypatch.setattr(dynamics, "evolve_states", lambda *args: steps.append(args))
+    monkeypatch.setattr(experiments, "_TRACE_CHUNK_BYTES", table[1][0].nbytes)
+    with pytest.raises(ValueError) as refused:
+        experiments._walk(system, table, [2], [[0, cap // 2, cap - 1]])
+    assert str(refused.value) == f"horizon needs {cap + 1} steps, above the cap of {cap}"
     assert steps == []
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert (manifest["status"], manifest["error"]) == ("failed", f"ValueError: {message}")
-    assert multiprocessing.active_children() == []

@@ -41,7 +41,7 @@ REMOVED = {
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
                     "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
                     "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe", "_absorbing_ball",
-                    "_SWEEP_MEASURED"),
+                    "_SWEEP_MEASURED", "_resume", "_norms_and_rows"),
 }
 
 
