@@ -50,7 +50,7 @@ from .covering import (
     write_text,
 )
 from .decay import DecayLaw, within_bound
-from .dynamics import _int, _num
+from .dynamics import _int, _num, _positive
 from .phase import MetricSpec
 
 __all__ = [
@@ -94,11 +94,11 @@ class AttractingSetApprox:
     The record refuses, naming the field: ``t_orbit`` or
     ``orbit_sample_every`` not positive and finite; an ``m_range`` outside
     1 <= m_min <= m_max <= t_orbit; birth times that are not whole numbers
-    in ``m_range``; orbit times other than
-    k * orbit_sample_every up to t_orbit (within 1e-9 * max(1, t_orbit)),
-    which ``verify_attraction``'s window index relies on; a ``t_star`` not
-    finite and >= 0; and net seeds, net states, orbits or a proxy that are
-    not finite or not as wide as the net states.
+    in ``m_range``; orbit times other than k * orbit_sample_every up to
+    t_orbit (within 1e-9 * max(1, t_orbit)), which ``verify_attraction``'s
+    window index relies on; a ``t_star`` not nonnegative and finite; and net
+    seeds, net states, orbits or a proxy that are not finite or not as wide
+    as the net states.  The scalar bounds are ``dynamics._positive``'s.
     """
 
     birth_times: np.ndarray  # (E,) int
@@ -114,13 +114,9 @@ class AttractingSetApprox:
     t_star: float | None = None
 
     def __post_init__(self):
+        for name in ("orbit_sample_every", "t_orbit"):
+            _positive(getattr(self, name), name, "attracting set")
         every, t_orbit, times = self.orbit_sample_every, self.t_orbit, self.orbit_times
-        if not (every > 0 and math.isfinite(every)):
-            raise ValueError(f"attracting set field 'orbit_sample_every' must be positive and "
-                             f"finite, got {every!r}")
-        if not (t_orbit > 0 and math.isfinite(t_orbit)):
-            raise ValueError(f"attracting set field 't_orbit' must be positive and finite, "
-                             f"got {t_orbit!r}")
         if not 1 <= self.m_range[0] <= self.m_range[1] <= t_orbit:
             raise ValueError(f"attracting set field 'm_range' must satisfy 1 <= m_min <= m_max "
                              f"<= t_orbit = {t_orbit:g}, got {self.m_range!r}")
@@ -140,9 +136,8 @@ class AttractingSetApprox:
             raise ValueError(f"t_orbit = {t_orbit:g} is not a whole number of orbit_sample_every "
                              f"= {every:g} cadences: field 't_orbit' must be the last orbit time, "
                              f"{times[-1]:g}")
-        if self.t_star is not None and not (self.t_star >= 0 and math.isfinite(self.t_star)):
-            raise ValueError(f"attracting set field 't_star' must be finite and >= 0, "
-                             f"got {self.t_star!r}")
+        if self.t_star is not None:
+            _positive(self.t_star, "t_star", "attracting set", zero=True)
         width = self.net_states.shape[-1]
         for name in ("net_seeds", "net_states", "orbit_states", "attractor_proxy"):
             rows = getattr(self, name)

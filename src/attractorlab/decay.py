@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dynamics import _positive
+
 __all__ = ["DecayLaw", "DECAY_KINDS", "within_bound"]
 
 DECAY_KINDS = ("exponential", "polynomial", "log_polynomial")
@@ -36,12 +38,8 @@ class DecayLaw:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise ValueError(f"unknown decay kind {self.kind!r}, expected one of {DECAY_KINDS}")
-        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise ValueError("amplitude must be a positive finite number")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("rate must be a positive finite number")
-        if not (self.shift >= 0 and math.isfinite(self.shift)):
-            raise ValueError("shift must be a nonnegative finite number")
+        for name in ("amplitude", "rate", "shift"):
+            _positive(getattr(self, name), name, "decay law", zero=name == "shift")
 
     def eval(self, t: float) -> float:
         s = t - self.shift

@@ -80,6 +80,7 @@ pipeline integrates each ensemble once and hands every consumer its rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -170,42 +171,19 @@ class WaveSystemConfig:
     def __post_init__(self):
         n = _mode_count(self.mode_count)
         object.__setattr__(self, "mode_count", n)
-        for name in ("k", "l"):
-            v = float(getattr(self, name))
-            if not (v >= 0 and np.isfinite(v)):
-                raise ValueError(f"config field 'system.{name}' must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not (self.p > 0 and np.isfinite(self.p)):
-            raise ValueError(f"config field 'system.p' must be positive and finite, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
-
-        f = _trim_poly(self.f_coeffs)
-        if not np.all(np.isfinite(f)):
-            raise ValueError(f"config field 'system.f_coeffs' must be finite, got {f.tolist()!r}")
-        if f.size:
-            degree = f.size - 1
-            if degree % 2 == 0 or f[-1] <= 0:
-                raise ValueError("config field 'system.f_coeffs' must be 0 or have odd top degree "
-                                 "with positive leading coefficient (dissipative direction)")
-        object.__setattr__(self, "f_coeffs", tuple(float(c) for c in f))
-
-        kern = []
-        for entry in self.kernel:
-            weight, coeffs = entry
-            coeffs = np.asarray(coeffs, dtype=float).ravel()
-            if coeffs.size != n or not np.all(np.isfinite(coeffs)):
-                raise ValueError("config field 'system.kernel.coeffs' must be finite, one per mode")
-            if not np.isfinite(weight):
-                raise ValueError("config field 'system.kernel.weight' must be finite")
-            kern.append((float(weight), tuple(float(c) for c in coeffs)))
-        object.__setattr__(self, "kernel", tuple(kern))
-
-        h = np.asarray(self.h_coeffs, dtype=float).ravel()
-        if h.size == 0:
-            h = np.zeros(n)
-        if h.size != n or not np.all(np.isfinite(h)):
-            raise ValueError("config field 'system.h_coeffs' must be finite with length mode_count")
-        object.__setattr__(self, "h_coeffs", tuple(float(c) for c in h))
+        for name in ("k", "l", "p"):  # the damping k ||u_t||^p + l
+            value = _positive(float(getattr(self, name)), f"system.{name}", zero=name != "p")
+            object.__setattr__(self, name, value)
+        f = _finite(_trim_poly(self.f_coeffs), "f_coeffs")
+        if f and (len(f) % 2 or f[-1] <= 0):  # an odd length is an even degree
+            raise ValueError("config field 'system.f_coeffs' must be 0 or have odd top degree "
+                             "with positive leading coefficient (dissipative direction)")
+        object.__setattr__(self, "f_coeffs", f)
+        kernel = [(*_finite([w], "kernel.weight"), _finite(c, "kernel.coeffs", n))
+                  for w, c in self.kernel]
+        object.__setattr__(self, "kernel", tuple(kernel))
+        h = self.h_coeffs if np.size(self.h_coeffs) else np.zeros(n)
+        object.__setattr__(self, "h_coeffs", _finite(h, "h_coeffs", n))
 
         lam_max = float(n) ** 2
         dt_cap = 0.5 / np.sqrt(lam_max)
@@ -273,14 +251,11 @@ class LinearModalConfig:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        if not (self.l > 0 and np.isfinite(self.l)):
-            raise ValueError(f"config field 'system.l' must be positive and finite on the oracle, "
-                             f"got {self.l!r}")
+        object.__setattr__(self, "l", float(_positive(self.l, "system.l")))
         lam = np.asarray(self.eigenvalues, dtype=float).ravel()
         if lam.size == 0 or np.any(lam <= 0) or not np.all(np.isfinite(lam)):
             raise ValueError("config field 'system.mode_eigenvalues' must be nonempty, positive "
                              "and finite")
-        object.__setattr__(self, "l", float(self.l))
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
@@ -755,59 +730,77 @@ def _int(value, name: str, source: str = "config") -> int:
     return int(number)
 
 
+def _positive(value, name: str, source: str = "config", zero: bool = False):
+    """``value``, refused unless positive (with ``zero``, nonnegative) and
+    finite, named as for ``_num``.  It compares ``0 < value < inf``, exact for
+    an int past float range, such as a 400-digit seed: ``math.isfinite``
+    overflows on one."""
+    if not (0 <= value < math.inf if zero else 0 < value < math.inf):
+        raise ValueError(f"{source} field {name!r} must be "
+                         f"{'nonnegative' if zero else 'positive'} and finite, got {value!r}")
+    return value
+
+
+def _finite(values, name: str, n: int = 0) -> tuple:
+    """The coefficients ``values`` of the field ``system.<name>`` as a tuple
+    of floats, refused unless each is finite and, given ``n``, there are n."""
+    row = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(row).all() or n and row.size != n:
+        raise ValueError(f"config field 'system.{name}' must be finite"
+                         f"{' with one entry per mode' if n else ''}, got {row.tolist()!r}")
+    return tuple(row.tolist())
+
+
+def _keys(raw: dict, known, needed=(), where: str = "config section 'system'") -> None:
+    """Refuse a key of the run file mapping ``raw``, named ``where``, that
+    ``known`` does not list, then a ``needed`` key of ``system`` it lacks."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
+    for key in needed:
+        if key not in raw:
+            raise ValueError(f"config field 'system.{key}' is missing")
+
+
 def _mode_count(value) -> int:
-    n = _int(value, "system.mode_count")
-    if n < 1:
-        raise ValueError(f"config field 'system.mode_count' must be a positive integer, got {n}")
-    return n
+    return _positive(_int(value, "system.mode_count"), "system.mode_count")
 
 
-def _entries(value) -> list:
-    """A list field's entries as given, for ``_num`` to read one by one (so
-    a boolean among numbers is refused): a list or tuple is its entries, any
-    other value is one entry."""
-    return value if isinstance(value, (list, tuple)) else [value]
-
-
-def _padded(values, n: int, name: str) -> tuple:
-    arr = tuple(_num(v, name) for v in _entries(values))
-    if len(arr) > n:
-        raise ValueError(f"config field {name!r} has {len(arr)} entries but mode_count is {n}")
-    return arr + (0.0,) * (n - len(arr))
-
-
-def _kernel_entry(entry, n: int) -> tuple:
-    if not isinstance(entry, dict) or set(entry) != {"weight", "coeffs"}:
-        raise ValueError("config field 'system.kernel' needs mappings of weight and coeffs")
-    return (_num(entry["weight"], "system.kernel.weight"),
-            _padded(entry["coeffs"], n, "system.kernel.coeffs"))
+def _coefficients(value, name: str, n: int = 0) -> tuple:
+    """The list field ``system.<name>``, each number read by ``_num``: a list
+    or tuple is its entries, null in ``f_coeffs`` or ``kernel`` none, any
+    other value one entry.  Given ``n``, it is zero-padded to n entries.  A
+    ``kernel`` entry, a mapping of weight and coeffs, is read as a pair."""
+    if value is None and name in ("f_coeffs", "kernel"):  # null for none
+        value = []
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    if name == "kernel":
+        if not all(isinstance(e, dict) and set(e) == {"weight", "coeffs"} for e in entries):
+            raise ValueError("config field 'system.kernel' needs mappings of weight and coeffs")
+        return tuple((_num(e["weight"], "system.kernel.weight"),
+                      _coefficients(e["coeffs"], "kernel.coeffs", n)) for e in entries)
+    row = tuple(_num(v, f"system.{name}") for v in entries)
+    return row + (0.0,) * (n - len(row))
 
 
 def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
     """Build a WaveSystemConfig from a plain mapping (the file schema): its
     fields by name, an absent one at its default.
 
-    Coefficient lists shorter than ``mode_count`` are zero-padded, so a
-    single-mode forcing is just ``h_coeffs: [4.0]``.
+    The coefficient fields are read by ``_coefficients``: lists of mode
+    coefficients shorter than ``mode_count`` are zero-padded, so a
+    single-mode forcing is just ``h_coeffs: [4.0]``.  The scalars are read
+    by their field's type.
     """
     if not isinstance(raw, dict):
         raise ValueError("config field 'system' must be a mapping")
     schema = fields(WaveSystemConfig)
-    unknown = set(raw) - {f.name for f in schema}
-    if unknown:
-        raise ValueError(f"unknown keys in config section 'system': {sorted(unknown)}")
-    if "mode_count" not in raw:
-        raise ValueError("config field 'system.mode_count' is missing")
+    _keys(raw, [f.name for f in schema], needed=("mode_count",))
     n = _mode_count(raw["mode_count"])
-    readers = {  # the coefficient fields, null for none; the rest are scalars of their type
-        "f_coeffs": lambda v, name: tuple(_num(c, name) for c in _entries([] if v is None else v)),
-        "kernel": lambda v, name: tuple(_kernel_entry(e, n)
-                                        for e in _entries([] if v is None else v)),
-        "h_coeffs": lambda v, name: _padded(v, n, name),
-    }
+    pad = {"f_coeffs": 0, "kernel": n, "h_coeffs": n}  # each coefficient field's length
     return WaveSystemConfig(**{
-        f.name: readers.get(f.name, _int if f.type == "int" else _num)(
-            raw[f.name], f"system.{f.name}")
+        f.name: _coefficients(raw[f.name], f.name, pad[f.name]) if f.name in pad
+        else (_int if f.type == "int" else _num)(raw[f.name], f"system.{f.name}")
         for f in schema if f.name in raw
     })
 
@@ -815,7 +808,8 @@ def wave_config_from_dict(raw: dict) -> WaveSystemConfig:
 def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
     """The engine of a run file's ``system`` mapping, as its ``as_dict``
     writes it: ``type: wave`` with the keys of ``wave_config_from_dict``, or
-    ``type: linear`` with ``l`` and ``mode_count`` or ``mode_eigenvalues``."""
+    ``type: linear`` with ``l`` and ``mode_count`` or ``mode_eigenvalues``,
+    read by ``_coefficients``."""
     if not isinstance(raw, dict) or "type" not in raw:
         raise ValueError("config field 'system' must be a mapping with a 'type' key")
     kind = raw["type"]
@@ -823,17 +817,11 @@ def system_from_dict(raw) -> WaveSystemConfig | LinearModalConfig:
     if kind == "wave":
         return wave_config_from_dict(body)
     if kind == "linear":
-        if "mode_eigenvalues" in body:
-            lam = np.array([_num(v, "system.mode_eigenvalues")
-                            for v in _entries(body.pop("mode_eigenvalues"))])
-        elif "mode_count" in body:
-            lam = MetricSpec.dirichlet_1d(_mode_count(body.pop("mode_count"))).mode_eigenvalues
-        else:
+        modes = "mode_eigenvalues" if "mode_eigenvalues" in body else "mode_count"
+        if modes not in body:
             raise ValueError("config field 'system.mode_count' (or 'mode_eigenvalues') is missing")
-        unknown = sorted(set(body) - {"l"})
-        if unknown:
-            raise ValueError(f"unknown keys in config section 'system': {unknown}")
-        if "l" not in body:
-            raise ValueError("config field 'system.l' is missing")
+        _keys(body, ("l", modes), needed=("l",))
+        lam = (_coefficients(body[modes], modes) if modes == "mode_eigenvalues"
+               else MetricSpec.dirichlet_1d(_mode_count(body[modes])).mode_eigenvalues)
         return LinearModalConfig(_num(body["l"], "system.l"), lam)
     raise ValueError(f"config field 'system.type' is {kind!r}, expected 'wave' or 'linear'")

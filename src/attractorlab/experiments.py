@@ -55,7 +55,9 @@ The run file format is the table ``_SCHEMA``, one row per field: its section,
 its key, the ``ExperimentConfig`` attribute it sets and the reader of its
 value.  ``load_experiment_config`` reads a file by it and rejects any key it
 does not list; ``config_to_dict`` writes by it the config echo of each run
-manifest.  Defaults live on the dataclasses alone.  The table ``_KINDS``
+manifest.  ``_KEYS``, derived from it, names each attribute in a refusal, on
+reading and in ``ExperimentConfig``: by its key, qualified by its section in
+``ensemble`` (``ensemble.count``).  Defaults live on the dataclasses alone.  The table ``_KINDS``
 gives each kind its pipeline, its engines and the tags of what it needs, by
 which a config is checked when it is read, before any pass runs: ``alpha``
 (alpha of the probe: two points or more, fewer clusters), ``orbits`` (an
@@ -108,7 +110,9 @@ from .dynamics import (
     states_norms,
     system_from_dict,
     _int,
+    _keys,
     _num,
+    _positive,
     _settle_times,
 )
 from .phase import Ensemble, MetricSpec, ensemble_radius
@@ -169,31 +173,24 @@ class ExperimentConfig:
             raise ValueError("config field 't_grid' must be nonempty, finite, nonnegative and "
                              "strictly increasing")
         object.__setattr__(self, "t_grid", t)
-        if self.seed < 0:
-            raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed!r}")
-        for name, count in (("ensemble.count", self.ensemble_count),
-                            ("ensemble.fresh_count", self.fresh_count)):
-            if count < 1:
-                raise ValueError(f"config field {name!r} must be positive, got {count!r}")
-        if self.m_clusters < 1:
-            raise ValueError(f"config field 'm_clusters' must be >= 1, got {self.m_clusters!r}")
+        for attr in ("seed", "n_periods", "ensemble_count", "fresh_count", "m_clusters",
+                     "ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every",
+                     "fit_floor", "closeness", "quasi_period"):
+            value = getattr(self, attr)  # closeness and quasi_period may be None: unset
+            if value is not None:
+                _positive(value, _KEYS[attr], zero=attr in ("seed", "n_periods"))
         # alpha is 0 on one point, or with a cluster per point
         if "alpha" in needs and self.ensemble_count < 2:
-            raise ValueError(f"config field 'ensemble.count' must be >= 2 for a {self.kind} run")
+            raise ValueError(f"config field {_KEYS['ensemble_count']!r} must be >= 2 for a "
+                             f"{self.kind} run")
         if "alpha" in needs and self.m_clusters >= self.ensemble_count:
-            raise ValueError(f"config field 'm_clusters' must be below ensemble.count = "
+            raise ValueError(f"config field 'm_clusters' must be below {_KEYS['ensemble_count']} = "
                              f"{self.ensemble_count} for a {self.kind} run")
         m_min, m_max = self.m_range
         if not 1 <= m_min <= m_max:
             raise ValueError(
                 f"config field 'm_range' must satisfy 1 <= m_min <= m_max, got {self.m_range!r}"
             )
-        for name in ("ensemble_radius", "burn_in", "window", "t_orbit", "orbit_sample_every",
-                     "fit_floor", "closeness", "quasi_period"):
-            value = getattr(self, name)  # closeness and quasi_period may be None: unset
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                key = name.replace("ensemble_", "ensemble.")  # the run file's key
-                raise ValueError(f"config field {key!r} must be positive and finite, got {value!r}")
         for key, value in self.thresholds.items():
             if not math.isfinite(value):
                 raise ValueError(f"config field 'thresholds.{key}' must be finite, got {value!r}")
@@ -202,8 +199,6 @@ class ExperimentConfig:
                 v >= 0 and math.isfinite(v) for v in self.l_values)):
             raise ValueError(f"config field 'l_values' must be nonempty, finite and >= 0, "
                              f"got {list(self.l_values)!r}")
-        if self.n_periods < 0:
-            raise ValueError(f"config field 'n_periods' must be nonnegative, got {self.n_periods!r}")
         # the tail check needs a mode above the threshold; quasistability does not
         top = self.system.mode_count - ("tail" in needs)
         if needs & {"tail", "period"} and not 0 < self.low_mode_threshold <= top:
@@ -212,17 +207,18 @@ class ExperimentConfig:
                 f"run, got {self.low_mode_threshold!r}"
             )
         # the times a pass samples straight from the fields: on the wave
-        # engine each must be a step time
+        # engine each must be a step time, and each pass's last within the cap
+        period = "'quasi_period' (by default 3 / l)"
         sampled = {"'burn_in' + 'window'": self.burn_in + self.window}
         if "period" in needs:
-            sampled["'quasi_period' (by default 3 / l)"] = self.period
-        if "tail" in needs:
+            sampled[period] = self.period
+        if needs & {"tail", "orbits"}:
             sampled.update({"'t_grid'": self.t_grid, "'t_orbit' * 2": 2.0 * self.t_orbit})
         if "orbits" in needs:
             if m_max > self.t_orbit:
                 raise ValueError(f"config field 'm_range' must end by t_orbit = "
                                  f"{self.t_orbit:g}, got {self.m_range!r}")
-            sampled.update({"'t_grid'": self.t_grid, "'m_range'": np.arange(m_min, m_max + 1)})
+            sampled["'m_range'"] = np.arange(m_min, m_max + 1)
             cadence = self.system.steps(self.orbit_sample_every, "config field 'orbit_sample_every'")
             if cadence == 0:
                 raise ValueError(f"config field 'orbit_sample_every' = {self.orbit_sample_every:g} "
@@ -233,11 +229,23 @@ class ExperimentConfig:
                                  f"of orbit_sample_every = {self.orbit_sample_every:g} cadences")
             sampled["'t_orbit'"] = self.t_orbit
         if isinstance(self.system, WaveSystemConfig):
-            for what, times in sampled.items():
-                last = self.system.steps(times, f"config field {what}").max()
+            steps = {what: int(self.system.steps(times, f"config field {what}").max())
+                     for what, times in sampled.items()}
+            # a pass samples these after its start: burn_in + window, or for the
+            # orbits kinds the latest absorb time, the first cadence at or past it
+            start, after = steps["'burn_in' + 'window'"], "after 'burn_in' + 'window'"
+            if "orbits" in needs:
+                start = cadence_index(self.burn_in + self.window, self.orbit_sample_every) * cadence
+                after = "after the latest absorb time"
+            later = {what: steps[what] for what in ("'t_grid'", "'t_orbit' * 2") if what in steps}
+            if "period" in needs:
+                later["'n_periods' periods"] = max(1, self.n_periods) * steps[period]
+            shown = {f"{what} = {np.max(times):g}": steps[what] for what, times in sampled.items()}
+            shown.update({f"{what} {after}": start + last for what, last in later.items()})
+            for what, last in shown.items():
                 if last > MAX_STEPS:
-                    raise ValueError(f"config field {what} = {np.max(times):g} needs {last} steps "
-                                     f"of dt = {self.system.dt:g}, above the cap of {MAX_STEPS}")
+                    raise ValueError(f"config field {what} needs {last} steps of dt = "
+                                     f"{self.system.dt:g}, above the cap of {MAX_STEPS}")
         # absorbing_radius needs a probe sample after burn_in
         if "orbits" in needs and self.system.sample_grid(
                 self.burn_in + self.window, _ENTER_SAMPLES)[-1] <= self.burn_in:
@@ -938,12 +946,14 @@ _SCHEMA = (
         str(k): _num(v, f"{name}.{k}") for k, v in _mapping(raw, name).items()
     }),
 )
+_KEYS = {attr: f"{section}.{key}" if section == "ensemble" else key
+         for section, key, attr, _read in _SCHEMA}
 
 
 def load_experiment_config(path, **given) -> ExperimentConfig:
     """Read a run file (``_SCHEMA``); numbers may be strings such as '1e-3'.
     The attributes ``given`` override the file's before the config is built.
-    Errors name a field by its key, or by ``ensemble.<key>`` in that section."""
+    Errors name a field as ``_KEYS`` does."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -954,15 +964,11 @@ def load_experiment_config(path, **given) -> ExperimentConfig:
         if section not in sections:
             sections[section] = _mapping(raw.get(section), section)
         if key in sections[section]:
-            name = f"{section}.{key}" if section == "ensemble" else key
-            kwargs[attr] = read(sections[section][key], name)
+            kwargs[attr] = read(sections[section][key], _KEYS[attr])
     for section, body in sections.items():
         # the top level holds its own keys and the names of the sections
-        known = {key if s == section else s for s, key, *_ in _SCHEMA if section in (None, s)}
-        unknown = set(body) - known
-        if unknown:
-            where = "config" if section is None else f"config section {section!r}"
-            raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        _keys(body, {key if s == section else s for s, key, *_ in _SCHEMA if section in (None, s)},
+              where="config" if section is None else f"config section {section!r}")
     kwargs.update(given)
     for f in fields(ExperimentConfig):
         if f.init and f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:

@@ -515,6 +515,13 @@ BAD_NUMBERS = {
     "t_orbit_past_the_step_cap": ("t_orbit", {"pipeline": {"t_orbit": 400000.0}}),
     "zero_ensemble_radius": ("ensemble.radius", {"ensemble": {"count": 12, "radius": 0.0,
                                                               "fresh_count": 8}}),
+    # each field within the cap, but not the pass that samples it after the
+    # absorb time (the proxy at 2 t_orbit) or after burn_in + window
+    "proxy_pass_past_the_step_cap": ("t_orbit", {"pipeline": {"t_orbit": 156250}}),
+    "criteria_proxy_past_the_step_cap": ("t_orbit", {"kind": "criteria_suite",
+                                                     "pipeline": {"t_orbit": 156250}}),
+    "quasistability_periods_past_the_step_cap": ("n_periods", {
+        "kind": "quasistability", "pipeline": {"quasi_period": 1.5, "n_periods": 3400000}}),
 }
 
 

@@ -3,6 +3,7 @@ config, for every pipeline kind, both engines and every field."""
 
 import glob
 import json
+import math
 import os
 from dataclasses import MISSING, fields, replace
 
@@ -10,10 +11,19 @@ import numpy as np
 import pytest
 import yaml
 
+from attractorlab.attracting import AttractingSetApprox
 from attractorlab.cli import EXIT_CONFIG, main
-from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, wave_config_from_dict
+from attractorlab.decay import DecayLaw
+from attractorlab.dynamics import (
+    LinearModalConfig,
+    WaveSystemConfig,
+    _int,
+    wave_config_from_dict,
+)
 from attractorlab.experiments import (
+    _KEYS,
     _KINDS,
+    _SCHEMA,
     ExperimentConfig,
     config_to_dict,
     load_experiment_config,
@@ -233,3 +243,82 @@ def test_wave_dt_defaults_to_the_stability_bound():
     assert WaveSystemConfig(mode_count=8).dt == 0.0625
     assert wave_config_from_dict({"mode_count": 32}).dt == 0.015625
     assert replace(WaveSystemConfig(mode_count=4), l=1.0).dt == 0.125
+
+
+def small_set() -> AttractingSetApprox:
+    """A one-entry attracting set on the orbit grid 0, 0.25, ..., 1."""
+    return AttractingSetApprox(
+        birth_times=np.array([1]), net_seeds=np.zeros((1, 2)), net_states=np.zeros((1, 2)),
+        orbit_states=np.zeros((1, 5, 2)), orbit_times=np.arange(5) * 0.25,
+        attractor_proxy=None, law_used=DecayLaw("exponential", 1.0, 1.0), m_range=(1, 1),
+        t_orbit=1.0, orbit_sample_every=0.25, t_star=0.0,
+    )
+
+
+def experiment(attr):
+    return lambda v: replace(small_wave("out", "wave_attractor"), **{attr: v})
+
+
+BOUNDED = ("seed", "n_periods", "ensemble_count", "fresh_count", "m_clusters", "ensemble_radius",
+           "burn_in", "window", "t_orbit", "orbit_sample_every", "fit_floor", "closeness",
+           "quasi_period")
+
+# Every scalar refused by ``dynamics._positive``: (source, field named in the
+# refusal, whether 0 is in range, whether it is an integer, the record built
+# with a value of the field, and the run file's kind, section and key or None)
+SHARED_BOUND = {
+    **{_KEYS[attr]: ("config", _KEYS[attr], attr in ("seed", "n_periods"), read is _int,
+                     experiment(attr), ("wave_attractor", section, key))
+       for section, key, attr, read in _SCHEMA if attr in BOUNDED},
+    **{f"system.{name}": ("config", f"system.{name}", name != "p", False,
+                          lambda v, name=name: WaveSystemConfig(mode_count=3, **{name: v}),
+                          ("wave_attractor", "system", name))
+       for name in ("k", "l", "p")},
+    "system.mode_count": ("config", "system.mode_count", False, True,
+                          lambda v: WaveSystemConfig(mode_count=v),
+                          ("wave_attractor", "system", "mode_count")),
+    "oracle system.l": ("config", "system.l", False, False,
+                        lambda v: LinearModalConfig(v, [1.0, 4.0]),
+                        ("oracle_decay", "system", "l")),
+    **{f"set {name}": ("attracting set", name, name == "t_star", False,
+                       lambda v, name=name: replace(small_set(), **{name: v}), None)
+       for name in ("orbit_sample_every", "t_orbit", "t_star")},
+    **{f"law {name}": ("decay law", name, name == "shift", False,
+                       lambda v, name=name: DecayLaw(**{"kind": "exponential", "amplitude": 1.0,
+                                                        "rate": 1.0, name: v}), None)
+       for name in ("amplitude", "rate", "shift")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_BOUND))
+def test_the_shared_bound_refuses_each_field_naming_it(case, tmp_path, capsys):
+    # NaN, both infinities and the value next to the field's range, built
+    # directly and, where the field has a run-file key, run from a file
+    source, name, zero, integer, build, run = SHARED_BOUND[case]
+    below = (-1 if integer else math.nextafter(0.0, -1.0)) if zero else (0 if integer else 0.0)
+    for value in (math.nan, math.inf, -math.inf, below):
+        with pytest.raises(ValueError, match=f"^{source} field '{name}' "):
+            build(value)
+        if run is None:
+            continue
+        kind, section, key = run
+        cfg = shipped_oracle("out", kind) if kind == "oracle_decay" else small_wave("out", kind)
+        raw = dict(config_to_dict(cfg), output_dir=str(tmp_path / "out"))
+        (raw[section] if section else raw)[key] = value
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{name}' ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_seed_past_float_range_runs(tmp_path):
+    # 0 <= seed < inf compares the int exactly, where math.isfinite overflows
+    raw = dict(config_to_dict(shipped_oracle("out", "oracle_decay")),
+               output_dir=str(tmp_path / "out"), seed=10**400)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 10**400 and manifest["status"] == "ok"

@@ -31,7 +31,8 @@ REMOVED = {
     "phase": ("PhasePoint", "phase_norm", "_check_compatible"),
     "dynamics": ("flow", "flow_samples", "config_eigenvalues", "evolve", "TrajectoryRecord",
                  "linear_modal_evolve", "load_wave_config", "_rhs", "entering_times",
-                 "_sampled_norms", "_rk4_step", "_WAVE_KEYS", "_steps_for"),
+                 "_sampled_norms", "_rk4_step", "_WAVE_KEYS", "_steps_for", "_entries", "_padded",
+                 "_kernel_entry"),
     "attracting": ("NetEntry", "_embed", "_reprs", "perturbed_net", "ContinuityBudgetError",
                    "QUANT_FLOOR", "verification_grid"),
     "covering": ("CoverReport", "pairwise_distances", "hausdorff_semidist", "greedy_kcenter",
