@@ -522,6 +522,11 @@ BAD_NUMBERS = {
                                                      "pipeline": {"t_orbit": 156250}}),
     "quasistability_periods_past_the_step_cap": ("n_periods", {
         "kind": "quasistability", "pipeline": {"quasi_period": 1.5, "n_periods": 3400000}}),
+    # an int past float range is read as YAML reads 1e400, and refused as inf
+    "burn_in_past_float_range": ("burn_in", {"pipeline": {"burn_in": 10**400}}),
+    "radius_past_float_range": ("ensemble.radius", {"ensemble": {"count": 12, "radius": 10**400,
+                                                                 "fresh_count": 8}}),
+    "m_range_past_float_range": ("m_range", {"grids": {"m_range": [1, 10**400]}}),
 }
 
 
@@ -583,6 +588,12 @@ BAD_SYSTEMS = {
         SMALL_WAVE_SYSTEM, kernel=[{"weight": 0.1, "coeffs": [1.0, True]}])),
     "true_oracle_eigenvalue": ("mode_eigenvalues", {"type": "linear", "l": 1.0,
                                                     "mode_eigenvalues": [1.0, True]}),
+    # an int past float range, read as inf
+    "damping_past_float_range": ("l", dict(SMALL_WAVE_SYSTEM, l=10**400)),
+    "dt_past_float_range": ("dt", dict(SMALL_WAVE_SYSTEM, dt=10**400)),
+    # more modes than a synthesis table numpy can size, refused before any allocation
+    "modes_past_float_range": ("mode_count", dict(SMALL_WAVE_SYSTEM, mode_count=10**400)),
+    "modes_past_the_table_bound": ("mode_count", dict(SMALL_WAVE_SYSTEM, mode_count=10**12)),
 }
 
 
@@ -608,13 +619,12 @@ def test_null_coefficient_field_runs_as_no_coefficients(tmp_path, field):
         assert json.load(fh)["config"]["system"][field] == []
 
 
-# sizes no machine can allocate (10**12 rows or modes); the count and
-# collocation cases fail only once the run has started
+# sizes no machine can allocate (10**12 rows or collocation points), which
+# fail only once the run has started
 PAST_MEMORY = {
     "count": {"ensemble": {"count": 10**12, "radius": 4.0, "fresh_count": 8}},
     "fresh_count": {"ensemble": {"count": 12, "radius": 4.0, "fresh_count": 10**12}},
     "collocation_points": {"system": dict(SMALL_WAVE_SYSTEM, collocation_points=10**12)},
-    "mode_count": {"system": dict(SMALL_WAVE_SYSTEM, mode_count=10**12)},  # no message
 }
 
 

@@ -15,9 +15,11 @@ from attractorlab.attracting import AttractingSetApprox
 from attractorlab.cli import EXIT_CONFIG, main
 from attractorlab.decay import DecayLaw
 from attractorlab.dynamics import (
+    MAX_MODES,
     LinearModalConfig,
     WaveSystemConfig,
     _int,
+    _mode_count,
     wave_config_from_dict,
 )
 from attractorlab.experiments import (
@@ -322,3 +324,17 @@ def test_a_seed_past_float_range_runs(tmp_path):
     assert main(["run", str(path)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 10**400 and manifest["status"] == "ok"
+
+
+def test_the_mode_bound_is_the_largest_synthesis_table_numpy_can_size():
+    # the (2N+1, N) table's 8 N (2N+1) bytes must fit an index-sized integer;
+    # read, never built: a table at the bound would take exabytes
+    def fits(n):
+        return 8 * n * (2 * n + 1) <= np.iinfo(np.intp).max
+    assert fits(MAX_MODES) and not fits(MAX_MODES + 1)
+    with pytest.raises(ValueError, match="too big"):  # sized, refused before any allocation
+        np.empty((2 * MAX_MODES + 3, MAX_MODES + 1))
+    assert _mode_count(MAX_MODES) == MAX_MODES
+    with pytest.raises(ValueError, match=f"^config field 'system.mode_count' must be at most "
+                                         f"{MAX_MODES}, "):
+        _mode_count(MAX_MODES + 1)

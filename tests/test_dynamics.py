@@ -379,16 +379,28 @@ class TestKernelMatchesReference:
         contiguous = evolve_states(np.ascontiguousarray(y0), cfg, [0.0, 10 * cfg.dt])
         assert out.tobytes() == contiguous.tobytes()
 
-    def test_state_and_stage_blocks_are_contiguous(self):
+    @pytest.mark.parametrize("lead", [(1,), (9,), (20,), (30,), (3, 30)],
+                             ids=["P1", "P9", "P20", "P30", "stack3x30"])
+    def test_state_and_stage_blocks_are_contiguous(self, lead):
+        cfg = WaveSystemConfig(**BENCH_SYSTEM)
+        stack = DampingStack(tuple(replace(cfg, l=v) for v in (1.0, 2.0, 4.0)))
+        engine = stack if len(lead) > 1 else cfg
+        stepper = _Stepper(engine, lead + (64,))
         # positions and velocities are planar blocks, never strided halves of rows
-        stepper = _Stepper(WaveSystemConfig(**BENCH_SYSTEM), (30, 64))
         for planar in [stepper.y, *stepper.stages]:
-            assert planar.shape == (2, 30, 32)
+            assert planar.shape == (2,) + lead + (32,)
             assert all(block.flags.c_contiguous for block in planar)
         # the finiteness mask and the batch-shaped mode rows are set up once
-        assert stepper.finite.shape == (2, 30, 32) and stepper.finite.dtype == bool
+        assert stepper.finite.shape == (2,) + lead + (32,) and stepper.finite.dtype == bool
         for row in (stepper.neg_lam, stepper.h):
-            assert row.shape == (30, 32) and row.flags.c_contiguous
+            assert row.shape == lead + (32,) and row.flags.c_contiguous
+        # every float buffer starts on a 64-byte boundary: y, five stages, five
+        # work buffers, the two mode rows, the synthesis and kernel tables (three)
+        # with their two transposes, and a stack's dampings
+        buffers = [v for v in (*vars(stepper).values(), *stepper.stages)
+                   if isinstance(v, np.ndarray) and v.dtype == float]
+        assert len(buffers) == 18 + (len(lead) > 1)
+        assert all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
 
     def test_blow_up_time_matches_the_reference(self):
         cfg = WaveSystemConfig(mode_count=1, l=0.0, kernel=((200.0, (1.0,)),), dt=0.5)
