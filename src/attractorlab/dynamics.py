@@ -41,10 +41,20 @@ reach it only flattened to (P, 2N), and a flattened batch's products differ
 in the last bits.
 
 At these sizes a step's cost is mostly numpy's fixed cost per call, so the
-stepper trims calls without changing what they compute.  Every ufunc,
-product and reduction takes its output by position, which numpy dispatches
-faster than the keyword.  The (position, velocity) views of the state and
-of each stage buffer are made once, in the constructor.  A monic f starts
+stepper trims calls without changing what they compute.  The step is bound
+once: the constructor builds ``rhs`` and ``step`` as closures over local
+names for every buffer, block view, ufunc and product function, so a call
+looks nothing up on the stepper, and ``evolve_states`` binds ``step`` once
+before its loop.  Every scalar operand is a 0-d float64 array made once:
+numpy converts a Python float operand on every call, 0.15-0.6 us each,
+and a 0-d float64 array reaches the same loop with the same value.  p/2
+is not, since only a float exponent makes ``sq **= p/2`` take ``np.sqrt``
+at p = 1.  The kernel weights are stored at the projection's shape,
+(..., rank), so weighting it is a same-shape multiply, not a broadcast
+(0.56 us against 1.57 us at P = 30).  Every ufunc, product and reduction
+takes its output by position, which numpy dispatches faster than the
+keyword.  The (position, velocity) views of the state and of each stage
+buffer are made once, in the constructor.  A monic f starts
 Horner's rule past the operations that cannot change a bit
 (``_horner``), so f = u^3 - u takes four ufuncs, not six.  And
 ``evolve_states`` checks finiteness once per sample mark, not per step; a
@@ -394,9 +404,11 @@ class _Stepper:
     (..., 2N) row.  ``load`` copies a (..., 2N) state in and ``store`` copies
     it back out; only those two copies see the interleaved layout.
 
-    ``rhs`` writes the time derivative into a caller's blocks and ``step``
-    advances ``y`` in place.  Both repeat the operands, order and association
-    of the plain expressions
+    ``rhs(a, b, da, db)`` writes the time derivative of the state with
+    positions ``a`` and velocities ``b`` into the blocks ``da`` and ``db``
+    (no overlap), and ``step()`` advances ``y`` by one step of size dt, in
+    place.  Both repeat the operands, order and association of the plain
+    expressions
 
         db = (-lam)*a - damp*b + h - weight*(f(a @ synth.T) @ synth) + K b
         y' = y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
@@ -405,54 +417,95 @@ class _Stepper:
     expressions; only the buffers and their layout differ.
 
     The constructor sets up once what every step reads besides the state,
-    each float array from ``_aligned``: the (positions, velocities) views
-    ``blocks`` of ``y`` and of each stage buffer; the mode rows ``neg_lam``
-    and ``h`` at the batch's shape, so each use is a same-shape ufunc; its
-    own copies of the synthesis and kernel tables; f's Horner start
-    (``_horner_start``); the finiteness mask ``finite`` that
-    ``evolve_states`` fills at its checks; and ``dot``, the product function
-    for the batch's rank (``np.dot`` up to one leading axis, ``np.matmul``
-    beyond; see the module docstring).
-    Every ufunc, product and reduction takes its output by position, which
-    numpy dispatches faster than the keyword.
+    each float array from ``_aligned``: the (positions, velocities) blocks
+    of ``y`` and of each stage buffer; the mode rows ``neg_lam`` and ``h``
+    at the batch's shape and the kernel weights at the projection's, so
+    each use is a same-shape ufunc; its own copies of the synthesis and
+    kernel tables; every scalar operand as a 0-d array (dt/2, dt, dt/6, 2,
+    the quadrature weight, k, a scalar l and f's coefficients), but p/2,
+    which stays a float; f's Horner start ``f_start`` (``_horner_start``);
+    the finiteness mask ``finite`` that ``evolve_states`` fills at its
+    checks; and the product function for the batch's rank (``np.dot`` up
+    to one leading axis, ``np.matmul`` beyond).  It then binds ``rhs`` and
+    ``step`` as closures over local names for all of these and for the
+    ufuncs, so a call looks nothing up.  Every ufunc, product and reduction
+    takes its output by position.  See the module docstring for why.
     """
 
     def __init__(self, cfg: WaveSystemConfig, shape):
         n = cfg.mode_count
         if len(shape) == 0 or shape[-1] != 2 * n:
             raise ValueError(f"state shape {tuple(shape)} does not match {n} config modes")
-        self.n, self.dt = n, cfg.dt
-        self.half, self.sixth = 0.5 * cfg.dt, cfg.dt / 6.0
+        self.n = n
         lead = tuple(shape[:-1])
-        self.dot = np.dot if len(lead) <= 1 else np.matmul
-        self.neg_lam = _aligned(lead + (n,), -cfg.eigenvalues)
-        self.h = _aligned(lead + (n,), cfg.h_coeffs)
-        self.k, self.p_half = cfg.k, cfg.p / 2.0
+        dot = np.dot if len(lead) <= 1 else np.matmul
+        multiply, add, subtract, copyto, reduce = (np.multiply, np.add, np.subtract, np.copyto,
+                                                   np.add.reduce)
+        synth, weight = _sine_collocation(n, cfg.collocation_points)
+        half, dt, sixth, two, weight, k = (_aligned((), v) for v in (
+            0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0, 2.0, weight, cfg.k))
+        self.neg_lam = neg_lam = _aligned(lead + (n,), -cfg.eigenvalues)
+        self.h = h = _aligned(lead + (n,), cfg.h_coeffs)
+        damped, p_half = bool(cfg.k), cfg.p / 2.0
         # the reference's k = 0 damping (an l of -0.0 becomes 0.0); a
         # DampingStack's (L, 1, 1) array gives each row of the stack its own
-        damping = cfg.l + 0.0
-        self.l = (_aligned(damping.shape, damping) if isinstance(damping, np.ndarray)
-                  else damping)
-        self.f = cfg.f_coeffs or None
-        self.f_start = _horner_start(self.f) if self.f else 0
-        synth, self.weight = _sine_collocation(n, cfg.collocation_points)
-        self.synth = _aligned(synth.shape, synth)
-        self.synth_t = self.synth.T
+        damping = _aligned(np.shape(cfg.l), cfg.l + 0.0)
+        f = tuple(_aligned((), c) for c in cfg.f_coeffs)
+        self.f_start = f_start = _horner_start(cfg.f_coeffs) if f else 0
+        synth = _aligned(synth.shape, synth)
+        synth_t = synth.T
         rank = len(cfg.kernel)
-        self.kw = _aligned((rank,), [w for w, _ in cfg.kernel]) if rank else None
-        self.kv = _aligned((rank, n), [c for _, c in cfg.kernel]) if rank else None
-        self.y = _aligned((2,) + lead + (n,))
-        self.stages = [_aligned(self.y.shape) for _ in range(5)]  # k1..k4, stage state
-        self.blocks = [tuple(planar) for planar in (self.y, *self.stages)]
-        self.finite = np.empty(self.y.shape, dtype=bool)
-        self.scratch = _aligned(lead + (n,))
-        self.sq = _aligned(lead + (1,))
-        if self.f is not None:
-            self.u = _aligned(lead + (self.synth.shape[0],))
-            self.acc = _aligned(self.u.shape)
-        if self.kv is not None:
-            self.kv_t = self.kv.T
-            self.proj = _aligned(lead + (self.kv.shape[0],))
+        if rank:
+            kw = _aligned(lead + (rank,), [w for w, _ in cfg.kernel])
+            kv = _aligned((rank, n), [c for _, c in cfg.kernel])
+            kv_t = kv.T
+            proj = _aligned(lead + (rank,))
+        self.y = y = _aligned((2,) + lead + (n,))
+        self.stages = k1, k2, k3, k4, ys = [_aligned(y.shape) for _ in range(5)]
+        self.finite = np.empty(y.shape, dtype=bool)
+        tmp = _aligned(lead + (n,))
+        sq = _aligned(lead + (1,))
+        if f:
+            u = _aligned(lead + (synth.shape[0],))
+            acc = _aligned(u.shape)
+        (a, b), (k1a, k1b), (k2a, k2b), (k3a, k3b), (k4a, k4b), (sa, sb) = y, k1, k2, k3, k4, ys
+
+        def rhs(a, b, da, db):
+            copyto(da, b)
+            damp = damping
+            if damped:
+                s = reduce(multiply(b, b, tmp), -1, None, sq, True)
+                # x**1 == x exactly, so p = 2 skips the power; ``**=`` with a
+                # float takes the ufunc that the reference's ``**`` takes
+                # (np.sqrt at p = 1)
+                if p_half != 1.0:
+                    s **= p_half
+                damp = add(multiply(s, k, s), damping, s)
+            multiply(neg_lam, a, db)
+            subtract(db, multiply(damp, b, tmp), db)
+            add(db, h, db)
+            if f:
+                f_vals = _horner(f, dot(a, synth_t, u), acc, f_start)
+                dot(f_vals, synth, tmp)
+                subtract(db, multiply(tmp, weight, tmp), db)
+            if rank:
+                dot(multiply(dot(b, kv_t, proj), kw, proj), kv, tmp)
+                add(db, tmp, db)
+
+        def step():
+            rhs(a, b, k1a, k1b)
+            add(y, multiply(k1, half, ys), ys)
+            rhs(sa, sb, k2a, k2b)
+            add(y, multiply(k2, half, ys), ys)
+            rhs(sa, sb, k3a, k3b)
+            add(y, multiply(k3, dt, ys), ys)
+            rhs(sa, sb, k4a, k4b)
+            add(k1, multiply(k2, two, k2), k1)
+            add(k1, multiply(k3, two, k3), k1)
+            add(k1, k4, k1)
+            add(y, multiply(k1, sixth, k1), y)
+
+        self.rhs, self.step = rhs, step
 
     def load(self, y0: np.ndarray) -> None:
         """Copy the (..., 2N) state ``y0`` into ``y``."""
@@ -464,56 +517,13 @@ class _Stepper:
         """Copy a planar (2, ..., N) array into the (..., 2N) array ``out``."""
         return np.concatenate(planar, axis=-1, out=out)
 
-    def rhs(self, a, b, da, db) -> None:
-        """Write the time derivative of the state with positions ``a`` and
-        velocities ``b`` into the blocks ``da`` and ``db`` (no overlap)."""
-        tmp, sq = self.scratch, self.sq
-        np.copyto(da, b)
-        damp = self.l
-        if self.k:
-            np.add.reduce(np.multiply(b, b, tmp), -1, None, sq, True)
-            # x**1 == x exactly, so p = 2 skips the power; ``**=`` takes the
-            # ufunc that the reference's ``**`` takes (np.sqrt at p = 1)
-            if self.p_half != 1.0:
-                sq **= self.p_half
-            damp = np.add(np.multiply(sq, self.k, sq), self.l, sq)
-        np.multiply(self.neg_lam, a, db)
-        np.subtract(db, np.multiply(damp, b, tmp), db)
-        np.add(db, self.h, db)
-        if self.f is not None:
-            u = self.dot(a, self.synth_t, self.u)
-            f_vals = _horner(self.f, u, self.acc, self.f_start)
-            self.dot(f_vals, self.synth, tmp)
-            np.subtract(db, np.multiply(tmp, self.weight, tmp), db)
-        if self.kv is not None:
-            proj = self.dot(b, self.kv_t, self.proj)
-            self.dot(np.multiply(proj, self.kw, proj), self.kv, tmp)
-            np.add(db, tmp, db)
-
-    def step(self) -> None:
-        """Advance ``y`` by one RK4 step of size dt, in place."""
-        y, rhs, dt, half = self.y, self.rhs, self.dt, self.half
-        k1, k2, k3, k4, ys = self.stages
-        (a, b), (k1a, k1b), (k2a, k2b), (k3a, k3b), (k4a, k4b), (sa, sb) = self.blocks
-        rhs(a, b, k1a, k1b)
-        np.add(y, np.multiply(k1, half, ys), ys)
-        rhs(sa, sb, k2a, k2b)
-        np.add(y, np.multiply(k2, half, ys), ys)
-        rhs(sa, sb, k3a, k3b)
-        np.add(y, np.multiply(k3, dt, ys), ys)
-        rhs(sa, sb, k4a, k4b)
-        np.add(k1, np.multiply(k2, 2.0, k2), k1)
-        np.add(k1, np.multiply(k3, 2.0, k3), k1)
-        np.add(k1, k4, k1)
-        np.add(y, np.multiply(k1, self.sixth, k1), y)
-
 
 def wave_rhs(y: np.ndarray, cfg: WaveSystemConfig) -> np.ndarray:
     """Time derivative of a (..., 2N) state array."""
     y = np.asarray(y, dtype=float)
     stepper = _Stepper(cfg, y.shape)
     stepper.load(y)
-    stepper.rhs(*stepper.blocks[0], *stepper.blocks[1])
+    stepper.rhs(*stepper.y, *stepper.stages[0])
     return stepper.store(stepper.stages[0], np.empty_like(y))
 
 
@@ -553,7 +563,7 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     stepper = _Stepper(cfg, y0.shape)
     stepper.load(y0)
-    y, finite = stepper.y, stepper.finite
+    y, finite, step_once = stepper.y, stepper.finite, stepper.step
     out = np.empty((times.size,) + y0.shape)
     step, last = 0, y0
     # finiteness is checked at the marks, so let overflow reach the check silently
@@ -561,11 +571,11 @@ def evolve_states(y0: np.ndarray, cfg: WaveSystemConfig, times) -> np.ndarray:
         for row, mark in zip(out, marks):
             if mark > step:
                 for _ in range(mark - step):
-                    stepper.step()
+                    step_once()
                 if not np.isfinite(y, finite).all():
                     stepper.load(last)
                     for step in range(step + 1, mark + 1):
-                        stepper.step()
+                        step_once()
                         if not np.isfinite(y, finite).all():
                             break
                     raise BlowUpError(step * cfg.dt)

@@ -179,6 +179,13 @@ class ExperimentConfig:
             value = getattr(self, attr)  # closeness and quasi_period may be None: unset
             if value is not None:
                 _positive(value, _KEYS[attr], zero=attr in ("seed", "n_periods"))
+        # the most points whose (count, 2N) draw numpy can size: its bytes,
+        # 16 N count, must fit an index-sized integer
+        most = np.iinfo(np.intp).max // (16 * self.system.mode_count)
+        for attr in ("ensemble_count", "fresh_count"):
+            if getattr(self, attr) > most:
+                raise ValueError(f"config field {_KEYS[attr]!r} must be at most {most}, the most "
+                                 f"points whose draw can be sized, got {getattr(self, attr)}")
         # alpha is 0 on one point, or with a cluster per point
         if "alpha" in needs and self.ensemble_count < 2:
             raise ValueError(f"config field {_KEYS['ensemble_count']!r} must be >= 2 for a "

@@ -527,6 +527,14 @@ BAD_NUMBERS = {
     "radius_past_float_range": ("ensemble.radius", {"ensemble": {"count": 12, "radius": 10**400,
                                                                  "fresh_count": 8}}),
     "m_range_past_float_range": ("m_range", {"grids": {"m_range": [1, 10**400]}}),
+    # counts whose (count, 2N) draw numpy cannot size (PAST_MEMORY holds
+    # counts it can size but not allocate)
+    "count_past_float_range": ("ensemble.count", {"ensemble": {"count": 10**400, "radius": 4.0,
+                                                               "fresh_count": 8}}),
+    "fresh_count_past_float_range": ("ensemble.fresh_count", {
+        "ensemble": {"count": 12, "radius": 4.0, "fresh_count": 10**400}}),
+    "count_past_the_index_range": ("ensemble.count", {"ensemble": {"count": 10**20, "radius": 4.0,
+                                                                   "fresh_count": 8}}),
 }
 
 

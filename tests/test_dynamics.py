@@ -1,3 +1,4 @@
+import itertools
 import pickle
 from dataclasses import replace
 
@@ -291,6 +292,10 @@ KERNEL_SYSTEMS = {
     "all_terms_p1": dict(k=2.0, p=1.0, l=0.25, f_coeffs=(0.5, -1.0, 0.0, 2.0),
                          kernel=((0.1, (1.0,) + (0.0,) * 5), (-0.2, (0.0, 1.0) + (0.0,) * 4)),
                          h_coeffs=(1.0,) * 6),
+    # monic f at the Horner starts the shipped systems never reach: start 1
+    # with a u^2 term, and start 2 with three more coefficients after it
+    "monic_cubic_start1": dict(l=0.5, f_coeffs=(0.0, -1.0, 0.5, 1.0)),
+    "monic_quintic_start2": dict(k=1.0, l=0.5, f_coeffs=(0.0, -1.0, 0.0, 2.0, 0.0, 1.0)),
 }
 
 
@@ -394,13 +399,21 @@ class TestKernelMatchesReference:
         assert stepper.finite.shape == (2,) + lead + (32,) and stepper.finite.dtype == bool
         for row in (stepper.neg_lam, stepper.h):
             assert row.shape == lead + (32,) and row.flags.c_contiguous
-        # every float buffer starts on a 64-byte boundary: y, five stages, five
-        # work buffers, the two mode rows, the synthesis and kernel tables (three)
-        # with their two transposes, and a stack's dampings
-        buffers = [v for v in (*vars(stepper).values(), *stepper.stages)
-                   if isinstance(v, np.ndarray) and v.dtype == float]
-        assert len(buffers) == 18 + (len(lead) > 1)
-        assert all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
+        # every float array it holds, as an attribute or in the bound step's
+        # closures, starts on a 64-byte boundary: y and five stages with their
+        # twelve blocks, five work buffers, the two mode rows, the kernel
+        # weights, the synthesis and kernel tables with their two transposes,
+        # and a stack's dampings; and the 0-d operands dt/2, dt, dt/6, 2, the
+        # quadrature weight, k, f's four coefficients and a scalar l
+        held = [*vars(stepper).values(), *stepper.stages,
+                *(cell.cell_contents for fn in (stepper.rhs, stepper.step)
+                  for cell in fn.__closure__)]
+        held += [c for v in held if isinstance(v, tuple) for c in v]  # f's coefficients
+        arrays = {id(v): v for v in held if isinstance(v, np.ndarray) and v.dtype == float}
+        buffers = [v for v in arrays.values() if v.ndim]
+        assert len(buffers) == 30 + (len(lead) > 1)
+        assert len(arrays) - len(buffers) == 11 - (len(lead) > 1)
+        assert all(array.ctypes.data % 64 == 0 for array in arrays.values())
 
     def test_blow_up_time_matches_the_reference(self):
         cfg = WaveSystemConfig(mode_count=1, l=0.0, kernel=((200.0, (1.0,)),), dt=0.5)
@@ -463,8 +476,10 @@ class TestHorner:
         finite = np.isfinite(x)
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.polynomial.polynomial.polyval(x, np.array(coeffs), tensor=False)
-            for start in {0, _horner_start(coeffs)}:
-                got = _horner(coeffs, x, None, start)
+            # the stepper hands its coefficients over as 0-d arrays
+            for given, start in itertools.product(
+                    (coeffs, tuple(np.array(c) for c in coeffs)), {0, _horner_start(coeffs)}):
+                got = _horner(given, x, None, start)
                 assert got[finite].tobytes() == want[finite].tobytes()
                 # numpy's c[-1] + x*0 is NaN at an infinite x; each start is non-finite there
                 assert not np.isfinite(got[~finite]).any()
@@ -477,6 +492,8 @@ class TestHorner:
         assert _horner_start((0.0, 1.0)) == 1
         assert _horner_start((0.0, 1.0, 0.5, 1.0)) == 1
         assert _horner_start((0.0, -1.0, 0.0, 2.0)) == 0
+        assert _horner_start(KERNEL_SYSTEMS["monic_cubic_start1"]["f_coeffs"]) == 1
+        assert _horner_start(KERNEL_SYSTEMS["monic_quintic_start2"]["f_coeffs"]) == 2
         cfg = WaveSystemConfig(**BENCH_SYSTEM)
         assert _Stepper(cfg, (9, 64)).f_start == 2
 
