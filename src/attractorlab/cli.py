@@ -8,12 +8,12 @@ lines and exits by the same rules.  The sweep's rows run as one stacked
 batch in one forked child; the outputs are the same as from a serial run,
 and a failed row is still recorded and printed.
 
-Exit codes: 0 success; 1 config error (an unknown key in any section of the
-run file is one), missing input file, a system that is not dissipative (no
-absorbing ball found), a failed sweep row or an array too large for memory
-(``error: out of memory: ...``); 2 numerical blow-up; 3 unsatisfied
-acceptance thresholds under --strict.  Every failure prints one line to
-stderr, never a traceback.
+Exit codes: 0 success; 1 config error (a run file that is not valid YAML,
+or an unknown key in any section of it), missing input file, a system that
+is not dissipative (no absorbing ball found), a failed sweep row or an
+array too large for memory (``error: out of memory: ...``); 2 numerical
+blow-up; 3 unsatisfied acceptance thresholds under --strict.  Every
+failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import yaml
 
 from .attracting import load_attracting_set, verify_attraction
 from .covering import DecayTrace
@@ -161,7 +159,7 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ValueError, KeyError, OSError, yaml.YAMLError, NonDissipativeError) as exc:
+    except (ValueError, KeyError, OSError, NonDissipativeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

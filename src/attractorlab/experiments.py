@@ -17,8 +17,8 @@ damping l.  One forked child (``_forked``) runs them as one stack
 gives each row the bits its own run gives, and loop over the rows for each
 row's own steps.  If the stacked run fails, the child runs every row alone
 in turn, so the outputs are the same as from one row after another and a
-failed row is still recorded in its row.  The sweep child is not daemonic
-and runs only its main thread, so its own forks are safe.
+failed row is still recorded in its row.  The sweep child runs only its
+main thread, so its own forks are safe.
 
 Inside the wave stages (``_wave_rows``; a wave_attractor run is its one-row
 case), two passes run in forked children (``_forked``) while this process
@@ -29,12 +29,14 @@ set's net.csv and orbits.csv text rendered (``_net_stages``), while this
 process continues the absorbed samples to 2 t_orbit for the omega-limit
 proxy.  A child sends back only what the run reads and writes no file:
 this process fills each set's proxy in, keeping its rendered tables, and
-writes every file, in the serial order.
+writes every file, in the serial order.  A child is made by ``os.fork``,
+sends its result or its error back pickled through a pipe and leaves
+through ``os._exit``.
 With one CPU nothing is forked, and every pass runs here in the serial
 order.  A failed run ends as the serial one does: the same error wins (the
 proxy continuation's before the net stage's, both before the fresh
 pass's), the same files are left, ``trace_alpha.csv`` is written only once
-the continuation has succeeded, and every child is joined before
+the continuation has succeeded, and every child is reaped before
 ``run_experiment`` returns or raises.  The fresh, probe and absorbed
 passes and the proxy continuation are each one walk (``_walk``): the first
 two from the draw, the absorbed pass from the probe's table of its
@@ -72,13 +74,13 @@ import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
-import yaml
 
 from . import __version__, covering
 from .attracting import (
@@ -370,35 +372,58 @@ def _sample_union(system, states, *grids) -> list:
 
 @contextlib.contextmanager
 def _forked(fn, *args):
-    """Run ``fn(*args)`` in a forked child process while the block runs.
+    """Run ``fn(*args)`` in a child made by ``os.fork`` while the block runs.
 
-    The block gets a zero-argument callable that closes the pipe once read,
-    joins the child and gives back its result, or re-raises its exception.
-    On leaving the block the child is joined in every case; one whose result
-    was not asked for (the block raised first) is killed first, so the
-    block's own error is the one that propagates.  With one CPU nothing is
-    forked: the callable computes ``fn(*args)`` here when it is called, so
-    the work keeps its serial order.
+    The block gets a zero-argument callable that reads the child's pickled
+    ``(ok, value)`` from a pipe to its end, reaps the child and gives back
+    its result, or re-raises its exception.  The pipe is read before the
+    child is reaped, because a result can outgrow the pipe buffer.  A child
+    that exits with a nonzero code (it was killed, or its reply could not be
+    pickled or written, as when nobody reads the pipe any more) raises
+    ``ChildProcessError`` naming ``fn`` and the code.  On leaving the
+    block the child is reaped in every case; one whose result was not asked
+    for (the block raised first) is killed first, so the block's own error
+    is the one that propagates.  The child leaves only through ``os._exit``,
+    so it runs no exit handler and flushes no buffer it inherited.  With
+    one CPU nothing is forked: the callable computes ``fn(*args)`` here when
+    it is called, so the work keeps its serial order.
     """
     if (os.cpu_count() or 1) == 1:
         yield lambda: fn(*args)
         return
-    fork = multiprocessing.get_context("fork")
-    receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_reply, args=(receive, send, fn, args))
-    child.start()
-    send.close()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)  # once the parent is gone, the write fails instead of blocking
+            try:
+                reply = True, fn(*args)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                reply = False, exc
+            with open(write, "wb") as sink:
+                sink.write(pickle.dumps(reply))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    pipe = open(read, "rb")
+    status = None
 
     def result():
-        with receive:
-            try:
-                ok, value = receive.recv()
-            except EOFError:
-                child.join()
-                raise ChildProcessError(
-                    f"{fn.__name__} exited with code {child.exitcode} and sent no result"
-                ) from None
-        child.join()
+        nonlocal status
+        with pipe:
+            reply = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise ChildProcessError(f"{fn.__name__} exited with code {code} and sent no result")
+        ok, value = pickle.loads(reply)
         if not ok:
             raise value
         return value
@@ -406,24 +431,10 @@ def _forked(fn, *args):
     try:
         yield result
     finally:
-        receive.close()
-        if child.is_alive():
-            child.kill()
-        child.join()
-
-
-def _reply(receive, send, fn, args):
-    """The child side of ``_forked``: send (True, result) or (False, error)."""
-    receive.close()  # once the parent is gone, the send fails instead of blocking
-    try:
-        reply = True, fn(*args)
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        reply = False, exc
-    try:
-        send.send(reply)
-    except BrokenPipeError:
-        pass  # the parent is gone: nobody reads the result
-    send.close()
+        pipe.close()
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -961,8 +972,13 @@ def load_experiment_config(path, **given) -> ExperimentConfig:
     """Read a run file (``_SCHEMA``); numbers may be strings such as '1e-3'.
     The attributes ``given`` override the file's before the config is built.
     Errors name a field as ``_KEYS`` does."""
+    import yaml  # only a run file needs the parser
+
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ValueError("experiment config must be a mapping")
     sections = {None: raw}

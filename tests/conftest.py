@@ -1,6 +1,6 @@
 import importlib.util
-import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -8,18 +8,44 @@ import pytest
 from attractorlab.attracting import build_attracting_set
 
 
+def _children() -> list[int]:
+    """The pids whose parent is this process, running or not yet reaped,
+    read from /proc."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue  # it ended while the list was read
+        if ppid == os.getpid():
+            pids.append(int(entry))
+    return pids
+
+
+def children_left() -> list[int]:
+    """This process's children, running or exited but not reaped: none when
+    ``os.waitpid(-1, os.WNOHANG)`` finds no child at all.  A child that this
+    check reaps is listed too."""
+    try:
+        reaped, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return []
+    return sorted({reaped, *_children()} - {0})
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running: the forked passes of
-    a run and the sweep's child are joined before ``run_experiment``
-    returns or raises.  A child left behind is killed, so later tests start
-    clean."""
+    """Fail a test that leaves a child process behind, running or unreaped:
+    the forked passes of a run and the sweep's child are reaped before
+    ``run_experiment`` returns or raises.  A child left behind is killed
+    and reaped, so later tests start clean."""
     yield
-    left = multiprocessing.active_children()
-    for child in left:
-        child.kill()
-        child.join()
-    assert not left, f"child processes left running: {left}"
+    left = children_left()
+    for pid in _children():
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert not left, f"child processes left behind: {left}"
 
 
 @pytest.fixture

@@ -652,6 +652,17 @@ def test_run_file_that_is_not_a_mapping_exits_1(tmp_path):
     assert out == "" and err == "error: experiment config must be a mapping\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_run_file_that_is_not_valid_yaml_exits_1_naming_it(finished_run, tmp_path, command):
+    config = tmp_path / "config.yaml"
+    config.write_text("kind: wave_attractor\nsystem: [\n")
+    attractor = [finished_run[1] / "attractor"] if command == "verify" else []
+    code, out, err = run_cli(command, *attractor, config)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith(f"error: {config} is not valid YAML: ")
+    assert err.count("\n") == 1 and "line 3, column 1" in err
+
+
 def test_run_file_without_a_kind_exits_1(tmp_path):
     config = write_config(tmp_path)
     raw = yaml.safe_load(config.read_text())

@@ -7,7 +7,6 @@ import csv
 import glob
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import signal
@@ -35,7 +34,6 @@ from attractorlab.experiments import (
     ExperimentConfig,
     _forked,
     _inventory,
-    _reply,
     config_to_dict,
     run_experiment,
 )
@@ -43,7 +41,7 @@ from attractorlab.phase import ensemble_radius
 
 import test_dynamics
 import test_golden
-from conftest import SMALL_WAVE_SYSTEM
+from conftest import SMALL_WAVE_SYSTEM, children_left
 
 # One stiff mode: RK4 at dt = 0.5 multiplies its fast component by about
 # 4e6 a step, so a state of size 1e-300 stays below the probe's 1e-12
@@ -72,7 +70,10 @@ def test_forked_gives_back_the_child_result(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with _forked(_double, 21) as result:
         assert result() == 42
-    assert multiprocessing.active_children() == []
+    # larger than the pipe buffer: the pipe is read before the child is reaped
+    with _forked(np.arange, 1 << 20) as result:
+        assert np.array_equal(result(), np.arange(1 << 20))
+    assert children_left() == []
 
 
 def test_forked_reraises_the_child_error(monkeypatch):
@@ -90,28 +91,64 @@ def test_forked_kills_a_child_whose_result_is_not_read(monkeypatch):
         with _forked(time.sleep, 60.0):
             1 / 0
     assert time.perf_counter() - start < 30.0
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 def test_forked_on_one_cpu_runs_here_when_asked(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     calls = []
     with _forked(calls.append, "ran") as result:
-        assert calls == [] and multiprocessing.active_children() == []
+        assert calls == [] and children_left() == []
         result()
     assert calls == ["ran"]
 
 
-def test_reply_with_no_reader_left_ends_instead_of_blocking():
-    # a child whose parent was killed: its own copy of the read end is
-    # closed, so a result larger than the pipe buffer fails to send
-    receive, send = multiprocessing.Pipe(duplex=False)
-    replying = threading.Thread(
-        target=_reply, args=(receive, send, np.zeros, (1 << 20,)), daemon=True
-    )
-    replying.start()
-    replying.join(30.0)
-    assert not replying.is_alive()
+def test_reply_with_no_reader_left_ends_instead_of_blocking(monkeypatch):
+    # as if the parent were gone: once the child is forked, no read end of
+    # its pipe is left open, so a result larger than the pipe buffer fails
+    # to send and the child ends on its own
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pipes, children = [], []
+    pipe, fork = os.pipe, os.fork
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def fork_without_reader():
+        pid = fork()
+        if pid:
+            children.append(pid)
+            null = os.open(os.devnull, os.O_RDONLY)
+            os.dup2(null, pipes[-1][0])
+            os.close(null)
+        return pid
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", fork_without_reader)
+    with _forked(np.zeros, 1 << 20) as result:
+        deadline = time.monotonic() + 30.0
+        ended = None
+        while ended is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            ended = os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        assert ended is not None
+        error = "^zeros exited with code 1 and sent no result$"
+        with pytest.raises(ChildProcessError, match=error):
+            result()
+    assert children_left() == []
+
+
+def _lock():
+    return threading.Lock()
+
+
+def test_forked_child_whose_result_cannot_be_pickled_raises_naming_fn(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="^_lock exited with code 1 and sent no result$"):
+        with _forked(_lock) as result:
+            result()
+    assert children_left() == []
 
 
 def sweep_run(out, system, l_values, seed=7):
@@ -140,7 +177,7 @@ def test_killed_sweep_child_exits_1_with_one_line(tmp_path, monkeypatch):
     assert (code, out.getvalue(), err.getvalue()) == (EXIT_CONFIG, "", f"error: {error}\n")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert (manifest["status"], manifest["error"]) == ("failed", f"ChildProcessError: {error}")
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -229,7 +266,7 @@ def test_set_tables_are_rendered_once_and_not_where_they_are_saved(kind, cpus, t
     else:
         assert not savers & {pid for pid, _ in renders}
         assert here not in {pid for pid, _ in renders}
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 def row_by_row(monkeypatch):
@@ -325,7 +362,7 @@ def test_failed_middle_row_ends_as_the_row_by_row_sweep(case, tmp_path, monkeypa
     assert json.loads(manifests[os.path.join(middle, "manifest.json")])["status"] == "failed"
     assert sorted(os.path.relpath(name, middle) for name in files
                   if name.startswith(middle + os.sep)) == left
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 def fresh_scaled_up(monkeypatch):
@@ -431,7 +468,7 @@ def test_wave_run_measures_the_alpha_trace_once_here(cpus, fit_fails, tmp_path, 
     traces[0].to_csv(tmp_path / "measured.csv")
     assert (tmp_path / "measured.csv").read_bytes() == (
         tmp_path / "out" / "trace_alpha.csv").read_bytes()
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 @pytest.mark.parametrize("points", [1, 2])
@@ -604,7 +641,7 @@ def test_entering_grid_chunks_match_the_golden_outputs(case, edge, marks, walk_m
         assert test_golden.output_hashes(cfg.output_dir) == test_golden.GOLDEN[case], cpus
         if cpus == 1:  # every pass here: the four walks in chunks, the net orbits whole
             assert len(calls) == test_golden.PASSES[case] - len(WALKS) + chunks
-    assert multiprocessing.active_children() == []
+    assert children_left() == []
 
 
 def damping_stack(dampings):

@@ -23,7 +23,7 @@ from attractorlab.dynamics import LinearModalConfig, WaveSystemConfig, _sine_col
 from attractorlab.experiments import ExperimentConfig, RunManifest
 from attractorlab.phase import Ensemble, MetricSpec
 
-from conftest import load_bench
+from conftest import CONFIG_DIR, SMALL_WAVE_SYSTEM, load_bench
 
 MODULES = ("phase", "decay", "covering", "dynamics", "attracting", "criteria", "experiments")
 
@@ -42,7 +42,7 @@ REMOVED = {
     "experiments": ("_with_damping", "sweep_parameter", "_snapshots", "_semidist_to_origin_trace",
                     "system_to_dict", "_parse_system", "ProcessPoolExecutor", "_fresh_pass",
                     "EXPERIMENT_KINDS", "_PIPELINES", "_absorbed_probe", "_absorbing_ball",
-                    "_SWEEP_MEASURED", "_resume", "_norms_and_rows"),
+                    "_SWEEP_MEASURED", "_resume", "_norms_and_rows", "_reply"),
 }
 
 
@@ -136,19 +136,43 @@ def test_benchmark_trace_points_are_bound():
     assert unbound == []
 
 
+def fresh_interpreter(code: str) -> str:
+    """What ``code`` prints when a fresh interpreter runs it on this package."""
+    src = os.path.dirname(os.path.dirname(attractorlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_spatial_out():
     # the distance kernel is loaded from its extension file; importing
     # scipy.spatial (and with it scipy.sparse) costs more than most runs.
     # The sweep runs in a ``_forked`` child, so no pool module is needed
-    src = os.path.dirname(os.path.dirname(attractorlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "import attractorlab.cli\n"
         "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'concurrent.futures')\n"
         "             if m in sys.modules))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_configs_built_in_code_leave_multiprocessing_and_yaml_out():
+    # ``_forked`` forks through os.fork, and only reading a run file parses YAML
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import attractorlab\n"
+        "from attractorlab.dynamics import LinearModalConfig, wave_config_from_dict\n"
+        "from attractorlab.experiments import ExperimentConfig, load_experiment_config\n"
+        f"wave_config_from_dict({SMALL_WAVE_SYSTEM!r})\n"
+        "ExperimentConfig(kind='oracle_decay', system=LinearModalConfig(1.0, [1.0, 4.0]),\n"
+        "                 output_dir='out', t_grid=np.arange(0.0, 4.25, 0.25))\n"
+        "heavy = ('multiprocessing', 'yaml')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        f"load_experiment_config({os.path.join(CONFIG_DIR, 'wave_attractor.yaml')!r})\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    assert fresh_interpreter(code).splitlines() == ["[]", "['yaml']"]
